@@ -1241,6 +1241,53 @@ let registry_bench () =
       R.close t2;
       rm_rf dir)
     lengths;
+  (* push cost against stream width: a push that does not grow the shape
+     (every fourth field of a stream of nullable fields, so the delta
+     widens with the stream) must cost O(width), not O(width x delta).
+     A 10x wider stream makes a linear merge about 10x dearer and a
+     quadratic one about 100x; smoke asserts the ratio stays below 30x. *)
+  let wide_push width =
+    let name i = Printf.sprintf "f%05d" i in
+    let int = Shape.Primitive Shape.Int in
+    let stream =
+      Shape.record "row"
+        (List.init width (fun i -> (name i, Shape.Nullable int)))
+    in
+    let delta =
+      Shape.record "row"
+        (List.filter_map
+           (fun i -> if i mod 4 = 0 then Some (name i, int) else None)
+           (List.init width Fun.id))
+    in
+    let t = R.open_ ~dir:None () in
+    let version = (R.push t ~stream:"w" stream).R.version in
+    let pushes = max 1 (20_000 / width) in
+    let st, dt =
+      time_best ~repeats:3 (fun () ->
+          let st = ref (R.push t ~stream:"w" delta) in
+          for _ = 2 to pushes do
+            st := R.push t ~stream:"w" delta
+          done;
+          !st)
+    in
+    if !smoke && st.R.version <> version then
+      fail "a push that does not grow the stream bumped its version";
+    let per_push = dt /. float_of_int pushes in
+    Printf.printf "  %6d-field stream: non-growing push %10.1f us\n%!" width
+      (per_push *. 1e6);
+    per_push
+  in
+  let narrow = wide_push 1_000 in
+  let wide = wide_push 10_000 in
+  let ratio = wide /. narrow in
+  Printf.printf "  10k-field push / 1k-field push: %.1fx (linear ~10x)\n%!"
+    ratio;
+  if !smoke && ratio >= 30. then
+    fail
+      (Printf.sprintf
+         "a push into a 10x wider stream costs %.1fx (bar: 30x); the csh \
+          record merge is no longer linear"
+         ratio);
   print_newline ()
 
 (* ----- query: typed pushdown, reference vs compiled (B14) ----- *)

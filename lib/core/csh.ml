@@ -124,20 +124,11 @@ and merge_records ~mode r1 r2 =
   (* A one-sided field joins with "absent", which reads as null (that is
      what convField produces for it), so the join is csh(null, s) = ⌈s⌉ —
      in particular a one-sided ⊥ field becomes null, not ⊥. *)
-  let absent ~mode s = csh ~mode Null s in
-  let fields =
-    List.map
-      (fun (n, s1) ->
-        match List.assoc_opt n r2.fields with
-        | Some s2 -> (n, csh ~mode s1 s2)
-        | None -> (n, absent ~mode s1))
-      r1.fields
-    @ List.filter_map
-        (fun (n, s2) ->
-          if List.mem_assoc n r1.fields then None else Some (n, absent ~mode s2))
-        r2.fields
-  in
-  { name = r1.name; fields }
+  {
+    name = r1.name;
+    fields =
+      Fields.join ~both:(csh ~mode) ~one:(csh ~mode Null) r1.fields r2.fields;
+  }
 
 and merge_collections ~mode e1 e2 =
   match mode with

@@ -12,7 +12,14 @@
     Record merging implements the row-variable mechanism of Figure 3: when
     two same-named records disagree on their field sets, the minimal
     ground substitution for the row variables makes every one-sided field
-    nullable (the [⌈−⌉] applied to [θ(ρᵢ)] in the paper).
+    nullable (the [⌈−⌉] applied to [θ(ρᵢ)] in the paper). The join
+    itself is O(|r1| + |r2|) besides the recursive field joins: the
+    common prefix of both field lists is walked in lock-step and only the
+    divergent remainder of [r2] is indexed (see {!Fields}). That relies
+    on field names being unique within a record, which holds for every
+    record that reaches [csh]: {!Shape.record} and [Data_value.record]
+    reject duplicates, and the JSON parser keeps the last binding of a
+    repeated key.
 
     Three collection-merging disciplines are provided:
 

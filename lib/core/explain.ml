@@ -52,10 +52,11 @@ and record at r1 r2 s1 s2 =
   if not (String.equal r1.name r2.name) then
     [ mk at s1 s2 "records with different names are unrelated (rule 8)" ]
   else
+    let input = Fields.cursor r1.fields in
     List.concat_map
       (fun (field, f2) ->
         let fat = Printf.sprintf "%s.%s" at field in
-        match List.assoc_opt field r1.fields with
+        match Fields.take input field with
         | Some f1 -> go fat f1 f2
         | None ->
             if Preference.is_preferred Null f2 then []

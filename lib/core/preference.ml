@@ -37,15 +37,17 @@ let rec is_preferred s1 s2 =
 
 and record_preferred r1 r2 =
   String.equal r1.name r2.name
-  && List.for_all
-       (fun (field, s2) ->
-         match List.assoc_opt field r1.fields with
-         | Some s1 -> is_preferred s1 s2
-         | None ->
-             (* Null-field extension: a missing field reads as null via
-                convField, so the consumer's field shape must admit null. *)
-             is_preferred Null s2)
-       r2.fields
+  &&
+  let input = Fields.cursor r1.fields in
+  List.for_all
+    (fun (field, s2) ->
+      match Fields.take input field with
+      | Some s1 -> is_preferred s1 s2
+      | None ->
+          (* Null-field extension: a missing field reads as null via
+             convField, so the consumer's field shape must admit null. *)
+          is_preferred Null s2)
+    r2.fields
 
 and entries_preferred e1 e2 =
   (* The meaning of [⊑] on collections follows the code the type provider

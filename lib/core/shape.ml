@@ -105,7 +105,39 @@ and compare_list l1 l2 =
   | _, [] -> 1
   | x :: l1, y :: l2 -> ( match compare x y with 0 -> compare_list l1 l2 | c -> c)
 
-let equal a b = a == b || compare a b = 0
+(* [equal] agrees with [compare a b = 0] but never sorts what it does not
+   have to: records of different widths differ at once, fields listed in
+   the same order (the common case: a shape and the shapes folded into
+   it share first-appearance order) are compared in lock-step, and only
+   the remainder after the first differing name is sorted. *)
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Bottom, Bottom | Null, Null -> true
+  | Primitive x, Primitive y -> x = y
+  | Record r1, Record r2 ->
+      r1 == r2
+      || String.equal r1.name r2.name
+         && List.compare_lengths r1.fields r2.fields = 0
+         && equal_fields r1.fields r2.fields
+  | Nullable x, Nullable y -> equal x y
+  | Collection e1, Collection e2 ->
+      List.equal
+        (fun e f -> Multiplicity.equal e.mult f.mult && equal e.shape f.shape)
+        e1 e2
+  | Top l1, Top l2 -> List.equal equal l1 l2
+  | _ -> false
+
+and equal_fields f g =
+  match (f, g) with
+  | [], [] -> true
+  | (n1, s1) :: f, (n2, s2) :: g when String.equal n1 n2 ->
+      equal s1 s2 && equal_fields f g
+  | _ ->
+      List.equal
+        (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && equal s1 s2)
+        (sort_fields f) (sort_fields g)
 
 let record name fields =
   let seen = Hashtbl.create 8 in

@@ -59,12 +59,17 @@ and record = { name : string; fields : (string * t) list }
 and entry = { shape : t; mult : Multiplicity.t }
 
 val equal : t -> t -> bool
-(** Structural shape equality (record field order ignored). Physically
-    equal shapes — in particular any two {!hcons} results with the same
-    representation — short-circuit without traversal, and the recursive
-    comparison short-circuits on every physically shared subtree. *)
+(** Structural shape equality (record field order ignored); [equal a b]
+    iff [compare a b = 0]. Physically equal shapes — in particular any
+    two {!hcons} results with the same representation — short-circuit
+    without traversal, and the recursive comparison short-circuits on
+    every physically shared subtree. Records of different widths differ
+    at once; fields in the same order are compared in lock-step, so only
+    a field-permuted remainder is ever sorted. *)
 
 val compare : t -> t -> int
+(** The total order that {!equal} agrees with (records compare by name,
+    then by their fields sorted by name). *)
 
 (** {1 Hash-consing}
 

@@ -34,12 +34,14 @@ let rec has_shape (s : Shape.t) (d : Data_value.t) =
   | Primitive _, _ -> false
   | Record { name; fields }, Record (name', fields') ->
       String.equal name name'
-      && List.for_all
-           (fun (f, fs) ->
-             match List.assoc_opt f fields' with
-             | Some v -> has_shape fs v
-             | None -> admits_null fs)
-           fields
+      &&
+      let data = Fields.cursor fields' in
+      List.for_all
+        (fun (f, fs) ->
+          match Fields.take data f with
+          | Some v -> has_shape fs v
+          | None -> admits_null fs)
+        fields
   | Record _, _ -> false
   | Collection entries, Null ->
       (* hasShape([s], null) ⇝ true — unless some heterogeneous entry is

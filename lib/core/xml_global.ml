@@ -48,16 +48,8 @@ let occurrence_of (tree : Xml.tree) : occurrence =
 let merge_attrs a1 a2 =
   (* like record-field merging in csh: common attributes join, one-sided
      attributes become nullable *)
-  let absent s = Csh.csh ~mode:`Xml Shape.Null s in
-  List.map
-    (fun (n, s1) ->
-      match List.assoc_opt n a2 with
-      | Some s2 -> (n, Csh.csh ~mode:`Xml s1 s2)
-      | None -> (n, absent s1))
-    a1
-  @ List.filter_map
-      (fun (n, s2) -> if List.mem_assoc n a1 then None else Some (n, absent s2))
-      a2
+  Fields.join ~both:(Csh.csh ~mode:`Xml) ~one:(Csh.csh ~mode:`Xml Shape.Null)
+    a1 a2
 
 let merge_children c1 c2 =
   let names =

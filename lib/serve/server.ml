@@ -200,7 +200,25 @@ let method_not_allowed allow =
     ~headers:[ ("allow", allow) ]
     (json_body [ ("error", Dv.String (Printf.sprintf "use %s" allow)) ])
 
-let shape_string s = Fmt.str "%a" Shape.pp s
+(* Responses render the same few shapes again and again: a stream's
+   shape after every push that did not grow it (it stays the physically
+   same hash-consed value) and the /shape reads that follow. Shapes are
+   immutable, so a shape that is physically the one rendered before has
+   the same text; the most recent renderings are kept, keyed by
+   identity. A race between workers can only lose an entry. *)
+let rendered : (Shape.t * string) list Atomic.t = Atomic.make []
+let rendered_slots = 32
+
+let shape_string s =
+  match List.assq_opt s (Atomic.get rendered) with
+  | Some text -> text
+  | None ->
+      let text = Fmt.str "%a" Shape.pp s in
+      let kept =
+        List.filteri (fun i _ -> i < rendered_slots - 1) (Atomic.get rendered)
+      in
+      Atomic.set rendered ((s, text) :: kept);
+      text
 
 (* --- /infer --- *)
 

@@ -180,6 +180,12 @@ val draining : t -> bool Atomic.t
 val registry : t -> Fsdata_registry.Registry.t
 (** The live shape registry behind [/streams/*] — exposed for tests. *)
 
+val shape_string : Fsdata_core.Shape.t -> string
+(** The paper notation of a shape, as every response renders it:
+    byte-identical to [Fmt.str "%a" Shape.pp], and rendered once for a
+    shape that is physically one of the few most recently rendered (a
+    stream's hash-consed shape across pushes that do not grow it). *)
+
 val handle :
   ?cancel:Fsdata_data.Cancel.t ->
   ?deadline:Deadline.t ->

@@ -101,10 +101,9 @@ let gen_plain_data : Dv.t Gen.t =
    - nullable only wraps primitives and records,
    - collections are homogeneous,
    - tops are label-free (labels are exercised by dedicated csh tests). *)
-let gen_core_shape : Shape.t Gen.t =
+let gen_core_shape_sized : Shape.t Gen.sized =
   let open Gen in
-  sized
-  @@ fix (fun self size ->
+  fix (fun self size ->
          let leaf =
            oneofl
              [
@@ -133,6 +132,48 @@ let gen_core_shape : Shape.t Gen.t =
                  let* elem = self (size / 2) in
                  return (Shape.collection (Shape.strip_nullable elem)) );
              ])
+
+let gen_core_shape = Gen.sized gen_core_shape_sized
+
+(* Pairs of same-named records for the field-alignment code (the csh
+   record join, Shape.equal): the right record lists the left one's
+   fields in the same order, shuffled (with the same or fresh values, so
+   that both the (eq) rule and a join are hit), with one field fewer or
+   one more, or lists fields that overlap the left ones or are disjoint
+   from them. Field values are
+   small core shapes, nested same-named records included. *)
+let gen_record_pair : (Shape.record * Shape.record) Gen.t =
+  let open Gen in
+  let subset prefix =
+    let* mask = list_repeat 10 bool in
+    shuffle_l
+      (List.concat
+         (List.mapi
+            (fun i keep -> if keep then [ prefix ^ string_of_int i ] else [])
+            mask))
+  in
+  let value = sized_size (int_bound 8) gen_core_shape_sized in
+  let with_values names =
+    flatten_l (List.map (fun n -> map (fun s -> (n, s)) value) names)
+  in
+  let* left = subset "f" >>= with_values in
+  let names = List.map fst left in
+  let* right =
+    oneof
+      [
+        return left;
+        shuffle_l left;
+        (let* i = int_bound (List.length left) in
+         return (List.filteri (fun j _ -> j <> i) left));
+        map (fun extra -> left @ extra) (with_values [ "g0" ]);
+        with_values names;
+        shuffle_l names >>= with_values;
+        subset "f" >>= with_values;
+        subset "g" >>= with_values;
+      ]
+  in
+  let* name = oneofl record_names in
+  return ({ Shape.name; fields = left }, { Shape.name; fields = right })
 
 let print_data = Dv.to_string
 let print_shape = Shape.to_string

@@ -238,6 +238,84 @@ let prop_monotone_join =
       let c = csh a b in
       P.is_preferred c b && P.is_preferred b c)
 
+(* The record join as it stood before the linear-time merge, one
+   [List.assoc_opt] per left field and one [List.mem_assoc] per right
+   field, kept as the differential oracle for [Csh.merge_records]. The
+   oracle's csh takes the oracle's path on same-named record pairs, at
+   every depth where two records meet field to field, and bumps
+   [csh.merges] as the real one does. *)
+let merges = Fsdata_obs.Metrics.counter "csh.merges"
+
+let rec oracle_csh ~mode s1 s2 =
+  match (s1, s2) with
+  | Shape.Record r1, Shape.Record r2
+    when String.equal r1.name r2.name && Shape.compare s1 s2 <> 0 ->
+      Fsdata_obs.Metrics.incr merges;
+      Shape.Record (merge_records ~mode r1 r2)
+  | _ -> Csh.csh ~mode s1 s2
+
+and merge_records ~mode (r1 : Shape.record) (r2 : Shape.record) :
+    Shape.record =
+  let open Shape in
+  let csh = oracle_csh in
+  (* Fields present on both sides are joined recursively; one-sided fields
+     become nullable. This realizes Figure 3's minimal ground substitution
+     for row variables: the extra fields a record may or may not have are
+     exactly the fields its row variable stands for, and [⌈θ(ρ)⌉] makes
+     them nullable. Field order: left-to-right first appearance. *)
+  (* A one-sided field joins with "absent", which reads as null (that is
+     what convField produces for it), so the join is csh(null, s) = ⌈s⌉ —
+     in particular a one-sided ⊥ field becomes null, not ⊥. *)
+  let absent ~mode s = csh ~mode Null s in
+  let fields =
+    List.map
+      (fun (n, s1) ->
+        match List.assoc_opt n r2.fields with
+        | Some s2 -> (n, csh ~mode s1 s2)
+        | None -> (n, absent ~mode s1))
+      r1.fields
+    @ List.filter_map
+        (fun (n, s2) ->
+          if List.mem_assoc n r1.fields then None else Some (n, absent ~mode s2))
+        r2.fields
+  in
+  { name = r1.name; fields }
+
+(* [f ()] and the number of csh merges it performed *)
+let counting_merges f =
+  let enabled = Fsdata_obs.Metrics.enabled () in
+  Fsdata_obs.Metrics.set_enabled true;
+  let before = Fsdata_obs.Metrics.value merges in
+  let v =
+    Fun.protect
+      ~finally:(fun () -> Fsdata_obs.Metrics.set_enabled enabled)
+      f
+  in
+  (v, Fsdata_obs.Metrics.value merges - before)
+
+let string_of_mode = function
+  | `Core -> "core"
+  | `Hetero -> "hetero"
+  | `Xml -> "xml"
+
+let prop_record_merge_matches_oracle =
+  QCheck2.Test.make
+    ~name:"record merge: same bytes and merge count as the assoc oracle"
+    ~count:1000
+    ~print:(fun (mode, (r1, r2)) ->
+      Printf.sprintf "%s: %s / %s" (string_of_mode mode)
+        (print_shape (Shape.Record r1))
+        (print_shape (Shape.Record r2)))
+    QCheck2.Gen.(pair (oneofl [ `Core; `Hetero; `Xml ]) gen_record_pair)
+    (fun (mode, (r1, r2)) ->
+      let s1 = Shape.Record r1 and s2 = Shape.Record r2 in
+      let merged, n = counting_merges (fun () -> Csh.csh ~mode s1 s2) in
+      let expected, n_oracle =
+        counting_merges (fun () -> oracle_csh ~mode s1 s2)
+      in
+      String.equal (Shape.to_string merged) (Shape.to_string expected)
+      && n = n_oracle)
+
 let suite =
   [
     tc "rule (eq)" `Quick test_rule_eq;
@@ -260,4 +338,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_idempotent;
     QCheck_alcotest.to_alcotest prop_associative_up_to_equiv;
     QCheck_alcotest.to_alcotest prop_monotone_join;
+    QCheck_alcotest.to_alcotest prop_record_merge_matches_oracle;
   ]

@@ -183,6 +183,100 @@ let prop_equal_refl =
   QCheck2.Test.make ~name:"equal s s" ~count:200 ~print:print_shape
     gen_core_shape (fun s -> Shape.equal s s)
 
+(* [s] with every record's fields reordered at random, at every depth *)
+let rec gen_permuted (s : Shape.t) : Shape.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  match s with
+  | Shape.Record { name; fields } ->
+      let* fields =
+        flatten_l
+          (List.map
+             (fun (f, t) -> map (fun t -> (f, t)) (gen_permuted t))
+             fields)
+      in
+      let* fields = shuffle_l fields in
+      return (Shape.Record { name; fields })
+  | Shape.Nullable t -> map (fun t -> Shape.Nullable t) (gen_permuted t)
+  | Shape.Collection entries ->
+      map
+        (fun entries -> Shape.Collection entries)
+        (flatten_l
+           (List.map
+              (fun (e : Shape.entry) ->
+                map
+                  (fun shape -> { e with Shape.shape })
+                  (gen_permuted e.shape))
+              entries))
+  | Shape.Top labels ->
+      map
+        (fun labels -> Shape.Top labels)
+        (flatten_l (List.map gen_permuted labels))
+  | s -> return s
+
+(* unrelated shapes; field-permuted copies (equal); same-named records
+   that share, overlap or miss each other's fields, one side sometimes
+   permuted (so widths and orders both vary) *)
+let gen_equality_pair =
+  let open QCheck2.Gen in
+  oneof
+    [
+      pair gen_core_shape gen_core_shape;
+      (let* a = gen_core_shape in
+       let* b = gen_permuted (copy_shape a) in
+       return (a, b));
+      (let* r1, r2 = gen_record_pair in
+       let* b =
+         oneof [ return (Shape.Record r2); gen_permuted (Shape.Record r2) ]
+       in
+       return (Shape.Record r1, b));
+    ]
+
+let prop_equal_is_compare =
+  QCheck2.Test.make ~name:"equal a b = (compare a b = 0)" ~count:1000
+    ~print:(fun (a, b) -> print_shape a ^ " / " ^ print_shape b)
+    gen_equality_pair
+    (fun (a, b) ->
+      Shape.equal a b = (Shape.compare a b = 0)
+      && Shape.equal b a = (Shape.compare b a = 0))
+
+(* The serve layer renders a shape once and reuses the text while the
+   shape is physically the same value; the reuse must be exactly the
+   text a fresh rendering produces, also for the new values that
+   interning builds after the table is cleared. *)
+let test_render_memo () =
+  let render = Fsdata_serve.Server.shape_string in
+  let fresh s = Fmt.str "%a" Shape.pp s in
+  let build () =
+    Shape.hcons
+      (Shape.record "row"
+         [
+           ("a", int_);
+           ( "b",
+             Shape.collection
+               (Shape.nullable (Shape.record "item" [ ("c", string_) ])) );
+           ("e", Shape.top [ int_; string_ ]);
+         ])
+  in
+  let s = build () in
+  let first = render s in
+  check Alcotest.string "first rendering" (fresh s) first;
+  check Alcotest.bool "second rendering reused" true (render s == first);
+  check Alcotest.string "reused rendering" (fresh s) (render s);
+  Shape.hcons_clear ();
+  let s' = build () in
+  check Alcotest.bool "re-interned after clear is a new value" false (s == s');
+  check Alcotest.string "after clear" (fresh s') (render s');
+  check Alcotest.string "old value after clear" (fresh s) (render s);
+  let other = Shape.hcons (Shape.record "row" [ ("a", float_) ]) in
+  check Alcotest.string "different shape" (fresh other) (render other);
+  (* more distinct shapes than the memo keeps: evicted ones re-render *)
+  List.iter
+    (fun i ->
+      let t = Shape.record "row" [ (Printf.sprintf "f%d" i, bool_) ] in
+      check Alcotest.string "distinct shape" (fresh t) (render t))
+    (List.init 64 Fun.id);
+  check Alcotest.string "after eviction" (fresh s) (render s)
+
 let suite =
   [
     tc "record: duplicate fields" `Quick test_record_dup;
@@ -200,4 +294,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hcons_sound;
     QCheck_alcotest.to_alcotest prop_size_positive;
     QCheck_alcotest.to_alcotest prop_equal_refl;
+    QCheck_alcotest.to_alcotest prop_equal_is_compare;
+    tc "rendering memo is byte-identical" `Quick test_render_memo;
   ]
