@@ -971,6 +971,47 @@ let compile_bench () =
     if speedup < 2. then
       fail (Printf.sprintf "compiled speedup %.1fx below the 2x smoke floor" speedup)
   end;
+  (* generic parse cost against object width: one 2000-field object
+     against one 200-field object. Collecting members in linear time
+     makes the wider object 10-20x dearer (10x the work; the rest is the
+     minor GC promoting more of a larger live object), a per-member scan
+     of the members so far about 100x. Smoke asserts less than 30x. *)
+  let object_text width =
+    "{"
+    ^ String.concat ","
+        (List.init width (fun i -> Printf.sprintf {|"f%05d": %d|} i i))
+    ^ "}"
+  in
+  (* seconds per parse over a batch of [100_000 / width] parses *)
+  let per_parse text width =
+    let reps = 100_000 / width in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Json.parse text)
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int reps
+  in
+  (* best of five, interleaved, so a slow phase of the shared host
+     rarely lands on one width only *)
+  let narrow_text = object_text 200 and wide_text = object_text 2_000 in
+  let narrow = ref infinity and wide = ref infinity in
+  for _ = 1 to 5 do
+    narrow := Float.min !narrow (per_parse narrow_text 200);
+    wide := Float.min !wide (per_parse wide_text 2_000)
+  done;
+  let narrow = !narrow and wide = !wide in
+  let ratio = wide /. narrow in
+  Printf.printf
+    "  generic parse, 2000-field / 200-field object: %.1fx (linear 10-20x; \
+     %.1f / %.1f us)\n\
+     %!"
+    ratio (wide *. 1e6) (narrow *. 1e6);
+  if !smoke && ratio >= 30. then
+    fail
+      (Printf.sprintf
+         "parsing a 10x wider object costs %.1fx (bar: 30x); object members \
+          are no longer collected in linear time"
+         ratio);
   print_newline ()
 
 (* ----- loadgen: keep-alive load against a live server ----- *)

@@ -140,14 +140,9 @@ and equal_fields f g =
         (sort_fields f) (sort_fields g)
 
 let record name fields =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (n, _) ->
-      if Hashtbl.mem seen n then
-        invalid_arg (Printf.sprintf "Shape.record: duplicate field %S" n)
-      else Hashtbl.add seen n ())
-    fields;
-  Record { name; fields }
+  match Fsdata_data.Data_value.first_duplicate fields with
+  | Some n -> invalid_arg (Printf.sprintf "Shape.record: duplicate field %S" n)
+  | None -> Record { name; fields }
 
 let nullable s = if is_non_nullable s then Nullable s else s
 let strip_nullable = function Nullable s -> s | s -> s

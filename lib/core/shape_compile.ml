@@ -354,35 +354,15 @@ let dec_any st = Vany (Primitive.normalize (Raw.parse_value st))
    but runs only the classification steps whose outcome the expected
    shape can observe, in [Primitive.classify]'s priority order. *)
 
-(* [List.mem t Primitive.missing_markers], dispatched on length first:
-   this runs on every string literal a compiled decoder touches. *)
-let is_missing_lit t =
-  match String.length t with
-  | 0 -> true
-  | 1 -> t.[0] = ':' || t.[0] = '-'
-  | 2 -> String.equal t "NA"
-  | 3 -> String.equal t "N/A"
-  | 4 -> String.equal t "#N/A"
-  | _ -> false
-
-(* [Primitive.parse_bool] on an already-trimmed literal, without the
-   lowercased copy: true/false/yes/no, any case. *)
-let bool_lit t =
-  let eq_ci lower =
-    (* same length by construction of the caller's dispatch *)
-    let n = String.length lower in
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if Char.lowercase_ascii t.[i] <> lower.[i] then ok := false
-    done;
-    !ok
-  in
-  match String.length t with
-  | 2 -> if eq_ci "no" then Some false else None
-  | 3 -> if eq_ci "yes" then Some true else None
-  | 4 -> if eq_ci "true" then Some true else None
-  | 5 -> if eq_ci "false" then Some false else None
-  | _ -> None
+(* [s] has none of the readings [Primitive.classify] ranks above a date
+   or a string: it is not missing, a number or a boolean. *)
+let is_plain s =
+  let t = String.trim s in
+  not
+    (Primitive.is_missing t
+    || Option.is_some (Primitive.parse_int t)
+    || Option.is_some (Primitive.parse_float t)
+    || Option.is_some (Primitive.parse_bool t))
 
 let prim_of_string (p : Shape.primitive) : string -> tvalue =
   match p with
@@ -406,7 +386,7 @@ let prim_of_string (p : Shape.primitive) : string -> tvalue =
         | Some 1 -> Vbool true
         | Some _ -> raise Mismatch
         | None -> (
-            match bool_lit (String.trim s) with
+            match Primitive.parse_bool s with
             | Some b -> Vbool b
             | None -> raise Mismatch))
   | Shape.Bit -> (
@@ -425,31 +405,57 @@ let prim_of_string (p : Shape.primitive) : string -> tvalue =
         match Primitive.parse_int s with
         | Some 1 -> Vint 1
         | _ -> raise Mismatch)
-  | Shape.Date ->
+  | Shape.Date -> (
       fun s ->
-        let t = String.trim s in
-        if
-          is_missing_lit t
-          || Primitive.parse_int t <> None
-          || Primitive.parse_float t <> None
-          || bool_lit t <> None
-        then raise Mismatch
-        else (
+        if not (is_plain s) then raise Mismatch
+        else
           match Date.of_string s with
           | Some d -> Vdate d
           | None -> raise Mismatch)
-  | Shape.String ->
-      fun s ->
-        let t = String.trim s in
-        if
-          is_missing_lit t
-          || Primitive.parse_int t <> None
-          || Primitive.parse_float t <> None
-          || bool_lit t <> None
-        then raise Mismatch
-        else Vstring s
+  | Shape.String -> fun s -> if is_plain s then Vstring s else raise Mismatch
 
 let slot_missing = Vany (Data_value.String "\000fsdata-compile-missing")
+
+(* A record field not read (yet): physically distinct from every field
+   a decoder produces or a default supplies. *)
+let field_missing = ("", slot_missing)
+
+(* A compiled record shape, slot by slot in the shape's field order. *)
+type record_slots = {
+  keys : string array;
+  quoted : string array;  (** ["key"], as it appears unescaped in source *)
+  decs : decoder array;
+  index : (string, int) Hashtbl.t;  (** key -> slot *)
+  defaults : (string * tvalue) option array;  (** for an absent field *)
+}
+
+(* Decode the members of an already-opened object into [out], up to and
+   including the closing '}'. Fields usually arrive in shape order, so
+   slot [expected] is tried before the hashtable, and a hashtable hit
+   keeps that fast path alive across skipped optional fields. A repeated
+   key overwrites its slot: the last binding wins, as in the generic
+   parser. *)
+let rec decode_members r st out expected =
+  Raw.skip_ws st;
+  let slot =
+    if expected < Array.length r.quoted && Raw.lit st r.quoted.(expected) then
+      expected
+    else
+      match Hashtbl.find_opt r.index (Raw.parse_string st) with
+      | Some i -> i
+      | None -> -1
+  in
+  Raw.skip_ws st;
+  Raw.expect st ':';
+  if slot >= 0 then out.(slot) <- (r.keys.(slot), r.decs.(slot) st)
+  else ignore (Raw.parse_value st);
+  Raw.skip_ws st;
+  match Raw.peek_char st with
+  | ',' ->
+      Raw.advance st;
+      decode_members r st out (if slot >= 0 then slot + 1 else expected)
+  | '}' -> Raw.advance st
+  | _ -> raise Mismatch
 
 let rec compile_shape (s : Shape.t) : compiled_shape =
   match s with
@@ -464,7 +470,7 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
           (function Data_value.Null -> Vnull | _ -> raise Mismatch);
         of_string =
           (fun s ->
-            if is_missing_lit (String.trim s) then Vnull else raise Mismatch);
+            if Primitive.is_missing s then Vnull else raise Mismatch);
       }
   | Shape.Top _ ->
       { on_record = dec_any; on_array = dec_any;
@@ -484,7 +490,7 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
           (function Data_value.Null -> Vnull | v -> cs.of_scalar v);
         of_string =
           (fun s ->
-            if is_missing_lit (String.trim s) then Vnull else cs.of_string s);
+            if Primitive.is_missing s then Vnull else cs.of_string s);
       }
   | Shape.Record r -> compile_record r
   | Shape.Collection entries -> compile_collection entries
@@ -497,77 +503,39 @@ and compile_record { Shape.name; fields } : compiled_shape =
       of_scalar = reject_scalar;
       of_string = (fun _ -> raise Mismatch) }
   else begin
-    let slots =
-      Array.of_list
-        (List.map
-           (fun (key, fs) ->
-             (key, run (compile_shape fs), missing_field_default fs))
-           fields)
+    let fields = Array.of_list fields in
+    let r =
+      {
+        keys = Array.map fst fields;
+        (* raw byte images of the keys for the in-order fast path:
+           matching ["key"] against the source directly skips the
+           decode+hash of the common case (escaped spellings fall
+           through to the hashtable) *)
+        quoted = Array.map (fun (key, _) -> "\"" ^ key ^ "\"") fields;
+        decs = Array.map (fun (_, fs) -> run (compile_shape fs)) fields;
+        index = Hashtbl.create (max 4 (2 * Array.length fields));
+        defaults =
+          Array.map
+            (fun (key, fs) ->
+              Option.map (fun t -> (key, t)) (missing_field_default fs))
+            fields;
+      }
     in
-    let nslots = Array.length slots in
-    (* raw byte images of the keys for the in-order fast path: matching
-       ["key"] against the source directly skips the decode+hash of the
-       common case (escaped spellings fall through to the hashtable) *)
-    let quoted = Array.map (fun (key, _, _) -> "\"" ^ key ^ "\"") slots in
-    let index = Hashtbl.create (max 4 (2 * nslots)) in
-    Array.iteri (fun i (key, _, _) -> Hashtbl.replace index key i) slots;
+    Array.iteri (fun i key -> Hashtbl.replace r.index key i) r.keys;
+    let nslots = Array.length fields in
     let on_record st =
       Raw.advance st (* past '{' *);
-      let values = Array.make nslots slot_missing in
-      (* fields usually arrive in shape order: try the next expected slot
-         before the hashtable *)
-      let expected = ref 0 in
+      let out = Array.make nslots field_missing in
       Raw.skip_ws st;
       (match Raw.peek_char st with
       | '}' -> Raw.advance st
-      | _ ->
-          let rec members () =
-            Raw.skip_ws st;
-            let slot =
-              let e = !expected in
-              if e < nslots && Raw.lit st quoted.(e) then begin
-                expected := e + 1;
-                e
-              end
-              else
-                let key = Raw.parse_string st in
-                match Hashtbl.find_opt index key with
-                | Some i ->
-                    (* keep the in-order fast path alive across skipped
-                       optional fields *)
-                    expected := i + 1;
-                    i
-                | None -> -1
-            in
-            Raw.skip_ws st;
-            Raw.expect st ':';
-            if slot >= 0 then begin
-              let _, dec, _ = slots.(slot) in
-              (* last binding wins on duplicate keys, like the generic
-                 parser *)
-              values.(slot) <- dec st
-            end
-            else ignore (Raw.parse_value st);
-            Raw.skip_ws st;
-            match Raw.peek_char st with
-            | ',' ->
-                Raw.advance st;
-                members ()
-            | '}' -> Raw.advance st
-            | _ -> raise Mismatch
-          in
-          members ());
-      let out =
-        Array.mapi
-          (fun i v ->
-            let key, _, default = slots.(i) in
-            if v != slot_missing then (key, v)
-            else
-              match default with
-              | Some t -> (key, t)
-              | None -> raise Mismatch)
-          values
-      in
+      | _ -> decode_members r st out 0);
+      for i = 0 to nslots - 1 do
+        if out.(i) == field_missing then
+          match r.defaults.(i) with
+          | Some field -> out.(i) <- field
+          | None -> raise Mismatch
+      done;
       Vrecord (name, out)
     in
     { on_record; on_array = reject_struct; of_scalar = reject_scalar;
@@ -593,7 +561,7 @@ and compile_collection entries : compiled_shape =
       | _ -> raise Mismatch);
     of_string =
       (fun s ->
-        if null_ok && is_missing_lit (String.trim s) then Vlist [||]
+        if null_ok && Primitive.is_missing s then Vlist [||]
         else raise Mismatch);
   }
 
@@ -658,7 +626,7 @@ and compile_element entries : compiled_shape =
           (function Data_value.Null -> Vnull | _ -> raise Mismatch);
         of_string =
           (fun s ->
-            if is_missing_lit (String.trim s) then Vnull else raise Mismatch);
+            if Primitive.is_missing s then Vnull else raise Mismatch);
       }
   | [ f ] ->
       let cs = compile_shape f.shape in
@@ -678,7 +646,7 @@ and compile_element entries : compiled_shape =
           (function Data_value.Null -> as_null () | v -> cs.of_scalar v);
         of_string =
           (fun s ->
-            if is_missing_lit (String.trim s) then as_null ()
+            if Primitive.is_missing s then as_null ()
             else cs.of_string s);
       }
   | consumers ->

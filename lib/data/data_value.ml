@@ -58,15 +58,48 @@ and compare_fields fs gs =
 
 let equal a b = compare a b = 0
 
+(* Up to this many names, a duplicate check scans the list pairwise: it
+   allocates nothing and beats hashing. Wider lists go through a hash
+   table, so the check stays linear. *)
+let narrow_width = 32
+
+(* Is [n] among the first [k] names of [l]? *)
+let rec among n l k =
+  k > 0
+  &&
+  match l with
+  | (m, _) :: l -> String.equal n m || among n l (k - 1)
+  | [] -> false
+
+(* The first name of [l], the [k]th of [fields], that repeats one of the
+   [k] before it. *)
+let rec pairwise_duplicate fields l k =
+  match l with
+  | [] -> None
+  | (n, _) :: l ->
+      if among n fields k then Some n else pairwise_duplicate fields l (k + 1)
+
+let first_duplicate fields =
+  if List.compare_length_with fields narrow_width <= 0 then
+    pairwise_duplicate fields fields 0
+  else
+    let seen = Hashtbl.create (2 * narrow_width) in
+    let rec scan = function
+      | [] -> None
+      | (n, _) :: l ->
+          if Hashtbl.mem seen n then Some n
+          else begin
+            Hashtbl.add seen n ();
+            scan l
+          end
+    in
+    scan fields
+
 let record name fields =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (n, _) ->
-      if Hashtbl.mem seen n then
-        invalid_arg (Printf.sprintf "Data_value.record: duplicate field %S" n)
-      else Hashtbl.add seen n ())
-    fields;
-  Record (name, fields)
+  match first_duplicate fields with
+  | Some n ->
+      invalid_arg (Printf.sprintf "Data_value.record: duplicate field %S" n)
+  | None -> Record (name, fields)
 
 let record_field name = function
   | Record (_, fields) -> List.assoc_opt name fields

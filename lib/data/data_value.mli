@@ -54,6 +54,13 @@ val record : string -> (string * t) list -> t
 (** [record name fields] builds a record, raising [Invalid_argument] on
     duplicate field names. *)
 
+val first_duplicate : (string * 'a) list -> string option
+(** [first_duplicate fields] is the first name, in list order, that
+    repeats an earlier one. Linear in the list: up to 32 names it is a
+    pairwise scan that allocates nothing, beyond that a hash table. The
+    duplicate checks of {!record}, of the JSON parser's objects and of
+    shape records all go through it. *)
+
 val record_field : string -> t -> t option
 (** [record_field name d] looks up field [name] if [d] is a record. *)
 

@@ -54,7 +54,25 @@ let month_names =
     ("december", 12); ("dec", 12);
   ]
 
-let month_of_name s = List.assoc_opt (String.lowercase_ascii s) month_names
+(* [s] from [i] on equals [lower] from [i] on, ignoring the case of [s]. *)
+let rec equal_ci_from s lower i =
+  i = String.length s
+  || Char.lowercase_ascii (String.unsafe_get s i) = String.unsafe_get lower i
+     && equal_ci_from s lower (i + 1)
+
+(* The month that [s] names (any case) in [names], or 0. Allocates
+   nothing: no lowercased copy, no option. *)
+let rec month_in names s =
+  match names with
+  | [] -> 0
+  | (name, m) :: names ->
+      if String.length s = String.length name && equal_ci_from s name 0 then m
+      else month_in names s
+
+let month_of_name s = month_in month_names s
+
+let is_digit c = c >= '0' && c <= '9'
+let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 
 type token = Num of int * int (* value, digit count *) | Word of string | Sep of char
 
@@ -66,19 +84,16 @@ let tokenize s =
   while !i < n && !ok do
     let c = s.[!i] in
     if c = ' ' then incr i
-    else if c >= '0' && c <= '9' then begin
+    else if is_digit c then begin
       let start = !i in
-      while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do incr i done;
+      while !i < n && is_digit s.[!i] do incr i done;
       let digits = !i - start in
       if digits > 4 then ok := false
       else toks := Num (int_of_string (String.sub s start digits), digits) :: !toks
     end
-    else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') then begin
+    else if is_letter c then begin
       let start = !i in
-      while
-        !i < n
-        && ((s.[!i] >= 'a' && s.[!i] <= 'z') || (s.[!i] >= 'A' && s.[!i] <= 'Z'))
-      do incr i done;
+      while !i < n && is_letter s.[!i] do incr i done;
       toks := Word (String.sub s start (!i - start)) :: !toks
     end
     else if c = '-' || c = '/' || c = ':' || c = ',' || c = '.' || c = '+' then begin
@@ -123,9 +138,23 @@ let current_year = 2016
    uses the current year. We pin the paper's year so behaviour is
    deterministic. Only validity (e.g. Feb 29) depends on it. *)
 
+let rec word_end s i =
+  if i < String.length s && is_letter s.[i] then word_end s (i + 1) else i
+
+let rec has_digit s i =
+  i < String.length s && (is_digit s.[i] || has_digit s (i + 1))
+
+(* Every format below contains a digit and starts with a number or a
+   month name (a word of 3 to 9 letters): a scan that keeps ordinary
+   words and identifiers away from the tokenizer. *)
+let may_be_date s =
+  String.length s > 0
+  && (is_digit s.[0] || (let w = word_end s 0 in w >= 3 && w <= 9))
+  && has_digit s 0
+
 let of_string s =
   let s = String.trim s in
-  if String.length s < 3 || String.length s > 40 then None
+  if String.length s < 3 || String.length s > 40 || not (may_be_date s) then None
   else
     match tokenize s with
     | None -> None
@@ -145,8 +174,8 @@ let of_string s =
         (* May 3 | May 3, 2012 *)
         | Word w :: Num (d, dd) :: rest when dd <= 2 -> (
             match month_of_name w with
-            | None -> None
-            | Some m -> (
+            | 0 -> None
+            | m -> (
                 match rest with
                 | Sep ',' :: Num (y, 4) :: rest | Num (y, 4) :: rest ->
                     build y m d rest
@@ -154,8 +183,8 @@ let of_string s =
         (* 3 May | 3 May 2012 *)
         | Num (d, dd) :: Word w :: rest when dd <= 2 -> (
             match month_of_name w with
-            | None -> None
-            | Some m -> (
+            | 0 -> None
+            | m -> (
                 match rest with
                 | Sep ',' :: Num (y, 4) :: rest | Num (y, 4) :: rest ->
                     build y m d rest

@@ -46,6 +46,16 @@ let leave st = st.depth <- st.depth - 1
 
 let peek st = if st.pos < st.len then Some st.src.[st.pos] else None
 
+let at_eof st = st.pos >= st.len
+
+(* Non-allocating [peek] for the hot loops: [peek] boxes its option on
+   every call. NUL doubles as the end-of-input sentinel; a literal NUL
+   byte in the source is a control character and errors on every path
+   that could consume it, so a caller that must tell the two apart asks
+   [at_eof]. *)
+let peek_char st =
+  if st.pos >= st.len then '\000' else String.unsafe_get st.src st.pos
+
 let advance st =
   (if st.pos < st.len && st.src.[st.pos] = '\n' then begin
      st.line <- st.line + 1;
@@ -56,16 +66,22 @@ let advance st =
 let skip_ws st =
   let continue = ref true in
   while !continue do
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance st
+    match peek_char st with
+    | ' ' | '\t' | '\r' -> st.pos <- st.pos + 1
+    | '\n' ->
+        st.pos <- st.pos + 1;
+        st.line <- st.line + 1;
+        st.bol <- st.pos
     | _ -> continue := false
   done
 
+(* [c] is never NUL, so a match is never the end-of-input sentinel, and
+   never a newline, so consuming it needs no line bookkeeping. *)
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> error st "expected %C but found %C" c c'
-  | None -> error st "expected %C but found end of input" c
+  let c' = peek_char st in
+  if c' = c then st.pos <- st.pos + 1
+  else if at_eof st then error st "expected %C but found end of input" c
+  else error st "expected %C but found %C" c c'
 
 (* Encode a Unicode scalar value as UTF-8 into [buf]. *)
 let add_utf8 buf u =
@@ -188,6 +204,8 @@ let parse_string st =
   end
   else parse_string_slow st
 
+let digit_at src len j = j < len && src.[j] >= '0' && src.[j] <= '9'
+
 let parse_number st =
   (* Index-scanned for speed: none of the scanned characters can be a
      newline, so no line bookkeeping until the position is committed. *)
@@ -196,12 +214,11 @@ let parse_number st =
   let i = ref start in
   let neg = !i < len && String.unsafe_get src !i = '-' in
   if neg then incr i;
-  let is_digit j = j < len && src.[j] >= '0' && src.[j] <= '9' in
   let is_float = ref false in
   (* integer part: a lone '0', or a run starting with a nonzero digit *)
   (match if !i < len then String.unsafe_get src !i else '\000' with
   | '0' -> incr i
-  | '1' .. '9' -> while is_digit !i do incr i done
+  | '1' .. '9' -> while digit_at src len !i do incr i done
   | _ ->
       st.pos <- !i;
       error st "invalid number");
@@ -209,7 +226,7 @@ let parse_number st =
     is_float := true;
     incr i;
     let d0 = !i in
-    while is_digit !i do incr i done;
+    while digit_at src len !i do incr i done;
     if !i = d0 then begin
       st.pos <- !i;
       error st "expected digits after decimal point"
@@ -220,7 +237,7 @@ let parse_number st =
     incr i;
     if !i < len && (src.[!i] = '+' || src.[!i] = '-') then incr i;
     let d0 = !i in
-    while is_digit !i do incr i done;
+    while digit_at src len !i do incr i done;
     if !i = d0 then begin
       st.pos <- !i;
       error st "expected digits in exponent"
@@ -249,82 +266,106 @@ let parse_number st =
   end
 
 let parse_literal st word value =
-  String.iter (fun c -> expect st c) word;
+  for i = 0 to String.length word - 1 do
+    expect st (String.unsafe_get word i)
+  done;
   value
+
+(* The members of an object, given newest first, in document order under
+   the duplicate-key rule: the last binding of a key wins, at the
+   position of its last occurrence. Duplicates are rare, so they are
+   detected once per object ({!Data_value.first_duplicate}: pairwise for
+   narrow objects, hashed for wide ones) and resolved only when present:
+   walking newest first, the first binding met for each key is its last
+   one. *)
+let object_fields rev_fields =
+  if Option.is_none (Data_value.first_duplicate rev_fields) then List.rev rev_fields
+  else
+    let seen = Hashtbl.create 16 in
+    List.fold_left
+      (fun acc ((key, _) as field) ->
+        if Hashtbl.mem seen key then acc
+        else begin
+          Hashtbl.add seen key ();
+          field :: acc
+        end)
+      [] rev_fields
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some '{' -> parse_object st
-  | Some '[' -> parse_array st
-  | Some '"' -> Data_value.String (parse_string st)
-  | Some 't' -> parse_literal st "true" (Data_value.Bool true)
-  | Some 'f' -> parse_literal st "false" (Data_value.Bool false)
-  | Some 'n' -> parse_literal st "null" Data_value.Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> error st "unexpected character %C" c
+  match peek_char st with
+  | '{' -> parse_object st
+  | '[' -> parse_array st
+  | '"' -> Data_value.String (parse_string st)
+  | 't' -> parse_literal st "true" (Data_value.Bool true)
+  | 'f' -> parse_literal st "false" (Data_value.Bool false)
+  | 'n' -> parse_literal st "null" Data_value.Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c ->
+      if at_eof st then error st "unexpected end of input"
+      else error st "unexpected character %C" c
 
 and parse_object st =
   enter st;
   expect st '{';
   skip_ws st;
-  if peek st = Some '}' then begin
+  if peek_char st = '}' then begin
     advance st;
     leave st;
     Data_value.Record (Data_value.json_record_name, [])
   end
   else begin
-    let fields = ref [] in
-    let rec members () =
+    let rec members rev_fields =
       skip_ws st;
       let key = parse_string st in
       skip_ws st;
       expect st ':';
-      let v = parse_value st in
-      (* last binding wins on duplicate keys *)
-      fields := (key, v) :: List.remove_assoc key !fields;
+      let rev_fields = (key, parse_value st) :: rev_fields in
       skip_ws st;
-      match peek st with
-      | Some ',' ->
+      match peek_char st with
+      | ',' ->
           advance st;
-          members ()
-      | Some '}' -> advance st
-      | Some c -> error st "expected ',' or '}' in object but found %C" c
-      | None -> error st "unterminated object"
+          members rev_fields
+      | '}' ->
+          advance st;
+          rev_fields
+      | c ->
+          if at_eof st then error st "unterminated object"
+          else error st "expected ',' or '}' in object but found %C" c
     in
-    members ();
+    let rev_fields = members [] in
     leave st;
-    Data_value.Record (Data_value.json_record_name, List.rev !fields)
+    Data_value.Record (Data_value.json_record_name, object_fields rev_fields)
   end
 
 and parse_array st =
   enter st;
   expect st '[';
   skip_ws st;
-  if peek st = Some ']' then begin
+  if peek_char st = ']' then begin
     advance st;
     leave st;
     Data_value.List []
   end
   else begin
-    let items = ref [] in
-    let rec elements () =
-      let v = parse_value st in
-      items := v :: !items;
+    let rec elements rev_items =
+      let rev_items = parse_value st :: rev_items in
       skip_ws st;
-      match peek st with
-      | Some ',' ->
+      match peek_char st with
+      | ',' ->
           advance st;
           skip_ws st;
-          elements ()
-      | Some ']' -> advance st
-      | Some c -> error st "expected ',' or ']' in array but found %C" c
-      | None -> error st "unterminated array"
+          elements rev_items
+      | ']' ->
+          advance st;
+          rev_items
+      | c ->
+          if at_eof st then error st "unterminated array"
+          else error st "expected ',' or ']' in array but found %C" c
     in
-    elements ();
+    let rev_items = elements [] in
     leave st;
-    Data_value.List (List.rev !items)
+    Data_value.List (List.rev rev_items)
   end
 
 let parse s =
@@ -603,14 +644,8 @@ module Raw = struct
   let offset st = st.pos
   let offset_of_mark m = m.m_pos
   let source st = st.src
-  let at_eof st = st.pos >= st.len
-
-  (* Non-allocating peek for decoder hot loops: [peek] boxes its option
-     on every call. NUL doubles as the end-of-input sentinel; a literal
-     NUL byte in the source is a control character and errors on every
-     path that could consume it. *)
-  let peek_char st =
-    if st.pos >= st.len then '\000' else String.unsafe_get st.src st.pos
+  let at_eof = at_eof
+  let peek_char = peek_char
 
   (* Zero-allocation literal match: when the source bytes at the cursor
      are exactly [s], consume them and return true; otherwise leave the

@@ -9,8 +9,13 @@
 
     The parser reports errors with line/column positions, handles the full
     escape syntax including [\uXXXX] surrogate pairs (decoded to UTF-8),
-    and rejects trailing garbage. Duplicate object keys keep the last
-    binding, matching common JSON library behaviour. *)
+    and rejects trailing garbage.
+
+    Duplicate object keys keep the last binding, matching common JSON
+    library behaviour, and the surviving member sits at the position of
+    its last occurrence: [{"a":1,"b":2,"a":3}] parses to the fields [b],
+    then [a = 3]. Duplicates are detected once per object, so parsing
+    stays linear in the object's width. *)
 
 exception Parse_error of { line : int; column : int; message : string }
 (** Thin compatibility wrapper: the parser reports faults as structured
@@ -134,7 +139,9 @@ module Raw : sig
   val peek_char : state -> char
   (** Non-allocating [peek]: the next character, or ['\000'] at end of
       input (a literal NUL in the source is a control character and
-      errors on any path that could consume it). *)
+      errors on any path that could consume it; {!at_eof} tells the two
+      apart). The generic parser's own hot loops — whitespace,
+      separators, value dispatch — read through it too. *)
 
   val lit : state -> string -> bool
   (** [lit st s] consumes the source bytes at the cursor when they are
@@ -144,11 +151,16 @@ module Raw : sig
       decoding or allocating. *)
 
   val peek : state -> char option
+  (** The next character, boxed: allocates on every call. Prefer
+      {!peek_char} on any per-byte path. *)
+
   val advance : state -> unit
   val skip_ws : state -> unit
 
   val expect : state -> char -> unit
-  (** @raise Diagnostic.Parse_error when the next character differs. *)
+  (** Consume the expected character, which must be neither a newline
+      nor NUL (no line bookkeeping is done).
+      @raise Diagnostic.Parse_error when the next character differs. *)
 
   val parse_string : state -> string
   (** Scan a JSON string literal (opening quote included), decoding the

@@ -10,7 +10,19 @@ type hint =
 
 let missing_markers = [ ""; "#N/A"; "NA"; "N/A"; ":"; "-" ]
 
-let is_missing s = List.mem (String.trim s) missing_markers
+(* [List.mem (String.trim s) missing_markers] as a string match: this
+   runs on every string literal inferred or decoded. [String.trim]
+   copies only when there is whitespace to remove. *)
+let is_missing s =
+  match String.trim s with
+  | "" | "#N/A" | "NA" | "N/A" | ":" | "-" -> true
+  | _ -> false
+
+(* The end of the run of decimal digits in [s] from [j]. *)
+let rec digits_from s j =
+  if j < String.length s && s.[j] >= '0' && s.[j] <= '9' then
+    digits_from s (j + 1)
+  else j
 
 let parse_int s =
   let s = String.trim s in
@@ -18,13 +30,7 @@ let parse_int s =
   if n = 0 then None
   else
     let start = if s.[0] = '-' || s.[0] = '+' then 1 else 0 in
-    if n = start then None
-    else
-      let ok = ref true in
-      for i = start to n - 1 do
-        if not (s.[i] >= '0' && s.[i] <= '9') then ok := false
-      done;
-      if not !ok then None else int_of_string_opt s
+    if n = start || digits_from s start < n then None else int_of_string_opt s
 
 let parse_float s =
   let s = String.trim s in
@@ -33,57 +39,53 @@ let parse_float s =
   else
     (* Accept: [sign] digits [. digits] [(e|E) [sign] digits]
        with at least one digit somewhere around the point. *)
-    let i = ref (if s.[0] = '-' || s.[0] = '+' then 1 else 0) in
-    let digits_from j =
-      let k = ref j in
-      while !k < n && s.[!k] >= '0' && s.[!k] <= '9' do incr k done;
-      !k
+    let start = if s.[0] = '-' || s.[0] = '+' then 1 else 0 in
+    let int_end = digits_from s start in
+    let frac_end =
+      if int_end < n && s.[int_end] = '.' then digits_from s (int_end + 1)
+      else int_end
     in
-    let int_end = digits_from !i in
-    let saw_int = int_end > !i in
-    let frac_end, saw_frac =
-      if int_end < n && s.[int_end] = '.' then
-        let e = digits_from (int_end + 1) in
-        (e, e > int_end + 1)
-      else (int_end, false)
-    in
-    let pos_after_exp =
+    let saw_digits = int_end > start || frac_end > int_end + 1 in
+    (* the end of the exponent, or -1 when it has no digits *)
+    let end_after_exp =
       if frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then begin
         let j =
           if frac_end + 1 < n && (s.[frac_end + 1] = '-' || s.[frac_end + 1] = '+')
           then frac_end + 2
           else frac_end + 1
         in
-        let e = digits_from j in
-        if e > j then Some e else None
+        let e = digits_from s j in
+        if e > j then e else -1
       end
-      else Some frac_end
+      else frac_end
     in
-    match pos_after_exp with
-    | Some e when e = n && (saw_int || saw_frac) -> float_of_string_opt s
-    | _ -> None
+    if end_after_exp = n && saw_digits then float_of_string_opt s else None
 
+(* [is t i c]: the [i]th character of [t], lowercased, is [c]. *)
+let is t i c = Char.lowercase_ascii (String.unsafe_get t i) = c
+
+(* Case-insensitive, without a lowercased copy. *)
 let parse_bool s =
-  match String.lowercase_ascii (String.trim s) with
-  | "true" | "yes" -> Some true
-  | "false" | "no" -> Some false
+  let t = String.trim s in
+  match String.length t with
+  | 2 when is t 0 'n' && is t 1 'o' -> Some false
+  | 3 when is t 0 'y' && is t 1 'e' && is t 2 's' -> Some true
+  | 4 when is t 0 't' && is t 1 'r' && is t 2 'u' && is t 3 'e' -> Some true
+  | 5 when is t 0 'f' && is t 1 'a' && is t 2 'l' && is t 3 's' && is t 4 'e'
+    ->
+      Some false
   | _ -> None
 
 let classify s =
   let t = String.trim s in
   if is_missing t then Hint_null
-  else if t = "0" then Hint_bit0
-  else if t = "1" then Hint_bit1
-  else
-    match parse_int t with
-    | Some _ -> Hint_int
-    | None -> (
-        match parse_float t with
-        | Some _ -> Hint_float
-        | None -> (
-            match parse_bool t with
-            | Some _ -> Hint_bool
-            | None -> if Date.is_date t then Hint_date else Hint_string))
+  else if String.equal t "0" then Hint_bit0
+  else if String.equal t "1" then Hint_bit1
+  else if Option.is_some (parse_int t) then Hint_int
+  else if Option.is_some (parse_float t) then Hint_float
+  else if Option.is_some (parse_bool t) then Hint_bool
+  else if Date.is_date t then Hint_date
+  else Hint_string
 
 let to_value s =
   let t = String.trim s in

@@ -32,13 +32,21 @@ val missing_markers : string list
 (** Literals treated as missing values: [""], ["#N/A"], ["NA"], ["N/A"],
     [":"], ["-"] are the markers F# Data's CsvInference recognizes. *)
 
+val is_missing : string -> bool
+(** [is_missing s]: [s], trimmed, is one of {!missing_markers}. *)
+
 val classify : string -> hint
 (** [classify s] returns the most specific reading of the literal [s]. The
     priority order is: missing marker, bit0/bit1, int, float, bool, date,
     string. Keeping bit0 and bit1 apart is what lets a lone ["1"] provide
     an [int] (the [id="1"] attribute of Section 6.3) while a column mixing
     0s and 1s provides a [bool] (the [Autofilled] column of Section 6.2):
-    their join is the [bit] shape, which maps to [bool]. *)
+    their join is the [bit] shape, which maps to [bool].
+
+    The literal is trimmed once and no step copies it: the number
+    parsers stop at the first character that rules them out, and the
+    tokenizing date parser runs only on literals that start with a digit
+    or a word of month-name length and contain a digit. *)
 
 val to_value : string -> Data_value.t * hint
 (** [to_value s] converts the literal to a data value together with its

@@ -213,13 +213,20 @@ let parse_cdata st =
   in
   loop ()
 
+(* Attribute count from which duplicate checks hash, see [attrs]. *)
+let wide_tag = 32
+
 let rec parse_element st =
   st.depth <- st.depth + 1;
   if st.depth > max_depth then
     error st "elements nested deeper than %d levels" max_depth;
   advance st (* '<' *);
   let name = parse_name st in
-  let rec attrs acc =
+  (* Duplicates are rejected as soon as the second value is read. The
+     names seen so far are [acc]'s, scanned pairwise while the tag is
+     narrow; from [wide_tag] attributes on they are also in [seen], so
+     the check stays linear. *)
+  let rec attrs acc n seen =
     skip_ws st;
     match peek st with
     | Some '/' | Some '>' -> List.rev acc
@@ -231,13 +238,29 @@ let rec parse_element st =
         | _ -> error st "expected '=' after attribute name %s" attr_name);
         skip_ws st;
         let value = parse_attr_value st in
-        if List.mem_assoc attr_name acc then
-          error st "duplicate attribute %s" attr_name;
-        attrs ((attr_name, value) :: acc)
+        let duplicate =
+          match seen with
+          | Some seen -> Hashtbl.mem seen attr_name
+          | None -> List.mem_assoc attr_name acc
+        in
+        if duplicate then error st "duplicate attribute %s" attr_name;
+        let acc = (attr_name, value) :: acc in
+        let seen =
+          match seen with
+          | Some tbl ->
+              Hashtbl.add tbl attr_name ();
+              seen
+          | None when n + 1 < wide_tag -> None
+          | None ->
+              let tbl = Hashtbl.create (2 * wide_tag) in
+              List.iter (fun (k, _) -> Hashtbl.add tbl k ()) acc;
+              Some tbl
+        in
+        attrs acc (n + 1) seen
     | Some c -> error st "unexpected character %C in element tag" c
     | None -> error st "unterminated element tag"
   in
-  let attributes = attrs [] in
+  let attributes = attrs [] 0 None in
   match peek st with
   | Some '/' ->
       advance st;

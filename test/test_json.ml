@@ -190,6 +190,134 @@ let prop_roundtrip_pretty =
       let d = jsonify d in
       Dv.equal d (parse (Json.to_string ~indent:2 d)))
 
+(* ----- Differential: objects against the remove_assoc oracle ----- *)
+
+module Oracle = Json_oracle
+
+(* The member order a repeated key produces: the survivor is the last
+   binding, at the position of the last occurrence. *)
+let test_duplicate_key_position () =
+  match parse {|{"a":1,"b":2,"a":3}|} with
+  | Dv.Record (_, fields) ->
+      Alcotest.(check (list (pair string data_testable)))
+        "b, then a = 3"
+        [ ("b", Dv.Int 2); ("a", Dv.Int 3) ]
+        fields
+  | d -> Alcotest.failf "expected an object, got %a" Dv.pp d
+
+(* Object text whose keys come from a pool smaller than, equal to or
+   larger than the width, so repeated keys land at random positions;
+   widths reach past 200 fields. Whitespace between tokens varies, and
+   some keys are escaped so they decode through the slow string path. *)
+let gen_object_text =
+  let open QCheck2.Gen in
+  let ws = oneofl [ ""; ""; " "; "\n"; "\t "; "\r\n  " ] in
+  let scalar =
+    oneof
+      [
+        map string_of_int (int_range (-1000) 1000);
+        map (fun f -> Json.to_string (Dv.Float f)) (float_range (-1e6) 1e6);
+        oneofl [ "true"; "false"; "null"; {|"x"|}; {|"2012-05-01"|}; {|"a\"b"|}; "[]"; "{}" ];
+      ]
+  in
+  let key pool =
+    map2
+      (fun i escaped ->
+        if escaped then Printf.sprintf {|"k\u00%x%d"|} (Char.code 'k') i
+        else Printf.sprintf {|"k%d"|} i)
+      (int_bound (max 0 (pool - 1)))
+      (frequency [ (9, return false); (1, return true) ])
+  in
+  let obj value width =
+    width >>= fun w ->
+    oneofl [ 1; 3; max 1 (w / 2); max 1 w; (2 * w) + 1 ] >>= fun pool ->
+    list_size (return w)
+      (map3
+         (fun (k, v) w1 w2 -> w1 ^ k ^ w2 ^ ":" ^ w1 ^ v ^ w2)
+         (pair (key pool) value) ws ws)
+    >|= fun members -> "{" ^ String.concat "," members ^ "}"
+  in
+  let inner = obj scalar (int_range 0 6) in
+  let value =
+    frequency
+      [
+        (6, scalar);
+        (1, inner);
+        (1, map (fun xs -> "[" ^ String.concat ", " xs ^ "]") (list_size (int_range 0 4) scalar));
+      ]
+  in
+  obj value
+    (frequency
+       [ (6, int_range 0 12); (3, int_range 13 64); (2, int_range 190 260) ])
+
+(* A malformed variant: truncated, or one byte deleted, inserted or
+   replaced (which may still parse, or parse differently). *)
+let gen_mutated text =
+  let open QCheck2.Gen in
+  let n = String.length text in
+  int_bound (max 0 (n - 1)) >>= fun i ->
+  oneofl [ ','; ':'; '{'; '}'; '['; ']'; '"'; '\\'; 'a'; '1'; ' '; '\n'; '\000' ]
+  >>= fun c ->
+  oneofl
+    [
+      String.sub text 0 i;
+      String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1);
+      String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i);
+      String.mapi (fun j x -> if j = i then c else x) text;
+    ]
+
+let gen_document =
+  let open QCheck2.Gen in
+  gen_object_text >>= fun t ->
+  frequency [ (3, return t); (2, gen_mutated t) ]
+
+let same_parse t =
+  match (Json.parse_diag t, Oracle.parse_diag t) with
+  | Ok v, Ok v' -> v = v'
+  | Error d, Error d' -> Fault_inject.diag_equal d d'
+  | _ -> false
+
+let prop_parse_matches_oracle =
+  QCheck2.Test.make ~count:600
+    ~name:"parse: same values and diagnostics as the remove_assoc oracle"
+    ~print:(Printf.sprintf "%S") gen_document same_parse
+
+(* A recovering fold over a stream of (possibly malformed) objects:
+   chunks, diagnostics and skipped texts must all match. *)
+let prop_fold_many_matches_oracle =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 1 4)
+        (map (String.concat "\n") (list_size (int_range 1 6) gen_document)))
+  in
+  (* [fold on_error] folds one parser over the stream, collecting chunks *)
+  let run fold =
+    let errors = ref [] in
+    let on_error d ~skipped = errors := (d, skipped) :: !errors in
+    match fold on_error with
+    | chunks -> Ok (List.rev chunks, List.rev !errors)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let cons acc c = c :: acc in
+  QCheck2.Test.make ~count:300
+    ~name:"fold_many ~on_error: same chunks, diagnostics and skipped texts"
+    ~print:QCheck2.Print.(pair int (Printf.sprintf "%S"))
+    gen
+    (fun (chunk_size, text) ->
+      match
+        ( run (fun on_error -> Json.fold_many ~chunk_size ~on_error cons [] text),
+          run (fun on_error ->
+              Oracle.fold_many ~chunk_size ~on_error cons [] text) )
+      with
+      | Ok (c, e), Ok (c', e') ->
+          c = c'
+          && List.equal
+               (fun (d, s) (d', s') ->
+                 Fault_inject.diag_equal d d' && String.equal s s')
+               e e'
+      | Error x, Error y -> String.equal x y
+      | _ -> false)
+
 let suite =
   [
     tc "literals" `Quick test_literals;
@@ -221,6 +349,10 @@ let suite =
     tc "print: escapes" `Quick test_print_escapes;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_pretty;
+    tc "duplicate keys: survivor at the last position" `Quick
+      test_duplicate_key_position;
+    QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_fold_many_matches_oracle;
   ]
 
 let test_depth_guard () =

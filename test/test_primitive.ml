@@ -95,6 +95,125 @@ let prop_normalize_idempotent =
   QCheck2.Test.make ~name:"normalize idempotent" ~count:200 ~print:print_data
     gen_data (fun d -> Dv.equal (P.normalize d) (P.normalize (P.normalize d)))
 
+(* ----- Differential: classification against the pre-prefilter oracle ----- *)
+
+module Oracle = Primitive_oracle
+
+(* Literals from every branch of the cascade, and from just beside each:
+   dates that fail calendar validation, words that look like month names,
+   identifiers that start with a digit, numbers with stray characters. *)
+let gen_literal =
+  let open QCheck2.Gen in
+  let pick l = oneofl l in
+  let case_mix w =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then
+              Char.uppercase_ascii c
+            else c)
+          w)
+      (list_size (return 4) bool)
+  in
+  let iso =
+    map3
+      (fun y m d -> Printf.sprintf "%04d-%02d-%02d" y m d)
+      (int_range 0 10_000) (int_range 0 13) (int_range 0 32)
+  in
+  let time =
+    pick
+      [ ""; "T13:45"; "T13:45:30Z"; " 08:05:59"; "T23:59:60"; "T12:00:00.250+02:00";
+        "t01:02:03z"; " 25:00"; "T12:00:00-05:30"; "T12" ]
+  in
+  let month =
+    pick
+      [ "January"; "jan"; "FEB"; "february"; "Mar"; "april"; "May"; "june";
+        "Jul"; "august"; "Sep"; "Sept"; "september"; "Oct"; "november";
+        "dec"; "Mays"; "kveten"; "Ma"; "Septembers" ]
+  in
+  let month_date =
+    map3
+      (fun m d tail -> m ^ " " ^ string_of_int d ^ tail)
+      (month >>= case_mix) (int_range 0 32)
+      (pick [ ""; ", 2012"; " 2015"; ", 2016"; " 12:30"; ", 2012 10:00"; "," ])
+  in
+  let day_month =
+    map3
+      (fun d m y -> string_of_int d ^ " " ^ m ^ y)
+      (int_range 0 32) (month >>= case_mix) (pick [ ""; " 2012"; " 2015"; ", 2016" ])
+  in
+  let slashed =
+    oneof
+      [
+        map3 (fun a b y -> Printf.sprintf "%02d/%02d/%04d" a b y)
+          (int_range 0 32) (int_range 0 32) (int_range 1 9999);
+        map3 (fun y m d -> Printf.sprintf "%04d/%02d/%02d" y m d)
+          (int_range 1 9999) (int_range 0 13) (int_range 0 32);
+      ]
+  in
+  let feb29 =
+    map2 (fun y f -> f y) (pick [ 1900; 2000; 2012; 2015; 2016; 2100 ])
+      (pick
+         [ Printf.sprintf "%04d-02-29"; Printf.sprintf "Feb 29, %d";
+           Printf.sprintf "29 February %d"; Printf.sprintf "02/29/%d" ])
+  in
+  let marker =
+    map3 (fun l m r -> l ^ m ^ r)
+      (pick [ ""; " "; "\t"; "  " ])
+      (pick [ ""; "#N/A"; "NA"; "N/A"; ":"; "-"; "na"; "n/a"; "#n/a"; "--" ])
+      (pick [ ""; " "; "\n"; " \r" ])
+  in
+  let number =
+    oneof
+      [
+        pick [ "0"; "1"; " 0 "; "1 "; "00"; "01"; "+1"; "-0"; "10"; "1.0" ];
+        map (fun i -> Printf.sprintf "%+d" i) int;
+        map (fun i -> string_of_int i) int;
+        map (fun f -> Printf.sprintf "%g" f) float;
+        map (fun f -> Printf.sprintf "%.3e" f) (float_range (-1e9) 1e9);
+        pick [ "1e5"; "1.5E-3"; ".5"; "5."; "-.e"; "1e"; "+"; "--1"; "1e+"; "-.5e-7";
+               "12345678901234567890123"; "0x1F"; "1_000"; "nan"; "inf"; "1.2.3" ];
+      ]
+  in
+  let boolean =
+    pick [ "true"; "false"; "yes"; "no"; "tru"; "yess"; "y"; "n"; "nope" ]
+    >>= case_mix
+  in
+  let hex_id =
+    string_size ~gen:(pick (String.to_seq "0123456789abcdef" |> List.of_seq)) (return 15)
+  in
+  let words =
+    pick
+      [ "user12"; "kind3"; "May 3"; "Sept 3"; "May3"; "3May"; "mayday 3";
+        "September 31"; "scattered clouds"; "3 kveten"; "03d"; "A1"; "x";
+        "2012"; "5-1"; "12:30"; "Z"; "T"; "a b c 1"; "" ]
+  in
+  let fuzz =
+    string_size ~gen:(pick (String.to_seq "0123456789-/:,.+ TZtMayJnSepe" |> List.of_seq))
+      (int_range 0 24)
+  in
+  let literal =
+    frequency
+      [
+        (3, map2 ( ^ ) iso time); (2, slashed); (2, month_date); (2, day_month);
+        (1, feb29); (2, marker); (3, number); (2, boolean); (2, hex_id);
+        (2, words); (3, fuzz);
+      ]
+  in
+  map3 (fun l s r -> l ^ s ^ r) (pick [ ""; ""; " "; "\t" ]) literal
+    (pick [ ""; ""; " "; "\n" ])
+
+let prop_classify_matches_oracle =
+  QCheck2.Test.make ~count:3000
+    ~name:"classify, to_value and Date.of_string agree with the old cascade"
+    ~print:(Printf.sprintf "%S") gen_literal (fun s ->
+      P.classify s = Oracle.classify s
+      && Fsdata_data.Date.of_string s = Oracle.Date.of_string s
+      && P.parse_bool s = Oracle.parse_bool s
+      && P.parse_float s = Oracle.parse_float s
+      && P.is_missing s = Oracle.is_missing s)
+
 let suite =
   [
     tc "classify 0" `Quick (classifies "0" P.Hint_bit0);
@@ -117,4 +236,5 @@ let suite =
     tc "parse_float strictness" `Quick test_parse_float_strict;
     tc "normalize (World Bank strings)" `Quick test_normalize;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
+    QCheck_alcotest.to_alcotest prop_classify_matches_oracle;
   ]

@@ -16,7 +16,27 @@ let string_ = Shape.Primitive Shape.String
 let test_record_dup () =
   Alcotest.check_raises "duplicate fields"
     (Invalid_argument "Shape.record: duplicate field \"x\"") (fun () ->
-      ignore (Shape.record "p" [ ("x", int_); ("x", float_) ]))
+      ignore (Shape.record "p" [ ("x", int_); ("x", float_) ]));
+  (* the reported name is the first field that repeats an earlier one,
+     on the pairwise path for narrow records and the hashed one for
+     wide records alike *)
+  let fields names = List.map (fun n -> (n, int_)) names in
+  let wide k = List.init k (Printf.sprintf "f%d") in
+  List.iter
+    (fun (names, dup) ->
+      Alcotest.check_raises dup
+        (Invalid_argument (Printf.sprintf "Shape.record: duplicate field %S" dup))
+        (fun () -> ignore (Shape.record "p" (fields names))))
+    [
+      ([ "a"; "b"; "b"; "a" ], "b");
+      (wide 30 @ [ "f29"; "f0" ], "f29");
+      (wide 40 @ [ "f39"; "f0" ], "f39");
+      ("f7" :: wide 200, "f7");
+    ];
+  Alcotest.(check int) "200 distinct fields" 200
+    (match Shape.record "p" (fields (wide 200)) with
+    | Shape.Record r -> List.length r.fields
+    | _ -> 0)
 
 let test_nullable_ceiling () =
   (* ⌈−⌉ wraps only non-nullable shapes *)

@@ -305,6 +305,30 @@ let test_duplicate_keys_last_wins () =
         v
   | Sc.Fallback _ -> Alcotest.fail "conforming document fell back"
 
+(* A repeated key: the survivor is the last binding, at the position of
+   its last occurrence, on the interpreted and the compiled path alike,
+   whether the shape lists the fields in that order or the other. *)
+let test_duplicate_key_position () =
+  let t = {|{"a":1,"b":2,"a":3}|} in
+  let generic = Prim.normalize (Json.parse t) in
+  List.iter
+    (fun sigma ->
+      match Sc.parse (Sc.compile (Shape.hcons sigma)) t with
+      | Sc.Direct v ->
+          Alcotest.check tvalue "compiled = convert of Json.parse"
+            (Sc.convert sigma generic) v;
+          Alcotest.(check string) "rendered" (render (Sc.convert sigma generic))
+            (render v)
+      | Sc.Fallback _ -> Alcotest.fail "conforming document fell back")
+    [
+      Infer.shape_of_value generic;
+      Shape.record Dv.json_record_name
+        [ ("a", Shape.Primitive Shape.Int); ("b", Shape.Primitive Shape.Int) ];
+    ];
+  Alcotest.(check string) "inferred field order"
+    (Dv.json_record_name ^ " {b: int, a: int}")
+    (Shape.to_string (Infer.shape_of_value generic))
+
 let test_missing_optional_field_defaults () =
   let sigma =
     Shape.record Dv.json_record_name
@@ -337,6 +361,8 @@ let suite =
       test_legacy_exception_parity;
     Alcotest.test_case "duplicate keys: last binding wins" `Quick
       test_duplicate_keys_last_wins;
+    Alcotest.test_case "duplicate keys: survivor at the last position" `Quick
+      test_duplicate_key_position;
     Alcotest.test_case "missing optional fields default" `Quick
       test_missing_optional_field_defaults;
   ]

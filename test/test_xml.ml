@@ -101,6 +101,45 @@ let test_namespace_prefixes_kept () =
   let t = Xml.parse {|<ns:a xmlns:ns="urn:x" ns:attr="v"><ns:b/></ns:a>|} in
   check Alcotest.string "prefixed name kept" "ns:a" t.Xml.name
 
+(* An element with [n] attributes a0..a(n-1), eight per line, whose
+   attribute [dup_at] repeats the name of attribute [dup_of]. *)
+let wide_element n ~dup_at ~dup_of tail =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "<row";
+  for i = 0 to n - 1 do
+    Buffer.add_string b (if i mod 8 = 0 then "\n  " else " ");
+    if i = dup_at then Buffer.add_string b (Printf.sprintf "a%d='dup'" dup_of)
+    else Buffer.add_string b (Printf.sprintf "a%d=\"%d\"" i i)
+  done;
+  Buffer.add_string b tail;
+  Buffer.contents b
+
+(* A duplicate attribute fails as soon as its value is read, at the
+   position just past that value — before any later fault in the same
+   tag — whether the tag is narrow (pairwise check) or wide (hashed). *)
+let test_duplicate_attribute_position () =
+  List.iter
+    (fun (doc, expected) ->
+      match Xml.parse_diag doc with
+      | Ok _ -> Alcotest.failf "expected a duplicate-attribute error in %S" doc
+      | Error d ->
+          Alcotest.(check (triple int int string))
+            doc expected
+            (d.Fsdata_data.Diagnostic.line, d.column, d.message))
+    [
+      ({|<a x="1" x="2"/>|}, (1, 15, "duplicate attribute x"));
+      ({|<a x="1" x="2" y/>|}, (1, 15, "duplicate attribute x"));
+      ("<a\n  x='1'\n  y='2' x = \"3\">t</a>", (3, 16, "duplicate attribute x"));
+      (wide_element 40 ~dup_at:37 ~dup_of:3 "/>", (6, 56, "duplicate attribute a3"));
+      (wide_element 40 ~dup_at:37 ~dup_of:3 " bad/>", (6, 56, "duplicate attribute a3"));
+      (wide_element 40 ~dup_at:5 ~dup_of:3 "/>", (2, 46, "duplicate attribute a3"));
+      (wide_element 40 ~dup_at:39 ~dup_of:38 "/>", (6, 75, "duplicate attribute a38"));
+      (wide_element 33 ~dup_at:32 ~dup_of:0 "/>", (6, 11, "duplicate attribute a0"));
+      (wide_element 300 ~dup_at:290 ~dup_of:250 "/>", (38, 35, "duplicate attribute a250"));
+    ];
+  match Xml.parse (wide_element 300 ~dup_at:(-1) ~dup_of:0 "/>") with
+  | t -> Alcotest.(check int) "300 distinct attributes" 300 (List.length t.Xml.attributes)
+
 let suite =
   [
     tc "elements and attributes" `Quick test_basic;
@@ -113,6 +152,8 @@ let suite =
     tc "error: unterminated element" `Quick (expect_error "<a><b></b>");
     tc "error: duplicate attribute" `Quick
       (expect_error {|<a x="1" x="2"/>|} ~contains:"duplicate");
+    tc "error: duplicate attribute position" `Quick
+      test_duplicate_attribute_position;
     tc "error: trailing content" `Quick (expect_error "<a/><b/>" ~contains:"trailing");
     tc "error: unknown entity" `Quick (expect_error "<a>&nope;</a>" ~contains:"entity");
     tc "error: '<' in attribute" `Quick (expect_error {|<a x="<"/>|});
