@@ -234,3 +234,83 @@ and top_any s1 s2 =
 
 and csh_all ?(mode : mode = `Hetero) shapes =
   List.fold_left (fun acc s -> csh ~mode acc s) Bottom shapes
+
+(* --- absorption: deciding csh σ δ = σ without building the join ---
+
+   [absorbs] follows csh's rule order case by case and answers whether
+   the join would equal its left operand; only tops and collections on
+   the left fall back to computing the join. Facts it relies on, all
+   read off the rules above: a join with ⊥ is the other side; a join
+   with null (or with an absent field) leaves exactly nulls, nullables,
+   tops and collections whose entries [widen_absent] fixes; a primitive
+   or record on the left absorbs only a primitive it joins to itself or
+   a same-named record whose every field it absorbs (any other pairing
+   yields a top or a nullable); and the join of two non-nullable shapes
+   is never nullable, so a nullable absorbs what its payload absorbs. *)
+
+(* [Shape.equal (csh Null s) s]: the absent-field rule leaves [s] as it
+   is *)
+let absent_ok = function
+  | Null | Nullable _ | Top _ -> true
+  | Collection entries ->
+      List.for_all
+        (fun (e : entry) -> Multiplicity.equal (Multiplicity.widen_absent e.mult) e.mult)
+        entries
+  | Bottom | Primitive _ | Record _ -> false
+
+type index =
+  | Fields_of of {
+      sigma : Shape.t;
+      name : string;
+      fields : (string, Shape.t) Hashtbl.t;
+      required : int;  (* fields that an absence would change *)
+    }
+  | Whole of Shape.t
+
+let index = function
+  | Record r as sigma ->
+      let fields = Hashtbl.create (List.length r.fields) in
+      let required =
+        List.fold_left
+          (fun n (name, f) ->
+            Hashtbl.replace fields name f;
+            if absent_ok f then n else n + 1)
+          0 r.fields
+      in
+      Fields_of { sigma; name = r.name; fields; required }
+  | sigma -> Whole sigma
+
+let indexed = function Fields_of { sigma; _ } | Whole sigma -> sigma
+
+let rec absorbs ?(mode : mode = `Hetero) s d =
+  s == d
+  ||
+  match (s, d) with
+  | _, Bottom -> true
+  | _, Null -> absent_ok s
+  | (Bottom | Null), _ -> false
+  | Primitive p, Primitive q -> join_primitives p q = Some p
+  | Record _, Record _ -> absorbs_indexed ~mode (index s) d
+  | (Primitive _ | Record _), _ -> false
+  | Nullable a, (Nullable d | d) -> absorbs ~mode a d
+  | (Collection _ | Top _), _ -> Shape.equal (csh ~mode s d) s
+
+(* A same-named record is absorbed when every field of δ is one of σ's
+   and absorbed there, and every field of σ that an absence would change
+   is in δ. Field names are unique, so counting the required fields δ
+   hits suffices. *)
+and absorbs_indexed ?(mode : mode = `Hetero) idx d =
+  match (idx, d) with
+  | Fields_of f, Record r when String.equal f.name r.name ->
+      let rec go hits = function
+        | [] -> hits = f.required
+        | (name, d) :: rest -> (
+            match Hashtbl.find_opt f.fields name with
+            | None -> false
+            | Some s ->
+                absorbs ~mode s d
+                && go (if absent_ok s then hits else hits + 1) rest)
+      in
+      go 0 r.fields
+  | Fields_of _, Record _ -> false
+  | _ -> absorbs ~mode (indexed idx) d

@@ -64,3 +64,38 @@ val join_primitives : Shape.primitive -> Shape.primitive -> Shape.primitive opti
     [int ⊔ float = float], [bit ⊔ int = int], [bit ⊔ bool = bool],
     [bit ⊔ float = float], [date ⊔ string = string]; [None] when the only
     upper bound is a top (e.g. [int ⊔ bool]). *)
+
+(** {1 Absorption}
+
+    Lemma 1 makes [csh] the least upper bound, so a shape already below
+    the accumulator leaves it as it is. Deciding that without building
+    the join lets a fold skip the work for the common case of a sample
+    that adds nothing (the registry's pushes, docs/REGISTRY.md). *)
+
+val absorbs : ?mode:mode -> Shape.t -> Shape.t -> bool
+(** [absorbs ~mode sigma delta] is exactly
+    [Shape.equal (csh ~mode sigma delta) sigma]. It follows the rules
+    case by case without building the join: for a record [sigma] every
+    field of [delta] must be one of [sigma]'s and absorbed there, and
+    every field of [sigma] that an absent value would change (a
+    primitive, a record, ⊥, or a collection with an exactly-one entry)
+    must appear in [delta]. Only a collection or a
+    top on the left falls back to computing the join. Performs no
+    [csh.merges] except in that fallback. *)
+
+type index
+(** A shape prepared for repeated {!absorbs_indexed} queries: for a
+    record, its fields by name and the count of fields that an absent
+    value would change. *)
+
+val index : Shape.t -> index
+(** O(|fields|) for a record, O(1) otherwise. *)
+
+val indexed : index -> Shape.t
+(** The shape the index was built from (physically). *)
+
+val absorbs_indexed : ?mode:mode -> index -> Shape.t -> bool
+(** [absorbs_indexed ~mode (index sigma) delta = absorbs ~mode sigma delta].
+    For a record [sigma] and a same-named record [delta] it costs
+    O(|delta|) lookups plus the field-wise checks, however wide
+    [sigma] is; anything else is {!absorbs}. *)

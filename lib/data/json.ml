@@ -682,22 +682,31 @@ end
 
 (* ----- Printing ----- *)
 
+(* Runs of bytes that need no escaping — all of them but the quote, the
+   backslash and the control characters — are copied whole. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let flush start i = if i > start then Buffer.add_substring buf s start (i - start) in
+  let rec go start i =
+    if i = String.length s then flush start i
+    else
+      let c = String.unsafe_get s i in
+      if c >= ' ' && c <> '"' && c <> '\\' then go start (i + 1)
+      else begin
+        flush start i;
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let float_to_json f =
@@ -712,7 +721,7 @@ let float_to_json f =
     let shorter = Printf.sprintf "%.12g" f in
     if float_of_string shorter = f then shorter else s
 
-let to_string ?indent d =
+let to_string ?indent ?escaped d =
   let buf = Buffer.create 256 in
   let newline_and_pad level =
     match indent with
@@ -727,7 +736,13 @@ let to_string ?indent d =
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_to_json f)
-    | String s -> escape_string buf s
+    | String s -> (
+        match escaped with
+        | Some f -> (
+            match f s with
+            | Some literal -> Buffer.add_string buf literal
+            | None -> escape_string buf s)
+        | None -> escape_string buf s)
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
         Buffer.add_char buf '[';

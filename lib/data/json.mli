@@ -187,11 +187,15 @@ module Raw : sig
       raises. *)
 end
 
-val to_string : ?indent:int -> Data_value.t -> string
+val to_string :
+  ?indent:int -> ?escaped:(string -> string option) -> Data_value.t -> string
 (** Print a data value as JSON. With [indent] (spaces per level) the output
     is pretty-printed; default is compact. Record names are not printed
     (JSON objects are anonymous); XML-derived values therefore lose their
-    element names when printed as JSON. *)
+    element names when printed as JSON. [escaped] may supply a string
+    value's JSON literal (quotes included) already escaped, for a caller
+    that keeps the literals of long strings it prints repeatedly; it must
+    return exactly what the printer would write, or [None]. *)
 
 val pp : Format.formatter -> Data_value.t -> unit
 (** Compact JSON printer usable with [%a]. *)

@@ -24,6 +24,13 @@ type stream = {
   hooks : hook list;
 }
 
+(* A stream's absorption state for its current shape σ, matched by
+   physical identity (σ only changes when a push grows it): [Seen] after
+   one push against σ, [Indexed] once a second push has built the field
+   index. Building lazily keeps WAL replay, where nearly every record
+   grows its stream, from paying for indexes it never queries. *)
+type absorb = Seen of Shape.t | Indexed of Csh.index
+
 type t = {
   dir : string option;
   fault : Fault_fs.t option;
@@ -32,6 +39,7 @@ type t = {
   history_limit : int;
   lock : Mutex.t;
   streams : (string, stream) Hashtbl.t;
+  absorb : (string, absorb) Hashtbl.t;
   mutable wal : Wal.t option;
   mutable listener : (stream -> unit) option;
 }
@@ -52,12 +60,6 @@ let fresh_stream name =
     hooks = [];
   }
 
-(* The one fold both live pushes and WAL replay go through, so replay is
-   the in-memory fold by construction (property-tested in
-   test/test_registry.ml). csh is the LUB of Lemma 1, hence the merged
-   shape always satisfies old ⊑ merged and "strictly grew" is just
-   inequality. Shapes are interned: streams live for the process and
-   their sub-shapes repeat across versions. *)
 (* History is a bounded window: only the newest [limit] bumps are
    retained (oldest evicted first), so a long-lived frequently-growing
    stream cannot grow its snapshots — or the per-bump append cost —
@@ -66,9 +68,35 @@ let trim_history limit h =
   let excess = List.length h - limit in
   if excess <= 0 then h else List.filteri (fun i _ -> i >= excess) h
 
-let apply ~limit st ~seq ~count delta =
-  let merged = Shape.hcons (Csh.csh st.shape delta) in
+(* Whether [delta] leaves the stream's shape as it is, through the
+   stream's field index when a push has met this shape before. *)
+let absorbed t st delta =
+  let sigma = st.shape in
+  match Hashtbl.find_opt t.absorb st.name with
+  | Some (Indexed idx) when Csh.indexed idx == sigma ->
+      Csh.absorbs_indexed idx delta
+  | Some (Seen s) when s == sigma ->
+      let idx = Csh.index sigma in
+      Hashtbl.replace t.absorb st.name (Indexed idx);
+      Csh.absorbs_indexed idx delta
+  | _ ->
+      Hashtbl.replace t.absorb st.name (Seen sigma);
+      false
+
+(* The one fold both live pushes and WAL replay go through, so replay is
+   the in-memory fold by construction (property-tested in
+   test/test_registry.ml). csh is the LUB of Lemma 1, hence the merged
+   shape always satisfies old ⊑ merged and "strictly grew" is just
+   inequality; a delta the shape already absorbs skips the merge, and
+   any push that does not grow the shape keeps it physically. Grown
+   shapes are interned: streams live for the process and their
+   sub-shapes repeat across versions. *)
+let apply t st ~seq ~count delta =
+  let merged =
+    if absorbed t st delta then st.shape else Csh.csh st.shape delta
+  in
   let grew = not (Shape.equal merged st.shape) in
+  let merged = if grew then Shape.hcons merged else st.shape in
   let version = if grew then st.version + 1 else st.version in
   {
     st with
@@ -77,7 +105,8 @@ let apply ~limit st ~seq ~count delta =
     shape = merged;
     version;
     history =
-      (if grew then trim_history limit (st.history @ [ (version, seq, merged) ])
+      (if grew then
+         trim_history t.history_limit (st.history @ [ (version, seq, merged) ])
        else st.history);
   }
 
@@ -331,7 +360,7 @@ let replay_record t payload =
          window where the WAL still holds records the snapshot covers *)
       if seq > st.seq then
         Hashtbl.replace t.streams name
-          (apply ~limit:t.history_limit st ~seq ~count delta)
+          (apply t st ~seq ~count delta)
   | c when c = hook_add_tag ->
       (* idempotent set-add; the recorded cursor wins only on first
          sight, so a re-added hook keeps any later acked progress *)
@@ -372,6 +401,7 @@ let open_ ?fault ?(fsync = `Always) ?(snapshot_every = 512)
       history_limit = max 1 history_limit;
       lock = Mutex.create ();
       streams = Hashtbl.create 16;
+      absorb = Hashtbl.create 16;
       wal = None;
       listener = None;
     }
@@ -456,7 +486,7 @@ let push t ~stream:name ?(count = 1) delta =
     (match t.wal with
     | Some wal -> Wal.append wal (encode_record ~name ~seq ~count delta)
     | None -> ());
-    let st' = apply ~limit:t.history_limit st ~seq ~count delta in
+    let st' = apply t st ~seq ~count delta in
     Hashtbl.replace t.streams name st';
     set_streams_gauge t;
     Metrics.incr m_pushes;

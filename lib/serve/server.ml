@@ -187,8 +187,42 @@ let overloaded t =
 
 (* --- response helpers --- *)
 
+(* Responses render the same few shapes again and again: a stream's
+   shape after every push that did not grow it (it stays the physically
+   same hash-consed value) and the /shape reads that follow. Shapes are
+   immutable, so a shape that is physically the one rendered before has
+   the same text, and that text the same JSON literal; the most recent
+   renderings are kept, keyed by identity. A race between workers can
+   only lose an entry. *)
+let rendered : (Shape.t * string * string) list Atomic.t = Atomic.make []
+let rendered_slots = 32
+
+let shape_string s =
+  match List.find_opt (fun (s', _, _) -> s' == s) (Atomic.get rendered) with
+  | Some (_, text, _) -> text
+  | None ->
+      let text = Fmt.str "%a" Shape.pp s in
+      let literal = Json.to_string (Dv.String text) in
+      let kept =
+        List.filteri (fun i _ -> i < rendered_slots - 1) (Atomic.get rendered)
+      in
+      Atomic.set rendered ((s, text, literal) :: kept);
+      text
+
+(* The JSON literal of a rendering still in the memo, found by the
+   identity of its text. A short string escapes faster than the memo is
+   searched. *)
+let shape_literal text =
+  if String.length text < 256 then None
+  else
+    List.find_map
+      (fun (_, t, literal) -> if t == text then Some literal else None)
+      (Atomic.get rendered)
+
 let json_body fields =
-  Json.to_string ~indent:2 (Dv.Record (Dv.json_record_name, fields)) ^ "\n"
+  Json.to_string ~indent:2 ~escaped:shape_literal
+    (Dv.Record (Dv.json_record_name, fields))
+  ^ "\n"
 
 let json_error status msg =
   Http.response ~status (json_body [ ("error", Dv.String msg) ])
@@ -199,26 +233,6 @@ let method_not_allowed allow =
   Http.response ~status:405
     ~headers:[ ("allow", allow) ]
     (json_body [ ("error", Dv.String (Printf.sprintf "use %s" allow)) ])
-
-(* Responses render the same few shapes again and again: a stream's
-   shape after every push that did not grow it (it stays the physically
-   same hash-consed value) and the /shape reads that follow. Shapes are
-   immutable, so a shape that is physically the one rendered before has
-   the same text; the most recent renderings are kept, keyed by
-   identity. A race between workers can only lose an entry. *)
-let rendered : (Shape.t * string) list Atomic.t = Atomic.make []
-let rendered_slots = 32
-
-let shape_string s =
-  match List.assq_opt s (Atomic.get rendered) with
-  | Some text -> text
-  | None ->
-      let text = Fmt.str "%a" Shape.pp s in
-      let kept =
-        List.filteri (fun i _ -> i < rendered_slots - 1) (Atomic.get rendered)
-      in
-      Atomic.set rendered ((s, text) :: kept);
-      text
 
 (* --- /infer --- *)
 

@@ -184,7 +184,9 @@ val shape_string : Fsdata_core.Shape.t -> string
 (** The paper notation of a shape, as every response renders it:
     byte-identical to [Fmt.str "%a" Shape.pp], and rendered once for a
     shape that is physically one of the few most recently rendered (a
-    stream's hash-consed shape across pushes that do not grow it). *)
+    stream's hash-consed shape across pushes that do not grow it). The
+    memo also keeps the text's escaped JSON literal, which response
+    bodies copy instead of escaping the text again. *)
 
 val handle :
   ?cancel:Fsdata_data.Cancel.t ->

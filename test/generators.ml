@@ -8,6 +8,7 @@
 
 module Dv = Fsdata_data.Data_value
 module Shape = Fsdata_core.Shape
+module Multiplicity = Fsdata_core.Multiplicity
 open QCheck2
 
 let field_names = [ "a"; "b"; "c"; "name"; "age"; "value"; "temp" ]
@@ -174,6 +175,181 @@ let gen_record_pair : (Shape.record * Shape.record) Gen.t =
   in
   let* name = oneofl record_names in
   return ({ Shape.name; fields = left }, { Shape.name; fields = right })
+
+(* Accumulator / batch pairs for the absorption check (does csh σ δ
+   leave σ as it is?). σ is a record of up to a dozen fields drawn from
+   every shape kind — the Section 6.2 primitives, nullables, labelled
+   tops, homogeneous and heterogeneous collections, nested records of the
+   same or another name. δ is derived from σ the way a batch that adds
+   nothing looks: a subset of σ's fields, shuffled or not, each kept
+   equal, narrowed (bit0 under int, a stripped nullable, a label of a
+   top, a sub-record), or replaced by ⊥ or null. A third of the pairs
+   then take one edit that usually makes δ grow σ: a non-nullable field
+   dropped, a field added, a primitive widened, the record renamed. *)
+
+let prim p = Shape.Primitive p
+
+let gen_absorb_leaf =
+  Gen.oneofl
+    Shape.
+      [
+        Bottom;
+        Null;
+        prim Bit0;
+        prim Bit1;
+        prim Bit;
+        prim Bool;
+        prim Int;
+        prim Float;
+        prim String;
+        prim Date;
+        Nullable (prim Int);
+        Nullable (prim String);
+        any;
+        top [ prim Int; prim String ];
+        Collection [];
+        collection (prim Int);
+        collection (Nullable (prim Int));
+        hetero [ (prim Int, Multiplicity.Single); (prim String, Multiplicity.Multiple) ];
+        hetero [ (prim Bool, Multiplicity.Optional_single) ];
+      ]
+
+let absorb_field_names = List.init 12 (Printf.sprintf "f%d")
+
+let gen_absorb_record_sized : Shape.t Gen.sized =
+  let open Gen in
+  fix (fun self size ->
+      let value =
+        if size <= 1 then gen_absorb_leaf
+        else
+          frequency
+            [
+              (6, gen_absorb_leaf);
+              (1, self (size / 3));
+              (1, map Shape.nullable (self (size / 3)));
+              (1, map Shape.collection (self (size / 3)));
+            ]
+      in
+      let* n = int_bound (List.length absorb_field_names) in
+      let names = List.filteri (fun i _ -> i < n) absorb_field_names in
+      let* values = flatten_l (List.map (fun _ -> value) names) in
+      let* name = frequency [ (3, return "row"); (1, oneofl record_names) ] in
+      return (Shape.record name (List.combine names values)))
+
+(* narrower primitives within the same tag (so collection entries keep
+   their tags), and across tags *)
+let narrower_in_tag = function
+  | Shape.Int -> Shape.[ Bit0; Bit1; Bit ]
+  | Float -> [ Int; Bit0 ]
+  | Bit -> [ Bit0; Bit1 ]
+  | _ -> []
+
+let narrower p =
+  narrower_in_tag p
+  @ match p with Shape.Bool -> Shape.[ Bit; Bit1 ] | String -> [ Date ] | _ -> []
+
+let rec gen_narrowed (s : Shape.t) : Shape.t Gen.t =
+  let open Gen in
+  match s with
+  | Primitive p -> oneofl (List.map prim (p :: narrower p))
+  | Nullable a -> oneof [ gen_narrowed a; map Shape.nullable (gen_narrowed a) ]
+  | Record r -> gen_sub_record r
+  | Top labels ->
+      let fewer = match labels with [] -> [] | _ :: rest -> rest in
+      oneofl (s :: Shape.top fewer :: Shape.Null :: labels)
+  | Collection [] -> return s
+  | Collection entries ->
+      let entry (e : Shape.entry) =
+        let* shape =
+          match e.shape with
+          | Primitive p -> oneofl (List.map prim (p :: narrower_in_tag p))
+          | Record r -> gen_sub_record r
+          | shape -> return shape
+        in
+        let* mult =
+          match e.mult with
+          | Multiple -> oneofl Multiplicity.[ Multiple; Optional_single; Single ]
+          | Optional_single -> oneofl Multiplicity.[ Optional_single; Single ]
+          | Single -> return Multiplicity.Single
+        in
+        let* keep = frequency [ (4, return true); (1, return false) ] in
+        return (if keep then [ (shape, mult) ] else [])
+      in
+      let* kept = flatten_l (List.map entry entries) in
+      frequency
+        [ (3, return (Shape.hetero (List.concat kept))); (1, return (Shape.Collection [])) ]
+  | Bottom | Null -> return s
+
+(* a batch of [r]'s fields that adds nothing to it (mostly) *)
+and gen_sub_record (r : Shape.record) : Shape.t Gen.t =
+  let open Gen in
+  (* a field that an absence or a null would change is rarely dropped or
+     nulled here; the near misses do that on purpose *)
+  let field (name, s) =
+    let drop = if Shape.is_non_nullable s || s = Shape.Bottom then 1 else 6 in
+    frequency
+      [
+        (10, return [ (name, s) ]);
+        (10, map (fun d -> [ (name, d) ]) (gen_narrowed s));
+        (2, return [ (name, Shape.Bottom) ]);
+        (drop, return [ (name, Shape.Null) ]);
+        (drop, return []);
+      ]
+  in
+  let* fields = map List.concat (flatten_l (List.map field r.fields)) in
+  let* fields = frequency [ (3, return fields); (1, shuffle_l fields) ] in
+  return (Shape.record r.name fields)
+
+let widen = function
+  | Shape.Bit0 | Bit1 -> Shape.Int
+  | Bit -> Bool
+  | Int -> Float
+  | Float | Date -> String
+  | Bool | String -> Int
+
+(* one edit that (usually) makes [delta] grow [sigma] *)
+let gen_near_miss (sigma : Shape.record) (delta : Shape.record) =
+  let open Gen in
+  let required =
+    List.filter
+      (fun (n, s) -> Shape.is_non_nullable s && List.mem_assoc n delta.fields)
+      sigma.fields
+  in
+  let prims =
+    List.filter_map
+      (function n, Shape.Primitive p -> Some (n, p) | _ -> None)
+      delta.fields
+  in
+  let set n s = List.map (fun (m, d) -> if m = n then (m, s) else (m, d)) in
+  oneof
+    ((if required = [] then []
+      else
+        [
+          (let* n, _ = oneofl required in
+           return (List.remove_assoc n delta.fields, delta.name));
+        ])
+    @ (if prims = [] then []
+       else
+         [
+           (let* n, p = oneofl prims in
+            return (set n (prim (widen p)) delta.fields, delta.name));
+         ])
+    @ [
+        (let* s = gen_absorb_leaf in
+         return (delta.fields @ [ ("extra", s) ], delta.name));
+        (let* name = oneofl (List.filter (( <> ) delta.name) ("row" :: record_names)) in
+         return (delta.fields, name));
+      ])
+  |> map (fun (fields, name) -> Shape.record name fields)
+
+let gen_absorb_pair : (Shape.t * Shape.t) Gen.t =
+  let open Gen in
+  let* sigma = sized_size (int_range 1 12) gen_absorb_record_sized in
+  let r = match sigma with Shape.Record r -> r | _ -> assert false in
+  let* delta = gen_sub_record r in
+  let d = match delta with Shape.Record d -> d | _ -> assert false in
+  let* delta = frequency [ (2, return delta); (1, gen_near_miss r d) ] in
+  return (sigma, delta)
 
 let print_data = Dv.to_string
 let print_shape = Shape.to_string

@@ -3,7 +3,9 @@
    before it, and every lookahead went through the boxed [peek]. Kept
    verbatim (minus its metrics and trace span) as the oracle for the
    differential properties in test_json.ml: the production parser must
-   produce the same values, diagnostics and skipped texts. *)
+   produce the same values, diagnostics and skipped texts. The string
+   escaper at the end is likewise the per-character one the printer used
+   before it copied clean runs whole. *)
 
 open Fsdata_data
 
@@ -442,3 +444,23 @@ let fold_many ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_erro
     end
   in
   loop acc [] 0 0 0
+
+(* ----- Printing ----- *)
+
+let escape_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'

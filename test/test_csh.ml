@@ -316,6 +316,72 @@ let prop_record_merge_matches_oracle =
       String.equal (Shape.to_string merged) (Shape.to_string expected)
       && n = n_oracle)
 
+(* ----- absorption: deciding csh σ δ = σ without the join ----- *)
+
+let prop_absorbs_decides_equality =
+  QCheck2.Test.make
+    ~name:"absorbs \xcf\x83 \xce\xb4 iff csh \xcf\x83 \xce\xb4 = \xcf\x83, all modes, plain and indexed"
+    ~count:1500
+    ~print:(fun (s, d) -> print_shape s ^ " / " ^ print_shape d)
+    gen_absorb_pair
+    (fun (s, d) ->
+      let idx = Csh.index s in
+      List.for_all
+        (fun mode ->
+          let expected = Shape.equal (Csh.csh ~mode s d) s in
+          Csh.absorbs ~mode s d = expected
+          && Csh.absorbs_indexed ~mode idx d = expected)
+        [ `Core; `Hetero; `Xml ])
+
+(* the same over arbitrary core shapes, records or not, and over pairs
+   whose right side is derived from the left *)
+let prop_absorbs_core_shapes =
+  QCheck2.Test.make ~name:"absorbs decides csh equality on core shapes"
+    ~count:800
+    ~print:(fun (s, d) -> print_shape s ^ " / " ^ print_shape d)
+    QCheck2.Gen.(
+      oneof
+        [
+          pair gen_core_shape gen_core_shape;
+          (gen_core_shape >>= fun s -> map (fun d -> (s, d)) (gen_narrowed s));
+        ])
+    (fun (s, d) ->
+      List.for_all
+        (fun mode ->
+          let expected = Shape.equal (Csh.csh ~mode s d) s in
+          Csh.absorbs ~mode s d = expected
+          && Csh.absorbs_indexed ~mode (Csh.index s) d = expected)
+        [ `Core; `Hetero; `Xml ])
+
+let test_absorbs_examples () =
+  let r fields = Shape.record "row" fields in
+  let sigma =
+    r [ ("a", int_); ("b", Shape.Nullable string_); ("c", Shape.any) ]
+  in
+  let yes name d = check Alcotest.bool name true (Csh.absorbs sigma d) in
+  let no name d = check Alcotest.bool name false (Csh.absorbs sigma d) in
+  yes "itself" sigma;
+  yes "bottom" Shape.Bottom;
+  yes "bit0 under int, nullable fields absent" (r [ ("a", bit0) ]);
+  yes "stripped nullable, shuffled" (r [ ("b", string_); ("a", int_) ]);
+  no "required field absent" (r [ ("b", string_) ]);
+  no "unknown field" (r [ ("a", int_); ("z", int_) ]);
+  no "widened primitive" (r [ ("a", float_) ]);
+  no "other record name" (Shape.record "col" [ ("a", int_) ]);
+  no "null" Shape.Null;
+  let idx = Csh.index sigma in
+  check Alcotest.bool "the index remembers its shape" true
+    (Csh.indexed idx == sigma);
+  check Alcotest.bool "indexed agrees" true
+    (Csh.absorbs_indexed idx (r [ ("a", bit1); ("c", Shape.Null) ]));
+  check Alcotest.bool "a top's labels grow" false
+    (Csh.absorbs_indexed idx (r [ ("a", int_); ("c", bool_) ]));
+  let merges, n =
+    counting_merges (fun () -> Csh.absorbs_indexed idx (r [ ("a", bit0) ]))
+  in
+  check Alcotest.bool "absorbed" true merges;
+  check Alcotest.int "an absorbed record batch performs no merge" 0 n
+
 let suite =
   [
     tc "rule (eq)" `Quick test_rule_eq;
@@ -339,4 +405,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_associative_up_to_equiv;
     QCheck_alcotest.to_alcotest prop_monotone_join;
     QCheck_alcotest.to_alcotest prop_record_merge_matches_oracle;
+    tc "absorbs: examples" `Quick test_absorbs_examples;
+    QCheck_alcotest.to_alcotest prop_absorbs_decides_equality;
+    QCheck_alcotest.to_alcotest prop_absorbs_core_shapes;
   ]

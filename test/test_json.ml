@@ -318,6 +318,45 @@ let prop_fold_many_matches_oracle =
       | Error x, Error y -> String.equal x y
       | _ -> false)
 
+(* ----- Differential: string escaping against the per-character oracle ----- *)
+
+(* Strings built from segments that each stress one branch of the
+   escaper: control bytes, the quote and the backslash, multi-byte UTF-8
+   and raw high bytes, DEL, and clean runs long enough to be copied
+   whole. *)
+let gen_escapable =
+  let open QCheck2.Gen in
+  let segment =
+    frequency
+      [
+        (3, map (String.make 1) (map Char.chr (int_range 0x00 0x1F)));
+        (2, oneofl [ "\""; "\\"; "\\\""; "\"\"" ]);
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e"; "\x7f"; "\xff" ]);
+        (2, string_size ~gen:printable (int_range 1 8));
+        (1, map (fun n -> String.make n 'x') (int_range 64 4096));
+        (1, return "");
+      ]
+  in
+  frequency
+    [
+      (1, return "");
+      (8, map (String.concat "") (list_size (int_range 1 12) segment));
+    ]
+
+let oracle_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  Oracle.escape_string b s;
+  Buffer.contents b
+
+let prop_escape_matches_oracle =
+  QCheck2.Test.make ~count:600
+    ~name:"to_string: strings and keys escape as the per-character oracle"
+    ~print:(Printf.sprintf "%S") gen_escapable (fun s ->
+      String.equal (Json.to_string (Dv.String s)) (oracle_escape s)
+      && String.equal
+           (Json.to_string (Dv.Record (Dv.json_record_name, [ (s, Dv.String s) ])))
+           ("{" ^ oracle_escape s ^ ":" ^ oracle_escape s ^ "}"))
+
 let suite =
   [
     tc "literals" `Quick test_literals;
@@ -353,6 +392,7 @@ let suite =
       test_duplicate_key_position;
     QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
     QCheck_alcotest.to_alcotest prop_fold_many_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_escape_matches_oracle;
   ]
 
 let test_depth_guard () =

@@ -351,6 +351,139 @@ let growth_is_monotone =
         deltas;
       true)
 
+(* ----- the absorption fast path against the reference fold ----- *)
+
+(* The push record as docs/REGISTRY.md lays it out (tag 1, u16 stream
+   name, i64 seq, i64 document count, u32-prefixed shape in paper
+   notation), framed as Wal.frame frames it. A push's WAL bytes depend
+   on its delta alone, never on whether the stream absorbed it. *)
+let push_record ~name ~seq delta =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '\001';
+  Buffer.add_int16_le b (String.length name);
+  Buffer.add_string b name;
+  Buffer.add_int64_le b (Int64.of_int seq);
+  Buffer.add_int64_le b 1L;
+  let text = Shape.to_string delta in
+  Buffer.add_int32_le b (Int32.of_int (String.length text));
+  Buffer.add_string b text;
+  Wal.frame (Buffer.contents b)
+
+(* the reference fold, with its history as the registry records it *)
+let reference_states deltas =
+  let _, states =
+    List.fold_left
+      (fun ((shape, version, history), acc) (seq, delta) ->
+        let merged = Csh.csh shape delta in
+        let state =
+          if Shape.equal merged shape then (shape, version, history)
+          else (merged, version + 1, history @ [ (version + 1, seq, merged) ])
+        in
+        (state, state :: acc))
+      ((Shape.Bottom, 0, []), [])
+      (List.mapi (fun i d -> (i + 1, d)) deltas)
+  in
+  List.rev states
+
+let render_state (shape, version, history) =
+  String.concat "\n"
+    (Printf.sprintf "v%d %s" version (Shape.to_string shape)
+    :: List.map
+         (fun (v, seq, s) -> Printf.sprintf "  %d@%d %s" v seq (Shape.to_string s))
+         history)
+
+let stream_state (st : Registry.stream) =
+  (st.Registry.shape, st.Registry.version, st.Registry.history)
+
+(* σ first, then batches derived from it — mostly absorbed, some one
+   edit away from it — so growing and absorbed pushes interleave, and
+   runs of absorbed ones build and use the field index *)
+let gen_absorb_pushes =
+  let open Gen in
+  let* sigma, first = Generators.gen_absorb_pair in
+  let r = match sigma with Shape.Record r -> r | _ -> assert false in
+  let* rest =
+    list_size (int_range 1 10)
+      (let* delta = Generators.gen_sub_record r in
+       let d = match delta with Shape.Record d -> d | _ -> assert false in
+       frequency [ (3, return delta); (1, Generators.gen_near_miss r d) ])
+  in
+  let* split = int_bound (List.length rest + 1) in
+  return (sigma :: first :: rest, split + 1)
+
+(* The first push against a shape merges; from the second on the field
+   index answers, so an absorbed batch merges nothing and leaves the
+   shape physically in place. *)
+let test_absorbed_push_skips_merge () =
+  let module M = Fsdata_obs.Metrics in
+  let merges = M.counter "csh.merges" in
+  let enabled = M.enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled enabled) @@ fun () ->
+  let t = Registry.open_ ~dir:None () in
+  let sigma = (Registry.push t ~stream:"s" (sh "{a: int, b: nullable string, c: bool}")).Registry.shape in
+  let batch = sh "{a: bit0, c: bool}" in
+  let merging d =
+    let before = M.value merges in
+    let st = Registry.push t ~stream:"s" d in
+    (st, M.value merges - before)
+  in
+  let st, _ = merging batch in
+  check Alcotest.bool "first absorbed push keeps the shape" true
+    (st.Registry.shape == sigma);
+  let st, n = merging batch in
+  check Alcotest.int "indexed absorbed push merges nothing" 0 n;
+  check Alcotest.bool "and keeps the shape physically" true
+    (st.Registry.shape == sigma);
+  check Alcotest.int "no bump" 1 st.Registry.version;
+  check Alcotest.int "tallied" 3 st.Registry.pushes;
+  let st, n = merging (sh "{a: int, d: int}") in
+  check Alcotest.bool "a growing push merges" true (n > 0);
+  check Alcotest.int "and bumps" 2 st.Registry.version
+
+let absorbed_pushes_match_fold =
+  QCheck2.Test.make ~count:300
+    ~name:"absorbed and growing pushes: bytes, versions, history and WAL = csh fold"
+    ~print:(fun (ds, split) ->
+      Printf.sprintf "split after %d: %s" split
+        (String.concat " ; " (List.map Shape.to_string ds)))
+    gen_absorb_pushes
+    (fun (deltas, split) ->
+      with_dir @@ fun dir ->
+      let expected = reference_states deltas in
+      let open_ () =
+        Registry.open_ ~fsync:`Never ~snapshot_every:max_int ~dir:(Some dir) ()
+      in
+      let same what i st =
+        let want = render_state (List.nth expected i)
+        and got = render_state (stream_state st) in
+        if want <> got then
+          QCheck2.Test.fail_reportf "%s, push %d:\nwant %s\ngot  %s" what (i + 1)
+            want got
+      in
+      (* live pushes, with a close/reopen after the first [split] *)
+      let t = ref (open_ ()) in
+      List.iteri
+        (fun i d ->
+          if i = split then begin
+            Registry.close !t;
+            t := open_ ();
+            same "reopened" (i - 1) (find_exn !t "s")
+          end;
+          same "live" i (Registry.push !t ~stream:"s" d))
+        deltas;
+      Registry.close !t;
+      let wal = In_channel.with_open_bin (Filename.concat dir "wal.log") In_channel.input_all in
+      let want_wal =
+        String.concat ""
+          (List.mapi (fun i d -> push_record ~name:"s" ~seq:(i + 1) d) deltas)
+      in
+      if wal <> want_wal then QCheck2.Test.fail_report "WAL bytes differ";
+      let t = open_ () in
+      same "recovered" (List.length deltas - 1) (find_exn t "s");
+      Registry.close t;
+      true)
+
 let suite =
   [
     tc "fresh stream: first push is version 1" `Quick test_fresh_stream;
@@ -373,4 +506,6 @@ let suite =
     tc "stream history is a bounded window" `Quick test_history_is_bounded;
     QCheck_alcotest.to_alcotest replay_equals_fold;
     QCheck_alcotest.to_alcotest growth_is_monotone;
+    tc "an absorbed push skips the merge" `Quick test_absorbed_push_skips_merge;
+    QCheck_alcotest.to_alcotest absorbed_pushes_match_fold;
   ]
