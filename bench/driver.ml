@@ -11,8 +11,9 @@
 
    Usage: driver.exe [--smoke] [group ...]   (default: every group)
 
-   Exit status is the first failing group's, so smoke assertions keep
-   their teeth under `dune runtest`. *)
+   Every named group runs, even after one fails; the exit status is the
+   first failing group's, so smoke assertions keep their teeth under
+   `dune runtest` and one failure does not hide the others. *)
 
 (* Must track bench/main.ml's group table; an unknown name fails the run
    (main.exe exits 1 listing what is available). *)
@@ -20,7 +21,7 @@ let default_groups =
   [
     "fig1"; "fig2"; "loc"; "infer"; "parse"; "access"; "shape"; "provider";
     "par"; "faults"; "obs"; "hetero"; "serve"; "compile"; "loadgen";
-    "registry";
+    "registry"; "query"; "evolve";
   ]
 
 let () =
@@ -34,18 +35,25 @@ let () =
     Printf.eprintf "driver: %s not found (build bench/main.exe first)\n" main;
     exit 1
   end;
-  List.iter
-    (fun group ->
-      let argv = Array.of_list ((main :: flags) @ [ group ]) in
-      let pid =
-        Unix.create_process main argv Unix.stdin Unix.stdout Unix.stderr
-      in
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, Unix.WEXITED code ->
-          Printf.eprintf "driver: group %s exited with %d\n" group code;
-          exit code
-      | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
-          Printf.eprintf "driver: group %s killed by signal %d\n" group s;
-          exit 1)
-    names
+  let run group =
+    let argv = Array.of_list ((main :: flags) @ [ group ]) in
+    let pid =
+      Unix.create_process main argv Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> 0
+    | _, Unix.WEXITED code ->
+        Printf.eprintf "driver: group %s exited with %d\n%!" group code;
+        code
+    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+        Printf.eprintf "driver: group %s killed by signal %d\n%!" group s;
+        1
+  in
+  let first_failure =
+    List.fold_left
+      (fun status group ->
+        let code = run group in
+        if status = 0 then code else status)
+      0 names
+  in
+  exit first_failure

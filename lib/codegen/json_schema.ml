@@ -11,8 +11,12 @@ let rec schema (s : Shape.t) : Dv.t =
   | Bottom -> Dv.Bool false (* rejects everything: nothing was observed *)
   | Null -> typ "null"
   | Primitive p -> primitive p
-  | Nullable inner ->
-      obj [ ("anyOf", Dv.List [ schema inner; typ "null" ]) ]
+  | Nullable inner -> (
+      match schema inner with
+      | Dv.Record (_, [ ("enum", Dv.List cases) ]) ->
+          (* a nullable enum is the enum with null *)
+          obj [ ("enum", Dv.List (cases @ [ Dv.Null ])) ]
+      | s -> obj [ ("anyOf", Dv.List [ s; typ "null" ]) ])
   | Record { fields; _ } ->
       let required =
         List.filter_map
@@ -43,13 +47,13 @@ let rec schema (s : Shape.t) : Dv.t =
 
 and primitive (p : Shape.primitive) : Dv.t =
   match p with
-  | Shape.Bool -> typ "boolean"
   | Shape.Int -> typ "integer"
   | Shape.Float -> typ "number"
   | Shape.String -> typ "string"
   | Shape.Bit0 -> obj [ ("enum", Dv.List [ Dv.Int 0 ]) ]
   | Shape.Bit1 -> obj [ ("enum", Dv.List [ Dv.Int 1 ]) ]
-  | Shape.Bit ->
+  | Shape.Bit | Shape.Bool ->
+      (* bit ⊔ bool = bool: data read as bool includes the 0/1 literals *)
       obj [ ("enum", Dv.List [ Dv.Int 0; Dv.Int 1; Dv.Bool false; Dv.Bool true ]) ]
   | Shape.Date -> obj [ ("type", str "string"); ("format", str "date-time") ]
 

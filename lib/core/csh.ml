@@ -258,31 +258,75 @@ let absent_ok = function
         entries
   | Bottom | Primitive _ | Record _ -> false
 
+(* The index of a shape for repeated absorption queries: every record
+   of σ reachable through records and nullable records gets its own
+   field table, so a query walks δ through the tables and builds none.
+   [met] is the number of the parent record's walk that last met this
+   field. *)
 type index =
   | Fields_of of {
       sigma : Shape.t;
       name : string;
-      fields : (string, Shape.t) Hashtbl.t;
+      fields : (string, index) Hashtbl.t;
       required : int;  (* fields that an absence would change *)
+      mutable walks : int;
+      mutable met : int;
     }
-  | Whole of Shape.t
+  | Payload_of of { sigma : Shape.t; payload : index; mutable met : int }
+      (* σ = nullable ρ for a record ρ; [payload] indexes ρ *)
+  | Whole of { sigma : Shape.t; mutable met : int }
 
-let index = function
-  | Record r as sigma ->
+let rec index sigma =
+  match sigma with
+  | Record r ->
       let fields = Hashtbl.create (List.length r.fields) in
       let required =
         List.fold_left
           (fun n (name, f) ->
-            Hashtbl.replace fields name f;
+            Hashtbl.replace fields name (index f);
             if absent_ok f then n else n + 1)
           0 r.fields
       in
-      Fields_of { sigma; name = r.name; fields; required }
-  | sigma -> Whole sigma
+      Fields_of { sigma; name = r.name; fields; required; walks = 0; met = 0 }
+  | Nullable (Record _ as r) -> Payload_of { sigma; payload = index r; met = 0 }
+  | sigma -> Whole { sigma; met = 0 }
 
-let indexed = function Fields_of { sigma; _ } | Whole sigma -> sigma
+let indexed = function
+  | Fields_of { sigma; _ } | Payload_of { sigma; _ } | Whole { sigma; _ } -> sigma
 
-let rec absorbs ?(mode : mode = `Hetero) s d =
+(* Stamp [idx] as met by walk [walk]; false if that walk already met it. *)
+let first_meeting idx walk =
+  match idx with
+  | Fields_of f -> f.met <> walk && (f.met <- walk; true)
+  | Payload_of p -> p.met <> walk && (p.met <- walk; true)
+  | Whole w -> w.met <> walk && (w.met <- walk; true)
+
+(* A record named [name] with [fields] is absorbed when every field is
+   one of σ's and absorbed there, and every field of σ that an absence
+   would change is among them. Each walk stamps the fields it meets, so
+   a name repeated in [fields] (which a data record may carry, and S
+   rejects) fails the walk; with names unique, counting the required
+   fields met suffices. *)
+let rec absorbs_record idx name fields absorbs_field =
+  match idx with
+  | Payload_of { payload; _ } -> absorbs_record payload name fields absorbs_field
+  | Fields_of f when String.equal f.name name ->
+      f.walks <- f.walks + 1;
+      let walk = f.walks in
+      let rec go hits = function
+        | [] -> hits = f.required
+        | (name, x) :: rest -> (
+            match Hashtbl.find f.fields name with
+            | field ->
+                first_meeting field walk
+                && absorbs_field field x
+                && go (if absent_ok (indexed field) then hits else hits + 1) rest
+            | exception Not_found -> false)
+      in
+      go 0 fields
+  | Fields_of _ | Whole _ -> false
+
+let rec absorbs_shape ~mode s d =
   s == d
   ||
   match (s, d) with
@@ -290,27 +334,28 @@ let rec absorbs ?(mode : mode = `Hetero) s d =
   | _, Null -> absent_ok s
   | (Bottom | Null), _ -> false
   | Primitive p, Primitive q -> join_primitives p q = Some p
-  | Record _, Record _ -> absorbs_indexed ~mode (index s) d
+  | Record _, Record _ -> absorbs_at ~mode (index s) d
   | (Primitive _ | Record _), _ -> false
-  | Nullable a, (Nullable d | d) -> absorbs ~mode a d
+  | Nullable a, (Nullable d | d) -> absorbs_shape ~mode a d
   | (Collection _ | Top _), _ -> Shape.equal (csh ~mode s d) s
 
-(* A same-named record is absorbed when every field of δ is one of σ's
-   and absorbed there, and every field of σ that an absence would change
-   is in δ. Field names are unique, so counting the required fields δ
-   hits suffices. *)
-and absorbs_indexed ?(mode : mode = `Hetero) idx d =
-  match (idx, d) with
-  | Fields_of f, Record r when String.equal f.name r.name ->
-      let rec go hits = function
-        | [] -> hits = f.required
-        | (name, d) :: rest -> (
-            match Hashtbl.find_opt f.fields name with
-            | None -> false
-            | Some s ->
-                absorbs ~mode s d
-                && go (if absent_ok s then hits else hits + 1) rest)
-      in
-      go 0 r.fields
-  | Fields_of _, Record _ -> false
-  | _ -> absorbs ~mode (indexed idx) d
+and absorbs_at ~mode idx d =
+  match idx with
+  | Whole { sigma; _ } -> absorbs_shape ~mode sigma d
+  | Fields_of { sigma; _ } | Payload_of { sigma; _ } -> (
+      sigma == d
+      ||
+      match d with
+      | Bottom -> true
+      | Null -> absent_ok sigma
+      | Record r -> absorbs_fields ~mode idx r
+      | Nullable (Record r) -> (
+          (* a record σ joined with a nullable δ becomes nullable *)
+          match idx with Payload_of _ -> absorbs_fields ~mode idx r | _ -> false)
+      | _ -> false)
+
+and absorbs_fields ~mode idx (r : record) =
+  absorbs_record idx r.name r.fields (fun idx d -> absorbs_at ~mode idx d)
+
+let absorbs ?(mode : mode = `Hetero) s d = absorbs_shape ~mode s d
+let absorbs_indexed ?(mode : mode = `Hetero) idx d = absorbs_at ~mode idx d

@@ -70,7 +70,8 @@ val join_primitives : Shape.primitive -> Shape.primitive -> Shape.primitive opti
     Lemma 1 makes [csh] the least upper bound, so a shape already below
     the accumulator leaves it as it is. Deciding that without building
     the join lets a fold skip the work for the common case of a sample
-    that adds nothing (the registry's pushes, docs/REGISTRY.md). *)
+    that adds nothing: the registry's pushes (docs/REGISTRY.md) and the
+    inference fold ([Infer.shape_of_samples]). *)
 
 val absorbs : ?mode:mode -> Shape.t -> Shape.t -> bool
 (** [absorbs ~mode sigma delta] is exactly
@@ -84,18 +85,32 @@ val absorbs : ?mode:mode -> Shape.t -> Shape.t -> bool
     [csh.merges] except in that fallback. *)
 
 type index
-(** A shape prepared for repeated {!absorbs_indexed} queries: for a
-    record, its fields by name and the count of fields that an absent
-    value would change. *)
+(** A shape prepared for repeated {!absorbs_indexed} queries: every
+    record of the shape reachable through record fields and nullable
+    records gets a table of its fields by name and the count of fields
+    that an absent value would change. Queries stamp the fields they
+    meet, so an index must not be queried from two domains at once. *)
 
 val index : Shape.t -> index
-(** O(|fields|) for a record, O(1) otherwise. *)
+(** O(|shape|): one table per indexed record. *)
 
 val indexed : index -> Shape.t
 (** The shape the index was built from (physically). *)
 
 val absorbs_indexed : ?mode:mode -> index -> Shape.t -> bool
 (** [absorbs_indexed ~mode (index sigma) delta = absorbs ~mode sigma delta].
-    For a record [sigma] and a same-named record [delta] it costs
-    O(|delta|) lookups plus the field-wise checks, however wide
-    [sigma] is; anything else is {!absorbs}. *)
+    Records are checked through the index's tables at every depth: a
+    record costs O(|its fields in delta|) lookups plus the field-wise
+    checks, however wide its counterpart in [sigma] is. Collections and
+    tops fall back to {!absorbs} on that subtree. *)
+
+val absorbs_record :
+  index -> string -> (string * 'a) list -> (index -> 'a -> bool) -> bool
+(** [absorbs_record idx name fields absorbs_field] is the record step of
+    {!absorbs_indexed}, generic in what a field holds so that a data
+    record can be checked without computing its shape: for an index of
+    a record named [name] (or of that record made nullable) it holds
+    when every field names a distinct field of the record and
+    [absorbs_field] accepts it against that field's index, and every
+    field that an absent value would change is named. [false] for an
+    index of any other shape. *)

@@ -26,6 +26,28 @@ let classify_string s : Shape.t =
   | Primitive.Hint_date -> Primitive Date
   | Primitive.Hint_string -> Primitive String
 
+let csh_mode : mode -> Csh.mode = function
+  | `Paper -> `Core
+  | `Practical -> `Hetero
+  | `Xml -> `Xml
+
+let is_paper : mode -> bool = function `Paper -> true | `Practical | `Xml -> false
+
+(* Field order included, unlike [Shape.equal]; shapes hold no floats or
+   closures, and [compare] skips physically shared subtrees. [Shape.equal]
+   goes first because it tells records of different widths apart at
+   once, and most merges that change σ add a field. *)
+let same_representation (a : Shape.t) b =
+  a == b || (Shape.equal a b && compare a b = 0)
+
+(* The accumulator of the S(d1, ..., dn) fold (see infer.mli): σ, and
+   its index once a merge has left σ as it was. *)
+type fold = { mutable shape : Shape.t; mutable index : Csh.index option }
+
+(* A group of same-tag elements of a collection (Section 6.4): its fold,
+   its element count, and the position of its latest element. *)
+type group = { tag : Tag.t; fold : fold; mutable count : int; mutable last : int }
+
 let rec shape_of_value ?(mode : mode = `Practical) (d : Data_value.t) : Shape.t =
   match d with
   | Null -> Null
@@ -42,30 +64,47 @@ let rec shape_of_value ?(mode : mode = `Practical) (d : Data_value.t) : Shape.t 
         (List.map (fun (n, v) -> (n, shape_of_value ~mode v)) fields)
 
 and infer_collection ~mode ds =
-  let shapes = List.map (fun d -> shape_of_value ~mode d) ds in
   match mode with
   | `Paper ->
       (* Figure 3: S([d1; ...; dn]) = [S(d1, ..., dn)] *)
-      Shape.collection (Csh.csh_all ~mode:`Core shapes)
+      Shape.collection (fold_samples ~mode ds)
   | (`Practical | `Xml) as mode ->
       (* Section 6.4: group element shapes by tag; per tag, join shapes
          and record the observed multiplicity. Element shapes produced by
          S are never nullable or tops, so same-tag joins preserve the tag
-         and a single grouping pass suffices. *)
-      let cmode = csh_mode mode in
-      let groups : (Tag.t * (Shape.t * int)) list ref = ref [] in
-      List.iter
-        (fun s ->
-          let t = Shape.tagof s in
-          match List.assoc_opt t !groups with
-          | Some (s0, n) ->
+         and a single grouping pass suffices. A record or a collection
+         is tagged without computing its shape, so that its group's fold
+         can skip it when absorbed; a literal's shape is its tag. *)
+      let groups = ref [] in
+      List.iteri
+        (fun i (d : Data_value.t) ->
+          let tag, shape =
+            match d with
+            | Record (name, _) -> (Tag.Record name, None)
+            | List _ -> (Tag.Collection, None)
+            | _ ->
+                let s = shape_of_value ~mode d in
+                (Shape.tagof s, Some s)
+          in
+          match List.find_opt (fun g -> Tag.equal g.tag tag) !groups with
+          | Some g -> (
+              g.count <- g.count + 1;
+              g.last <- i;
+              match shape with
+              | Some s -> merge ~mode g.fold s
+              | None -> fold_value ~mode g.fold d)
+          | None ->
+              let shape =
+                match shape with Some s -> s | None -> shape_of_value ~mode d
+              in
               groups :=
-                (t, (Csh.csh ~mode:cmode s0 s, n + 1))
-                :: List.remove_assoc t !groups
-          | None -> groups := (t, (s, 1)) :: !groups)
-        shapes;
+                { tag; fold = { shape; index = None }; count = 1; last = i }
+                :: !groups)
+        ds;
+      (* groups in the order of their latest element *)
       let pairs =
-        List.rev_map (fun (_, (s, n)) -> (s, Multiplicity.of_count n)) !groups
+        List.sort (fun g h -> Int.compare g.last h.last) !groups
+        |> List.map (fun g -> (g.fold.shape, Multiplicity.of_count g.count))
       in
       let pairs =
         match (mode, pairs) with
@@ -73,23 +112,69 @@ and infer_collection ~mode ds =
             (* Section 2.2: several element kinds under one parent join
                into a single labelled-top entry — the Element type with
                optional members — rather than per-tag accessors. *)
-            let shape = Csh.csh_all ~mode:cmode (List.map fst pairs) in
+            let shape = Csh.csh_all ~mode:(csh_mode mode) (List.map fst pairs) in
             (* at least two element kinds means at least two elements *)
             [ (shape, Multiplicity.Multiple) ]
         | _ -> pairs
       in
       if pairs = [] then Shape.collection Shape.Bottom else Shape.hetero pairs
 
-and csh_mode : mode -> Csh.mode = function
-  | `Paper -> `Core
-  | `Practical -> `Hetero
-  | `Xml -> `Xml
+(* Whether [csh σ (shape_of_value ~mode d)] is σ, representation
+   included, for σ = [Csh.indexed idx]: walks [d] instead of building
+   its shape (see infer.mli). *)
+and absorbs_value ~mode idx (d : Data_value.t) =
+  match (Csh.indexed idx, d) with
+  | ((Collection _ | Top _) as sigma), _ -> joins_to_itself ~mode sigma d
+  | (Record _ | Nullable _), Record (name, fields) ->
+      Csh.absorbs_record idx name fields (absorbs_value ~mode)
+  | _, (Record _ | List _) -> false
+  (* date ⊔ string = string, so a string σ needs no date parse *)
+  | Primitive String, String s when not (is_paper mode) -> Primitive.is_text s
+  | Nullable (Primitive String), String s when not (is_paper mode) ->
+      Primitive.is_text s || Primitive.is_missing s
+  | _, (Null | Bool _ | Int _ | Float _ | String _) ->
+      (* S of a literal is a constant shape; nothing to build *)
+      Csh.absorbs_indexed ~mode:(csh_mode mode) idx (shape_of_value ~mode d)
+
+(* The fallback for a collection or top on σ's side: the join itself.
+   It is compared by representation, not by [Shape.equal]: csh joins two
+   nullable records right operand first, so a collection can come back
+   equal to σ but with a record's fields reordered, and the fold must
+   then take that order as the S(d)-then-csh fold does. *)
+and joins_to_itself ~mode sigma d =
+  let joined = Csh.csh ~mode:(csh_mode mode) sigma (shape_of_value ~mode d) in
+  same_representation joined sigma
+
+(* One step of the fold: skip [d] when the index says σ absorbs it,
+   otherwise merge S(d). *)
+and fold_value ~mode acc d =
+  match acc.index with
+  | Some idx when absorbs_value ~mode idx d -> ()
+  | _ -> merge ~mode acc (shape_of_value ~mode d)
+
+(* csh is the least upper bound (Lemma 1), so a merge either grows σ or
+   leaves it equal. When it leaves σ as it was σ is kept physically and
+   indexed; otherwise the merge is the new σ and the index goes with
+   the old one. *)
+and merge ~mode acc s =
+  let merged = Csh.csh ~mode:(csh_mode mode) acc.shape s in
+  if not (same_representation merged acc.shape) then begin
+    acc.shape <- merged;
+    acc.index <- None
+  end
+  else if Option.is_none acc.index then acc.index <- Some (Csh.index acc.shape)
+
+and fold_samples ~mode ds =
+  let acc = { shape = Shape.Bottom; index = None } in
+  List.iter (fold_value ~mode acc) ds;
+  acc.shape
+
+let absorbs_value ?(mode : mode = `Practical) idx d = absorbs_value ~mode idx d
 
 let shape_of_samples ?(mode : mode = `Practical) ds =
   Obs_trace.with_span "infer.samples" @@ fun () ->
   if Obs_metrics.enabled () then Obs_metrics.add m_samples (List.length ds);
-  Csh.csh_all ~mode:(csh_mode mode)
-    (List.map (fun d -> shape_of_value ~mode d) ds)
+  fold_samples ~mode ds
 
 (* ----- Fault-tolerant inference ----- *)
 

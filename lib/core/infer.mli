@@ -29,7 +29,46 @@ val shape_of_value : ?mode:mode -> Fsdata_data.Data_value.t -> Shape.t
 (** [S(d)]. Default mode is [`Practical]. *)
 
 val shape_of_samples : ?mode:mode -> Fsdata_data.Data_value.t list -> Shape.t
-(** [S(d1, ..., dn)] — bottom when the list is empty. *)
+(** [S(d1, ..., dn)] — bottom when the list is empty. The result is
+    exactly [Csh.csh_all ~mode:(csh_mode mode) (List.map (shape_of_value
+    ~mode) ds)], representation and field order included, but the fold
+    skips the documents its accumulator σ already absorbs: by Lemma 1
+    [csh] is the least upper bound, so such a document leaves σ as it
+    is, and {!absorbs_value} decides that with a walk of the document,
+    building neither its shape nor the join.
+
+    The index that walk needs ({!Csh.index}) is built lazily, after the
+    first merge that leaves σ as it was. While documents are absorbed σ
+    is kept physically; a document that is not absorbed is merged, and
+    if the merge changes σ the index is dropped with the old σ, until a
+    merge again leaves σ as it is. A corpus whose every document grows
+    σ builds no index. [csh.merges] counts the merges performed, so an
+    absorbed document adds none, except through the collection and top
+    fallback of {!absorbs_value}.
+
+    The same fold infers each per-tag group of a collection (Section
+    6.4) and a paper-mode collection's element, so CSV tables, XML
+    bodies and JSON arrays skip their absorbed elements too. *)
+
+val absorbs_value : ?mode:mode -> Csh.index -> Fsdata_data.Data_value.t -> bool
+(** [absorbs_value ~mode idx d] is exactly whether
+    [Csh.csh ~mode:(csh_mode mode) sigma (shape_of_value ~mode d)] is
+    [sigma] itself, representation included, for
+    [sigma = Csh.indexed idx]. It walks [d]:
+    - a record looks up each of its fields in the table of the matching
+      record of [sigma] and counts the fields that [sigma] requires
+      ({!Csh.absorbs_record}); a record repeating a field name, whose
+      [S] raises, is not absorbed;
+    - a literal is classified in place; against a [string] it only
+      needs {!Fsdata_data.Primitive.is_text}, as [date ⊔ string = string];
+    - a collection or top on [sigma]'s side falls back to the join of
+      [sigma] with [S] of that subtree, which merges.
+
+    Whenever it holds, [Csh.absorbs ~mode:(csh_mode mode) sigma
+    (shape_of_value ~mode d)] holds. The converse fails only where that
+    join is equal to [sigma] up to field order: [csh] joins two nullable
+    records right operand first, which the joins below a collection can
+    meet, and the fold must then take the join's order. *)
 
 val classify_string : string -> Shape.t
 (** The shape a string literal infers to in practical mode. *)

@@ -87,6 +87,15 @@ let classify s =
   else if Date.is_date t then Hint_date
   else Hint_string
 
+(* [parse_float] accepts every literal that [parse_int] does ("0" and "1"
+   among them), so ruling out missing markers, floats and booleans rules
+   out every hint before the date. *)
+let is_text s =
+  let t = String.trim s in
+  (not (is_missing t))
+  && Option.is_none (parse_float t)
+  && Option.is_none (parse_bool t)
+
 let to_value s =
   let t = String.trim s in
   match classify s with

@@ -48,6 +48,11 @@ val classify : string -> hint
     tokenizing date parser runs only on literals that start with a digit
     or a word of month-name length and contain a digit. *)
 
+val is_text : string -> bool
+(** [is_text s] iff [classify s] is [Hint_date] or [Hint_string]: the
+    literals a [string] shape absorbs, since [date ⊔ string = string].
+    It decides that without running the date parser. *)
+
 val to_value : string -> Data_value.t * hint
 (** [to_value s] converts the literal to a data value together with its
     hint: bits and ints become [Int], floats become [Float], booleans

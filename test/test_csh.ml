@@ -382,6 +382,44 @@ let test_absorbs_examples () =
   check Alcotest.bool "absorbed" true merges;
   check Alcotest.int "an absorbed record batch performs no merge" 0 n
 
+(* the index is recursive: nested and nullable nested records are
+   checked through their own tables *)
+let test_absorbs_nested_index () =
+  let inner fields = Shape.record "in" fields in
+  let sigma =
+    Shape.record "row"
+      [
+        ("a", int_);
+        ("r", inner [ ("x", int_); ("y", Shape.Nullable string_) ]);
+        ("o", Shape.Nullable (inner [ ("x", bool_) ]));
+      ]
+  in
+  let idx = Csh.index sigma in
+  let row fields = Shape.record "row" fields in
+  let agree name expected d =
+    check Alcotest.bool name expected (Csh.absorbs_indexed idx d);
+    check Alcotest.bool (name ^ " (plain)") expected (Csh.absorbs sigma d)
+  in
+  agree "nested record absorbed" true
+    (row [ ("a", bit0); ("r", inner [ ("x", int_) ]) ]);
+  agree "nullable nested record absorbed" true
+    (row
+       [ ("a", int_); ("r", inner [ ("x", bit1) ]);
+         ("o", Shape.Nullable (inner [ ("x", bool_) ])) ]);
+  agree "nested required field absent" false
+    (row [ ("a", int_); ("r", inner [ ("y", string_) ]) ]);
+  agree "nested field widens" false
+    (row [ ("a", int_); ("r", inner [ ("x", float_) ]) ]);
+  agree "a nullable record under a record" false
+    (row [ ("a", int_); ("r", Shape.Nullable (inner [ ("x", int_) ])) ]);
+  let _, n =
+    counting_merges (fun () ->
+        Csh.absorbs_indexed idx
+          (row [ ("a", int_); ("r", inner [ ("x", int_) ]);
+                 ("o", inner [ ("x", bool_) ]) ]))
+  in
+  check Alcotest.int "nested records merge nothing" 0 n
+
 let suite =
   [
     tc "rule (eq)" `Quick test_rule_eq;
@@ -406,6 +444,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_monotone_join;
     QCheck_alcotest.to_alcotest prop_record_merge_matches_oracle;
     tc "absorbs: examples" `Quick test_absorbs_examples;
+    tc "absorbs: nested records through the index" `Quick test_absorbs_nested_index;
     QCheck_alcotest.to_alcotest prop_absorbs_decides_equality;
     QCheck_alcotest.to_alcotest prop_absorbs_core_shapes;
   ]

@@ -227,6 +227,224 @@ let prop_practical_preferred_paper =
          refines collections; both agree on conformance of d itself. *)
       Fsdata_core.Shape_check.has_shape (Infer.shape_of_value ~mode:`Practical d) d)
 
+(* ----- the absorbing fold ----- *)
+
+let modes : Infer.mode list = [ `Paper; `Practical; `Xml ]
+
+let string_of_mode = function
+  | `Paper -> "paper"
+  | `Practical -> "practical"
+  | `Xml -> "xml"
+
+let gen_leaf =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Dv.Null;
+        (bool >|= fun b -> Dv.Bool b);
+        (int_range (-1000) 1000 >|= fun i -> Dv.Int i);
+        (float_range (-1e6) 1e6 >|= fun f -> Dv.Float f);
+        (gen_string_literal >|= fun s -> Dv.String s);
+      ])
+
+(* A document related to [d]: mostly [d] itself, with a leaf replaced
+   by another literal here, a record field dropped or a collection
+   element repeated or dropped there. Folding a few variants of one
+   document and asking about another absorbs about half the time. *)
+let rec gen_variant (d : Dv.t) : Dv.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  match d with
+  | Record (name, fields) ->
+      let+ fields =
+        flatten_l
+          (List.map
+             (fun (n, v) ->
+               frequency
+                 [ (8, map (fun v -> Some (n, v)) (gen_variant v)); (1, return None) ])
+             fields)
+      in
+      Dv.Record (name, List.filter_map Fun.id fields)
+  | List ds ->
+      let* ds = flatten_l (List.map gen_variant ds) in
+      frequency
+        [
+          (3, return (Dv.List ds));
+          (1, return (Dv.List (ds @ List.filteri (fun i _ -> i = 0) ds)));
+          (1, return (Dv.List (List.filteri (fun i _ -> i > 0) ds)));
+        ]
+  | Null | Bool _ | Int _ | Float _ | String _ ->
+      frequency [ (12, return d); (1, gen_leaf) ]
+
+(* a base document, the variants folded into σ, and the one asked about *)
+let gen_fold_case =
+  let open QCheck2.Gen in
+  let* base = gen_data in
+  let* folded = list_size (int_range 0 3) (gen_variant base) in
+  let+ d = gen_variant base in
+  (base :: folded, d)
+
+let print_fold_case (ds, d) =
+  String.concat " ; " (List.map print_data ds) ^ " / " ^ print_data d
+
+(* [absorbs_value] against its definition: the join leaves σ as it is,
+   representation included; whenever it holds, so does [Csh.absorbs],
+   which compares with [Shape.equal] *)
+let absorbs_value_exact ~mode ds d =
+  let sigma = Infer.shape_of_samples ~mode ds in
+  let delta = Infer.shape_of_value ~mode d in
+  let expected =
+    String.equal
+      (Shape.to_string (Csh.csh ~mode:(Infer.csh_mode mode) sigma delta))
+      (Shape.to_string sigma)
+  in
+  let absorbed = Infer.absorbs_value ~mode (Csh.index sigma) d in
+  ( absorbed = expected
+    && ((not absorbed) || Csh.absorbs ~mode:(Infer.csh_mode mode) sigma delta),
+    expected )
+
+let prop_absorbs_value =
+  QCheck2.Test.make
+    ~name:"absorbs_value idx d iff csh sigma S(d) is sigma, all modes"
+    ~count:1000 ~print:print_fold_case gen_fold_case (fun (ds, d) ->
+      List.for_all (fun mode -> fst (absorbs_value_exact ~mode ds d)) modes)
+
+(* Where the two differ: csh joins two nullable records right operand
+   first, so a collection (here a core-mode element) can come back
+   Shape.equal to σ with a record's fields in the right operand's order.
+   The fold must merge it, as the S(d)-then-csh fold takes that order. *)
+let test_absorbs_value_field_order () =
+  let json = Fsdata_data.Json.parse in
+  let d1 = json {|[null, {"x": 1, "y": 2, "z": 3}, {"x": 1, "z": 3}]|} in
+  let d2 = json {|[null, {"x": 1, "z": 3}]|} in
+  let sigma = Infer.shape_of_samples ~mode:`Paper [ d1 ] in
+  let delta = Infer.shape_of_value ~mode:`Paper d2 in
+  check Alcotest.bool "Csh.absorbs: equal up to field order" true
+    (Csh.absorbs ~mode:`Core sigma delta);
+  check Alcotest.bool "absorbs_value: not the same representation" false
+    (Infer.absorbs_value ~mode:`Paper (Csh.index sigma) d2);
+  check Alcotest.string "the fold takes the join's field order"
+    "[nullable \xe2\x80\xa2 {x: int, z: int, y: nullable int}]"
+    (Shape.to_string (Infer.shape_of_samples ~mode:`Paper [ d1; d2 ]));
+  check Alcotest.string "as the S(d)-then-csh fold does"
+    (Shape.to_string (Infer_oracle.shape_of_samples ~mode:`Paper [ d1; d2 ]))
+    (Shape.to_string (Infer.shape_of_samples ~mode:`Paper [ d1; d2 ]))
+
+(* the generator keeps both answers common, so the property above
+   tests each direction *)
+let test_fold_cases_balanced () =
+  let rand = Random.State.make [| 17 |] in
+  let cases = QCheck2.Gen.generate ~rand ~n:600 gen_fold_case in
+  List.iter
+    (fun mode ->
+      let absorbed =
+        List.length
+          (List.filter (fun (ds, d) -> snd (absorbs_value_exact ~mode ds d)) cases)
+      in
+      let share = float_of_int absorbed /. 600. in
+      if share < 0.25 || share > 0.75 then
+        Alcotest.failf "%s: %.0f%% of the cases absorb" (string_of_mode mode)
+          (100. *. share))
+    modes
+
+let test_absorbs_value_examples () =
+  let sigma =
+    Shape.record "row"
+      [
+        ("a", int_);
+        ("s", string_);
+        ("o", Shape.Nullable (Shape.record "in" [ ("x", bool_) ]));
+      ]
+  in
+  let idx = Csh.index sigma in
+  let row fields = Dv.Record ("row", fields) in
+  let yes name d = check Alcotest.bool name true (Infer.absorbs_value idx d) in
+  let no name d = check Alcotest.bool name false (Infer.absorbs_value idx d) in
+  yes "bit under int, date under string, optional record absent"
+    (row [ ("a", Dv.String "1"); ("s", Dv.String "2012-05-01") ]);
+  yes "nested record through its own table"
+    (row [ ("s", Dv.String "x"); ("a", Dv.Int 3); ("o", Dv.Record ("in", [ ("x", Dv.Bool true) ])) ]);
+  no "a number under string" (row [ ("a", Dv.Int 1); ("s", Dv.String "12") ]);
+  no "a missing marker under string" (row [ ("a", Dv.Int 1); ("s", Dv.String "#N/A") ]);
+  no "required field absent" (row [ ("s", Dv.String "x") ]);
+  no "nested field grows"
+    (row [ ("a", Dv.Int 3); ("s", Dv.String "x"); ("o", Dv.Record ("in", [ ("y", Dv.Int 1) ])) ]);
+  (* a repeated name makes S raise; the walk must not absorb it *)
+  let dup = row [ ("a", Dv.Int 1); ("a", Dv.Int 2); ("s", Dv.String "x") ] in
+  no "a repeated field name" dup;
+  match Infer.shape_of_value dup with
+  | _ -> Alcotest.fail "S accepted a repeated field name"
+  | exception Invalid_argument _ -> ()
+
+let print_samples ds = String.concat " ; " (List.map print_data ds)
+
+(* the new fold against the old one kept in Infer_oracle, byte for byte *)
+let same_bytes ~mode ds =
+  String.equal
+    (Shape.to_string (Infer.shape_of_samples ~mode ds))
+    (Shape.to_string (Infer_oracle.shape_of_samples ~mode ds))
+
+let prop_fold_matches_oracle =
+  QCheck2.Test.make
+    ~name:"shape_of_samples renders as the S(d)-then-csh fold, all modes"
+    ~count:600 ~print:print_samples
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun (ds, d) -> ds @ [ d ]) gen_fold_case;
+          (* collections of related documents: per-tag groups absorb *)
+          map
+            (fun (ds, d) -> [ Dv.List (ds @ [ d ]); Dv.List (d :: ds) ])
+            gen_fold_case;
+          list_size (int_range 1 5) gen_data;
+        ])
+    (fun ds -> List.for_all (fun mode -> same_bytes ~mode ds) modes)
+
+let prop_fold_matches_oracle_xml =
+  QCheck2.Test.make ~name:"XML bodies: the fold renders as the old one"
+    ~count:300
+    ~print:(fun ts -> String.concat " ; " (List.map print_xml ts))
+    QCheck2.Gen.(list_size (int_range 1 4) gen_xml_tree)
+    (fun ts ->
+      let ds =
+        List.map (Fsdata_data.Xml.to_data ~convert_primitives:false) ts
+      in
+      List.for_all (fun mode -> same_bytes ~mode ds) modes)
+
+(* With metrics on, the merges a corpus costs: documents that grow σ,
+   plus the merge that leaves σ as it is and builds the index; every
+   other document is absorbed without one. *)
+let test_fold_merge_count () =
+  let doc ?(extra = false) i =
+    Fsdata_data.Json.parse
+      (Printf.sprintf
+         {|{"id": %d, "name": "user%d", "score": %d.5, "meta": {"ok": true, "tag": "t%d"}%s}|}
+         i i i i
+         (if extra then {|, "extra": "x"|} else ""))
+  in
+  let count f = snd (Test_csh.counting_merges f) in
+  let homogeneous = List.init 1000 (fun i -> doc i) in
+  let shape, n =
+    Test_csh.counting_merges (fun () -> Infer.shape_of_samples homogeneous)
+  in
+  check Alcotest.int "1000 homogeneous documents: the first and the indexing merge"
+    2 n;
+  check Alcotest.string "same shape as the S(d)-then-csh fold"
+    (Shape.to_string (Infer_oracle.shape_of_samples homogeneous))
+    (Shape.to_string shape);
+  (* document 500 grows σ; 501 merges without growing the new σ and
+     rebuilds the index *)
+  let grows = List.init 1000 (fun i -> doc ~extra:(i = 500) i) in
+  let sigma = Infer.shape_of_samples (List.filteri (fun i _ -> i < 500) grows) in
+  let grown = Csh.csh sigma (Infer.shape_of_value (doc ~extra:true 500)) in
+  let expected =
+    2
+    + count (fun () -> Csh.csh sigma (Infer.shape_of_value (doc ~extra:true 500)))
+    + count (fun () -> Csh.csh grown (Infer.shape_of_value (doc 501)))
+  in
+  check Alcotest.int "one growing document: its merge and a reindexing one"
+    expected
+    (count (fun () -> Infer.shape_of_samples grows))
+
 let suite =
   [
     tc "S: primitives (Figure 3)" `Quick test_s_primitives;
@@ -247,4 +465,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matches_fold;
     QCheck_alcotest.to_alcotest prop_has_shape_self;
     QCheck_alcotest.to_alcotest prop_practical_preferred_paper;
+    tc "absorbs_value: examples" `Quick test_absorbs_value_examples;
+    QCheck_alcotest.to_alcotest prop_absorbs_value;
+    tc "absorbs_value: field order counts" `Quick test_absorbs_value_field_order;
+    tc "absorbs_value: both answers are common" `Quick test_fold_cases_balanced;
+    QCheck_alcotest.to_alcotest prop_fold_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_fold_matches_oracle_xml;
+    tc "the fold merges only what grows" `Quick test_fold_merge_count;
   ]

@@ -119,6 +119,39 @@ let test_collections () =
   check Alcotest.bool "unknown tags allowed (open world)" true
     (validate hetero (Dv.List [ Dv.Bool true ]))
 
+(* bit ⊔ bool = bool, and data of a bool shape may hold 0/1 (the
+   conformance check admits them); a field mixing "0" with false infers
+   to bool and normalizes "0" to the int 0 *)
+let test_bool_admits_bits () =
+  let d =
+    Dv.List
+      [
+        Dv.Record (Dv.json_record_name, [ ("a", Dv.String "0") ]);
+        Dv.Record (Dv.json_record_name, [ ("a", Dv.Bool false) ]);
+      ]
+  in
+  let shape = Infer.shape_of_value ~mode:`Practical d in
+  let d' = Fsdata_data.Primitive.normalize d in
+  check Alcotest.string "the field is a bool" "[\xe2\x80\xa2 {a: bool}]"
+    (Shape.to_string shape);
+  check Alcotest.bool "conforms" true (Fsdata_core.Shape_check.has_shape shape d');
+  check Alcotest.bool "the schema accepts it" true (validate (Js.of_shape shape) d');
+  let bool_schema = Js.of_shape (Shape.Primitive Shape.Bool) in
+  List.iter
+    (fun (name, v, ok) -> check Alcotest.bool name ok (validate bool_schema v))
+    [
+      ("true", Dv.Bool true, true);
+      ("0", Dv.Int 0, true);
+      ("1", Dv.Int 1, true);
+      ("2", Dv.Int 2, false);
+      ("a string", Dv.String "0", false);
+    ];
+  let nullable = Js.of_shape (Shape.Nullable (Shape.Primitive Shape.Bool)) in
+  List.iter
+    (fun (name, v, ok) ->
+      check Alcotest.bool ("nullable: " ^ name) ok (validate nullable v))
+    [ ("null", Dv.Null, true); ("0", Dv.Int 0, true); ("2", Dv.Int 2, false) ]
+
 (* ----- the acceptance guarantee ----- *)
 
 let prop_schema_accepts =
@@ -142,6 +175,7 @@ let suite =
     tc "primitive schemas" `Quick test_primitives;
     tc "record required/optional fields" `Quick test_record_required;
     tc "collection schemas" `Quick test_collections;
+    tc "bool admits 0 and 1" `Quick test_bool_admits_bits;
     QCheck_alcotest.to_alcotest prop_schema_accepts;
     QCheck_alcotest.to_alcotest prop_schema_paper_mode;
   ]

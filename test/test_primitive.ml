@@ -214,6 +214,18 @@ let prop_classify_matches_oracle =
       && P.parse_float s = Oracle.parse_float s
       && P.is_missing s = Oracle.is_missing s)
 
+(* the shortcut the inference fold takes against a string shape *)
+let prop_is_text_matches_classify =
+  QCheck2.Test.make ~count:3000
+    ~name:"is_text s iff classify s is date or string"
+    ~print:(Printf.sprintf "%S") gen_literal (fun s ->
+      P.is_text s
+      = match P.classify s with
+        | P.Hint_date | P.Hint_string -> true
+        | P.Hint_null | P.Hint_bit0 | P.Hint_bit1 | P.Hint_int | P.Hint_float
+        | P.Hint_bool ->
+            false)
+
 let suite =
   [
     tc "classify 0" `Quick (classifies "0" P.Hint_bit0);
@@ -237,4 +249,5 @@ let suite =
     tc "normalize (World Bank strings)" `Quick test_normalize;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_classify_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_is_text_matches_classify;
   ]
