@@ -416,48 +416,57 @@ let stage_breakdown label f =
   Fsdata_obs.Metrics.set_enabled was_m;
   r
 
+(* Strict inference of a JSON text or sample list at [jobs]. *)
+let infer_json ?jobs ?chunk_size source =
+  Result.map
+    (fun (r : Infer.report) -> r.Infer.shape)
+    (Infer.run ?jobs ?chunk_size Fsdata_data.Diagnostic.Strict Json source)
+
 let par_bench () =
-  let module Par = Fsdata_core.Par_infer in
+  let recommended = Domain.recommended_domain_count () in
   print_endline "== par: sequential vs parallel multi-sample inference ==";
-  Printf.printf "   recommended domain count: %d%s\n%!" (Par.recommended_jobs ())
+  Printf.printf "   recommended domain count: %d%s\n%!" recommended
     (if !smoke then "  (smoke mode: reduced corpus and iterations)" else "");
   let sizes = if !smoke then [ 2_000 ] else [ 10_000; 100_000 ] in
   let repeats = if !smoke then 1 else 3 in
   let jobs_list =
-    List.sort_uniq compare [ 2; 4; Par.recommended_jobs () ]
+    List.sort_uniq compare [ 2; 4; recommended ]
     |> List.filter (fun j -> j > 1)
   in
   List.iter
     (fun n ->
-      let samples = Workloads.sample_corpus n in
+      let samples = List.map Workloads.json_text (Workloads.sample_corpus n) in
       let row label t = function
         | None -> Printf.printf "  %6d samples: %-26s %8.1f ms\n%!" n label (t *. 1e3)
         | Some (t_seq, agree) ->
             Printf.printf "  %6d samples: %-26s %8.1f ms  %5.2fx speedup, agree=%b\n%!"
               n label (t *. 1e3) (t_seq /. t) agree
       in
+      (* a sample list: each domain parses and infers its share *)
       let seq_shape, t_seq =
-        time_best ~repeats (fun () ->
-            Infer.shape_of_samples ~mode:`Practical samples)
+        time_best ~repeats (fun () -> infer_json ~jobs:1 (Samples samples))
       in
-      row "infer sequential fold" t_seq None;
+      row "samples sequential" t_seq None;
       List.iter
         (fun jobs ->
           let par_shape, t_par =
-            time_best ~repeats (fun () ->
-                Par.shape_of_samples ~mode:`Practical ~jobs samples)
+            time_best ~repeats (fun () -> infer_json ~jobs (Samples samples))
           in
           row
-            (Printf.sprintf "infer --jobs %d" jobs)
+            (Printf.sprintf "samples --jobs %d" jobs)
             t_par
-            (Some (t_seq, Shape.equal seq_shape par_shape)))
+            (Some
+               ( t_seq,
+                 match (seq_shape, par_shape) with
+                 | Ok a, Ok b -> Shape.equal a b
+                 | _ -> false )))
         jobs_list;
-      (* streaming: chunked parse fused with per-chunk inference. Both
-         granularities are measured: the historical fixed 512-document
-         chunks, and the adaptive default that targets a corpus-sized
-         slice of bytes per chunk (EXPERIMENTS.md B7) — the fix for the
-         regime where tiny chunks made --jobs > 1 slower than the
-         sequential fold. *)
+      (* streaming: batched parse, batches inferred in worker domains.
+         Both granularities are measured: the historical fixed
+         512-document batches, and the adaptive default that targets a
+         corpus-sized slice of bytes per batch (EXPERIMENTS.md B7) — the
+         fix for the regime where tiny batches made --jobs > 1 slower
+         than the sequential fold. *)
       let text = Workloads.corpus_text n in
       let seq_stream, t_seq_stream =
         time_best ~repeats (fun () -> Infer.of_json text)
@@ -474,13 +483,14 @@ let par_bench () =
       List.iter
         (fun jobs ->
           let fixed, t_fixed =
-            time_best ~repeats (fun () -> Par.of_json ~jobs ~chunk_size:512 text)
+            time_best ~repeats (fun () ->
+                infer_json ~jobs ~chunk_size:512 (String text))
           in
           stream_row
             (Printf.sprintf "parse+infer -j %d, 512/chunk" jobs)
             fixed t_fixed;
           let adaptive, t_adaptive =
-            time_best ~repeats (fun () -> Par.of_json ~jobs text)
+            time_best ~repeats (fun () -> infer_json ~jobs (String text))
           in
           stream_row
             (Printf.sprintf "parse+infer -j %d, adaptive" jobs)
@@ -506,23 +516,22 @@ let par_bench () =
           ignore
             (stage_breakdown
                (Printf.sprintf "parse+infer --jobs %d, %d docs, adaptive" jobs n)
-               (fun () -> Par.of_json ~jobs text)))
+               (fun () -> infer_json ~jobs (String text))))
     sizes;
   print_newline ()
 
 (* ----- faults: diagnostics overhead and recovering ingestion ----- *)
 
 (* Two questions, mirroring the robustness work:
-   1. What does threading structured diagnostics through the pipeline
-      cost when nothing goes wrong? (target: <= 3% on the clean path —
-      the tolerant driver with budget 0 vs the strict driver)
+   1. What does a tolerant budget cost when nothing goes wrong? (target:
+      <= 3% on the clean path — a 5% budget vs the strict budget; one
+      engine runs both, and only a strict run stops at its first fault)
    2. What does a corrupt document cost under a budget? (resync +
       quarantine vs the same corpus cleaned)
    In smoke mode the timings are incidental: the run asserts the
    agreement facts (clean-path shape identity, exact quarantine counts)
    and exits non-zero on violation, so `dune runtest` pins them. *)
 let faults_bench () =
-  let module Par = Fsdata_core.Par_infer in
   let module Diagnostic = Fsdata_data.Diagnostic in
   print_endline "== faults: diagnostics overhead and recovering ingestion ==";
   let n = if !smoke then 2_000 else 50_000 in
@@ -535,17 +544,17 @@ let faults_bench () =
     Printf.eprintf "faults: smoke assertion failed: %s\n" msg;
     exit 1
   in
-  (* 1. the clean path: strict vs tolerant with the strict budget *)
+  let budget = Diagnostic.Percent 5.0 in
+  (* 1. the clean path: strict vs a tolerant budget *)
   let strict_shape, t_strict =
     time_best ~repeats (fun () -> Infer.of_json clean)
   in
   let tol_report, t_tol =
-    time_best ~repeats (fun () ->
-        Infer.of_json_tolerant ~budget:Diagnostic.Strict clean)
+    time_best ~repeats (fun () -> Infer.run budget Json (String clean))
   in
   Printf.printf "  %6d docs: strict streaming infer        %8.1f ms\n%!" n
     (t_strict *. 1e3);
-  Printf.printf "  %6d docs: tolerant, budget 0, clean     %8.1f ms  overhead %+5.1f%%\n%!"
+  Printf.printf "  %6d docs: tolerant, budget 5%%, clean    %8.1f ms  overhead %+5.1f%%\n%!"
     n (t_tol *. 1e3)
     ((t_tol -. t_strict) /. t_strict *. 100.);
   let clean_agree =
@@ -555,9 +564,8 @@ let faults_bench () =
   in
   Printf.printf "                clean-path agreement: %b\n%!" clean_agree;
   if !smoke && not clean_agree then
-    fail "tolerant(budget 0) disagrees with strict on a clean corpus";
+    fail "tolerant (budget 5%) disagrees with strict on a clean corpus";
   (* 2. a corrupt corpus under budget: resync + quarantine, seq and par *)
-  let budget = Diagnostic.Percent 5.0 in
   let check label = function
     | Error e -> if !smoke then fail (label ^ ": " ^ e) else ()
     | Ok (r : Fsdata_core.Infer.report) ->
@@ -567,7 +575,7 @@ let faults_bench () =
                (List.length r.quarantined) expected_faults)
   in
   let rep_seq, t_seq =
-    time_best ~repeats (fun () -> Infer.of_json_tolerant ~budget faulty)
+    time_best ~repeats (fun () -> Infer.run budget Json (String faulty))
   in
   check "sequential recovering" rep_seq;
   Printf.printf
@@ -578,7 +586,7 @@ let faults_bench () =
     (fun jobs ->
       let rep_par, t_par =
         time_best ~repeats (fun () ->
-            Par.of_json_tolerant ~jobs ~chunk_size:512 ~budget faulty)
+            Infer.run ~jobs ~chunk_size:512 budget Json (String faulty))
       in
       check (Printf.sprintf "parallel recovering (jobs %d)" jobs) rep_par;
       let agree =
@@ -594,13 +602,13 @@ let faults_bench () =
       Printf.printf
         "  %6d docs: tolerant, %d faults, -j %-2d   %8.1f ms  %5.2fx speedup, agree=%b\n%!"
         n expected_faults jobs (t_par *. 1e3) (t_seq /. t_par) agree)
-    (if !smoke then [ 2; 7 ] else [ 2; 4; Par.recommended_jobs () ]);
+    (if !smoke then [ 2; 7 ] else [ 2; 4; Domain.recommended_domain_count () ]);
   ignore
     (stage_breakdown
        (Printf.sprintf "tolerant parse+infer -j 2, %d docs, %d faults" n
           expected_faults)
        (fun () ->
-         Par.of_json_tolerant ~jobs:2 ~chunk_size:512 ~budget faulty));
+         Infer.run ~jobs:2 ~chunk_size:512 budget Json (String faulty)));
   print_newline ()
 
 (* ----- obs: observability overhead (B9) ----- *)
@@ -703,7 +711,6 @@ let obs_bench () =
    it). The csh.merges / csh.top_label_saturations counters are read
    around one inference of each document to report saturation rates. *)
 let hetero_bench () =
-  let module Par = Fsdata_core.Par_infer in
   let module M = Fsdata_obs.Metrics in
   print_endline "== hetero: heterogeneous collections (Section 6.4) ==";
   let rows = if !smoke then 500 else 20_000 in
@@ -759,7 +766,7 @@ let hetero_bench () =
   Printf.printf "  %6d worldbank docs: parse+infer sequential %8.1f ms\n%!"
     docs (t_seq *. 1e3);
   let par, t_par =
-    time_best ~repeats (fun () -> Par.of_json ~jobs:2 text)
+    time_best ~repeats (fun () -> infer_json ~jobs:2 (String text))
   in
   let agree =
     match (seq, par) with Ok a, Ok b -> Shape.equal a b | _ -> false

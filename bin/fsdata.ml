@@ -18,7 +18,6 @@
 
 open Cmdliner
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Shape = Fsdata_core.Shape
 module Preference = Fsdata_core.Preference
 module Provide = Fsdata_provider.Provide
@@ -93,7 +92,7 @@ let setup_obs trace metrics =
 
 let obs_term = Term.(const setup_obs $ trace_arg $ metrics_arg)
 
-type format = Json | Xml | Csv
+type format = Infer.format = Json | Xml | Csv
 
 let read_file path =
   let ic = open_in_bin path in
@@ -168,9 +167,6 @@ let jobs_arg =
            machine. Per-chunk shapes are merged with a balanced csh tree
            reduction, which is sound because csh is the least upper bound
            of Lemma 1; $(b,--jobs 1) forces the sequential fold.")
-
-(* 0 = the recommended domain count (Par_infer's own default). *)
-let effective_jobs jobs = if jobs <= 0 then Par_infer.recommended_jobs () else jobs
 
 let budget_conv =
   let parse s =
@@ -251,63 +247,43 @@ let compiled_applicable ~compiled ~format ~paths =
     | Ok _ -> Error "--compiled applies to JSON samples"
     | Error (`Msg m) -> Error m
 
-let infer_shape ?(csv_schema = "") ?(jobs = 1) format paths =
+(* Infer the shape of the sample files. Without --max-errors
+   ([budget = None]) inference is strict and each JSON file is one
+   document; with it, a single JSON file is a whitespace-separated
+   document stream, so a corrupt document costs one sample, not the
+   file. The mode applies to JSON only. *)
+let infer_report ?(csv_schema = "") ?(jobs = 1) ?mode ?budget format paths =
   match resolve_format format paths with
   | Error e -> Error e
   | Ok f -> (
       let texts = read_files paths in
-      let result =
-        match f with
-        | Json -> Par_infer.of_json_samples ~jobs texts
-        | Xml -> Par_infer.of_xml_samples ~jobs texts
-        | Csv -> (
-            match texts with
-            | [ one ] -> Fsdata_core.Csv_schema.infer_csv ~schema:csv_schema one
-            | _ -> Error "csv: exactly one sample file is supported")
+      let source =
+        match (f, texts, budget) with
+        | Csv, [ one ], _ | Json, [ one ], Some _ -> Ok (Infer.String one)
+        | Csv, _, _ -> Error "csv: exactly one sample file is supported"
+        | _ -> Ok (Infer.Samples texts)
       in
-      match result with
-      | Ok shape -> Ok (f, shape)
-      | Error msg -> Error (`Msg msg))
-
-(* Fault-tolerant variant of {!infer_shape}: parse under an error budget,
-   returning the whole {!Infer.report} so the caller can surface the
-   quarantine. *)
-let infer_shape_tolerant ?(csv_schema = "") ?(jobs = 1) ?(mode = `Practical)
-    ~budget format paths =
-  match resolve_format format paths with
-  | Error e -> Error e
-  | Ok f -> (
-      let texts = read_files paths in
-      let result =
-        match (f, texts) with
-        | Json, [ one ] ->
-            (* a single file may hold a whitespace-separated document
-               stream: ingest it through the recovering streaming driver,
-               so a corrupt document costs one sample, not the file *)
-            Par_infer.of_json_tolerant ~mode ~jobs ~budget one
-        | Json, _ -> Par_infer.of_json_samples_tolerant ~mode ~jobs ~budget texts
-        | Xml, _ -> Par_infer.of_xml_samples_tolerant ~jobs ~budget texts
-        | Csv, _ -> (
-            match texts with
-            | [ one ] -> (
-                match Infer.of_csv_tolerant ~budget one with
-                | Error _ as e -> e
-                | Ok report when csv_schema = "" -> Ok report
-                | Ok report -> (
-                    match Fsdata_core.Csv_schema.parse csv_schema with
-                    | Error _ as e -> e
-                    | Ok overrides -> (
-                        match
-                          Fsdata_core.Csv_schema.apply overrides
-                            report.Infer.shape
-                        with
-                        | Ok shape -> Ok { report with Infer.shape }
-                        | Error _ as e -> e)))
-            | _ -> Error "csv: exactly one sample file is supported")
+      let mode = if f = Json then mode else None in
+      let budget = Option.value budget ~default:Diagnostic.Strict in
+      let overridden (report : Infer.report) =
+        if f <> Csv then Ok report
+        else
+          Result.map
+            (fun shape -> { report with Infer.shape })
+            (Fsdata_core.Csv_schema.override ~schema:csv_schema
+               report.Infer.shape)
       in
-      match result with
+      match
+        Result.bind (Result.bind source (Infer.run ?mode ~jobs budget f))
+          overridden
+      with
       | Ok report -> Ok (f, report)
       | Error msg -> Error (`Msg msg))
+
+let infer_shape ?csv_schema ?jobs format paths =
+  Result.map
+    (fun (f, report) -> (f, report.Infer.shape))
+    (infer_report ?csv_schema ?jobs format paths)
 
 let format_extension = function Json -> ".json" | Xml -> ".xml" | Csv -> ".csv"
 
@@ -398,7 +374,6 @@ let infer_cmd =
   in
   let run () format global paper compiled csv_schema jobs max_errors quarantine
       paths =
-    let jobs = effective_jobs jobs in
     if quarantine <> None && max_errors = None then
       `Error (false, "--quarantine requires --max-errors")
     else if compiled && (global || paper) then
@@ -435,7 +410,7 @@ let infer_cmd =
           | Error m -> `Error (false, m)
           | Ok () -> (
               match
-                infer_shape_tolerant ~csv_schema ~jobs ~mode ~budget format
+                infer_report ~csv_schema ~jobs ~mode ~budget format
                   paths
               with
               | Error (`Msg m) -> `Error (false, m)
@@ -450,11 +425,11 @@ let infer_cmd =
             | Error (`Msg m) -> `Error (false, m)
             | Ok Json -> (
                 match
-                  Par_infer.of_json_samples ~mode:`Paper ~jobs
-                    (List.map read_file paths)
+                  Infer.run ~mode:`Paper ~jobs Diagnostic.Strict Json
+                    (Samples (List.map read_file paths))
                 with
-                | Ok shape ->
-                    Format.printf "%a@." Shape.pp shape;
+                | Ok report ->
+                    Format.printf "%a@." Shape.pp report.Infer.shape;
                     `Ok ()
                 | Error m -> `Error (false, m))
             | Ok _ -> `Error (false, "--paper applies to JSON samples")
@@ -570,8 +545,7 @@ let codegen_cmd =
       match max_errors with
       | Some budget -> (
           match
-            infer_shape_tolerant ~csv_schema ~jobs:(effective_jobs jobs)
-              ~budget format paths
+            infer_report ~csv_schema ~jobs ~budget format paths
           with
           | Ok (f, report) ->
               emit f report.Infer.shape;
@@ -579,7 +553,7 @@ let codegen_cmd =
           | Error (`Msg m) -> `Error (false, m))
       | None -> (
           match
-            infer_shape ~csv_schema ~jobs:(effective_jobs jobs) format paths
+            infer_shape ~csv_schema ~jobs format paths
           with
           | Ok (f, shape) ->
               emit f shape;
@@ -615,7 +589,6 @@ let check_cmd =
              inferring it from sample files.")
   in
   let run () format shape compiled jobs input paths =
-    let jobs = effective_jobs jobs in
     let sample_shape =
       match shape with
       | Some text -> (
@@ -688,8 +661,7 @@ let schema_cmd =
       match max_errors with
       | Some budget -> (
           match
-            infer_shape_tolerant ~jobs:(effective_jobs jobs) ~budget format
-              paths
+            infer_report ~jobs ~budget format paths
           with
           | Ok (f, report) ->
               print_endline
@@ -697,7 +669,7 @@ let schema_cmd =
               finish_tolerant ~quarantine ~format:f ~paths ~budget report
           | Error (`Msg m) -> `Error (false, m))
       | None -> (
-          match infer_shape ~jobs:(effective_jobs jobs) format paths with
+          match infer_shape ~jobs format paths with
           | Ok (_, shape) ->
               print_endline (Fsdata_codegen.Json_schema.to_string shape);
               `Ok ()

@@ -20,7 +20,11 @@ let sample2 = {|[ { "name":"Tomas" }, { "name":"Alexander", "age":3.5 } ]|}
 
 let () =
   let shape1 = Result.get_ok (Infer.of_json sample1) in
-  let shape12 = Result.get_ok (Infer.of_json_samples [ sample1; sample2 ]) in
+  let shape12 =
+    (Result.get_ok
+       (Infer.run Fsdata_data.Diagnostic.Strict Json (Samples [ sample1; sample2 ])))
+      .Infer.shape
+  in
   Format.printf "shape from sample 1:      %a@." Shape.pp shape1;
   Format.printf "shape from samples 1+2:   %a@." Shape.pp shape12;
 

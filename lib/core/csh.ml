@@ -29,7 +29,7 @@ let join_primitives (a : primitive) (b : primitive) =
 
 (* Canonical form for top labels. Both adjustments exist to make csh
    associative at the representation level (not merely up to
-   ⊑-equivalence), which the parallel tree reduction of Par_infer relies
+   ⊑-equivalence), which the parallel tree reduction of {!csh_tree} relies
    on:
 
    (a) a collection label's exactly-one entries weaken to zero-or-one.
@@ -234,6 +234,19 @@ and top_any s1 s2 =
 
 and csh_all ?(mode : mode = `Hetero) shapes =
   List.fold_left (fun acc s -> csh ~mode acc s) Bottom shapes
+
+let csh_tree ?(mode : mode = `Hetero) shapes =
+  let rec round = function
+    | [] -> []
+    | [ s ] -> [ s ]
+    | a :: b :: rest -> csh ~mode a b :: round rest
+  in
+  let rec reduce = function
+    | [] -> Shape.Bottom
+    | [ s ] -> s
+    | ss -> reduce (round ss)
+  in
+  reduce shapes
 
 (* --- absorption: deciding csh σ δ = σ without building the join ---
 

@@ -48,7 +48,7 @@
     reads as an empty collection). This makes [csh] associative and
     commutative at the representation level (up to record field order),
     not merely up to ⊑-equivalence — which is what lets
-    {!Par_infer.csh_tree} re-associate the fold freely. *)
+    {!csh_tree} re-associate the fold freely. *)
 
 type mode = [ `Core | `Hetero | `Xml ]
 
@@ -58,6 +58,13 @@ val csh : ?mode:mode -> Shape.t -> Shape.t -> Shape.t
 val csh_all : ?mode:mode -> Shape.t list -> Shape.t
 (** Fold [csh] over a list starting from bottom, as in Figure 3's
     [S(d1, ..., dn)]. [csh_all []] is [Shape.Bottom]. *)
+
+val csh_tree : ?mode:mode -> Shape.t list -> Shape.t
+(** Balanced tree reduction of {!csh} over a list of shapes: adjacent
+    shapes are merged pairwise until one remains. Equal to {!csh_all}
+    on the same list (Lemma 1), in logarithmically many rounds; the
+    parallel inference engine joins its per-domain batches with it.
+    [csh_tree []] is [Shape.Bottom]. *)
 
 val join_primitives : Shape.primitive -> Shape.primitive -> Shape.primitive option
 (** The primitive join underlying rule (num) and the Section 6.2 lattice:

@@ -26,10 +26,9 @@ val apply : t -> Shape.t -> (Shape.t, string) result
     CSV collection shape. Errors when [shape] is not a CSV collection
     shape or an override names a column that does not exist. *)
 
-val infer_csv :
-  ?separator:char ->
-  ?has_headers:bool ->
-  ?schema:string ->
-  string ->
-  (Shape.t, string) result
-(** {!Infer.of_csv} with the overrides applied. *)
+val override : schema:string -> Shape.t -> (Shape.t, string) result
+(** Parse [schema] and {!apply} it; the empty schema leaves the shape as
+    it is. *)
+
+val infer_csv : ?schema:string -> string -> (Shape.t, string) result
+(** Strict CSV inference ({!Infer.run}) with the overrides applied. *)

@@ -4,16 +4,7 @@ module Obs_metrics = Fsdata_obs.Metrics
 
 type mode = [ `Paper | `Practical | `Xml ]
 
-(* Observability (docs/OBSERVABILITY.md). The three ingest counters
-   reconcile by construction: [ingest.samples_total] is bumped exactly
-   when either [ingest.samples_clean] or [ingest.samples_quarantined]
-   is, at every per-sample isolation boundary of the tolerant drivers
-   and at the driver entry of the strict ones. For CSV the unit of
-   ingestion is the row, matching what the error budget counts. *)
 let m_samples = Obs_metrics.counter "infer.samples"
-let m_ingest_total = Obs_metrics.counter "ingest.samples_total"
-let m_ingest_clean = Obs_metrics.counter "ingest.samples_clean"
-let m_ingest_quarantined = Obs_metrics.counter "ingest.samples_quarantined"
 
 let classify_string s : Shape.t =
   match Primitive.classify s with
@@ -176,7 +167,7 @@ let shape_of_samples ?(mode : mode = `Practical) ds =
   if Obs_metrics.enabled () then Obs_metrics.add m_samples (List.length ds);
   fold_samples ~mode ds
 
-(* ----- Fault-tolerant inference ----- *)
+(* ----- The ingestion engine ----- *)
 
 type quarantined = {
   q_index : int;
@@ -189,6 +180,158 @@ type report = {
   total : int;
   quarantined : quarantined list;
 }
+
+type format = Diagnostic.format = Json | Xml | Csv
+
+type source =
+  | String of string
+  | Samples of string list
+  | Feed of ((string -> unit) -> unit)
+
+(* Observability (docs/OBSERVABILITY.md). [count] is the one place the
+   sample counters move, once per run, so they reconcile by
+   construction: total = clean + quarantined, and [infer.samples] =
+   clean. For CSV the unit of ingestion is the row, matching what the
+   error budget counts. Each batch is an [infer.chunk] span recorded
+   inside the domain that folds it, and the join of a parallel run's
+   batches an [infer.merge] span on the calling domain.
+   [par.domains_spawned] counts actual [Domain.spawn]s, so it stays 0
+   on sequential runs. *)
+let m_ingest_total = Obs_metrics.counter "ingest.samples_total"
+let m_ingest_clean = Obs_metrics.counter "ingest.samples_clean"
+let m_ingest_quarantined = Obs_metrics.counter "ingest.samples_quarantined"
+let m_chunks = Obs_metrics.counter "par.chunks"
+let m_spawned = Obs_metrics.counter "par.domains_spawned"
+let h_chunk_size = Obs_metrics.histogram "par.chunk_size"
+
+let count ~clean ~quarantined =
+  if Obs_metrics.enabled () then begin
+    Obs_metrics.add m_ingest_total (clean + quarantined);
+    Obs_metrics.add m_ingest_clean clean;
+    Obs_metrics.add m_ingest_quarantined quarantined;
+    Obs_metrics.add m_samples clean
+  end
+
+(* What the engine needs of a format, after Parsifal's
+   ParsingParameters: how to parse one sample, how to read a whole text
+   as a stream of documents, resuming after a malformed one, and the
+   shape of such a text given the fold of its clean documents. *)
+module type FORMAT = sig
+  val format : Diagnostic.format
+
+  val mode : mode
+  (** when the caller names none *)
+
+  val parse : string -> (Data_value.t, Diagnostic.t) result
+
+  val read :
+    cancel:Cancel.t ->
+    chunk_size:int ->
+    chunk_bytes:int ->
+    on_error:(Diagnostic.t -> skipped:string -> unit) ->
+    (Data_value.t list -> unit) ->
+    string ->
+    unit
+  (** Hands the documents to the callback batch by batch, in order; a
+      malformed one goes to [on_error] with its index instead. Raises
+      [Diagnostic.Parse_error] for a fault no boundary follows. *)
+
+  val feed :
+    cancel:Cancel.t ->
+    on_error:(Diagnostic.t -> skipped:string -> unit) ->
+    (Data_value.t list -> unit) ->
+    ((string -> unit) -> unit) ->
+    unit
+
+  val shape : clean:int -> Shape.t -> Shape.t
+
+  val empty : string option
+  (** the error for a text that holds no document at all *)
+end
+
+(* A format without an incremental parser reads a feed once it ends. *)
+let buffered read ~cancel ~on_error emit feed =
+  let b = Buffer.create 4096 in
+  feed (Buffer.add_string b);
+  read ~cancel ~chunk_size:max_int ~chunk_bytes:max_int ~on_error emit
+    (Buffer.contents b)
+
+(* A JSON text is a whitespace-separated document stream; a feed's
+   batches follow its fragments, and the cursor holds at most one
+   partial document between them. *)
+module Json_format = struct
+  let format = Diagnostic.Json
+  let mode = `Practical
+  let parse = Json.parse_diag
+
+  let read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text =
+    Json.fold_many ~cancel ~chunk_size ~chunk_bytes ~on_error
+      (fun () ds -> emit ds)
+      () text
+
+  let feed ~cancel ~on_error emit feed =
+    let cur = Json.Cursor.create ~cancel ~on_error () in
+    feed (fun fragment -> emit (Json.Cursor.feed cur fragment));
+    emit (Json.Cursor.finish cur)
+
+  let shape ~clean:_ s = s
+  let empty = Some "no JSON sample documents found"
+end
+
+(* An XML text is one document. Inference classifies the raw attribute
+   and body strings itself, so they stay unconverted. *)
+module Xml_format = struct
+  let format = Diagnostic.Xml
+  let mode = `Xml
+
+  let parse t =
+    Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
+
+  let read ~cancel ~chunk_size:_ ~chunk_bytes:_ ~on_error emit text =
+    Cancel.check cancel;
+    match parse text with
+    | Ok d -> emit [ d ]
+    | Error d -> on_error (Diagnostic.with_index 0 d) ~skipped:text
+
+  let feed = buffered read
+  let shape ~clean:_ s = s
+  let empty = None
+end
+
+(* A CSV text is a table whose rows are the documents, and its shape
+   the collection of their records (Section 6.2). A CSV sample is one
+   whole table. An unterminated quoted cell leaves no row boundary to
+   resume from, so it fails the text whatever the budget. *)
+module Csv_format = struct
+  let format = Diagnostic.Csv
+  let mode = `Practical
+
+  let parse t =
+    Result.map (Csv.to_data ~convert_primitives:false) (Csv.parse_diag t)
+
+  let read ~cancel ~chunk_size:_ ~chunk_bytes:_ ~on_error emit text =
+    Cancel.check cancel;
+    match Csv.parse_tolerant ~on_error text with
+    | Error d -> raise (Diagnostic.Parse_error d)
+    | Ok table ->
+        emit
+          (List.map
+             (Csv.row_to_data ~convert_primitives:false table)
+             table.Csv.rows)
+
+  let feed = buffered read
+
+  let shape ~clean s =
+    if clean = 0 then Shape.collection Shape.Bottom
+    else Shape.hetero [ (s, Multiplicity.of_count clean) ]
+
+  let empty = None
+end
+
+let format_module : format -> (module FORMAT) = function
+  | Json -> (module Json_format)
+  | Xml -> (module Xml_format)
+  | Csv -> (module Csv_format)
 
 let sort_quarantined qs =
   List.stable_sort (fun a b -> Int.compare a.q_index b.q_index) qs
@@ -208,213 +351,248 @@ let budget_error ~budget ~total qs =
              (Diagnostic.budget_to_string budget)
              (Diagnostic.to_string first.q_diagnostic))
 
-let shape_of_sample ~mode ~format ~index ~parse text =
-  (* Anything a sample does wrong — a parse fault, or an unexpected
-     exception escaping parsing or inference — becomes a diagnostic
-     attributed to that sample, never an exception for the caller. *)
-  Obs_metrics.incr m_ingest_total;
-  let quarantined d =
-    Obs_metrics.incr m_ingest_quarantined;
-    Error d
-  in
-  match Result.map (shape_of_value ~mode) (parse text) with
-  | Ok _ as ok ->
-      Obs_metrics.incr m_ingest_clean;
-      Obs_metrics.incr m_samples;
-      ok
-  | Error d -> quarantined (Diagnostic.with_index index d)
-  | exception Diagnostic.Parse_error d ->
-      quarantined (Diagnostic.with_index index d)
-  | exception exn ->
-      quarantined
-        (Diagnostic.make ~index ~format ~line:1 ~column:0
-           ("unexpected error: " ^ Printexc.to_string exn))
+(* The runtime supports ~128 concurrent domains; stay well below so a
+   generous --jobs never aborts the program. *)
+let max_jobs = 64
 
-let samples_tolerant ?(cancel = Cancel.never) ~mode ~format ~parse ~budget texts
-    =
-  let qs = ref [] in
-  let shapes = ref [] in
-  List.iteri
-    (fun i t ->
-      (* Polled outside {!shape_of_sample}: that function converts every
-         exception into a per-sample diagnostic, which would silently
-         swallow [Cancelled] as a quarantine entry. *)
-      Cancel.check cancel;
-      match shape_of_sample ~mode ~format ~index:i ~parse t with
-      | Ok s -> shapes := s :: !shapes
-      | Error d -> qs := { q_index = i; q_diagnostic = d; q_text = Some t } :: !qs)
-    texts;
-  let total = List.length texts in
-  let qs = List.rev !qs in
-  match budget_error ~budget ~total qs with
-  | Some msg -> Error msg
-  | None ->
-      Ok
-        {
-          shape = Csh.csh_all ~mode:(csh_mode mode) (List.rev !shapes);
-          total;
-          quarantined = qs;
-        }
+let normalize_jobs j =
+  if j <= 0 then min max_jobs (max 1 (Domain.recommended_domain_count ()))
+  else min max_jobs j
 
-let of_json_samples_tolerant ?cancel ?(mode : mode = `Practical) ~budget texts =
-  samples_tolerant ?cancel ~mode ~format:Diagnostic.Json ~parse:Json.parse_diag
-    ~budget texts
+(* [k >= 1] contiguous runs of near-equal length, in order, none empty;
+   the first [n mod k] runs get one extra element. Each run is paired
+   with the index of its first element. *)
+let chunk k xs =
+  let n = List.length xs in
+  let k = min k n in
+  let rec take i acc xs =
+    if i = 0 then (List.rev acc, xs)
+    else
+      match xs with
+      | [] -> (List.rev acc, [])
+      | x :: rest -> take (i - 1) (x :: acc) rest
+  in
+  let rec go i offset xs =
+    if i >= k then []
+    else
+      let size = (n / k) + if i < n mod k then 1 else 0 in
+      let c, rest = take size [] xs in
+      (offset, c) :: go (i + 1) (offset + size) rest
+  in
+  go 0 0 xs
 
-let of_xml_samples_tolerant ?cancel ?(mode : mode = `Xml) ~budget texts =
-  let parse t =
-    Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
-  in
-  samples_tolerant ?cancel ~mode ~format:Diagnostic.Xml ~parse ~budget texts
+(* Adaptive granularity for a JSON stream (EXPERIMENTS.md B7): with a
+   fixed 256-document batch, each hand-off to a domain carried only a
+   few tens of kilobytes of work, so [Domain.spawn] dominated and
+   [--jobs 2/4] ran slower than the sequential fold. A batch is cut at
+   [bytes / (jobs * 8)] consumed source bytes, clamped to
+   [64KiB..8MiB], or at [chunk_size] documents (default 65536), so
+   corpora of millions of tiny documents still hand off bounded lists. *)
+let stream_caps ~jobs ~bytes chunk_size =
+  let chunk_bytes = max (64 * 1024) (min (8 * 1024 * 1024) (bytes / (jobs * 8))) in
+  (Option.value chunk_size ~default:65536, chunk_bytes)
 
-let of_json_tolerant ?cancel ?(mode : mode = `Practical) ~budget src =
-  Obs_trace.with_span "infer.stream" @@ fun () ->
-  let qs = ref [] in
-  let on_error (d : Diagnostic.t) ~skipped =
-    Obs_metrics.incr m_ingest_total;
-    Obs_metrics.incr m_ingest_quarantined;
-    let index = match d.Diagnostic.index with Some i -> i | None -> 0 in
-    qs := { q_index = index; q_diagnostic = d; q_text = Some skipped } :: !qs
-  in
-  let shape, parsed =
-    Json.fold_many ?cancel ~on_error
-      (fun (acc, n) ds ->
-        let k = List.length ds in
-        if Obs_metrics.enabled () then begin
-          Obs_metrics.add m_ingest_total k;
-          Obs_metrics.add m_ingest_clean k
-        end;
-        (Csh.csh ~mode:(csh_mode mode) acc (shape_of_samples ~mode ds), n + k))
-      (Shape.Bottom, 0) src
-  in
-  let qs = List.rev !qs in
-  let total = parsed + List.length qs in
-  if total = 0 then Error "no JSON sample documents found"
-  else
-    match budget_error ~budget ~total qs with
-    | Some msg -> Error msg
-    | None -> Ok { shape; total; quarantined = qs }
+(* The position after [k] documents read from [index] on, stepping over
+   the indices of the faults in [gaps] (ascending), and the faults
+   beyond it. *)
+let rec after index k gaps =
+  match gaps with
+  | g :: gaps when g = index -> after (index + 1) k gaps
+  | _ when k = 0 -> (index, gaps)
+  | _ -> after (index + 1) (k - 1) gaps
 
-let of_json_feed_tolerant ?cancel ?(mode : mode = `Practical) ~budget feed =
-  Obs_trace.with_span "infer.stream" @@ fun () ->
-  let qs = ref [] in
-  let on_error (d : Diagnostic.t) ~skipped =
-    Obs_metrics.incr m_ingest_total;
-    Obs_metrics.incr m_ingest_quarantined;
-    let index = match d.Diagnostic.index with Some i -> i | None -> 0 in
-    qs := { q_index = index; q_diagnostic = d; q_text = Some skipped } :: !qs
-  in
-  let cur = Json.Cursor.create ?cancel ~on_error () in
-  let acc = ref Shape.Bottom and parsed = ref 0 in
-  let fold ds =
-    match ds with
-    | [] -> ()
-    | ds ->
-        let k = List.length ds in
-        if Obs_metrics.enabled () then begin
-          Obs_metrics.add m_ingest_total k;
-          Obs_metrics.add m_ingest_clean k
-        end;
-        acc := Csh.csh ~mode:(csh_mode mode) !acc (shape_of_samples ~mode ds);
-        parsed := !parsed + k
-  in
-  feed (fun fragment -> fold (Json.Cursor.feed cur fragment));
-  fold (Json.Cursor.finish cur);
-  let qs = List.rev !qs in
-  let total = !parsed + List.length qs in
-  if total = 0 then Error "no JSON sample documents found"
-  else
-    match budget_error ~budget ~total qs with
-    | Some msg -> Error msg
-    | None -> Ok { shape = !acc; total; quarantined = qs }
+let spawn f =
+  Obs_metrics.incr m_spawned;
+  Domain.spawn f
 
-let of_csv_tolerant ?(cancel = Cancel.never) ?separator ?has_headers ~budget src
-    =
-  Obs_trace.with_span "infer.stream" @@ fun () ->
-  let qs = ref [] in
-  let on_error (d : Diagnostic.t) ~skipped =
-    Obs_metrics.incr m_ingest_total;
-    Obs_metrics.incr m_ingest_quarantined;
-    let index = match d.Diagnostic.index with Some i -> i | None -> 0 in
-    qs := { q_index = index; q_diagnostic = d; q_text = Some skipped } :: !qs
-  in
-  Cancel.check cancel;
-  match Csv.parse_tolerant ?separator ?has_headers ~on_error src with
-  | Error d -> Error (Diagnostic.message_of d)
-  | Ok table ->
-      if Obs_metrics.enabled () then begin
-        let k = List.length table.Csv.rows in
-        Obs_metrics.add m_ingest_total k;
-        Obs_metrics.add m_ingest_clean k
-      end;
-      let qs = List.rev !qs in
-      let total = List.length table.Csv.rows + List.length qs in
-      (match budget_error ~budget ~total qs with
-      | Some msg -> Error msg
-      | None ->
-          Ok
-            {
-              shape =
-                shape_of_value ~mode:`Practical
-                  (Csv.to_data ~convert_primitives:false table);
-              total;
-              quarantined = qs;
-            })
+let traced_chunk ~offset ~size f =
+  Obs_metrics.incr m_chunks;
+  Obs_metrics.observe h_chunk_size (float_of_int size);
+  if Obs_trace.enabled () then
+    Obs_trace.with_span "infer.chunk"
+      ~args:[ ("offset", string_of_int offset); ("size", string_of_int size) ]
+      f
+  else f ()
 
-(* ----- Format entry points ----- *)
+exception Stop
 
-let of_json_samples ?mode samples =
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-        match Json.parse_result s with
-        | Ok d -> parse (d :: acc) rest
-        | Error _ as e -> e)
+(* One batch's share of a run. *)
+type batch = { b_shape : Shape.t; b_clean : int; b_faults : quarantined list }
+
+(* Fold a batch's items into [fold] in order, under its own
+   [infer.chunk] span. The [i]th item sits at the next global index from
+   [index] on that is not in [gaps], the indices of the faults the
+   reader reported itself. Each item is isolated: a fault parsing or
+   inferring it is quarantined under its index, never raised. A strict
+   run stops at the first fault. The walk is the span's tail call, so
+   the items it has passed are garbage at once. *)
+let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
+    ~gaps items =
+  let rec go i gaps clean faults = function
+    | [] -> { b_shape = fold.shape; b_clean = clean; b_faults = List.rev faults }
+    | item :: rest as items -> (
+        match gaps with
+        | g :: gaps when g = i -> go (i + 1) gaps clean faults items
+        | _ -> (
+            Cancel.check cancel;
+            match fold_value ~mode fold (read item) with
+            | () -> go (i + 1) gaps (clean + 1) faults rest
+            | exception e ->
+                let d =
+                  match e with
+                  | Diagnostic.Parse_error d -> d
+                  | exn ->
+                      Diagnostic.make ~format ~line:1 ~column:0
+                        ("unexpected error: " ^ Printexc.to_string exn)
+                in
+                let d = Diagnostic.with_index i d in
+                let q = { q_index = i; q_diagnostic = d; q_text = text item } in
+                go (i + 1) gaps clean (q :: faults) (if strict then [] else rest)))
   in
-  match parse [] samples with
-  | Ok ds -> Ok (shape_of_samples ?mode ds)
-  | Error e -> Error e
+  traced_chunk ~offset:index ~size:(List.length items) @@ fun () ->
+  go index gaps 0 [] items
+
+let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
+    source =
+  let (module F : FORMAT) = format_module format in
+  let mode = Option.value mode ~default:F.mode in
+  let jobs = normalize_jobs jobs in
+  let strict = budget = Diagnostic.Strict in
+  let fresh () = { shape = Shape.Bottom; index = None } in
+  (* the fold of a sequential run, and of a parallel run's first chunk *)
+  let acc = fresh () in
+  let batches, faults, fatal =
+    match source with
+    | Samples texts -> (
+        let read t =
+          match F.parse t with
+          | Ok d -> d
+          | Error d -> raise (Diagnostic.Parse_error d)
+        in
+        let batch ~cancel fold (index, texts) =
+          fold_batch ~mode ~format:F.format ~strict ~cancel ~read
+            ~text:Option.some fold ~index ~gaps:[] texts
+        in
+        (* The token is polled on the calling domain only: worker chunks
+           are bounded work already in flight, and joining them (even
+           when it trips) keeps every domain accounted for. *)
+        match chunk jobs texts with
+        | [] -> ([], [], None)
+        | first :: rest ->
+            let workers =
+              List.map
+                (fun c ->
+                  spawn (fun () -> batch ~cancel:Cancel.never (fresh ()) c))
+                rest
+            in
+            let b0 =
+              try batch ~cancel acc first
+              with exn ->
+                List.iter (fun w -> ignore (Domain.join w)) workers;
+                raise exn
+            in
+            (b0 :: List.map Domain.join workers, [], None))
+    | String _ | Feed _ ->
+        let results = ref [] and faults = ref [] in
+        (* where the next batch starts, and the faults reported since *)
+        let next = ref 0 and pending = ref [] in
+        let on_error (d : Diagnostic.t) ~skipped =
+          let i = Option.value d.Diagnostic.index ~default:!next in
+          faults :=
+            { q_index = i; q_diagnostic = d; q_text = Some skipped } :: !faults;
+          pending := i :: !pending;
+          if strict then raise Stop
+        in
+        let batch fold ~index ~gaps docs =
+          fold_batch ~mode ~format:F.format ~strict ~cancel:Cancel.never
+            ~read:Fun.id ~text:(fun _ -> None) fold ~index ~gaps docs
+        in
+        (* At most [jobs] batches in flight, oldest first. The latest
+           batch is held back, and folded on this domain when no other
+           follows it, so a source of one batch spawns nothing. *)
+        let inflight = Queue.create () and held = ref None in
+        let join_one () =
+          results := Domain.join (Queue.pop inflight) :: !results
+        in
+        let join_all () =
+          while not (Queue.is_empty inflight) do
+            join_one ()
+          done
+        in
+        let emit = function
+          | [] -> ()
+          | docs ->
+              let index = !next and gaps = List.rev !pending in
+              let index', gaps' = after index (List.length docs) gaps in
+              next := index';
+              pending := List.rev gaps';
+              if jobs = 1 then begin
+                let b = batch acc ~index ~gaps docs in
+                results := b :: !results;
+                if strict && b.b_faults <> [] then raise Stop
+              end
+              else begin
+                Option.iter
+                  (fun (index, gaps, docs) ->
+                    if Queue.length inflight >= jobs then join_one ();
+                    Queue.add
+                      (spawn (fun () -> batch (fresh ()) ~index ~gaps docs))
+                      inflight)
+                  !held;
+                held := Some (index, gaps, docs)
+              end
+        in
+        let fatal =
+          match
+            match source with
+            | String text ->
+                let chunk_size, chunk_bytes =
+                  stream_caps ~jobs ~bytes:(String.length text) chunk_size
+                in
+                F.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
+            | Feed feed -> F.feed ~cancel ~on_error emit feed
+            | Samples _ -> assert false
+          with
+          | () | (exception Stop) -> None
+          | exception Diagnostic.Parse_error d -> Some d
+          | exception exn ->
+              (* no domain outlives the run, even a cancelled one *)
+              join_all ();
+              raise exn
+        in
+        join_all ();
+        Option.iter
+          (fun (index, gaps, docs) ->
+            results := batch acc ~index ~gaps docs :: !results)
+          !held;
+        (List.rev !results, List.rev !faults, fatal)
+  in
+  let clean = List.fold_left (fun n b -> n + b.b_clean) 0 batches in
+  let qs =
+    sort_quarantined (faults @ List.concat_map (fun b -> b.b_faults) batches)
+  in
+  count ~clean ~quarantined:(List.length qs);
+  let total = clean + List.length qs in
+  let shape () =
+    let s =
+      match batches with
+      | _ when jobs = 1 -> acc.shape
+      | [ b ] -> b.b_shape
+      | bs ->
+          Obs_trace.with_span "infer.merge" @@ fun () ->
+          Csh.csh_tree ~mode:(csh_mode mode) (List.map (fun b -> b.b_shape) bs)
+    in
+    match source with Samples _ -> s | String _ | Feed _ -> F.shape ~clean s
+  in
+  match (fatal, qs, F.empty, source) with
+  | Some d, _, _, _ -> Error (Diagnostic.message_of d)
+  | None, [], Some m, (String _ | Feed _) when total = 0 -> Error m
+  | None, q :: _, _, _ when strict ->
+      Error (Diagnostic.message_of q.q_diagnostic)
+  | None, _, _, _ -> (
+      match budget_error ~budget ~total qs with
+      | Some m -> Error m
+      | None -> Ok { shape = shape (); total; quarantined = qs })
 
 let of_json ?mode src =
-  Obs_trace.with_span "infer.stream" @@ fun () ->
-  match Json.parse_many src with
-  | [] -> Error "no JSON sample documents found"
-  | ds ->
-      if Obs_metrics.enabled () then begin
-        let k = List.length ds in
-        Obs_metrics.add m_ingest_total k;
-        Obs_metrics.add m_ingest_clean k
-      end;
-      Ok (shape_of_samples ?mode ds)
-  | exception Json.Parse_error { line; column; message } ->
-      Error
-        (Printf.sprintf "JSON parse error at line %d, column %d: %s" line column
-           message)
-
-let of_xml_samples ?(mode : mode = `Xml) samples =
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-        match Xml.parse_result s with
-        | Ok tree ->
-            (* Inference classifies the raw attribute/body strings itself,
-               so keep them unconverted here. *)
-            parse (Xml.to_data ~convert_primitives:false tree :: acc) rest
-        | Error m -> Error m)
-  in
-  match parse [] samples with
-  | Ok ds -> Ok (shape_of_samples ~mode ds)
-  | Error e -> Error e
-
-let of_xml ?mode src = of_xml_samples ?mode [ src ]
-
-let of_csv ?separator ?has_headers src =
-  match Csv.parse_result ?separator ?has_headers src with
-  | Error _ as e -> e
-  | Ok table ->
-      if Obs_metrics.enabled () then begin
-        let k = List.length table.Csv.rows in
-        Obs_metrics.add m_ingest_total k;
-        Obs_metrics.add m_ingest_clean k
-      end;
-      let data = Csv.to_data ~convert_primitives:false table in
-      Ok (shape_of_value ~mode:`Practical data)
+  Result.map (fun r -> r.shape) (run ?mode Diagnostic.Strict Json (String src))

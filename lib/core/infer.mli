@@ -77,26 +77,21 @@ val csh_mode : mode -> Csh.mode
 (** The collection-merging discipline each inference mode folds with:
     [`Paper] → [`Core], [`Practical] → [`Hetero], [`Xml] → [`Xml]. *)
 
-(** {1 Fault-tolerant inference}
+(** {1 The ingestion engine}
 
-    The strict entry points below abort on the first malformed sample.
-    The [_tolerant] variants instead {e quarantine} faulty samples —
-    recording a structured diagnostic and the skipped text, and leaving
-    them out of the csh fold — as long as the number of faults stays
-    within an error budget. With budget {!Fsdata_data.Diagnostic.Strict}
-    any fault is over budget, so tolerance is strictly opt-in.
-
-    Every tolerant driver takes an optional [cancel] token
-    ({!Fsdata_data.Cancel.t}), polled between samples — outside
-    {!shape_of_sample}'s isolation boundary, so cancellation is never
-    swallowed as a quarantine diagnostic. When the token trips the
-    driver raises {!Fsdata_data.Cancel.Cancelled}; the serve layer uses
-    this to cut off requests whose deadline expired mid-parse. *)
+    One driver infers the shape of every corpus, whatever its format and
+    wherever its text comes from: [S(d1, ..., dn)] is one csh fold, and
+    by Lemma 1 the fold may be cut into batches anywhere. Faulty samples
+    are {e quarantined}: recorded with a structured diagnostic and the
+    skipped text, and left out of the fold, as long as their number
+    stays within an error budget. *)
 
 type quarantined = {
   q_index : int;  (** global 0-based sample index within the corpus *)
   q_diagnostic : Fsdata_data.Diagnostic.t;
-  q_text : string option;  (** the skipped raw text, when available *)
+  q_text : string option;
+      (** the skipped raw text; [None] for a document that parsed but
+          whose inference raised *)
 }
 
 type report = {
@@ -105,102 +100,70 @@ type report = {
   quarantined : quarantined list;  (** in sample order *)
 }
 
-val sort_quarantined : quarantined list -> quarantined list
-(** Stable sort by global sample index. *)
+type format = Fsdata_data.Diagnostic.format = Json | Xml | Csv
 
-val budget_error :
-  budget:Fsdata_data.Diagnostic.budget ->
-  total:int ->
-  quarantined list ->
-  string option
-(** [Some message] when the quarantine list exceeds the budget over
-    [total] samples; the message names the first offending sample. *)
+type source =
+  | String of string
+      (** one text, read as the format's document stream: JSON
+          documents separated by whitespace, one XML document, or a CSV
+          table whose rows are the samples *)
+  | Samples of string list
+      (** one sample per string: a JSON or XML document, or a whole CSV
+          table *)
+  | Feed of ((string -> unit) -> unit)
+      (** [Feed f] reads like [String] over the concatenation of the
+          fragments [f] pushes. JSON is parsed as they arrive, holding
+          at most one partial document; XML and CSV once [f] returns. *)
 
-val shape_of_sample :
-  mode:mode ->
-  format:Fsdata_data.Diagnostic.format ->
-  index:int ->
-  parse:(string -> (Fsdata_data.Data_value.t, Fsdata_data.Diagnostic.t) result) ->
-  string ->
-  (Shape.t, Fsdata_data.Diagnostic.t) result
-(** Parse and infer one sample, converting any fault — a parse error or
-    an unexpected exception escaping [parse] or inference — into a
-    diagnostic carrying the sample's [index]. Never raises; this is the
-    per-sample isolation boundary the parallel drivers rely on. *)
-
-val of_json_samples_tolerant :
+val run :
   ?cancel:Fsdata_data.Cancel.t ->
   ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
+  ?jobs:int ->
+  ?chunk_size:int ->
+  Fsdata_data.Diagnostic.budget ->
+  format ->
+  source ->
   (report, string) result
+(** [run budget format source] parses the samples of [source] and
+    infers the shape of its clean ones. The default [mode] is [`Xml] for
+    XML and [`Practical] otherwise.
 
-val of_xml_samples_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
-  (report, string) result
-(** Default mode is [`Xml], as for {!of_xml_samples}. *)
+    {b Sequential runs.} At [jobs = 1] (the default) every source is one
+    left fold of {!shape_of_samples}'s kind over the clean documents in
+    corpus order, threaded across batches: the shape is exactly
+    [shape_of_samples ~mode] of those documents, whatever the batching
+    (CSV wraps it into the collection of rows, with its multiplicity).
 
-val of_json_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string ->
-  (report, string) result
-(** Streaming variant over a whitespace-separated document stream:
-    malformed documents are skipped via {!Fsdata_data.Json.fold_many}'s
-    recovering mode, resynchronizing at the next top-level document
-    boundary. *)
+    {b Parallel runs.} At [jobs > 1] batches are folded in worker
+    domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the
+    machine's recommended domain count, and at most 64 are used. A
+    sample list is split into [jobs] contiguous runs, each parsed in its
+    domain. A JSON text is parsed on the calling domain and cut into
+    batches of [chunk_size] documents (default 65536) or of [bytes /
+    (jobs * 8)] consumed source bytes, clamped to [64KiB..8MiB],
+    whichever fills first; at most [jobs] batches are in flight. The
+    result is {!Shape.equal} to the sequential one (Lemma 1), with the
+    same quarantine.
 
-val of_json_feed_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  ((string -> unit) -> unit) ->
-  (report, string) result
-(** Incremental variant of {!of_json_tolerant}: [of_json_feed_tolerant
-    ~budget feed] calls [feed push] and infers over every fragment the
-    caller [push]es, holding at most one partial document (plus the
-    current fragment) in memory via {!Fsdata_data.Json.Cursor}. Same
-    recovering semantics, diagnostics, stream-global indices and ingest
-    accounting as {!of_json_tolerant}; the serve layer uses it to infer
-    over request bodies without buffering them. Merge batching follows
-    fragment boundaries instead of [fold_many]'s document chunks, so
-    outputs agree byte-for-byte wherever csh is representation-level
-    associative (everywhere but the mixed-tag corpora documented in
-    {!Csh}). *)
+    {b Faults.} Each sample is isolated: a parse fault, or an exception
+    escaping parsing or inference, is quarantined with a diagnostic
+    carrying the sample's global index. A malformed JSON document is
+    skipped by resynchronizing at the next top-level document boundary
+    ({!Fsdata_data.Json.fold_many}); a ragged CSV row is quarantined;
+    an unterminated quoted CSV cell fails the run whatever the budget.
+    With budget {!Fsdata_data.Diagnostic.Strict} the run stops at the
+    lowest-index fault and answers its
+    {!Fsdata_data.Diagnostic.message_of}, the strict pipeline's line.
+    Any other budget reads the whole source and fails, naming the first
+    fault, when the quarantine exceeds it. A JSON [String] or [Feed]
+    holding no document at all is an error; an empty sample list infers
+    bottom.
 
-val of_csv_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?separator:char ->
-  ?has_headers:bool ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string ->
-  (report, string) result
-(** Each data row is a sample; ragged rows are quarantined. Structural
-    faults (unterminated quoted cells) abort regardless of budget.
-    [cancel] is polled once at entry (row parsing is a single pass). *)
-
-(** {1 Format entry points}
-
-    Each parses its input and infers the shape of the samples it contains,
-    the way the corresponding F# Data type provider does. *)
+    [cancel] is polled between documents on the calling domain, outside
+    the isolation boundary: when it trips the run raises
+    {!Fsdata_data.Cancel.Cancelled}. Worker domains finish their batch
+    and are always joined, so no domain outlives the run. *)
 
 val of_json : ?mode:mode -> string -> (Shape.t, string) result
-(** One or more whitespace-separated JSON sample documents. *)
-
-val of_json_samples : ?mode:mode -> string list -> (Shape.t, string) result
-(** Several separate JSON sample strings (the multi-sample static
-    parameter of the provider). *)
-
-val of_xml : ?mode:mode -> string -> (Shape.t, string) result
-(** A single XML sample document; the default mode here is [`Xml]. *)
-
-val of_xml_samples : ?mode:mode -> string list -> (Shape.t, string) result
-
-val of_csv : ?separator:char -> ?has_headers:bool -> string -> (Shape.t, string) result
-(** A CSV sample; the shape is the collection of row-record shapes
-    (Section 6.2). CSV inference is always practical: its literals carry
-    no types. *)
+(** [run Strict Json (String src)]'s shape: one or more
+    whitespace-separated JSON sample documents. *)

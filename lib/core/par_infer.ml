@@ -1,432 +1,1 @@
-open Fsdata_data
-module Obs_trace = Fsdata_obs.Trace
-module Obs_metrics = Fsdata_obs.Metrics
-
-type mode = Infer.mode
-
-(* Observability (docs/OBSERVABILITY.md): each unit of parallel work is
-   an [infer.chunk] span recorded {e inside} the domain that executes it
-   — including the chunk kept on the calling domain — so a trace shows
-   the real overlap across tids. The final reduction is an [infer.merge]
-   span on the joining domain. [par.chunk_size] summarizes how evenly
-   the corpus was split; [par.domains_spawned] counts only actual
-   [Domain.spawn]s, so it stays 0 on the sequential paths. *)
-let m_chunks = Obs_metrics.counter "par.chunks"
-let m_spawned = Obs_metrics.counter "par.domains_spawned"
-let h_chunk_size = Obs_metrics.histogram "par.chunk_size"
-
-(* Registration is idempotent by name: these are the same cells
-   {!Infer} bumps, shared so the parallel drivers that bypass
-   {!Infer.shape_of_sample} (the strict chunk fold, the streaming
-   chunk callbacks) keep the clean + quarantined = total reconciliation
-   intact. *)
-let m_samples = Obs_metrics.counter "infer.samples"
-let m_ingest_total = Obs_metrics.counter "ingest.samples_total"
-let m_ingest_clean = Obs_metrics.counter "ingest.samples_clean"
-let m_ingest_quarantined = Obs_metrics.counter "ingest.samples_quarantined"
-
-let count_clean k =
-  if Obs_metrics.enabled () then begin
-    Obs_metrics.add m_ingest_total k;
-    Obs_metrics.add m_ingest_clean k
-  end
-
-(* Wrap one chunk's work; runs on whichever domain executes the chunk so
-   the span lands in that domain's buffer. *)
-let traced_chunk ~offset ~size f =
-  Obs_metrics.incr m_chunks;
-  Obs_metrics.observe h_chunk_size (float_of_int size);
-  if Obs_trace.enabled () then
-    Obs_trace.with_span "infer.chunk"
-      ~args:[ ("offset", string_of_int offset); ("size", string_of_int size) ]
-      f
-  else f ()
-
-let traced_merge f = Obs_trace.with_span "infer.merge" f
-
-let spawn f =
-  Obs_metrics.incr m_spawned;
-  Domain.spawn f
-
-let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
-
-(* The runtime supports ~128 concurrent domains; stay well below so a
-   generous --jobs never aborts the program. *)
-let max_jobs = 64
-
-let normalize_jobs = function
-  | None -> min max_jobs (recommended_jobs ())
-  | Some j -> max 1 (min max_jobs j)
-
-let chunk k xs =
-  if k < 1 then invalid_arg "Par_infer.chunk: k must be positive";
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let k = min k n in
-    (* first [n mod k] chunks get one extra element *)
-    let base = n / k and extra = n mod k in
-    let rec take i acc xs =
-      if i = 0 then (List.rev acc, xs)
-      else
-        match xs with
-        | [] -> (List.rev acc, [])
-        | x :: rest -> take (i - 1) (x :: acc) rest
-    in
-    let rec go i xs =
-      if i >= k then []
-      else
-        let size = base + if i < extra then 1 else 0 in
-        let c, rest = take size [] xs in
-        c :: go (i + 1) rest
-    in
-    go 0 xs
-  end
-
-let csh_tree ?(mode = `Hetero) shapes =
-  let rec round = function
-    | [] -> []
-    | [ s ] -> [ s ]
-    | a :: b :: rest -> Csh.csh ~mode a b :: round rest
-  in
-  let rec reduce = function
-    | [] -> Shape.Bottom
-    | [ s ] -> s
-    | ss -> reduce (round ss)
-  in
-  reduce shapes
-
-(* Pair each chunk with the global index of its first sample, so chunk
-   workers can attribute per-sample faults (and chunk spans) to corpus
-   positions. *)
-let with_offsets chunks =
-  let rec go off = function
-    | [] -> []
-    | c :: rest -> (off, c) :: go (off + List.length c) rest
-  in
-  go 0 chunks
-
-(* Run [f] over every chunk, the first chunk on the current domain and
-   the rest on spawned domains, and merge the chunk results with the
-   balanced csh tree. Chunks keep sample order, and the tree merges
-   adjacent shapes only, so order-sensitive parts of the representation
-   (record field order) match the sequential left fold exactly. *)
-let map_reduce_chunks ~cmode ~jobs ~of_chunk samples =
-  let run (offset, c) =
-    traced_chunk ~offset ~size:(List.length c) (fun () -> of_chunk c)
-  in
-  match with_offsets (chunk jobs samples) with
-  | [] -> Shape.Bottom
-  | [ oc ] -> run oc
-  | first :: rest ->
-      let workers = List.map (fun oc -> spawn (fun () -> run oc)) rest in
-      let s0 = run first in
-      let shapes = s0 :: List.map Domain.join workers in
-      traced_merge (fun () -> csh_tree ~mode:cmode shapes)
-
-let shape_of_samples ?(mode : mode = `Practical) ?jobs ds =
-  (* [jobs = 1] degenerates to a single chunk on the calling domain, so
-     sequential runs still produce one [infer.chunk] span and traces
-     line up across --jobs settings. *)
-  let jobs = normalize_jobs jobs in
-  map_reduce_chunks ~cmode:(Infer.csh_mode mode) ~jobs
-    ~of_chunk:(Infer.shape_of_samples ~mode) ds
-
-(* ----- Format entry points ----- *)
-
-(* Parse-and-infer a chunk of sample texts; stop at the chunk's first
-   parse error. The per-chunk results are scanned in order afterwards,
-   so the error reported for a bad corpus is the earliest one, exactly
-   as in the sequential drivers of {!Infer}. An unexpected exception is
-   confined to the failing sample and surfaces as an error naming its
-   global index — it never propagates raw out of a worker domain. *)
-let fold_chunk ~mode ~parse ~offset texts =
-  let cmode = Infer.csh_mode mode in
-  let unexpected i exn =
-    Error
-      (Printf.sprintf "sample %d: unexpected error: %s" (offset + i)
-         (Printexc.to_string exn))
-  in
-  let rec go acc i = function
-    | [] -> Ok acc
-    | t :: rest -> (
-        match Result.map (Infer.shape_of_value ~mode) (parse t) with
-        | Ok s ->
-            Obs_metrics.incr m_ingest_total;
-            Obs_metrics.incr m_ingest_clean;
-            Obs_metrics.incr m_samples;
-            go (Csh.csh ~mode:cmode acc s) (i + 1) rest
-        | Error _ as e -> e
-        | exception exn -> unexpected i exn)
-  in
-  go Shape.Bottom 0 texts
-
-let of_samples ~mode ~parse ~jobs texts =
-  let jobs = normalize_jobs jobs in
-  let cmode = Infer.csh_mode mode in
-  let run (offset, c) =
-    traced_chunk ~offset ~size:(List.length c) (fun () ->
-        fold_chunk ~mode ~parse ~offset c)
-  in
-  match with_offsets (chunk jobs texts) with
-  | [] -> Ok Shape.Bottom
-  | [ oc ] -> run oc
-  | first :: rest ->
-      let workers = List.map (fun oc -> spawn (fun () -> run oc)) rest in
-      let r0 = run first in
-      let results = r0 :: List.map Domain.join workers in
-      let rec merge acc = function
-        | [] ->
-            Ok (traced_merge (fun () -> csh_tree ~mode:cmode (List.rev acc)))
-        | Ok s :: rest -> merge (s :: acc) rest
-        | (Error _ as e) :: _ -> e
-      in
-      merge [] results
-
-(* ----- Fault-tolerant entry points ----- *)
-
-(* The tolerant chunk fold never fails: every faulty sample — malformed
-   or crashing — is quarantined with a diagnostic carrying its global
-   index ({!Infer.shape_of_sample} is the isolation boundary), so
-   [Domain.join] below can only ever return data. *)
-let fold_chunk_tolerant ?(cancel = Cancel.never) ~mode ~format ~parse ~offset
-    texts =
-  let cmode = Infer.csh_mode mode in
-  let qs = ref [] in
-  let acc = ref Shape.Bottom in
-  List.iteri
-    (fun i t ->
-      (* Outside {!Infer.shape_of_sample}: the isolation boundary would
-         otherwise swallow [Cancelled] as a quarantine diagnostic. *)
-      Cancel.check cancel;
-      let index = offset + i in
-      match Infer.shape_of_sample ~mode ~format ~index ~parse t with
-      | Ok s -> acc := Csh.csh ~mode:cmode !acc s
-      | Error d ->
-          qs :=
-            { Infer.q_index = index; q_diagnostic = d; q_text = Some t } :: !qs)
-    texts;
-  (!acc, List.rev !qs)
-
-let of_samples_tolerant ?(cancel = Cancel.never) ~mode ~format ~parse ~budget
-    ~jobs texts =
-  let jobs = normalize_jobs jobs in
-  let cmode = Infer.csh_mode mode in
-  (* The token is polled only on the coordinating domain's chunk: worker
-     chunks are bounded work already in flight, and joining them below
-     (even on the cancellation path) keeps every domain accounted for. *)
-  let run ?cancel (offset, c) =
-    traced_chunk ~offset ~size:(List.length c) (fun () ->
-        fold_chunk_tolerant ?cancel ~mode ~format ~parse ~offset c)
-  in
-  let results =
-    match with_offsets (chunk jobs texts) with
-    | [] -> []
-    | [ oc ] -> [ run ~cancel oc ]
-    | first :: rest ->
-        let workers = List.map (fun oc -> spawn (fun () -> run oc)) rest in
-        let r0 =
-          try run ~cancel first
-          with exn ->
-            List.iter (fun w -> ignore (Domain.join w)) workers;
-            raise exn
-        in
-        r0 :: List.map Domain.join workers
-  in
-  let shapes = List.map fst results in
-  let qs = List.concat_map snd results in
-  let total = List.length texts in
-  match Infer.budget_error ~budget ~total qs with
-  | Some msg -> Error msg
-  | None ->
-      Ok
-        {
-          Infer.shape = traced_merge (fun () -> csh_tree ~mode:cmode shapes);
-          total;
-          quarantined = qs;
-        }
-
-let of_json_samples_tolerant ?cancel ?(mode : mode = `Practical) ?jobs ~budget
-    texts =
-  of_samples_tolerant ?cancel ~mode ~format:Diagnostic.Json
-    ~parse:Json.parse_diag ~budget ~jobs texts
-
-let of_xml_samples_tolerant ?cancel ?(mode : mode = `Xml) ?jobs ~budget texts =
-  let parse t =
-    Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
-  in
-  of_samples_tolerant ?cancel ~mode ~format:Diagnostic.Xml ~parse ~budget ~jobs
-    texts
-
-let of_json_samples ?(mode : mode = `Practical) ?jobs texts =
-  of_samples ~mode ~parse:Json.parse_result ~jobs texts
-
-let of_xml_samples ?(mode : mode = `Xml) ?jobs texts =
-  let parse t =
-    match Xml.parse_result t with
-    | Ok tree ->
-        (* Inference classifies the raw attribute/body strings itself,
-           so keep them unconverted here (as in {!Infer.of_xml_samples}). *)
-        Ok (Xml.to_data ~convert_primitives:false tree)
-    | Error _ as e -> e
-  in
-  of_samples ~mode ~parse ~jobs texts
-
-(* Adaptive chunk granularity (ROADMAP "parallel streaming speedup is
-   negative"): with the old fixed 256-document parse chunk, each worker
-   hand-off carried only a few tens of kilobytes of inference work, so
-   [Domain.spawn] and queue traffic dominated and [--jobs 2/4] ran
-   slower than the sequential fold. Scale the chunk to the corpus and
-   the worker count instead: target [chunks_per_job] hand-offs per job
-   by source bytes, clamped to [[min_chunk_bytes, max_chunk_bytes]],
-   with a document-count ceiling so corpora of millions of tiny
-   documents still hand off bounded lists. Both caps are overridable
-   ([?chunk_size] in documents, [?chunk_bytes] in source bytes);
-   passing [~chunk_size] alone reproduces the fixed-granularity
-   behaviour. EXPERIMENTS.md B7 records the before/after. *)
-let chunks_per_job = 8
-
-let min_chunk_bytes = 64 * 1024
-let max_chunk_bytes = 8 * 1024 * 1024
-let default_chunk_docs = 65536
-
-let adaptive_granularity ~jobs ~src_bytes chunk_size chunk_bytes =
-  let bytes =
-    match chunk_bytes with
-    | Some b -> b
-    | None ->
-        max min_chunk_bytes
-          (min max_chunk_bytes (src_bytes / max 1 (jobs * chunks_per_job)))
-  in
-  let docs =
-    match chunk_size with Some n -> n | None -> default_chunk_docs
-  in
-  (docs, bytes)
-
-(* Streaming JSON: the parser walks the stream chunk by chunk
-   ({!Json.fold_many}) and hands each parsed chunk to a worker domain
-   for inference, keeping at most [jobs] chunks in flight; their shapes
-   are collected in stream order and tree-merged at the end. Only the
-   in-flight chunks are resident as data values. *)
-let of_json ?(mode : mode = `Practical) ?jobs ?chunk_size ?chunk_bytes src =
-  let jobs = normalize_jobs jobs in
-  let chunk_size, chunk_bytes =
-    adaptive_granularity ~jobs ~src_bytes:(String.length src) chunk_size
-      chunk_bytes
-  in
-  let cmode = Infer.csh_mode mode in
-  let infer_chunk ~offset ds =
-    traced_chunk ~offset ~size:(List.length ds) (fun () ->
-        Infer.shape_of_samples ~mode ds)
-  in
-  (* FIFO of in-flight domains, oldest first. *)
-  let inflight = Queue.create () in
-  let shapes = ref [] in
-  let seen = ref 0 in
-  let drain_one () = shapes := Domain.join (Queue.pop inflight) :: !shapes in
-  let drain_all () =
-    while not (Queue.is_empty inflight) do
-      drain_one ()
-    done
-  in
-  match
-    Json.fold_many ~chunk_size ~chunk_bytes
-      (fun () ds ->
-        let offset = !seen in
-        count_clean (List.length ds);
-        seen := !seen + List.length ds;
-        if jobs = 1 then shapes := infer_chunk ~offset ds :: !shapes
-        else begin
-          if Queue.length inflight >= jobs then drain_one ();
-          Queue.add (spawn (fun () -> infer_chunk ~offset ds)) inflight
-        end)
-      () src
-  with
-  | () ->
-      drain_all ();
-      if !seen = 0 then Error "no JSON sample documents found"
-      else Ok (traced_merge (fun () -> csh_tree ~mode:cmode (List.rev !shapes)))
-  | exception Json.Parse_error { line; column; message } ->
-      (* join stragglers so no domain outlives the call *)
-      drain_all ();
-      Error
-        (Printf.sprintf "JSON parse error at line %d, column %d: %s" line
-           column message)
-
-(* Streaming variant of {!of_json} in recovering mode: malformed
-   documents are skipped (with the parser resynchronizing at the next
-   top-level boundary) and quarantined with their stream index; the
-   fold itself never raises. Worker-domain inference is wrapped so a
-   crash surfaces as an [Error], never as a raw exception out of
-   [Domain.join]. *)
-let of_json_tolerant ?cancel ?(mode : mode = `Practical) ?jobs ?chunk_size
-    ?chunk_bytes ~budget src =
-  let jobs = normalize_jobs jobs in
-  let chunk_size, chunk_bytes =
-    adaptive_granularity ~jobs ~src_bytes:(String.length src) chunk_size
-      chunk_bytes
-  in
-  let cmode = Infer.csh_mode mode in
-  let infer_chunk ~offset ds =
-    traced_chunk ~offset ~size:(List.length ds) (fun () ->
-        try Ok (Infer.shape_of_samples ~mode ds)
-        with exn -> Error (Printexc.to_string exn))
-  in
-  let inflight = Queue.create () in
-  let results = ref [] in
-  let seen = ref 0 in
-  let qs = ref [] in
-  let on_error (d : Diagnostic.t) ~skipped =
-    Obs_metrics.incr m_ingest_total;
-    Obs_metrics.incr m_ingest_quarantined;
-    let index = match d.Diagnostic.index with Some i -> i | None -> 0 in
-    qs :=
-      { Infer.q_index = index; q_diagnostic = d; q_text = Some skipped } :: !qs
-  in
-  let drain_one () = results := Domain.join (Queue.pop inflight) :: !results in
-  let drain_all () =
-    while not (Queue.is_empty inflight) do
-      drain_one ()
-    done
-  in
-  (* The feeder loop runs on the coordinating domain, so [cancel] trips
-     there; join stragglers before re-raising so no domain outlives the
-     call even when it is cut short. *)
-  (try
-     Json.fold_many ?cancel ~chunk_size ~chunk_bytes ~on_error
-       (fun () ds ->
-         let offset = !seen in
-         count_clean (List.length ds);
-         seen := !seen + List.length ds;
-         if jobs = 1 then results := infer_chunk ~offset ds :: !results
-         else begin
-           if Queue.length inflight >= jobs then drain_one ();
-           Queue.add (spawn (fun () -> infer_chunk ~offset ds)) inflight
-         end)
-       () src
-   with exn ->
-     drain_all ();
-     raise exn);
-  drain_all ();
-  let qs = List.rev !qs in
-  let total = !seen + List.length qs in
-  if total = 0 then Error "no JSON sample documents found"
-  else
-    let rec collect acc = function
-      | [] -> Ok (List.rev acc)
-      | Ok s :: rest -> collect (s :: acc) rest
-      | Error msg :: _ ->
-          Error (Printf.sprintf "internal error during chunk inference: %s" msg)
-    in
-    match collect [] (List.rev !results) with
-    | Error _ as e -> e
-    | Ok shapes -> (
-        match Infer.budget_error ~budget ~total qs with
-        | Some msg -> Error msg
-        | None ->
-            Ok
-              {
-                Infer.shape = traced_merge (fun () -> csh_tree ~mode:cmode shapes);
-                total;
-                quarantined = qs;
-              })
+let of_json_tolerant ?jobs ~budget src = Infer.run ?jobs budget Json (String src)

@@ -1,139 +1,9 @@
-(** Parallel, chunked shape inference over OCaml 5 domains.
-
-    [S(d1, ..., dn)] is a fold of {!Csh.csh} over the per-sample shapes
-    (Figure 3). Lemma 1 proves [csh] is the least upper bound of its
-    arguments under the preferred-shape relation ⊑ — an associative,
-    commutative, idempotent join — so the fold may be re-associated
-    freely: this module splits the samples into per-domain chunks, folds
-    each chunk locally, and merges the chunk shapes with a balanced
-    [csh] tree reduction. By Lemma 1 the result is the same shape the
-    sequential fold of {!Infer.shape_of_samples} computes — equal by
-    {!Shape.equal}, the paper's notion of shape identity ("we assume
-    that record fields can be freely reordered"). The representation
-    too is preserved almost everywhere: chunks stay in sample order and
-    the tree merges adjacent shapes only, so record fields keep their
-    first-appearance order whenever records meet records. The one
-    exception is a corpus whose samples mix records with other tagged
-    shapes: re-association can make a record enter a labelled top
-    before a textually earlier record reaches it, and the absorbed
-    label's fields then lead — a different order of the same field set.
-    The property suite [test/test_par_infer.ml] pins down
-    associativity, commutativity, idempotence and sequential≡parallel
-    agreement for all three inference modes.
-
-    Entry points mirror {!Infer}; each takes [?jobs] (the number of
-    domains to use, defaulting to {!recommended_jobs}). [~jobs:1]
-    bypasses domains entirely and is exactly the sequential fold. The
-    streaming {!of_json} fuses chunked parsing ({!Fsdata_data.Json.fold_many})
-    with per-chunk inference so that a large corpus is never fully
-    resident as parsed {!Fsdata_data.Data_value.t}s: at most
-    [jobs + 1] chunks of documents are alive at any moment. *)
-
-type mode = Infer.mode
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], at least 1. *)
-
-val csh_tree : ?mode:Csh.mode -> Shape.t list -> Shape.t
-(** Balanced tree reduction of {!Csh.csh} over a list of shapes:
-    adjacent shapes are merged pairwise until one remains. Equal to
-    {!Csh.csh_all} on the same list (Lemma 1), in logarithmically many
-    rounds. [csh_tree []] is [Shape.Bottom]. Default mode is
-    [`Hetero], as for {!Csh.csh}. *)
-
-val chunk : int -> 'a list -> 'a list list
-(** [chunk k xs] splits [xs] into at most [k] contiguous runs of
-    near-equal length, preserving order; no run is empty. [chunk k []]
-    is [[]]. Raises [Invalid_argument] when [k < 1]. *)
-
-val shape_of_samples :
-  ?mode:mode -> ?jobs:int -> Fsdata_data.Data_value.t list -> Shape.t
-(** Parallel [S(d1, ..., dn)] — bottom when the list is empty.
-    Structurally equal to {!Infer.shape_of_samples} on the same
-    samples. *)
-
-(** {1 Format entry points} *)
-
-val of_json_samples :
-  ?mode:mode -> ?jobs:int -> string list -> (Shape.t, string) result
-(** Like {!Infer.of_json_samples}, but each domain parses and infers
-    its chunk of sample strings. On malformed input, the error reported
-    is the one for the earliest failing sample, as in the sequential
-    driver. *)
-
-val of_json :
-  ?mode:mode ->
-  ?jobs:int ->
-  ?chunk_size:int ->
-  ?chunk_bytes:int ->
-  string ->
-  (Shape.t, string) result
-(** Streaming variant of {!Infer.of_json}: the whitespace-separated
-    document stream is parsed in chunks and each chunk's shape is
-    inferred in a worker domain while the parser races ahead, so the
-    whole corpus is never resident at once. Parse errors carry positions
-    relative to the whole stream.
-
-    Chunk granularity is {e adaptive} by default: a chunk is cut once it
-    has consumed [corpus bytes / (jobs * 8)] source bytes (clamped to
-    [64KiB..8MiB]) or 65536 documents, whichever fills first, so the
-    per-chunk spawn/hand-off cost is amortized over a corpus-sized slice
-    of work instead of a fixed 256 tiny documents (the regime in which
-    [--jobs 2/4] used to run slower than the sequential fold — see
-    EXPERIMENTS.md B7). Both caps are overridable: [chunk_size] bounds a
-    chunk in documents, [chunk_bytes] in consumed source bytes. *)
-
-val of_xml_samples :
-  ?mode:mode -> ?jobs:int -> string list -> (Shape.t, string) result
-(** Like {!Infer.of_xml_samples}: each domain parses and infers its
-    chunk of XML sample strings; default mode is [`Xml]. *)
-
-(** {1 Fault-tolerant entry points}
-
-    Parallel counterparts of the [_tolerant] drivers in {!Infer}: faulty
-    samples are quarantined under an error budget instead of aborting
-    the run. Fault isolation is per sample even across domain chunks —
-    each worker attributes exceptions to the failing sample's global
-    corpus index ({!Infer.shape_of_sample}), so a poisoned sample never
-    spoils its chunk and no exception ever propagates raw out of a
-    [Domain.join]. The resulting {!Infer.report} is identical to the
-    sequential one on the same corpus (quarantine order included).
-
-    [cancel] ({!Fsdata_data.Cancel.t}) is polled on the coordinating
-    domain — between documents in the streaming feeder, between samples
-    of the chunk kept on the calling domain — and raises
-    {!Fsdata_data.Cancel.Cancelled} when it trips. Worker domains run
-    their (bounded) chunks to completion and are always joined before
-    the exception escapes, so cancellation never leaks a domain. *)
-
-val of_json_samples_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  ?jobs:int ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
-  (Infer.report, string) result
-
-val of_xml_samples_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  ?jobs:int ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
-  (Infer.report, string) result
-(** Default mode is [`Xml]. *)
+(** The parallel JSON entry point of earlier releases, kept for callers
+    written against it. Parallel inference is {!Infer.run}'s [?jobs]. *)
 
 val of_json_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
   ?jobs:int ->
-  ?chunk_size:int ->
-  ?chunk_bytes:int ->
   budget:Fsdata_data.Diagnostic.budget ->
   string ->
   (Infer.report, string) result
-(** Streaming recovering variant of {!of_json}: malformed documents are
-    skipped via {!Fsdata_data.Json.fold_many}'s resynchronization and
-    quarantined with their stream index while clean chunks are inferred
-    in worker domains. Chunk granularity is adaptive exactly as in
-    {!of_json}. *)
+(** [Infer.run ?jobs budget Json (String src)]. *)

@@ -7,8 +7,8 @@
     {e where}, and {e why}, and (under an error budget) keep going.
 
     This module is the one error currency shared by the [Json], [Xml]
-    and [Csv] parsers and by the tolerant inference drivers in
-    [Fsdata_core.Infer] / [Fsdata_core.Par_infer]. The three legacy
+    and [Csv] parsers and by the inference engine,
+    [Fsdata_core.Infer.run]. The three legacy
     per-format [Parse_error] exceptions still exist as thin compatibility
     wrappers around a diagnostic; new code should consume diagnostics. *)
 
@@ -31,7 +31,7 @@ exception Parse_error of t
 (** The exception the parsers raise internally. The per-format public
     entry points convert it to their legacy exception ([Json.Parse_error]
     etc.) so existing handlers keep working; the [*_diag] entry points
-    and the tolerant drivers hand the diagnostic over directly. *)
+    and the inference engine hand the diagnostic over directly. *)
 
 val make :
   ?index:int -> ?severity:severity -> format:format -> line:int -> column:int

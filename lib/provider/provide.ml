@@ -250,9 +250,9 @@ let provide_json ?root_name src =
   | Ok shape -> Ok (provide ~format:`Json ?root_name shape)
 
 let provide_xml ?root_name src =
-  match Infer.of_xml src with
+  match Infer.run Fsdata_data.Diagnostic.Strict Xml (String src) with
   | Error e -> Error e
-  | Ok shape -> Ok (provide ~format:`Xml ?root_name shape)
+  | Ok { Infer.shape; _ } -> Ok (provide ~format:`Xml ?root_name shape)
 
 let provide_xml_global sources =
   match Fsdata_core.Xml_global.of_strings sources with
@@ -405,8 +405,8 @@ let provide_html src =
            tables)
   | exception e -> Error (Printexc.to_string e)
 
-let provide_csv ?separator ?has_headers ?schema src =
-  match Fsdata_core.Csv_schema.infer_csv ?separator ?has_headers ?schema src with
+let provide_csv ?schema src =
+  match Fsdata_core.Csv_schema.infer_csv ?schema src with
   | Error e -> Error e
   | Ok shape -> Ok (provide ~format:`Csv shape)
 

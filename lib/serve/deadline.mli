@@ -35,5 +35,5 @@ val check : t -> unit
 (** @raise Expired once the deadline has passed. *)
 
 val cancel : t -> Fsdata_data.Cancel.t
-(** The deadline as a cooperative cancellation token for the tolerant
-    ingestion drivers and {!Fsdata_core.Shape_compile.parse_corpus}. *)
+(** The deadline as a cooperative cancellation token for the ingestion
+    engine ({!Fsdata_core.Infer.run}) and {!Fsdata_core.Shape_compile.parse_corpus}. *)

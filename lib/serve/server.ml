@@ -1,6 +1,5 @@
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Shape_parser = Fsdata_core.Shape_parser
 module Shape_check = Fsdata_core.Shape_check
 module Shape_compile = Fsdata_core.Shape_compile
@@ -323,6 +322,12 @@ let render_ok t ~format ~accept ~cache_header report =
   in
   (body, cache_header)
 
+(* A [format] query parameter already checked to be json, csv or xml. *)
+let infer_format = function
+  | "xml" -> Infer.Xml
+  | "csv" -> Infer.Csv
+  | _ -> Infer.Json
+
 let handle_infer t ~cancel ~rest req =
   if req.Http.meth <> "POST" then method_not_allowed "POST"
   else
@@ -337,8 +342,7 @@ let handle_infer t ~cancel ~rest req =
       | None -> Ok 1
       | Some s -> (
           match int_of_string_opt s with
-          | Some n when n > 0 -> Ok n
-          | Some 0 -> Ok (Par_infer.recommended_jobs ())
+          | Some n when n >= 0 -> Ok n
           | _ -> Error (Printf.sprintf "bad jobs value %S" s))
     in
     let budget =
@@ -365,7 +369,7 @@ let handle_infer t ~cancel ~rest req =
           in
           go ()
         in
-        match Infer.of_json_feed_tolerant ~cancel ~budget feed with
+        match Infer.run ~cancel budget Json (Feed feed) with
         | Error m -> json_error 422 m
         | Ok report ->
             let body, header =
@@ -404,16 +408,10 @@ let handle_infer t ~cancel ~rest req =
               ~status:200 body
         | None -> (
             Metrics.incr cache_misses;
-            let result =
-              match format with
-              | "json" ->
-                  Par_infer.of_json_tolerant ~cancel ~jobs ~budget body_text
-              | "xml" ->
-                  Par_infer.of_xml_samples_tolerant ~cancel ~jobs ~budget
-                    [ body_text ]
-              | _ -> Infer.of_csv_tolerant ~cancel ~budget body_text
-            in
-            match result with
+            match
+              Infer.run ~cancel ~jobs budget (infer_format format)
+                (String body_text)
+            with
             | Error m -> json_error 422 m
             | Ok report ->
                 let body, header =
@@ -551,14 +549,9 @@ let handle_stream_push t ~cancel name req =
     match (format, budget) with
     | _, Error m -> json_error 400 m
     | ("json" | "csv" | "xml"), Ok budget -> (
-        let result =
-          match format with
-          | "json" -> Infer.of_json_tolerant ~cancel ~budget req.Http.body
-          | "xml" ->
-              Infer.of_xml_samples_tolerant ~cancel ~budget [ req.Http.body ]
-          | _ -> Infer.of_csv_tolerant ~cancel ~budget req.Http.body
-        in
-        match result with
+        match
+          Infer.run ~cancel budget (infer_format format) (String req.Http.body)
+        with
         | Error m -> json_error 422 m
         | Ok report -> (
             let delta = Shape.hcons report.Infer.shape in
@@ -1247,7 +1240,7 @@ let handle ?(cancel = Fsdata_data.Cancel.never) ?(deadline = Deadline.never)
     | resp -> resp
     | exception Fsdata_data.Cancel.Cancelled ->
         (* the deadline tripped mid-inference: the cooperative token cut
-           the drivers off between documents *)
+           the engine off between documents *)
         Metrics.incr deadline_expired;
         json_error 504 "deadline exceeded while processing request"
     | exception Deadline.Expired ->

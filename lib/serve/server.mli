@@ -8,9 +8,10 @@
     - [POST /infer?format=json|csv|xml&jobs=N&max-errors=N|N%] — body is
       the sample corpus (for JSON, a whitespace-separated document
       stream); responds with the inferred shape in the paper notation
-      plus the quarantine report, as JSON. Ingestion runs through the
-      fault-tolerant drivers; without [max-errors] the budget is
-      [Strict], exactly as on the command line.
+      plus the quarantine report, as JSON. Ingestion runs through
+      {!Fsdata_core.Infer.run}; without [max-errors] the budget is
+      [Strict], exactly as on the command line. [jobs=0] is the
+      machine's recommended domain count.
     - [POST /check?shape=EXPR&format=json|xml] — body is one document;
       responds with the Figure 6 runtime shape test and the preference
       check against [EXPR].
@@ -85,7 +86,7 @@
     byte, tightened by an [X-Fsdata-Deadline-Ms] request header. The
     deadline governs header and body reads (slowloris defense; expiry
     answers 408) and is threaded as a {!Fsdata_data.Cancel.t} through
-    the tolerant ingestion drivers, so inference over an adversarial
+    the ingestion engine, so inference over an adversarial
     corpus stops between documents and answers 504. JSON [/infer]
     bodies above [stream_threshold] are never buffered — they stream
     off the socket into the recovering cursor (bypassing the response

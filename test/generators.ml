@@ -358,6 +358,13 @@ let print_shape = Shape.to_string
 let data_testable = Alcotest.testable Dv.pp Dv.equal
 let shape_testable = Alcotest.testable Shape.pp Shape.equal
 
+(* The shape strict inference gives a source. *)
+let infer_strict ?mode ?jobs ?chunk_size format source =
+  Result.map
+    (fun (r : Fsdata_core.Infer.report) -> r.Fsdata_core.Infer.shape)
+    (Fsdata_core.Infer.run ?mode ?jobs ?chunk_size Fsdata_data.Diagnostic.Strict
+       format source)
+
 (* Random XML trees for the XML-pipeline safety properties. Element and
    attribute names come from small pools so same-named elements recur
    (exercising unification); literal values cover the classification

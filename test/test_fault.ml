@@ -14,7 +14,6 @@ module Xml = Fsdata_data.Xml
 module Diagnostic = Fsdata_data.Diagnostic
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Ops = Fsdata_runtime.Ops
 open Generators
 open Fault_inject
@@ -49,19 +48,18 @@ let prop_samples_tolerant =
     (fun c ->
       let budget = budget_for c in
       let expect = Infer.shape_of_samples (List.map Json.parse c.clean) in
-      report_matches c expect (Infer.of_json_samples_tolerant ~budget c.texts)
+      report_matches c expect (Infer.run budget Json (Samples c.texts))
       && List.for_all
            (fun jobs ->
              report_matches c expect
-               (Par_infer.of_json_samples_tolerant ~jobs ~budget c.texts))
+               (Infer.run ~jobs budget Json (Samples c.texts)))
            jobs_grid
       (* one fault over budget must fail the whole run *)
       && (c.faulty = []
          ||
          let tight = Diagnostic.Count (List.length c.faulty - 1) in
-         Result.is_error (Infer.of_json_samples_tolerant ~budget:tight c.texts)
-         && Result.is_error
-              (Par_infer.of_json_samples_tolerant ~jobs:2 ~budget:tight c.texts)
+         Result.is_error (Infer.run tight Json (Samples c.texts))
+         && Result.is_error (Infer.run ~jobs:2 tight Json (Samples c.texts))
          ))
 
 let prop_stream_tolerant =
@@ -73,11 +71,11 @@ let prop_stream_tolerant =
       let budget = budget_for c in
       let src = String.concat "\n" c.texts in
       let expect = Infer.shape_of_samples (List.map Json.parse c.clean) in
-      report_matches c expect (Infer.of_json_tolerant ~budget src)
+      report_matches c expect (Infer.run budget Json (String src))
       && List.for_all
            (fun jobs ->
              report_matches c expect
-               (Par_infer.of_json_tolerant ~jobs ~chunk_size:3 ~budget src))
+               (Infer.run ~jobs ~chunk_size:3 budget Json (String src)))
            jobs_grid)
 
 let prop_xml_tolerant =
@@ -92,9 +90,9 @@ let prop_xml_tolerant =
              (fun t -> Xml.to_data ~convert_primitives:false (Xml.parse t))
              c.clean)
       in
-      report_matches c expect (Infer.of_xml_samples_tolerant ~budget c.texts)
+      report_matches c expect (Infer.run budget Xml (Samples c.texts))
       && report_matches c expect
-           (Par_infer.of_xml_samples_tolerant ~jobs:2 ~budget c.texts))
+           (Infer.run ~jobs:2 budget Xml (Samples c.texts)))
 
 (* ----- Compiled-parser parity under error budgets ----- *)
 
@@ -189,9 +187,7 @@ let prop_compiled_ingestion_parity =
           in
           List.for_all
             (fun jobs ->
-              match
-                Par_infer.of_json_tolerant ~jobs ~chunk_size:3 ~budget src
-              with
+              match Infer.run ~jobs ~chunk_size:3 budget Json (String src) with
               | Error e ->
                   QCheck2.Test.fail_reportf "tolerant ingestion failed: %s" e
               | Ok r ->
@@ -201,9 +197,9 @@ let prop_compiled_ingestion_parity =
             [ 1; 7 ])
       && (m.m_malformed = []
          || Result.is_error
-              (Par_infer.of_json_tolerant ~jobs:7 ~chunk_size:3
-                 ~budget:(Diagnostic.Count (List.length m.m_malformed - 1))
-                 src)))
+              (Infer.run ~jobs:7 ~chunk_size:3
+                 (Diagnostic.Count (List.length m.m_malformed - 1))
+                 Json (String src))))
 
 (* ----- Per-sample isolation across domain chunks ----- *)
 
@@ -220,10 +216,7 @@ let test_chunk_boundary_poison () =
   let expect = Infer.shape_of_samples (List.map Json.parse clean) in
   List.iter
     (fun jobs ->
-      match
-        Par_infer.of_json_samples_tolerant ~jobs ~budget:(Diagnostic.Count 2)
-          texts
-      with
+      match Infer.run ~jobs (Diagnostic.Count 2) Json (Samples texts) with
       | Error e -> Alcotest.failf "jobs=%d: %s" jobs e
       | Ok r ->
           Alcotest.(check (list int))
@@ -243,31 +236,41 @@ let test_chunk_boundary_poison () =
     [ 1; 2; 4; 7; 8 ];
   (* the strict parallel driver reports the earliest fault as a result,
      never as an exception escaping Domain.join *)
-  match Par_infer.of_json_samples ~jobs:4 texts with
+  match infer_strict ~jobs:4 Json (Samples texts) with
   | Ok _ -> Alcotest.fail "strict driver accepted a poisoned corpus"
   | Error e ->
       let seq =
-        match Infer.of_json_samples texts with
+        match infer_strict Json (Samples texts) with
         | Error e -> e
         | Ok _ -> Alcotest.fail "sequential driver accepted a poisoned corpus"
       in
       Alcotest.(check string) "earliest-fault parity with sequential" seq e
 
 (* The isolation boundary converts even non-parse exceptions into an
-   indexed diagnostic — a crash in one worker's sample must surface as a
-   quarantine naming that sample, not kill the run. *)
+   indexed diagnostic: a crash in one worker's sample must surface as a
+   quarantine naming that sample, not kill the run. An XML attribute
+   named like the body field gives its element two fields of the same
+   name, which S rejects with [Invalid_argument]. *)
 let test_worker_crash_attributed () =
-  match
-    Infer.shape_of_sample ~mode:`Practical ~format:Diagnostic.Json ~index:42
-      ~parse:(fun _ -> failwith "boom") "{}"
-  with
-  | Ok _ -> Alcotest.fail "expected the crash to surface"
-  | Error d ->
-      Alcotest.(check (option int)) "global index" (Some 42) d.Diagnostic.index;
-      Alcotest.(check bool) "names the exception" true
-        (contains ~affix:"boom" d.Diagnostic.message);
-      Alcotest.(check bool) "flagged as unexpected" true
-        (contains ~affix:"unexpected error" d.Diagnostic.message)
+  let crash = "<root \xe2\x80\xa2=\"1\"><a/></root>" in
+  let texts = List.init 44 (fun i -> if i = 42 then crash else "<root/>") in
+  List.iter
+    (fun jobs ->
+      match Infer.run ~jobs (Diagnostic.Count 1) Xml (Samples texts) with
+      | Error e -> Alcotest.failf "jobs=%d: the crash killed the run: %s" jobs e
+      | Ok { Infer.quarantined = [ q ]; _ } ->
+          let d = q.Infer.q_diagnostic in
+          Alcotest.(check int) "global index" 42 q.Infer.q_index;
+          Alcotest.(check (option int)) "diagnostic index" (Some 42)
+            d.Diagnostic.index;
+          Alcotest.(check bool) "names the exception" true
+            (contains ~affix:"duplicate field" d.Diagnostic.message);
+          Alcotest.(check bool) "flagged as unexpected" true
+            (contains ~affix:"unexpected error" d.Diagnostic.message)
+      | Ok r ->
+          Alcotest.failf "jobs=%d: expected one quarantined sample, got %d" jobs
+            (List.length r.Infer.quarantined))
+    [ 1; 4 ]
 
 (* ----- JSON resynchronization ----- *)
 
@@ -462,11 +465,11 @@ let test_csv_tolerant_inference () =
       ~ragged:[]
   in
   let expect =
-    match Infer.of_csv clean with
+    match infer_strict Csv (String clean) with
     | Ok s -> s
     | Error e -> Alcotest.failf "clean CSV failed: %s" e
   in
-  (match Infer.of_csv_tolerant ~budget:(Diagnostic.Count 1) faulty with
+  (match Infer.run (Diagnostic.Count 1) Csv (String faulty) with
   | Error e -> Alcotest.failf "tolerant CSV failed: %s" e
   | Ok r ->
       Alcotest.check shape_testable "clean-subset shape" expect r.Infer.shape;
@@ -475,7 +478,7 @@ let test_csv_tolerant_inference () =
         "quarantined data-row indices" [ 1 ]
         (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined));
   (* a structural fault stays fatal whatever the budget *)
-  match Infer.of_csv_tolerant ~budget:(Diagnostic.Count 99) "a,b\n\"x\n" with
+  match Infer.run (Diagnostic.Count 99) Csv (String "a,b\n\"x\n") with
   | Ok _ -> Alcotest.fail "unterminated quote must stay fatal"
   | Error e ->
       Alcotest.(check bool) "names the fault" true
@@ -523,15 +526,13 @@ let test_percent_budget_end_to_end () =
     List.init 10 (fun i ->
         if i = 2 || i = 7 then "{\"v\":" else Printf.sprintf "{\"v\": %d}" i)
   in
-  (match
-     Infer.of_json_samples_tolerant ~budget:(Diagnostic.Percent 20.) texts
-   with
+  (match Infer.run (Diagnostic.Percent 20.) Json (Samples texts) with
   | Ok r ->
       Alcotest.(check (list int))
         "both faults quarantined" [ 2; 7 ]
         (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined)
   | Error e -> Alcotest.failf "20%% budget should absorb 2/10: %s" e);
-  match Infer.of_json_samples_tolerant ~budget:(Diagnostic.Percent 10.) texts with
+  match Infer.run (Diagnostic.Percent 10.) Json (Samples texts) with
   | Ok _ -> Alcotest.fail "10% budget cannot absorb 2/10"
   | Error e ->
       Alcotest.(check bool) "budget message names the first fault" true

@@ -137,7 +137,7 @@ let test_xml_doc () =
          ( Dv.body_field,
            Shape.hetero [ (Shape.top [ heading; image; p ], Mult.Multiple) ] );
        ])
-    (ok (Infer.of_xml xml))
+    (ok (infer_strict Xml (String xml)))
 
 let test_xml_global_attr () =
   eq "Section 6.2: root {id ↦ 1, • ↦ [item]}"
@@ -149,7 +149,7 @@ let test_xml_global_attr () =
              [ (Shape.record "item" [ (Dv.body_field, string_) ], Mult.Single) ]
          );
        ])
-    (ok (Infer.of_xml {|<root id="1"><item>Hello!</item></root>|}))
+    (ok (infer_strict Xml (String {|<root id="1"><item>Hello!</item></root>|})))
 
 let test_csv_ozone () =
   let csv =
@@ -168,13 +168,13 @@ let test_csv_ozone () =
             ("Date", string_);
             ("Autofilled", Shape.Primitive Shape.Bit);
           ]))
-    (ok (Infer.of_csv csv))
+    (ok (infer_strict Csv (String csv)))
 
 let test_format_errors () =
   (match Infer.of_json "{ bad" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad json accepted");
-  (match Infer.of_xml "<a><b></a>" with
+  (match infer_strict Xml (String "<a><b></a>") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad xml accepted");
   match Infer.of_json "" with
@@ -445,6 +445,42 @@ let test_fold_merge_count () =
     expected
     (count (fun () -> Infer.shape_of_samples grows))
 
+(* A sample list runs the stream's fold, so its absorbed samples cost no
+   merge either. An XML text is one document: a list of XML samples
+   costs what the fold over their documents costs. *)
+let test_samples_merge_count () =
+  let count f = snd (Test_csh.counting_merges f) in
+  let run format source =
+    count (fun () ->
+        Result.get_ok (Infer.run Fsdata_data.Diagnostic.Strict format source))
+  in
+  let json =
+    List.init 1000 (fun i ->
+        Printf.sprintf {|{"id": %d, "name": "user%d", "score": %d.5}|} i i i)
+  in
+  check Alcotest.int "1000 JSON samples cost what their stream costs"
+    (run Json (String (String.concat "\n" json)))
+    (run Json (Samples json));
+  check Alcotest.int "two merges: the first document and the indexing one" 2
+    (run Json (Samples json));
+  let xml =
+    List.init 200 (fun i ->
+        Printf.sprintf {|<row id="%d"><name>user%d</name></row>|} i i)
+  in
+  check Alcotest.int "one XML sample costs what its text costs"
+    (run Xml (String (List.hd xml)))
+    (run Xml (Samples [ List.hd xml ]));
+  let docs =
+    List.map
+      (fun t ->
+        Fsdata_data.Xml.to_data ~convert_primitives:false
+          (Fsdata_data.Xml.parse t))
+      xml
+  in
+  check Alcotest.int "XML samples cost what the fold over their documents costs"
+    (count (fun () -> Infer.shape_of_samples ~mode:`Xml docs))
+    (run Xml (Samples xml))
+
 let suite =
   [
     tc "S: primitives (Figure 3)" `Quick test_s_primitives;
@@ -468,6 +504,7 @@ let suite =
     tc "absorbs_value: examples" `Quick test_absorbs_value_examples;
     QCheck_alcotest.to_alcotest prop_absorbs_value;
     tc "absorbs_value: field order counts" `Quick test_absorbs_value_field_order;
+    tc "sample lists skip absorbed documents" `Quick test_samples_merge_count;
     tc "absorbs_value: both answers are common" `Quick test_fold_cases_balanced;
     QCheck_alcotest.to_alcotest prop_fold_matches_oracle;
     QCheck_alcotest.to_alcotest prop_fold_matches_oracle_xml;

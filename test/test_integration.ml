@@ -89,8 +89,9 @@ let test_xml_open_world () =
 
 (* The check-subcommand semantics: another.xml conforms to sample.xml. *)
 let test_check_conformance () =
-  let sample_shape = Result.get_ok (Infer.of_xml (read "sample.xml")) in
-  let input_shape = Result.get_ok (Infer.of_xml (read "another.xml")) in
+  let of_xml file = Generators.infer_strict Xml (String (read file)) in
+  let sample_shape = Result.get_ok (of_xml "sample.xml") in
+  let input_shape = Result.get_ok (of_xml "another.xml") in
   check Alcotest.bool "another.xml conforms" true
     (P.is_preferred input_shape sample_shape)
 
@@ -146,7 +147,7 @@ let test_ozone () =
 let test_multi_sample_weather () =
   let full = read "weather.json" in
   let minimal = {|{ "main": { "temp": 11 }, "name": "Nowhere" }|} in
-  let shape = Result.get_ok (Infer.of_json_samples [ full; minimal ]) in
+  let shape = Result.get_ok (Generators.infer_strict Json (Samples [ full; minimal ])) in
   let p = Provide.provide shape in
   List.iter
     (fun text ->

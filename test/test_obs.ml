@@ -10,7 +10,6 @@ module Trace = Fsdata_obs.Trace
 module Metrics = Fsdata_obs.Metrics
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par = Fsdata_core.Par_infer
 module Json = Fsdata_data.Json
 module Dv = Fsdata_data.Data_value
 open Generators
@@ -242,27 +241,81 @@ let test_trace_json_parses () =
 (* ----- ingest counters reconcile ----- *)
 
 let test_ingest_reconciliation () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
   let budget = Fsdata_data.Diagnostic.Count 5 in
   let texts =
     [
       "{\"a\": 1}"; "{\"a\":"; "{\"a\": 2}"; "nonsense{"; "{\"a\": 3}";
     ]
   in
-  (match Infer.of_json_samples_tolerant ~budget texts with
-  | Ok r ->
-      check Alcotest.int "two quarantined" 2 (List.length r.Infer.quarantined)
-  | Error e -> Alcotest.fail e);
-  Metrics.set_enabled false;
   let v name = Metrics.value (Metrics.counter name) in
-  check Alcotest.int "total = clean + quarantined"
-    (v "ingest.samples_total")
-    (v "ingest.samples_clean" + v "ingest.samples_quarantined");
-  check Alcotest.int "total counts every sample" 5 (v "ingest.samples_total");
-  check Alcotest.int "quarantined counts the faults" 2
-    (v "ingest.samples_quarantined");
-  Metrics.reset ()
+  let counted f =
+    Metrics.reset ();
+    Metrics.set_enabled true;
+    let r = f () in
+    Metrics.set_enabled false;
+    let counts =
+      ( v "ingest.samples_total",
+        v "ingest.samples_clean",
+        v "ingest.samples_quarantined",
+        v "infer.samples" )
+    in
+    Metrics.reset ();
+    (r, counts)
+  in
+  (match counted (fun () -> Infer.run budget Json (Samples texts)) with
+  | Ok r, (total, clean, quarantined, _) ->
+      check Alcotest.int "two quarantined" 2 (List.length r.Infer.quarantined);
+      check Alcotest.int "total = clean + quarantined" total (clean + quarantined);
+      check Alcotest.int "total counts every sample" 5 total;
+      check Alcotest.int "quarantined counts the faults" 2 quarantined
+  | Error e, _ -> Alcotest.fail e);
+  (* every format × source × {strict, count}: the counters reconcile,
+     [infer.samples] counts the clean samples, and a completed run's
+     counters are its report's *)
+  let split s =
+    Infer.Feed
+      (fun push ->
+        String.iteri (fun i _ -> if i mod 3 = 0 then push (String.sub s i (min 3 (String.length s - i)))) s)
+  in
+  let csv = "a,b\n1,2\n3,4,5\n6,7\n" in
+  let cases =
+    [
+      ("json string", Infer.Json, Infer.String (String.concat "\n" texts));
+      ("json samples", Json, Samples texts);
+      ("json feed", Json, split (String.concat "\n" texts));
+      ("xml string", Xml, String "<a x=\"1\"><b/></a>");
+      ("xml string, malformed", Xml, String "<a><b></a>");
+      ("xml samples", Xml, Samples [ "<a/>"; "<a"; "<b x=\"1\"/>" ]);
+      ("xml feed", Xml, split "<a x=\"1\"><b/></a>");
+      ("csv string", Csv, String csv);
+      ("csv samples", Csv, Samples [ csv; "a\n1\n" ]);
+      ("csv feed", Csv, split csv);
+    ]
+  in
+  List.iter
+    (fun (name, format, source) ->
+      List.iter
+        (fun budget ->
+          let label =
+            Printf.sprintf "%s, budget %s: " name
+              (Fsdata_data.Diagnostic.budget_to_string budget)
+          in
+          let r, (total, clean, quarantined, samples) =
+            counted (fun () -> Infer.run budget format source)
+          in
+          check Alcotest.int (label ^ "total = clean + quarantined") total
+            (clean + quarantined);
+          check Alcotest.int (label ^ "infer.samples = clean") clean samples;
+          check Alcotest.bool (label ^ "samples were counted") true (total > 0);
+          match r with
+          | Ok r ->
+              check Alcotest.int (label ^ "total is the report's") r.Infer.total
+                total;
+              check Alcotest.int (label ^ "quarantined is the report's")
+                (List.length r.Infer.quarantined) quarantined
+          | Error _ -> ())
+        [ Fsdata_data.Diagnostic.Strict; budget ])
+    cases
 
 (* ----- observability never changes the pipeline's answer ----- *)
 
@@ -275,11 +328,10 @@ let prop_tracing_preserves_shapes jobs =
     ~print:(fun ds -> String.concat " | " (List.map print_data ds))
     QCheck2.Gen.(list_size (int_range 1 12) gen_data)
     (fun ds ->
-      let plain = Par.shape_of_samples ~mode:`Practical ~jobs ds in
-      let observed, _spans =
-        traced (fun () -> Par.shape_of_samples ~mode:`Practical ~jobs ds)
-      in
-      Shape.equal plain observed)
+      let texts = Infer.Samples (List.map Json.to_string ds) in
+      let plain = infer_strict ~jobs Json texts in
+      let observed, _spans = traced (fun () -> infer_strict ~jobs Json texts) in
+      Result.equal ~ok:Shape.equal ~error:String.equal plain observed)
 
 let suite =
   [

@@ -1,6 +1,6 @@
-(* Parallel chunked shape inference (Par_infer).
+(* Parallel chunked shape inference ([Infer.run ~jobs]).
 
-   The parallel path is a balanced csh tree reduction over per-chunk
+   A parallel run is a balanced csh tree reduction over per-domain
    folds, so it computes the same shape as the sequential left fold of
    {!Infer.shape_of_samples} only because csh is an associative,
    commutative least upper bound (Lemma 1). The properties here pin that
@@ -8,12 +8,16 @@
    labelled-top (Figure 4) and multiplicity (Section 6.4) extensions
    live, and where a merge-order bug would hide — and check the
    sequential ≡ parallel agreement directly for several job counts in
-   all three inference modes. *)
+   all three inference modes. The engine reads texts, so corpora are
+   fed as the JSON texts of generated data values; record names other
+   than the JSON one do not survive that, and the csh properties above
+   cover them on the values themselves. *)
 
 module Shape = Fsdata_core.Shape
 module Csh = Fsdata_core.Csh
 module Infer = Fsdata_core.Infer
-module Par = Fsdata_core.Par_infer
+module Json = Fsdata_data.Json
+module Trace = Fsdata_obs.Trace
 module Dv = Fsdata_data.Data_value
 open Generators
 
@@ -70,6 +74,11 @@ let prop_idempotent (name, mode) =
 
 (* ----- sequential ≡ parallel ----- *)
 
+(* A corpus of data values as the engine reads it: one JSON text per
+   value, and the values the sequential fold sees after parsing them. *)
+let texts_of ds = List.map Json.to_string ds
+let parsed texts = List.map Json.parse texts
+
 let prop_seq_eq_par (name, mode) =
   QCheck2.Test.make
     ~name:
@@ -78,10 +87,55 @@ let prop_seq_eq_par (name, mode) =
     ~print:(fun ds -> String.concat " | " (List.map print_data ds))
     QCheck2.Gen.(list_size (int_range 0 12) gen_data)
     (fun ds ->
-      let seq = Infer.shape_of_samples ~mode ds in
+      let texts = texts_of ds in
+      let seq = Infer.shape_of_samples ~mode (parsed texts) in
       List.for_all
-        (fun k -> Shape.equal (Par.shape_of_samples ~mode ~jobs:k ds) seq)
+        (fun k ->
+          match infer_strict ~mode ~jobs:k Json (Samples texts) with
+          | Ok s -> Shape.equal s seq
+          | Error e -> QCheck2.Test.fail_reportf "jobs %d: %s" k e)
         [ 1; 2; 7 ])
+
+(* At one job the engine is one left fold over the documents in corpus
+   order, so its output is byte-identical however the corpus arrives:
+   one stream cut into batches of any size, fragments split anywhere,
+   or separate samples. *)
+let prop_batching_invariant =
+  QCheck2.Test.make ~name:"sequential output does not depend on batching"
+    ~count:300
+    ~print:(fun (ds, cuts) ->
+      String.concat " | " (List.map print_data ds)
+      ^ " / cuts " ^ String.concat "," (List.map string_of_int cuts))
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 12) gen_data)
+        (list_size (int_range 0 8) (int_bound 10_000)))
+    (fun (ds, cuts) ->
+      let texts = texts_of ds in
+      let s = String.concat "\n" texts in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (String.length s + 1)) cuts)
+      in
+      let feed push =
+        let last =
+          List.fold_left
+            (fun from cut ->
+              push (String.sub s from (cut - from));
+              cut)
+            0 cuts
+        in
+        push (String.sub s last (String.length s - last))
+      in
+      List.for_all
+        (fun (_, mode) ->
+          let render r = Result.map Shape.to_string r in
+          let expect = render (Infer.of_json ~mode s) in
+          List.for_all
+            (fun chunk_size ->
+              render (infer_strict ~mode ?chunk_size Json (String s)) = expect)
+            [ Some 1; Some 2; Some 3; None ]
+          && render (infer_strict ~mode Json (Feed feed)) = expect
+          && render (infer_strict ~mode Json (Samples texts)) = expect)
+        modes)
 
 (* Shapes must come from the inference mode that matches the merge mode
    (as Infer.csh_mode pairs them in the pipeline): e.g. `Core collapses
@@ -98,10 +152,12 @@ let prop_csh_tree_eq_fold (name, imode, cmode) =
     (fun ds ->
       let shapes = List.map (Infer.shape_of_value ~mode:imode) ds in
       Shape.equal
-        (Par.csh_tree ~mode:cmode shapes)
+        (Csh.csh_tree ~mode:cmode shapes)
         (Csh.csh_all ~mode:cmode shapes))
 
 (* ----- regressions ----- *)
+
+let result = Alcotest.(result shape_testable string)
 
 let test_empty () =
   List.iter
@@ -110,10 +166,10 @@ let test_empty () =
         (name ^ ": no samples infer bottom, sequentially")
         Shape.Bottom
         (Infer.shape_of_samples ~mode []);
-      check shape_testable
+      check result
         (name ^ ": no samples infer bottom, in parallel")
-        Shape.Bottom
-        (Par.shape_of_samples ~mode ~jobs:4 []))
+        (Ok Shape.Bottom)
+        (infer_strict ~mode ~jobs:4 Json (Samples [])))
     modes
 
 let test_single_sample () =
@@ -123,20 +179,20 @@ let test_single_sample () =
   in
   List.iter
     (fun (name, mode) ->
-      check shape_testable
+      check result
         (name ^ ": one sample, many jobs")
-        (Infer.shape_of_samples ~mode [ d ])
-        (Par.shape_of_samples ~mode ~jobs:4 [ d ]))
+        (Ok (Infer.shape_of_samples ~mode [ d ]))
+        (infer_strict ~mode ~jobs:4 Json (Samples (texts_of [ d ]))))
     modes
 
 let test_more_jobs_than_samples () =
   let ds = [ Dv.Int 1; Dv.Float 2.5; Dv.Null ] in
   List.iter
     (fun (name, mode) ->
-      check shape_testable
+      check result
         (name ^ ": jobs exceed sample count")
-        (Infer.shape_of_samples ~mode ds)
-        (Par.shape_of_samples ~mode ~jobs:64 ds))
+        (Ok (Infer.shape_of_samples ~mode ds))
+        (infer_strict ~mode ~jobs:64 Json (Samples (texts_of ds))))
     modes
 
 (* Every chunk infers a different labelled-top arm, so the tree merge
@@ -154,66 +210,86 @@ let test_chunks_hit_distinct_top_arms () =
   List.iter
     (fun (name, mode) ->
       let seq = Infer.shape_of_samples ~mode ds in
-      let par = Par.shape_of_samples ~mode ~jobs:5 ds in
-      check shape_testable (name ^ ": five one-sample chunks") seq par;
-      match par with
-      | Shape.Top labels ->
-          Alcotest.(check int)
-            (name ^ ": all five arms present")
-            5 (List.length labels)
-      | s -> Alcotest.failf "%s: expected a labelled top, got %s" name
-               (Shape.to_string s))
+      match infer_strict ~mode ~jobs:5 Json (Samples (texts_of ds)) with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok par -> (
+          check shape_testable (name ^ ": five one-sample chunks") seq par;
+          match par with
+          | Shape.Top labels ->
+              Alcotest.(check int)
+                (name ^ ": all five arms present")
+                5 (List.length labels)
+          | s ->
+              Alcotest.failf "%s: expected a labelled top, got %s" name
+                (Shape.to_string s)))
     modes
 
+(* The (offset, size) of every chunk a run over [n] samples at [jobs]
+   folds, read off its [infer.chunk] spans. *)
+let layout jobs n =
+  Trace.reset ();
+  Trace.set_enabled true;
+  let r = Infer.run ~jobs Fsdata_data.Diagnostic.Strict Json
+      (Samples (List.init n string_of_int))
+  in
+  Trace.set_enabled false;
+  let spans = Trace.spans () in
+  Trace.reset ();
+  Alcotest.(check bool) "run succeeds" true (Result.is_ok r);
+  List.filter_map
+    (fun (s : Trace.span) ->
+      if s.Trace.name <> "infer.chunk" then None
+      else
+        let arg k = int_of_string (List.assoc k s.Trace.args) in
+        Some (arg "offset", arg "size"))
+    spans
+  |> List.sort compare
+
 let test_chunk () =
-  let c = Alcotest.(check (list (list int))) in
-  c "chunk 1 is the whole list" [ [ 1; 2; 3 ] ] (Par.chunk 1 [ 1; 2; 3 ]);
-  c "chunk of nothing is no chunks" [] (Par.chunk 4 []);
-  c "remainder spreads over the first chunks"
-    [ [ 1; 2; 3 ]; [ 4; 5 ] ]
-    (Par.chunk 2 [ 1; 2; 3; 4; 5 ]);
-  c "more jobs than elements: singleton chunks"
-    [ [ 1 ]; [ 2 ] ]
-    (Par.chunk 5 [ 1; 2 ]);
-  let xs = List.init 97 Fun.id in
-  Alcotest.(check (list int))
-    "concatenating chunks restores the list" xs
-    (List.concat (Par.chunk 7 xs));
-  Alcotest.check_raises "zero jobs rejected"
-    (Invalid_argument "Par_infer.chunk: k must be positive") (fun () ->
-      ignore (Par.chunk 0 [ 1 ]))
+  let c = Alcotest.(check (list (pair int int))) in
+  c "one job: the whole list" [ (0, 3) ] (layout 1 3);
+  c "no samples: no chunks" [] (layout 4 0);
+  c "remainder spreads over the first chunks" [ (0, 3); (3, 2) ] (layout 2 5);
+  c "more jobs than samples: singleton chunks" [ (0, 1); (1, 1) ] (layout 5 2);
+  let l = layout 7 97 in
+  Alcotest.(check int) "seven contiguous chunks" 7 (List.length l);
+  Alcotest.(check bool) "contiguous, covering the list" true
+    (List.fold_left (fun next (o, n) -> if o = next then o + n else -1) 0 l = 97);
+  let recommended = max 1 (Domain.recommended_domain_count ()) in
+  c "zero jobs: the recommended count"
+    (layout (min recommended 4) 4)
+    (layout 0 4)
 
 let test_csh_tree_edges () =
-  check shape_testable "empty tree is bottom" Shape.Bottom (Par.csh_tree []);
+  check shape_testable "empty tree is bottom" Shape.Bottom (Csh.csh_tree []);
   let s = Shape.collection (Shape.Primitive Shape.Int) in
-  check shape_testable "singleton tree is its shape" s (Par.csh_tree [ s ])
+  check shape_testable "singleton tree is its shape" s (Csh.csh_tree [ s ])
 
 (* Parallel parsing reports the same (earliest) error as the sequential
-   driver, even when a later chunk also fails. *)
+   run, even when a later chunk also fails. *)
 let test_error_semantics () =
   let texts = [ "{\"a\": 1}"; "nope"; "{\"b\": 2}"; "]" ] in
-  let result = Alcotest.(result shape_testable string) in
-  let seq = Infer.of_json_samples texts in
+  let seq = infer_strict Json (Samples texts) in
   (match seq with
   | Error _ -> ()
-  | Ok s -> Alcotest.failf "sequential driver accepted bad corpus: %s"
+  | Ok s -> Alcotest.failf "sequential run accepted bad corpus: %s"
               (Shape.to_string s));
   List.iter
     (fun jobs ->
       check result
         (Printf.sprintf "earliest parse error wins at jobs=%d" jobs)
         seq
-        (Par.of_json_samples ~jobs texts))
+        (infer_strict ~jobs Json (Samples texts)))
     [ 1; 2; 4; 64 ];
   (* a good corpus round-trips identically *)
   let good = [ "{\"a\": 1}"; "{\"a\": null, \"b\": [1, 2]}"; "3.5" ] in
-  check result "good corpus agrees with the sequential driver"
-    (Infer.of_json_samples good)
-    (Par.of_json_samples ~jobs:3 good)
+  check result "good corpus agrees with the sequential run"
+    (infer_strict Json (Samples good))
+    (infer_strict ~jobs:3 Json (Samples good))
 
-(* Streaming entry point: chunked parse + parallel inference agrees with
-   the all-at-once sequential driver, across chunk sizes that do and do
-   not divide the document count. *)
+(* A JSON stream: batched parse + parallel inference agrees with the
+   sample list, across chunk sizes that do and do not divide the
+   document count. *)
 let test_streaming_of_json () =
   let docs =
     List.init 53 (fun i ->
@@ -224,18 +300,17 @@ let test_streaming_of_json () =
         | _ -> Printf.sprintf "[%d, true]" i)
   in
   let src = String.concat "\n" docs in
-  let seq = Infer.of_json_samples docs in
-  let result = Alcotest.(result shape_testable string) in
+  let seq = infer_strict Json (Samples docs) in
   List.iter
     (fun (jobs, chunk_size) ->
       check result
         (Printf.sprintf "of_json jobs=%d chunk_size=%d" jobs chunk_size)
         seq
-        (Par.of_json ~jobs ~chunk_size src))
+        (infer_strict ~jobs ~chunk_size Json (String src)))
     [ (1, 7); (2, 10); (4, 5); (4, 100) ];
   check result "empty stream is an error"
     (Error "no JSON sample documents found")
-    (Par.of_json ~jobs:4 "  \n ")
+    (infer_strict ~jobs:4 Json (String "  \n "))
 
 let suite =
   [
@@ -247,6 +322,7 @@ let suite =
     tc "csh_tree edge cases" `Quick test_csh_tree_edges;
     tc "parse error semantics" `Quick test_error_semantics;
     tc "streaming of_json" `Quick test_streaming_of_json;
+    QCheck_alcotest.to_alcotest prop_batching_invariant;
   ]
   @ List.map (fun m -> QCheck_alcotest.to_alcotest (prop_associative m)) modes
   @ List.map (fun m -> QCheck_alcotest.to_alcotest (prop_commutative m)) modes

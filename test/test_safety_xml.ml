@@ -87,7 +87,7 @@ let prop_xml_multi_sample =
         List.map (fun (t : Xml.tree) -> { t with Xml.name = "doc" }) trees
       in
       let texts = List.map Xml.to_string trees in
-      match Infer.of_xml_samples texts with
+      match infer_strict Xml (Samples texts) with
       | Error _ -> false
       | Ok shape ->
           let p = Provide.provide ~format:`Xml shape in

@@ -6,7 +6,6 @@ module Server = Fsdata_serve.Server
 module Http = Fsdata_serve.Http
 module Cache = Fsdata_serve.Cache
 module Shape = Fsdata_core.Shape
-module Par_infer = Fsdata_core.Par_infer
 module Dv = Fsdata_data.Data_value
 module Json = Fsdata_data.Json
 
@@ -180,7 +179,7 @@ let test_infer_matches_cli_path () =
   let resp = Server.handle (server ()) (request ~body:corpus "/infer") in
   check Alcotest.int "200" 200 resp.Http.status;
   let expected =
-    match Par_infer.of_json ~jobs:1 corpus with
+    match Generators.infer_strict Json (String corpus) with
     | Ok s -> Fmt.str "%a" Shape.pp s
     | Error m -> Alcotest.fail m
   in
@@ -377,6 +376,22 @@ let test_streamed_infer_bypasses_cache () =
   let req2, rest2 = streamed_request corpus in
   check (Alcotest.option Alcotest.string) "still a bypass" (Some "bypass")
     (cache_header (Server.handle ~rest:rest2 t req2))
+
+(* Without max-errors the budget is strict: /infer (buffered or
+   streamed) and /push stop at the first malformed document and answer
+   the strict pipeline's line for it. *)
+let test_strict_budget_legacy_line () =
+  let faulty = "{\"name\": \"ada\"}\n{\"name\": }\n{\"name\": \"bob\"}\n" in
+  let legacy = "JSON parse error at line 2, column 10: unexpected character '}'" in
+  let expect label resp =
+    check Alcotest.int (label ^ " 422") 422 resp.Http.status;
+    check Alcotest.string (label ^ " body") legacy (field_string "error" resp)
+  in
+  expect "buffered /infer" (Server.handle (server ()) (request ~body:faulty "/infer"));
+  let req, rest = streamed_request faulty in
+  expect "streamed /infer" (Server.handle ~rest (server ()) req);
+  expect "/push"
+    (Server.handle (server ()) (request ~body:faulty "/streams/s/push"))
 
 let test_streamed_csv_drained_and_cached () =
   let t = server () in
@@ -697,6 +712,8 @@ let suite =
     tc "explain on a conforming document" `Quick test_explain_clean;
     tc "healthz reports draining" `Quick test_healthz_draining;
     tc "cancelled inference is 504" `Quick test_handle_cancelled_504;
+    tc "strict budget answers the legacy strict line" `Quick
+      test_strict_budget_legacy_line;
     tc "streamed infer bypasses the cache" `Quick
       test_streamed_infer_bypasses_cache;
     tc "streamed csv drains and caches" `Quick

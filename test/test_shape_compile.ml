@@ -28,7 +28,6 @@ module Shape = Fsdata_core.Shape
 module Shape_check = Fsdata_core.Shape_check
 module Shape_gen = Fsdata_core.Shape_gen
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Sc = Fsdata_core.Shape_compile
 open Generators
 open Fault_inject
@@ -200,9 +199,7 @@ let prop_quarantine_parity =
           in
           List.for_all
             (fun jobs ->
-              match
-                Par_infer.of_json_tolerant ~jobs ~chunk_size:3 ~budget src
-              with
+              match Infer.run ~jobs ~chunk_size:3 budget Json (String src) with
               | Error e -> QCheck2.Test.fail_reportf "tolerant failed: %s" e
               | Ok r ->
                   List.map (fun q -> q.Infer.q_index) r.Infer.quarantined
