@@ -712,8 +712,6 @@ let suite =
     tc "explain on a conforming document" `Quick test_explain_clean;
     tc "healthz reports draining" `Quick test_healthz_draining;
     tc "cancelled inference is 504" `Quick test_handle_cancelled_504;
-    tc "strict budget answers the legacy strict line" `Quick
-      test_strict_budget_legacy_line;
     tc "streamed infer bypasses the cache" `Quick
       test_streamed_infer_bypasses_cache;
     tc "streamed csv drains and caches" `Quick
@@ -732,4 +730,6 @@ let suite =
     tc "cache invalidate endpoint" `Quick test_cache_invalidate_endpoint;
     tc "concurrent infer responses byte-identical" `Quick
       test_concurrent_infer_identical;
+    tc "strict budget answers the legacy strict line" `Quick
+      test_strict_budget_legacy_line;
   ]
