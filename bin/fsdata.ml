@@ -251,7 +251,7 @@ let compiled_applicable ~compiled ~format ~paths =
    ([budget = None]) inference is strict and each JSON file is one
    document; with it, a single JSON file is a whitespace-separated
    document stream, so a corrupt document costs one sample, not the
-   file. The mode applies to JSON only. *)
+   file. *)
 let infer_report ?(csv_schema = "") ?(jobs = 1) ?mode ?budget format paths =
   match resolve_format format paths with
   | Error e -> Error e
@@ -263,7 +263,6 @@ let infer_report ?(csv_schema = "") ?(jobs = 1) ?mode ?budget format paths =
         | Csv, _, _ -> Error "csv: exactly one sample file is supported"
         | _ -> Ok (Infer.Samples texts)
       in
-      let mode = if f = Json then mode else None in
       let budget = Option.value budget ~default:Diagnostic.Strict in
       let overridden (report : Infer.report) =
         if f <> Csv then Ok report

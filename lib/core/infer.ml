@@ -186,6 +186,7 @@ type format = Diagnostic.format = Json | Xml | Csv
 type source =
   | String of string
   | Samples of string list
+  | Values of Data_value.t list
   | Feed of ((string -> unit) -> unit)
 
 (* Observability (docs/OBSERVABILITY.md). [count] is the one place the
@@ -212,56 +213,59 @@ let count ~clean ~quarantined =
     Obs_metrics.add m_samples clean
   end
 
-(* What the engine needs of a format, after Parsifal's
-   ParsingParameters: how to parse one sample, how to read a whole text
-   as a stream of documents, resuming after a malformed one, and the
-   shape of such a text given the fold of its clean documents. *)
-module type FORMAT = sig
-  val format : Diagnostic.format
 
-  val mode : mode
-  (** when the caller names none *)
-
-  val parse : string -> (Data_value.t, Diagnostic.t) result
-
-  val read :
+(* How a format reads a whole text as a stream of documents, resuming
+   after a malformed one: [read] hands the documents to its callback
+   batch by batch, in order, and a malformed one to [on_error] with its
+   index instead; it raises [Diagnostic.Parse_error] for a fault no
+   boundary follows. [feed] reads the fragments a [Feed] pushes the
+   same way, [shape] is the shape of such a text given the fold of its
+   clean documents, and [empty] the error for a text that holds none. *)
+type stream = {
+  read :
     cancel:Cancel.t ->
     chunk_size:int ->
     chunk_bytes:int ->
     on_error:(Diagnostic.t -> skipped:string -> unit) ->
     (Data_value.t list -> unit) ->
     string ->
-    unit
-  (** Hands the documents to the callback batch by batch, in order; a
-      malformed one goes to [on_error] with its index instead. Raises
-      [Diagnostic.Parse_error] for a fault no boundary follows. *)
-
-  val feed :
+    unit;
+  feed :
     cancel:Cancel.t ->
     on_error:(Diagnostic.t -> skipped:string -> unit) ->
     (Data_value.t list -> unit) ->
     ((string -> unit) -> unit) ->
-    unit
+    unit;
+  shape : clean:int -> Shape.t -> Shape.t;
+  empty : string option;
+}
 
-  val shape : clean:int -> Shape.t -> Shape.t
+(* What the engine needs of a format, after Parsifal's
+   ParsingParameters: the mode it folds in, how to parse one sample,
+   and how to read a text as a stream of documents, unless a text is
+   one document, read as the sample list of that text. *)
+module type FORMAT = sig
+  val format : Diagnostic.format
 
-  val empty : string option
-  (** the error for a text that holds no document at all *)
+  val mode : mode option -> mode
+  (** the mode a run folds in, given the one the caller names *)
+
+  val parse : string -> (Data_value.t, Diagnostic.t) result
+  val stream : stream option
 end
 
-(* A format without an incremental parser reads a feed once it ends. *)
-let buffered read ~cancel ~on_error emit feed =
+let buffer feed =
   let b = Buffer.create 4096 in
   feed (Buffer.add_string b);
-  read ~cancel ~chunk_size:max_int ~chunk_bytes:max_int ~on_error emit
-    (Buffer.contents b)
+  Buffer.contents b
 
 (* A JSON text is a whitespace-separated document stream; a feed's
    batches follow its fragments, and the cursor holds at most one
-   partial document between them. *)
+   partial document between them. JSON is the one format whose mode is
+   the caller's. *)
 module Json_format = struct
   let format = Diagnostic.Json
-  let mode = `Practical
+  let mode = Option.value ~default:`Practical
   let parse = Json.parse_diag
 
   let read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text =
@@ -274,37 +278,36 @@ module Json_format = struct
     feed (fun fragment -> emit (Json.Cursor.feed cur fragment));
     emit (Json.Cursor.finish cur)
 
-  let shape ~clean:_ s = s
-  let empty = Some "no JSON sample documents found"
+  let stream =
+    Some
+      {
+        read;
+        feed;
+        shape = (fun ~clean:_ s -> s);
+        empty = Some "no JSON sample documents found";
+      }
 end
 
 (* An XML text is one document. Inference classifies the raw attribute
    and body strings itself, so they stay unconverted. *)
 module Xml_format = struct
   let format = Diagnostic.Xml
-  let mode = `Xml
+  let mode _ = `Xml
 
   let parse t =
     Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
 
-  let read ~cancel ~chunk_size:_ ~chunk_bytes:_ ~on_error emit text =
-    Cancel.check cancel;
-    match parse text with
-    | Ok d -> emit [ d ]
-    | Error d -> on_error (Diagnostic.with_index 0 d) ~skipped:text
-
-  let feed = buffered read
-  let shape ~clean:_ s = s
-  let empty = None
+  let stream = None
 end
 
 (* A CSV text is a table whose rows are the documents, and its shape
-   the collection of their records (Section 6.2). A CSV sample is one
-   whole table. An unterminated quoted cell leaves no row boundary to
-   resume from, so it fails the text whatever the budget. *)
+   the collection of their records (Section 6.2); a feed is read once
+   it ends. A CSV sample is one whole table. An unterminated quoted
+   cell leaves no row boundary to resume from, so it fails the text
+   whatever the budget. *)
 module Csv_format = struct
   let format = Diagnostic.Csv
-  let mode = `Practical
+  let mode _ = `Practical
 
   let parse t =
     Result.map (Csv.to_data ~convert_primitives:false) (Csv.parse_diag t)
@@ -319,13 +322,20 @@ module Csv_format = struct
              (Csv.row_to_data ~convert_primitives:false table)
              table.Csv.rows)
 
-  let feed = buffered read
-
-  let shape ~clean s =
-    if clean = 0 then Shape.collection Shape.Bottom
-    else Shape.hetero [ (s, Multiplicity.of_count clean) ]
-
-  let empty = None
+  let stream =
+    Some
+      {
+        read;
+        feed =
+          (fun ~cancel ~on_error emit feed ->
+            read ~cancel ~chunk_size:max_int ~chunk_bytes:max_int ~on_error
+              emit (buffer feed));
+        shape =
+          (fun ~clean s ->
+            if clean = 0 then Shape.collection Shape.Bottom
+            else Shape.hetero [ (s, Multiplicity.of_count clean) ]);
+        empty = None;
+      }
 end
 
 let format_module : format -> (module FORMAT) = function
@@ -424,15 +434,16 @@ type batch = { b_shape : Shape.t; b_clean : int; b_faults : quarantined list }
    [index] on that is not in [gaps], the indices of the faults the
    reader reported itself. Each item is isolated: a fault parsing or
    inferring it is quarantined under its index, never raised. A strict
-   run stops at the first fault. The walk is the span's tail call, so
-   the items it has passed are garbage at once. *)
+   run stops at the first fault, its own or a gap. The walk is the
+   span's tail call, so the items it has passed are garbage at once. *)
 let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
     ~gaps items =
   let rec go i gaps clean faults = function
     | [] -> { b_shape = fold.shape; b_clean = clean; b_faults = List.rev faults }
     | item :: rest as items -> (
         match gaps with
-        | g :: gaps when g = i -> go (i + 1) gaps clean faults items
+        | g :: gaps when g = i ->
+            go (i + 1) gaps clean faults (if strict then [] else items)
         | _ -> (
             Cancel.check cancel;
             match fold_value ~mode fold (read item) with
@@ -455,121 +466,116 @@ let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
 let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
     source =
   let (module F : FORMAT) = format_module format in
-  let mode = Option.value mode ~default:F.mode in
+  let mode = F.mode mode in
   let jobs = normalize_jobs jobs in
   let strict = budget = Diagnostic.Strict in
   let fresh () = { shape = Shape.Bottom; index = None } in
-  (* the fold of a sequential run, and of a parallel run's first chunk *)
+  (* the fold of a sequential run, and of a parallel run's last batch *)
   let acc = fresh () in
-  let batches, faults, fatal =
-    match source with
-    | Samples texts -> (
-        let read t =
-          match F.parse t with
-          | Ok d -> d
-          | Error d -> raise (Diagnostic.Parse_error d)
-        in
-        let batch ~cancel fold (index, texts) =
-          fold_batch ~mode ~format:F.format ~strict ~cancel ~read
-            ~text:Option.some fold ~index ~gaps:[] texts
-        in
-        (* The token is polled on the calling domain only: worker chunks
-           are bounded work already in flight, and joining them (even
-           when it trips) keeps every domain accounted for. *)
-        match chunk jobs texts with
-        | [] -> ([], [], None)
-        | first :: rest ->
-            let workers =
-              List.map
-                (fun c ->
-                  spawn (fun () -> batch ~cancel:Cancel.never (fresh ()) c))
-                rest
-            in
-            let b0 =
-              try batch ~cancel acc first
-              with exn ->
-                List.iter (fun w -> ignore (Domain.join w)) workers;
-                raise exn
-            in
-            (b0 :: List.map Domain.join workers, [], None))
-    | String _ | Feed _ ->
-        let results = ref [] and faults = ref [] in
-        (* where the next batch starts, and the faults reported since *)
-        let next = ref 0 and pending = ref [] in
-        let on_error (d : Diagnostic.t) ~skipped =
-          let i = Option.value d.Diagnostic.index ~default:!next in
-          faults :=
-            { q_index = i; q_diagnostic = d; q_text = Some skipped } :: !faults;
-          pending := i :: !pending;
-          if strict then raise Stop
-        in
-        let batch fold ~index ~gaps docs =
-          fold_batch ~mode ~format:F.format ~strict ~cancel:Cancel.never
-            ~read:Fun.id ~text:(fun _ -> None) fold ~index ~gaps docs
-        in
-        (* At most [jobs] batches in flight, oldest first. The latest
-           batch is held back, and folded on this domain when no other
-           follows it, so a source of one batch spawns nothing. *)
-        let inflight = Queue.create () and held = ref None in
-        let join_one () =
-          results := Domain.join (Queue.pop inflight) :: !results
-        in
-        let join_all () =
-          while not (Queue.is_empty inflight) do
-            join_one ()
-          done
-        in
-        let emit = function
-          | [] -> ()
-          | docs ->
-              let index = !next and gaps = List.rev !pending in
-              let index', gaps' = after index (List.length docs) gaps in
-              next := index';
-              pending := List.rev gaps';
-              if jobs = 1 then begin
-                let b = batch acc ~index ~gaps docs in
-                results := b :: !results;
-                if strict && b.b_faults <> [] then raise Stop
-              end
-              else begin
-                Option.iter
-                  (fun (index, gaps, docs) ->
-                    if Queue.length inflight >= jobs then join_one ();
-                    Queue.add
-                      (spawn (fun () -> batch (fresh ()) ~index ~gaps docs))
-                      inflight)
-                  !held;
-                held := Some (index, gaps, docs)
-              end
-        in
-        let fatal =
-          match
-            match source with
-            | String text ->
-                let chunk_size, chunk_bytes =
-                  stream_caps ~jobs ~bytes:(String.length text) chunk_size
-                in
-                F.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
-            | Feed feed -> F.feed ~cancel ~on_error emit feed
-            | Samples _ -> assert false
-          with
-          | () | (exception Stop) -> None
-          | exception Diagnostic.Parse_error d -> Some d
-          | exception exn ->
-              (* no domain outlives the run, even a cancelled one *)
-              join_all ();
-              raise exn
-        in
-        join_all ();
-        Option.iter
-          (fun (index, gaps, docs) ->
-            results := batch acc ~index ~gaps docs :: !results)
-          !held;
-        (List.rev !results, List.rev !faults, fatal)
+  (* Batches are jobs: a job folds its batch into the fold it is given,
+     polling the token it is given. At one job each folds into [acc] at
+     once. Otherwise the latest job is held back, and run on this domain
+     once no other follows it, while the others finish, so a source of
+     one batch spawns nothing; the others run in domains, at most [jobs]
+     in flight, and are joined oldest first. Workers poll no token:
+     their batch is bounded work, and joining them even when the run
+     trips keeps every domain accounted for. *)
+  let results = ref [] and inflight = Queue.create () and held = ref None in
+  let join_one () = results := Domain.join (Queue.pop inflight) :: !results in
+  let join_all () =
+    while not (Queue.is_empty inflight) do
+      join_one ()
+    done
   in
+  let submit job =
+    if jobs = 1 then begin
+      let b = job cancel acc in
+      results := b :: !results;
+      if strict && b.b_faults <> [] then raise Stop
+    end
+    else begin
+      Option.iter
+        (fun job ->
+          if Queue.length inflight >= jobs then join_one ();
+          Queue.add (spawn (fun () -> job Cancel.never (fresh ()))) inflight)
+        !held;
+      held := Some job
+    end
+  in
+  let fold_batch ~cancel ~read ~text fold ~index ~gaps items =
+    fold_batch ~mode ~format:F.format ~strict ~cancel ~read ~text fold ~index
+      ~gaps items
+  in
+  (* A sample list is cut into [jobs] contiguous runs, each parsed where
+     it is folded. *)
+  let samples ~read ~text items =
+    List.iter
+      (fun (index, items) ->
+        submit (fun cancel fold ->
+            fold_batch ~cancel ~read ~text fold ~index ~gaps:[] items))
+      (chunk jobs items)
+  in
+  let parse t =
+    match F.parse t with Ok d -> d | Error d -> raise (Diagnostic.Parse_error d)
+  in
+  (* A stream is parsed on this domain, batch by batch. The reader's
+     faults are quarantined with the text it skipped. A strict run stops
+     reading at the end of the batch that holds the first of them, and
+     still folds that batch, so every document before the fault is. *)
+  let faults = ref [] in
+  (* where the next batch starts, and the reader's faults since *)
+  let next = ref 0 and pending = ref [] in
+  let on_error (d : Diagnostic.t) ~skipped =
+    let i = Option.value d.Diagnostic.index ~default:!next in
+    faults := { q_index = i; q_diagnostic = d; q_text = Some skipped } :: !faults;
+    pending := i :: !pending
+  in
+  let emit docs =
+    if docs <> [] then begin
+      let index = !next and gaps = List.rev !pending in
+      let index', gaps' = after index (List.length docs) gaps in
+      next := index';
+      pending := List.rev gaps';
+      submit (fun cancel fold ->
+          fold_batch ~cancel ~read:Fun.id ~text:(fun _ -> None) fold ~index
+            ~gaps docs)
+    end;
+    if strict && !faults <> [] then raise Stop
+  in
+  let stream =
+    match source with String _ | Feed _ -> F.stream | Samples _ | Values _ -> None
+  in
+  let fatal =
+    match
+      match (source, stream) with
+      | Samples texts, _ -> samples ~read:parse ~text:Option.some texts
+      | Values ds, _ -> samples ~read:Fun.id ~text:(fun _ -> None) ds
+      | String text, None -> samples ~read:parse ~text:Option.some [ text ]
+      | Feed feed, None -> samples ~read:parse ~text:Option.some [ buffer feed ]
+      | String text, Some st ->
+          let chunk_size, chunk_bytes =
+            stream_caps ~jobs ~bytes:(String.length text) chunk_size
+          in
+          st.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
+      | Feed feed, Some st -> st.feed ~cancel ~on_error emit feed
+    with
+    | () | (exception Stop) -> None
+    | exception Diagnostic.Parse_error d -> Some d
+    | exception exn ->
+        (* no domain outlives the run, even a cancelled one *)
+        join_all ();
+        raise exn
+  in
+  let last =
+    Option.map
+      (fun job -> try job cancel acc with exn -> join_all (); raise exn)
+      !held
+  in
+  join_all ();
+  let batches = List.rev (Option.to_list last @ !results) in
   let clean = List.fold_left (fun n b -> n + b.b_clean) 0 batches in
   let qs =
-    sort_quarantined (faults @ List.concat_map (fun b -> b.b_faults) batches)
+    sort_quarantined (!faults @ List.concat_map (fun b -> b.b_faults) batches)
   in
   count ~clean ~quarantined:(List.length qs);
   let total = clean + List.length qs in
@@ -582,17 +588,18 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
           Obs_trace.with_span "infer.merge" @@ fun () ->
           Csh.csh_tree ~mode:(csh_mode mode) (List.map (fun b -> b.b_shape) bs)
     in
-    match source with Samples _ -> s | String _ | Feed _ -> F.shape ~clean s
+    match stream with Some st -> st.shape ~clean s | None -> s
   in
-  match (fatal, qs, F.empty, source) with
-  | Some d, _, _, _ -> Error (Diagnostic.message_of d)
-  | None, [], Some m, (String _ | Feed _) when total = 0 -> Error m
-  | None, q :: _, _, _ when strict ->
-      Error (Diagnostic.message_of q.q_diagnostic)
-  | None, _, _, _ -> (
+  match (qs, fatal, Option.bind stream (fun st -> st.empty)) with
+  | q :: _, _, _ when strict -> Error (Diagnostic.message_of q.q_diagnostic)
+  | _, Some d, _ -> Error (Diagnostic.message_of d)
+  | [], None, Some m when total = 0 -> Error m
+  | _, None, _ -> (
       match budget_error ~budget ~total qs with
       | Some m -> Error m
       | None -> Ok { shape = shape (); total; quarantined = qs })
 
 let of_json ?mode src =
-  Result.map (fun r -> r.shape) (run ?mode Diagnostic.Strict Json (String src))
+  Result.map
+    (fun (r : report) -> r.shape)
+    (run ?mode Diagnostic.Strict Json (String src))

@@ -90,8 +90,10 @@ type quarantined = {
   q_index : int;  (** global 0-based sample index within the corpus *)
   q_diagnostic : Fsdata_data.Diagnostic.t;
   q_text : string option;
-      (** the skipped raw text; [None] for a document that parsed but
-          whose inference raised *)
+      (** the skipped raw text: the sample, or the document a stream's
+          reader skipped. [None] for a [Values] sample, and for a
+          document of a JSON or CSV stream that parsed but whose
+          inference raised *)
 }
 
 type report = {
@@ -110,6 +112,8 @@ type source =
   | Samples of string list
       (** one sample per string: a JSON or XML document, or a whole CSV
           table *)
+  | Values of Fsdata_data.Data_value.t list
+      (** samples already parsed, one per value; read like [Samples] *)
   | Feed of ((string -> unit) -> unit)
       (** [Feed f] reads like [String] over the concatenation of the
           fragments [f] pushes. JSON is parsed as they arrive, holding
@@ -125,8 +129,9 @@ val run :
   source ->
   (report, string) result
 (** [run budget format source] parses the samples of [source] and
-    infers the shape of its clean ones. The default [mode] is [`Xml] for
-    XML and [`Practical] otherwise.
+    infers the shape of its clean ones. [mode] applies to JSON only,
+    whose default is [`Practical]: XML always folds in [`Xml] mode and
+    CSV in [`Practical].
 
     {b Sequential runs.} At [jobs = 1] (the default) every source is one
     left fold of {!shape_of_samples}'s kind over the clean documents in
@@ -138,7 +143,7 @@ val run :
     domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the
     machine's recommended domain count, and at most 64 are used. A
     sample list is split into [jobs] contiguous runs, each parsed in its
-    domain. A JSON text is parsed on the calling domain and cut into
+    domain, the last on the calling one. A JSON text is parsed on the calling domain and cut into
     batches of [chunk_size] documents (default 65536) or of [bytes /
     (jobs * 8)] consumed source bytes, clamped to [64KiB..8MiB],
     whichever fills first; at most [jobs] batches are in flight. The
@@ -153,7 +158,9 @@ val run :
     an unterminated quoted CSV cell fails the run whatever the budget.
     With budget {!Fsdata_data.Diagnostic.Strict} the run stops at the
     lowest-index fault and answers its
-    {!Fsdata_data.Diagnostic.message_of}, the strict pipeline's line.
+    {!Fsdata_data.Diagnostic.message_of}, the strict pipeline's line: a
+    stream stops once the batch holding the first fault its reader
+    reports is folded, so an inference fault before it is not missed.
     Any other budget reads the whole source and fails, naming the first
     fault, when the quarantine exceeds it. A JSON [String] or [Feed]
     holding no document at all is an error; an empty sample list infers

@@ -484,6 +484,45 @@ let test_csv_tolerant_inference () =
       Alcotest.(check bool) "names the fault" true
         (contains ~affix:"unterminated" e)
 
+(* A strict run answers its lowest-index fault although the reader
+   reports a later one first: every row of a table with a repeated
+   header fails inference, and its second row is also ragged. *)
+let test_strict_lowest_index () =
+  let text = "a,a\n1,2\n3,4,5\n" in
+  match Infer.run (Diagnostic.Count 99) Csv (String text) with
+  | Error e -> Alcotest.failf "tolerant CSV failed: %s" e
+  | Ok r ->
+      Alcotest.(check (list int))
+        "both rows quarantined" [ 0; 1 ]
+        (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined);
+      let first = (List.hd r.Infer.quarantined).Infer.q_diagnostic in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "jobs %d: row 0's line" jobs)
+            (Error (Diagnostic.message_of first))
+            (Result.map ignore
+               (Infer.run ~jobs Diagnostic.Strict Csv (String text))))
+        [ 1; 2 ]
+
+(* An XML text is one document, so a quarantined inference fault keeps
+   it as the skipped text, whatever the source. *)
+let test_xml_inference_fault_keeps_text () =
+  let text = {|<root •="1"><a/></root>|} in
+  List.iter
+    (fun (name, source) ->
+      match Infer.run (Diagnostic.Count 1) Xml source with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok r ->
+          Alcotest.(check (list (option string)))
+            (name ^ ": the skipped text") [ Some text ]
+            (List.map (fun q -> q.Infer.q_text) r.Infer.quarantined))
+    [
+      ("string", Infer.String text);
+      ("feed", Feed (fun push -> push text));
+      ("samples", Samples [ text ]);
+    ]
+
 (* ----- Error budgets ----- *)
 
 let budget_testable =
@@ -658,4 +697,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stream_tolerant;
     QCheck_alcotest.to_alcotest prop_xml_tolerant;
     QCheck_alcotest.to_alcotest prop_compiled_ingestion_parity;
+    Alcotest.test_case "strict run answers the lowest-index fault" `Quick
+      test_strict_lowest_index;
+    Alcotest.test_case "xml: an inference fault keeps its text" `Quick
+      test_xml_inference_fault_keeps_text;
   ]

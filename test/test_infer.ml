@@ -170,6 +170,23 @@ let test_csv_ozone () =
           ]))
     (ok (infer_strict Csv (String csv)))
 
+(* The inference mode is a JSON setting: XML always folds in [`Xml]
+   mode and a CSV table in [`Practical]. *)
+let test_mode_applies_to_json_only () =
+  let result = Alcotest.(result shape_testable string) in
+  List.iter
+    (fun (format, text) ->
+      let expect = infer_strict format (Infer.String text) in
+      List.iter
+        (fun mode ->
+          Alcotest.check result "the caller's mode is ignored" expect
+            (infer_strict ~mode format (String text)))
+        [ `Paper; `Practical; `Xml ])
+    [
+      (Infer.Csv, "a,b\n1,x\n2,2012-05-01\n");
+      (Xml, {|<root id="1"><item>2</item><item>x</item></root>|});
+    ]
+
 let test_format_errors () =
   (match Infer.of_json "{ bad" with
   | Error _ -> ()
@@ -509,4 +526,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fold_matches_oracle;
     QCheck_alcotest.to_alcotest prop_fold_matches_oracle_xml;
     tc "the fold merges only what grows" `Quick test_fold_merge_count;
+    tc "mode applies to JSON only" `Quick test_mode_applies_to_json_only;
   ]

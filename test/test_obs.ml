@@ -278,15 +278,19 @@ let test_ingest_reconciliation () =
         String.iteri (fun i _ -> if i mod 3 = 0 then push (String.sub s i (min 3 (String.length s - i)))) s)
   in
   let csv = "a,b\n1,2\n3,4,5\n6,7\n" in
+  (* a value whose inference raises: a record repeating a field *)
+  let dup = Dv.Record ("a", [ ("x", Dv.Int 1); ("x", Dv.Int 2) ]) in
   let cases =
     [
       ("json string", Infer.Json, Infer.String (String.concat "\n" texts));
       ("json samples", Json, Samples texts);
       ("json feed", Json, split (String.concat "\n" texts));
+      ("json values", Json, Values [ Json.parse "{\"a\": 1}"; dup ]);
       ("xml string", Xml, String "<a x=\"1\"><b/></a>");
       ("xml string, malformed", Xml, String "<a><b></a>");
       ("xml samples", Xml, Samples [ "<a/>"; "<a"; "<b x=\"1\"/>" ]);
       ("xml feed", Xml, split "<a x=\"1\"><b/></a>");
+      ("xml values", Xml, Values [ Fsdata_data.Xml.(to_data ~convert_primitives:false (parse "<a/>")); dup ]);
       ("csv string", Csv, String csv);
       ("csv samples", Csv, Samples [ csv; "a\n1\n" ]);
       ("csv feed", Csv, split csv);
@@ -328,10 +332,14 @@ let prop_tracing_preserves_shapes jobs =
     ~print:(fun ds -> String.concat " | " (List.map print_data ds))
     QCheck2.Gen.(list_size (int_range 1 12) gen_data)
     (fun ds ->
-      let texts = Infer.Samples (List.map Json.to_string ds) in
-      let plain = infer_strict ~jobs Json texts in
-      let observed, _spans = traced (fun () -> infer_strict ~jobs Json texts) in
-      Result.equal ~ok:Shape.equal ~error:String.equal plain observed)
+      List.for_all
+        (fun source ->
+          let plain = infer_strict ~jobs Json source in
+          let observed, _spans =
+            traced (fun () -> infer_strict ~jobs Json source)
+          in
+          Result.equal ~ok:Shape.equal ~error:String.equal plain observed)
+        [ Infer.Values ds; Samples (List.map Json.to_string ds) ])
 
 let suite =
   [

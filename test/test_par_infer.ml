@@ -8,10 +8,9 @@
    labelled-top (Figure 4) and multiplicity (Section 6.4) extensions
    live, and where a merge-order bug would hide — and check the
    sequential ≡ parallel agreement directly for several job counts in
-   all three inference modes. The engine reads texts, so corpora are
-   fed as the JSON texts of generated data values; record names other
-   than the JSON one do not survive that, and the csh properties above
-   cover them on the values themselves. *)
+   all three inference modes. Each corpus reaches the engine twice: as
+   the generated values themselves, which keep every record name, and
+   as their JSON texts, parsed where they are folded. *)
 
 module Shape = Fsdata_core.Shape
 module Csh = Fsdata_core.Csh
@@ -88,13 +87,17 @@ let prop_seq_eq_par (name, mode) =
     QCheck2.Gen.(list_size (int_range 0 12) gen_data)
     (fun ds ->
       let texts = texts_of ds in
-      let seq = Infer.shape_of_samples ~mode (parsed texts) in
+      let agrees source seq k =
+        match infer_strict ~mode ~jobs:k Json source with
+        | Ok s -> Shape.equal s seq
+        | Error e -> QCheck2.Test.fail_reportf "jobs %d: %s" k e
+      in
       List.for_all
-        (fun k ->
-          match infer_strict ~mode ~jobs:k Json (Samples texts) with
-          | Ok s -> Shape.equal s seq
-          | Error e -> QCheck2.Test.fail_reportf "jobs %d: %s" k e)
-        [ 1; 2; 7 ])
+        (fun (source, seq) -> List.for_all (agrees source seq) [ 1; 2; 7 ])
+        [
+          (Infer.Values ds, Infer.shape_of_samples ~mode ds);
+          (Samples texts, Infer.shape_of_samples ~mode (parsed texts));
+        ])
 
 (* At one job the engine is one left fold over the documents in corpus
    order, so its output is byte-identical however the corpus arrives:
