@@ -394,6 +394,25 @@ let time_best ~repeats f =
   done;
   (Option.get !result, !best)
 
+(* [f] and [g] measured interleaved, round-robin, rotating which goes
+   first, each keeping its best of [repeats] and its last result: run
+   one after the other, a slow phase of the shared host or heap drift
+   from the first side lands on one side only (see obs_bench). *)
+let time_interleaved ~repeats f g =
+  let t_f = ref infinity and t_g = ref infinity in
+  let r_f = ref None and r_g = ref None in
+  let timed best result h =
+    let t0 = Unix.gettimeofday () in
+    result := Some (h ());
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  in
+  for rep = 0 to repeats - 1 do
+    for j = 0 to 1 do
+      if (j + rep) mod 2 = 0 then timed t_f r_f f else timed t_g r_g g
+    done
+  done;
+  ((Option.get !r_f, !t_f), (Option.get !r_g, !t_g))
+
 (* Run [f] once with tracing on and print where the time went, using the
    inclusive per-name totals of {!Fsdata_obs.Trace.aggregate}. Restores
    the previous enabled states and clears the buffers afterwards, so the
@@ -522,15 +541,18 @@ let par_bench () =
 
 (* ----- faults: diagnostics overhead and recovering ingestion ----- *)
 
-(* Two questions, mirroring the robustness work:
+(* Three questions, mirroring the robustness work:
    1. What does a tolerant budget cost when nothing goes wrong? (target:
       <= 3% on the clean path — a 5% budget vs the strict budget; one
       engine runs both, and only a strict run stops at its first fault)
    2. What does a corrupt document cost under a budget? (resync +
       quarantine vs the same corpus cleaned)
-   In smoke mode the timings are incidental: the run asserts the
-   agreement facts (clean-path shape identity, exact quarantine counts)
-   and exits non-zero on violation, so `dune runtest` pins them. *)
+   3. Does the sequential fold cost less than the parse alone on a
+      homogeneous corpus, as it reads absorbed documents on their
+      tokens?
+   In smoke mode the run asserts the agreement facts (clean-path shape
+   identity, exact quarantine counts) and the fold below the parse, and
+   exits non-zero on violation, so `dune runtest` pins them. *)
 let faults_bench () =
   let module Diagnostic = Fsdata_data.Diagnostic in
   print_endline "== faults: diagnostics overhead and recovering ingestion ==";
@@ -603,6 +625,26 @@ let faults_bench () =
         "  %6d docs: tolerant, %d faults, -j %-2d   %8.1f ms  %5.2fx speedup, agree=%b\n%!"
         n expected_faults jobs (t_par *. 1e3) (t_seq /. t_par) agree)
     (if !smoke then [ 2; 7 ] else [ 2; 4; Domain.recommended_domain_count () ]);
+  (* 3. the sequential fold against the parse alone: on a homogeneous
+     corpus almost every document is walked against σ on its tokens
+     and never parsed, so inferring costs less than parsing *)
+  let wide = Workloads.wide_corpus_text ~width:200 (1024 * 1024) in
+  let (_, t_parse), (wide_report, t_fold) =
+    time_interleaved ~repeats:5
+      (fun () -> Fsdata_data.Json.fold_many (fun k ds -> k + List.length ds) 0 wide)
+      (fun () -> Infer.run (Diagnostic.Percent 1.) Json (String wide))
+  in
+  let ratio = t_fold /. t_parse in
+  Printf.printf
+    "  %.1f MiB wide records: parse %8.1f ms, infer (budget 1%%) %8.1f ms, \
+     infer/parse %.2f\n%!"
+    (float_of_int (String.length wide) /. (1024. *. 1024.))
+    (t_parse *. 1e3) (t_fold *. 1e3) ratio;
+  if !smoke then begin
+    if Result.is_error wide_report then fail "the wide corpus failed to infer";
+    if ratio >= 1. then
+      fail (Printf.sprintf "fold below parse: infer/parse %.2f, not below 1" ratio)
+  end;
   ignore
     (stage_breakdown
        (Printf.sprintf "tolerant parse+infer -j 2, %d docs, %d faults" n
@@ -939,26 +981,9 @@ let compile_bench () =
   in
   let compiled = Sc.compile shape in
   let direct () = Sc.parse_corpus compiled text in
-  (* The two sides are measured interleaved, round-robin, rotating which
-     goes first, and each keeps its best repeat: run one after the other,
-     a slow phase of the shared host or heap drift from the first side
-     lands on one side only (see obs_bench). *)
-  let t_gen = ref infinity and t_comp = ref infinity in
-  let generic_vals = ref [] and compiled_out = ref None in
-  let timed best f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    best := Float.min !best (Unix.gettimeofday () -. t0);
-    r
+  let (generic_vals, t_gen), ((compiled_vals, stats), t_comp) =
+    time_interleaved ~repeats generic direct
   in
-  for rep = 0 to repeats - 1 do
-    for j = 0 to 1 do
-      if (j + rep) mod 2 = 0 then generic_vals := timed t_gen generic
-      else compiled_out := Some (timed t_comp direct)
-    done
-  done;
-  let generic_vals = !generic_vals and t_gen = !t_gen and t_comp = !t_comp in
-  let compiled_vals, stats = Option.get !compiled_out in
   let mib = float_of_int (String.length text) /. (1024. *. 1024.) in
   let speedup = t_gen /. t_comp in
   Printf.printf

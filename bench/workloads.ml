@@ -39,9 +39,9 @@ let people_array ?(optional_every = 3) ?(float_every = 5) n =
          in
          Dv.Record (Dv.json_record_name, fields)))
 
-(* A record with [width] primitive fields. *)
-let wide_record width =
-  let r = rng 7 in
+(* A record with [width] primitive fields, the [i]th of a kind fixed by
+   [i]; [r] draws the values. *)
+let wide_record ?(r = rng 7) width =
   Dv.Record
     ( Dv.json_record_name,
       List.init width (fun i ->
@@ -232,6 +232,17 @@ let faulty_corpus_text ?(stride = 50) n =
         | None -> line
     in
     Buffer.add_string buf line;
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.contents buf
+
+(* Newline-separated wide records of one shape, [bytes] long or just
+   over. *)
+let wide_corpus_text ~width bytes =
+  let r = rng 13 in
+  let buf = Buffer.create (bytes + 8192) in
+  while Buffer.length buf < bytes do
+    Buffer.add_string buf (json_text (wide_record ~r width));
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf

@@ -1135,9 +1135,13 @@ let query_cmd =
                           src
                       else Fsdata_query.Eval.eval checked src
                     in
+                    (* one flush for all rows, before the stats line *)
                     List.iter
-                      (fun r -> print_endline (Fsdata_query.Value.render r))
+                      (fun r ->
+                        print_string (Fsdata_query.Value.render r);
+                        print_char '\n')
                       result.Fsdata_query.Value.rows;
+                    flush stdout;
                     let st = result.Fsdata_query.Value.stats in
                     if stats_flag then
                       Format.eprintf

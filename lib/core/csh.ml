@@ -271,73 +271,105 @@ let absent_ok = function
         entries
   | Bottom | Primitive _ | Record _ -> false
 
+(* Field order included, unlike [Shape.equal]; shapes hold no floats or
+   closures, and [Stdlib.compare] skips physically shared subtrees.
+   [Shape.equal] goes first because it tells records of different widths
+   apart at once, and most merges that change σ add a field. *)
+let same_representation (a : Shape.t) b =
+  a == b || (Shape.equal a b && Stdlib.compare a b = 0)
+
 (* The index of a shape for repeated absorption queries: every record
    of σ reachable through records and nullable records gets its own
    field table, so a query walks δ through the tables and builds none.
-   [met] is the number of the parent record's walk that last met this
-   field. *)
+   Any other subtree is [Whole], with a memo of the literals it absorbs
+   when it is a top or a collection. *)
 type index =
-  | Fields_of of {
-      sigma : Shape.t;
-      name : string;
-      fields : (string, index) Hashtbl.t;
-      required : int;  (* fields that an absence would change *)
-      mutable walks : int;
-      mutable met : int;
-    }
-  | Payload_of of { sigma : Shape.t; payload : index; mutable met : int }
-      (* σ = nullable ρ for a record ρ; [payload] indexes ρ *)
-  | Whole of { sigma : Shape.t; mutable met : int }
+  | Fields_of of table
+  | Payload_of of Shape.t * table  (* σ = nullable ρ, with ρ's table *)
+  | Whole of { sigma : Shape.t; memo : Bytes.t }
+
+(* A record's fields in σ's order, their indices and slots by name, and
+   the walk in progress: [met.(i)] is the number of the last walk that
+   met field [i], and [hits] counts the required fields it met. *)
+and table = {
+  record : Shape.t;
+  name : string;
+  names : string array;
+  subs : index array;
+  slots : (string, int) Hashtbl.t;
+  needed : bool array;  (* fields that an absence would change *)
+  required : int;
+  met : int array;
+  mutable walks : int;
+  mutable hits : int;
+}
 
 let rec index sigma =
   match sigma with
-  | Record r ->
-      let fields = Hashtbl.create (List.length r.fields) in
-      let required =
-        List.fold_left
-          (fun n (name, f) ->
-            Hashtbl.replace fields name (index f);
-            if absent_ok f then n else n + 1)
-          0 r.fields
-      in
-      Fields_of { sigma; name = r.name; fields; required; walks = 0; met = 0 }
-  | Nullable (Record _ as r) -> Payload_of { sigma; payload = index r; met = 0 }
-  | sigma -> Whole { sigma; met = 0 }
+  | Record r -> Fields_of (make_table sigma r)
+  | Nullable (Record r as rho) -> Payload_of (sigma, make_table rho r)
+  | sigma -> Whole { sigma; memo = Bytes.make 8 '\000' }
+
+and make_table record r =
+  let names = Array.of_list (List.map fst r.fields) in
+  let subs = Array.of_list (List.map (fun (_, f) -> index f) r.fields) in
+  let slots = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace slots name i) names;
+  let needed = Array.of_list (List.map (fun (_, f) -> not (absent_ok f)) r.fields) in
+  let required = Array.fold_left (fun n b -> if b then n + 1 else n) 0 needed in
+  let met = Array.make (Array.length names) 0 in
+  { record; name = r.name; names; subs; slots; needed; required; met; walks = 0; hits = 0 }
 
 let indexed = function
-  | Fields_of { sigma; _ } | Payload_of { sigma; _ } | Whole { sigma; _ } -> sigma
+  | Fields_of t -> t.record
+  | Payload_of (sigma, _) | Whole { sigma; _ } -> sigma
 
-(* Stamp [idx] as met by walk [walk]; false if that walk already met it. *)
-let first_meeting idx walk =
+(* The record step, a field at a time. A walk of a record named [name]
+   starts at its table, meets each field it reads once, and is absorbed
+   when every field was one of σ's, met once and absorbed there, and
+   every field of σ that an absence would change was met. The stamps
+   make a name repeated in the walk (which a data record may carry, and
+   S rejects) fail it; with names unique, counting the required fields
+   met suffices. *)
+let table idx name =
   match idx with
-  | Fields_of f -> f.met <> walk && (f.met <- walk; true)
-  | Payload_of p -> p.met <> walk && (p.met <- walk; true)
-  | Whole w -> w.met <> walk && (w.met <- walk; true)
+  | (Fields_of t | Payload_of (_, t)) when String.equal t.name name ->
+      t.walks <- t.walks + 1;
+      t.hits <- 0;
+      Some t
+  | Fields_of _ | Payload_of _ | Whole _ -> None
 
-(* A record named [name] with [fields] is absorbed when every field is
-   one of σ's and absorbed there, and every field of σ that an absence
-   would change is among them. Each walk stamps the fields it meets, so
-   a name repeated in [fields] (which a data record may carry, and S
-   rejects) fails the walk; with names unique, counting the required
-   fields met suffices. *)
-let rec absorbs_record idx name fields absorbs_field =
-  match idx with
-  | Payload_of { payload; _ } -> absorbs_record payload name fields absorbs_field
-  | Fields_of f when String.equal f.name name ->
-      f.walks <- f.walks + 1;
-      let walk = f.walks in
-      let rec go hits = function
-        | [] -> hits = f.required
-        | (name, x) :: rest -> (
-            match Hashtbl.find f.fields name with
-            | field ->
-                first_meeting field walk
-                && absorbs_field field x
-                && go (if absent_ok (indexed field) then hits else hits + 1) rest
-            | exception Not_found -> false)
+let width t = Array.length t.names
+let name_at t i = t.names.(i)
+let slot t name = match Hashtbl.find t.slots name with i -> i | exception Not_found -> -1
+let field t i = t.subs.(i)
+
+let meet t i =
+  t.met.(i) <> t.walks
+  && begin
+       t.met.(i) <- t.walks;
+       if t.needed.(i) then t.hits <- t.hits + 1;
+       true
+     end
+
+let complete t = t.hits = t.required
+
+(* Fields looked up in σ's order first: the field after the one last
+   met, then the table. *)
+let absorbs_record idx name fields absorbs_field =
+  match table idx name with
+  | None -> false
+  | Some t ->
+      let rec go next = function
+        | [] -> complete t
+        | (name, x) :: rest ->
+            let i =
+              if next < width t && String.equal t.names.(next) name then next
+              else slot t name
+            in
+            i >= 0 && meet t i && absorbs_field t.subs.(i) x && go (i + 1) rest
       in
       go 0 fields
-  | Fields_of _ | Whole _ -> false
 
 let rec absorbs_shape ~mode s d =
   s == d
@@ -355,7 +387,8 @@ let rec absorbs_shape ~mode s d =
 and absorbs_at ~mode idx d =
   match idx with
   | Whole { sigma; _ } -> absorbs_shape ~mode sigma d
-  | Fields_of { sigma; _ } | Payload_of { sigma; _ } -> (
+  | Fields_of _ | Payload_of _ -> (
+      let sigma = indexed idx in
       sigma == d
       ||
       match d with
@@ -372,3 +405,30 @@ and absorbs_fields ~mode idx (r : record) =
 
 let absorbs ?(mode : mode = `Hetero) s d = absorbs_shape ~mode s d
 let absorbs_indexed ?(mode : mode = `Hetero) idx d = absorbs_at ~mode idx d
+
+(* The shapes S gives a literal, each with its memo slot. *)
+let literal_slot : Shape.t -> int = function
+  | Null -> 0
+  | Primitive Bool -> 1
+  | Primitive Int -> 2
+  | Primitive Float -> 3
+  | Primitive String -> 4
+  | Primitive Date -> 5
+  | Primitive Bit0 -> 6
+  | Primitive Bit1 -> 7
+  | _ -> -1
+
+(* A top or a collection answers by joining, once per kind of literal:
+   the join of σ with a constant shape depends on nothing else. *)
+let absorbs_literal ?(mode : mode = `Hetero) idx k =
+  match idx with
+  | Whole { sigma = (Top _ | Collection _) as sigma; memo } -> (
+      let i = literal_slot k in
+      match if i < 0 then '\000' else Bytes.get memo i with
+      | '\001' -> true
+      | '\002' -> false
+      | _ ->
+          let absorbed = same_representation (csh ~mode sigma k) sigma in
+          if i >= 0 then Bytes.set memo i (if absorbed then '\001' else '\002');
+          absorbed)
+  | _ -> absorbs_at ~mode idx k

@@ -95,8 +95,10 @@ type index
 (** A shape prepared for repeated {!absorbs_indexed} queries: every
     record of the shape reachable through record fields and nullable
     records gets a table of its fields by name and the count of fields
-    that an absent value would change. Queries stamp the fields they
-    meet, so an index must not be queried from two domains at once. *)
+    that an absent value would change, and every top or collection a
+    memo of the literals it absorbs ({!absorbs_literal}). Queries stamp
+    the fields they meet and fill the memos, so an index must not be
+    queried from two domains at once. *)
 
 val index : Shape.t -> index
 (** O(|shape|): one table per indexed record. *)
@@ -111,13 +113,58 @@ val absorbs_indexed : ?mode:mode -> index -> Shape.t -> bool
     checks, however wide its counterpart in [sigma] is. Collections and
     tops fall back to {!absorbs} on that subtree. *)
 
+val same_representation : Shape.t -> Shape.t -> bool
+(** Equal shapes with their record fields in the same order: the
+    representation a fold keeps, which {!Shape.equal} does not fix. *)
+
+val absorbs_literal : ?mode:mode -> index -> Shape.t -> bool
+(** [absorbs_literal ~mode idx k], for [k] the shape S gives a literal
+    ([null] or a primitive), is whether [csh ~mode sigma k] is [sigma]
+    with its representation, for [sigma = indexed idx]. Under a top or
+    a collection the join is computed once per kind of literal and
+    remembered in the index (a join with a constant shape depends on
+    nothing else); elsewhere it is {!absorbs_indexed}. *)
+
+(** {2 The record step, a field at a time}
+
+    Deciding whether a record is absorbed as its fields are read: a
+    walk starts at the table of σ's record, meets each field it reads,
+    and is absorbed when every field named one of σ's, was met once and
+    absorbed there, and every field that an absent value would change
+    was met. Fields are numbered in σ's order, so a reader whose fields
+    arrive in that order can match each name in place against the one
+    after the field it met last. A table holds one walk at a time. *)
+
+type table
+
+val table : index -> string -> table option
+(** The table of the record σ indexes (or of σ's payload, for a
+    nullable record), when that record is named [name], with a fresh
+    walk started; [None] for any other shape. *)
+
+val width : table -> int
+val name_at : table -> int -> string
+
+val slot : table -> string -> int
+(** The number of σ's field of that name, or [-1]. *)
+
+val meet : table -> int -> bool
+(** [meet t i] records that the walk read field [i]; [false] when it
+    already had (a repeated name, which the walk must reject). *)
+
+val field : table -> int -> index
+(** The index of field [i]'s shape. *)
+
+val complete : table -> bool
+(** Whether every field an absent value would change was met. *)
+
 val absorbs_record :
   index -> string -> (string * 'a) list -> (index -> 'a -> bool) -> bool
-(** [absorbs_record idx name fields absorbs_field] is the record step of
-    {!absorbs_indexed}, generic in what a field holds so that a data
-    record can be checked without computing its shape: for an index of
-    a record named [name] (or of that record made nullable) it holds
-    when every field names a distinct field of the record and
+(** [absorbs_record idx name fields absorbs_field] walks a whole field
+    list through the record step, generic in what a field holds so that
+    a data record can be checked without computing its shape: for an
+    index of a record named [name] (or of that record made nullable) it
+    holds when every field names a distinct field of the record and
     [absorbs_field] accepts it against that field's index, and every
     field that an absent value would change is named. [false] for an
     index of any other shape. *)

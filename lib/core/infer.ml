@@ -24,13 +24,6 @@ let csh_mode : mode -> Csh.mode = function
 
 let is_paper : mode -> bool = function `Paper -> true | `Practical | `Xml -> false
 
-(* Field order included, unlike [Shape.equal]; shapes hold no floats or
-   closures, and [compare] skips physically shared subtrees. [Shape.equal]
-   goes first because it tells records of different widths apart at
-   once, and most merges that change σ add a field. *)
-let same_representation (a : Shape.t) b =
-  a == b || (Shape.equal a b && compare a b = 0)
-
 (* The accumulator of the S(d1, ..., dn) fold (see infer.mli): σ, and
    its index once a merge has left σ as it was. *)
 type fold = { mutable shape : Shape.t; mutable index : Csh.index option }
@@ -115,17 +108,26 @@ and infer_collection ~mode ds =
    its shape (see infer.mli). *)
 and absorbs_value ~mode idx (d : Data_value.t) =
   match (Csh.indexed idx, d) with
-  | ((Collection _ | Top _) as sigma), _ -> joins_to_itself ~mode sigma d
+  | ((Collection _ | Top _) as sigma), (Record _ | List _) ->
+      joins_to_itself ~mode sigma d
   | (Record _ | Nullable _), Record (name, fields) ->
       Csh.absorbs_record idx name fields (absorbs_value ~mode)
   | _, (Record _ | List _) -> false
-  (* date ⊔ string = string, so a string σ needs no date parse *)
-  | Primitive String, String s when not (is_paper mode) -> Primitive.is_text s
-  | Nullable (Primitive String), String s when not (is_paper mode) ->
-      Primitive.is_text s || Primitive.is_missing s
-  | _, (Null | Bool _ | Int _ | Float _ | String _) ->
-      (* S of a literal is a constant shape; nothing to build *)
-      Csh.absorbs_indexed ~mode:(csh_mode mode) idx (shape_of_value ~mode d)
+  | _, String s -> absorbs_string ~mode idx s
+  | _, (Null | Bool _ | Int _ | Float _) ->
+      absorbs_constant ~mode idx (shape_of_value ~mode d)
+
+(* S of a literal is a constant shape; nothing to build *)
+and absorbs_constant ~mode idx k =
+  Csh.absorbs_literal ~mode:(csh_mode mode) idx k
+
+(* A string literal. date ⊔ string = string, so whatever absorbs a
+   string absorbs any text, and a text needs no date parse there. *)
+and absorbs_string ~mode idx s =
+  if is_paper mode then absorbs_constant ~mode idx (Primitive String)
+  else
+    (Primitive.is_text s && absorbs_constant ~mode idx (Primitive String))
+    || absorbs_constant ~mode idx (classify_string s)
 
 (* The fallback for a collection or top on σ's side: the join itself.
    It is compared by representation, not by [Shape.equal]: csh joins two
@@ -134,7 +136,7 @@ and absorbs_value ~mode idx (d : Data_value.t) =
    then take that order as the S(d)-then-csh fold does. *)
 and joins_to_itself ~mode sigma d =
   let joined = Csh.csh ~mode:(csh_mode mode) sigma (shape_of_value ~mode d) in
-  same_representation joined sigma
+  Csh.same_representation joined sigma
 
 (* One step of the fold: skip [d] when the index says σ absorbs it,
    otherwise merge S(d). *)
@@ -149,7 +151,7 @@ and fold_value ~mode acc d =
    the old one. *)
 and merge ~mode acc s =
   let merged = Csh.csh ~mode:(csh_mode mode) acc.shape s in
-  if not (same_representation merged acc.shape) then begin
+  if not (Csh.same_representation merged acc.shape) then begin
     acc.shape <- merged;
     acc.index <- None
   end
@@ -159,6 +161,82 @@ and fold_samples ~mode ds =
   let acc = { shape = Shape.Bottom; index = None } in
   List.iter (fold_value ~mode acc) ds;
   acc.shape
+
+(* [absorbs_value] asked of a JSON document on the lexer stream, from
+   its first token, without building its value: keys are matched in
+   place in σ's field order and looked up off it, literals are
+   classified as S would, and only a subtree under a collection or a
+   top of σ is parsed, to be joined as [absorbs_value] does. A key σ
+   lacks or repeats answers [false]; a syntax fault, or nesting past
+   the parser's bound, raises as the parser would. *)
+let rec absorbs_tokens ~mode idx st =
+  Json.Raw.skip_ws st;
+  match Json.Raw.peek_char st with
+  | '{' -> (
+      match Csh.table idx Data_value.json_record_name with
+      | Some t -> absorbs_members ~mode t st
+      | None -> absorbs_parsed ~mode idx st)
+  | '[' -> absorbs_parsed ~mode idx st
+  | '"' -> absorbs_string ~mode idx (Json.Raw.parse_string st)
+  | 't' -> Json.Raw.lit st "true" && absorbs_constant ~mode idx (Primitive Bool)
+  | 'f' -> Json.Raw.lit st "false" && absorbs_constant ~mode idx (Primitive Bool)
+  | 'n' -> Json.Raw.lit st "null" && absorbs_constant ~mode idx Null
+  | '-' | '0' .. '9' ->
+      absorbs_constant ~mode idx
+        (Primitive (if Json.Raw.number_is_int st then Int else Float))
+  | _ -> false
+
+and absorbs_parsed ~mode idx st =
+  match Csh.indexed idx with
+  | (Collection _ | Top _) as sigma ->
+      joins_to_itself ~mode sigma (Json.Raw.parse_value st)
+  | _ -> false
+
+and absorbs_members ~mode t st =
+  Json.Raw.enter st;
+  Json.Raw.advance st;
+  Json.Raw.skip_ws st;
+  if Json.Raw.peek_char st = '}' then begin
+    Json.Raw.advance st;
+    Json.Raw.leave st;
+    Csh.complete t
+  end
+  else absorbs_member ~mode t st 0
+
+(* The member after field [next - 1] of σ's order was met *)
+and absorbs_member ~mode t st next =
+  Json.Raw.skip_ws st;
+  let i =
+    if next < Csh.width t && Json.Raw.key st (Csh.name_at t next) then next
+    else Csh.slot t (Json.Raw.parse_string st)
+  in
+  i >= 0
+  && Csh.meet t i
+  && begin
+       Json.Raw.skip_ws st;
+       Json.Raw.expect st ':';
+       absorbs_tokens ~mode (Csh.field t i) st
+     end
+  && begin
+       Json.Raw.skip_ws st;
+       match Json.Raw.peek_char st with
+       | ',' ->
+           Json.Raw.advance st;
+           absorbs_member ~mode t st (i + 1)
+       | '}' ->
+           Json.Raw.advance st;
+           Json.Raw.leave st;
+           Csh.complete t
+       | _ -> false
+     end
+
+let absorbs_json ?(mode : mode = `Practical) idx text =
+  let st = Json.Raw.make text in
+  match absorbs_tokens ~mode idx st with
+  | absorbed ->
+      Json.Raw.skip_ws st;
+      absorbed && Json.Raw.at_eof st
+  | exception Diagnostic.Parse_error _ -> false
 
 let absorbs_value ?(mode : mode = `Practical) idx d = absorbs_value ~mode idx d
 
@@ -415,27 +493,50 @@ let spawn f =
   Obs_metrics.incr m_spawned;
   Domain.spawn f
 
+(* [size] is asked once [f] is done, so that a batch read as it is
+   folded can be annotated with its size. *)
 let traced_chunk ~offset ~size f =
+  let r =
+    if Obs_trace.enabled () then
+      Obs_trace.with_span "infer.chunk"
+        ~args:[ ("offset", string_of_int offset) ]
+        ~late_args:(fun () -> [ ("size", string_of_int (size ())) ])
+        f
+    else f ()
+  in
   Obs_metrics.incr m_chunks;
-  Obs_metrics.observe h_chunk_size (float_of_int size);
-  if Obs_trace.enabled () then
-    Obs_trace.with_span "infer.chunk"
-      ~args:[ ("offset", string_of_int offset); ("size", string_of_int size) ]
-      f
-  else f ()
+  Obs_metrics.observe h_chunk_size (float_of_int (size ()));
+  r
 
 exception Stop
 
 (* One batch's share of a run. *)
 type batch = { b_shape : Shape.t; b_clean : int; b_faults : quarantined list }
 
+(* Fold item [i] into [fold]. The item is isolated: a fault parsing or
+   inferring it is answered, never raised. An exception other than a
+   parse error names no position: the sample parsed, or was given
+   parsed, and its inference failed. *)
+let fold_item ~mode ~format (fold : fold) ~text read i item =
+  match fold_value ~mode fold (read item) with
+  | () -> None
+  | exception e ->
+      let d =
+        match e with
+        | Diagnostic.Parse_error d -> d
+        | exn ->
+            Diagnostic.make ~format ~line:0 ~column:0
+              (Printf.sprintf "inference of sample %d failed: unexpected error: %s"
+                 i (Printexc.to_string exn))
+      in
+      Some { q_index = i; q_diagnostic = Diagnostic.with_index i d; q_text = text item }
+
 (* Fold a batch's items into [fold] in order, under its own
    [infer.chunk] span. The [i]th item sits at the next global index from
    [index] on that is not in [gaps], the indices of the faults the
-   reader reported itself. Each item is isolated: a fault parsing or
-   inferring it is quarantined under its index, never raised. A strict
-   run stops at the first fault, its own or a gap. The walk is the
-   span's tail call, so the items it has passed are garbage at once. *)
+   reader reported itself. A strict run stops at the first fault, its
+   own or a gap. The walk is the span's tail call, so the items it has
+   passed are garbage at once. *)
 let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
     ~gaps items =
   let rec go i gaps clean faults = function
@@ -446,22 +547,67 @@ let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
             go (i + 1) gaps clean faults (if strict then [] else items)
         | _ -> (
             Cancel.check cancel;
-            match fold_value ~mode fold (read item) with
-            | () -> go (i + 1) gaps (clean + 1) faults rest
-            | exception e ->
-                let d =
-                  match e with
-                  | Diagnostic.Parse_error d -> d
-                  | exn ->
-                      Diagnostic.make ~format ~line:1 ~column:0
-                        ("unexpected error: " ^ Printexc.to_string exn)
-                in
-                let d = Diagnostic.with_index i d in
-                let q = { q_index = i; q_diagnostic = d; q_text = text item } in
-                go (i + 1) gaps clean (q :: faults) (if strict then [] else rest)))
+            match fold_item ~mode ~format fold ~text read i item with
+            | None -> go (i + 1) gaps (clean + 1) faults rest
+            | Some q -> go (i + 1) gaps clean (q :: faults) (if strict then [] else rest)))
   in
-  traced_chunk ~offset:index ~size:(List.length items) @@ fun () ->
+  let size = List.length items in
+  traced_chunk ~offset:index ~size:(fun () -> size) @@ fun () ->
   go index gaps 0 [] items
+
+(* A JSON text at one job, folded as it is read: each document is first
+   walked against the index of σ as the previous document left it
+   ([absorbs_tokens]), and only a document the walk declines is parsed
+   and folded. The batches are the reader's, each an [infer.chunk] span
+   opened once its first document is read; the reader's faults are
+   reported to [on_error] as they are met. A strict run stops folding at
+   its first fault, reads the rest of that batch, and stops. *)
+let fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
+    ~(faults : quarantined list ref) ~on_batch text (fold : fold) =
+  let r = Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text in
+  let absorb st =
+    match fold.index with
+    | Some idx -> absorbs_tokens ~mode idx st
+    | None -> false
+  in
+  let size = ref 0 in
+  let rec go item clean batch_faults =
+    incr size;
+    let clean, batch_faults =
+      match item with
+      | _ when strict && (!faults <> [] || batch_faults <> []) ->
+          (clean, batch_faults)
+      | Json.Reader.Doc v -> (
+          Cancel.check cancel;
+          match
+            fold_item ~mode ~format:Json fold
+              ~text:(fun _ -> None)
+              Fun.id (Json.Reader.index r) v
+          with
+          | None -> (clean + 1, batch_faults)
+          | Some q -> (clean, q :: batch_faults))
+      | _ -> (clean + 1, batch_faults)
+    in
+    match
+      if Json.Reader.cut r then Json.Reader.End else Json.Reader.next ~absorb r
+    with
+    | Json.Reader.End ->
+        { b_shape = fold.shape; b_clean = clean; b_faults = List.rev batch_faults }
+    | item -> go item clean batch_faults
+  in
+  (* a batch starts after the previous one's last document: at its
+     first document, or at a fault the reader met before it *)
+  let rec batches offset =
+    match Json.Reader.next ~absorb r with
+    | Json.Reader.End -> ()
+    | first ->
+        size := 0;
+        on_batch
+          (traced_chunk ~offset ~size:(fun () -> !size) (fun () ->
+               go first 0 []));
+        batches (Json.Reader.index r + 1)
+  in
+  batches 0
 
 let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
     source =
@@ -487,12 +633,16 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
       join_one ()
     done
   in
+  (* A stream's reader quarantines its faults here, with the text it
+     skipped (see [on_error] below). A strict run stops after the batch
+     that holds or follows the first fault. *)
+  let faults = ref [] in
+  let on_batch b =
+    results := b :: !results;
+    if strict && (b.b_faults <> [] || !faults <> []) then raise Stop
+  in
   let submit job =
-    if jobs = 1 then begin
-      let b = job cancel acc in
-      results := b :: !results;
-      if strict && b.b_faults <> [] then raise Stop
-    end
+    if jobs = 1 then on_batch (job cancel acc)
     else begin
       Option.iter
         (fun job ->
@@ -518,12 +668,12 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
   let parse t =
     match F.parse t with Ok d -> d | Error d -> raise (Diagnostic.Parse_error d)
   in
-  (* A stream is parsed on this domain, batch by batch. The reader's
-     faults are quarantined with the text it skipped. A strict run stops
-     reading at the end of the batch that holds the first of them, and
-     still folds that batch, so every document before the fault is. *)
-  let faults = ref [] in
-  (* where the next batch starts, and the reader's faults since *)
+  (* A stream is parsed on this domain, batch by batch. A strict run
+     stops reading at the end of the batch that holds the first fault,
+     and still folds that batch, so every document before the fault is.
+     At one job a JSON text is read and folded together ([fold_read]).
+     [next] is where the next batch starts, [pending] the reader's
+     faults since. *)
   let next = ref 0 and pending = ref [] in
   let on_error (d : Diagnostic.t) ~skipped =
     let i = Option.value d.Diagnostic.index ~default:!next in
@@ -552,6 +702,12 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
       | Values ds, _ -> samples ~read:Fun.id ~text:(fun _ -> None) ds
       | String text, None -> samples ~read:parse ~text:Option.some [ text ]
       | Feed feed, None -> samples ~read:parse ~text:Option.some [ buffer feed ]
+      | String text, Some _ when jobs = 1 && F.format = Json ->
+          let chunk_size, chunk_bytes =
+            stream_caps ~jobs ~bytes:(String.length text) chunk_size
+          in
+          fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
+            ~faults ~on_batch text acc
       | String text, Some st ->
           let chunk_size, chunk_bytes =
             stream_caps ~jobs ~bytes:(String.length text) chunk_size

@@ -70,6 +70,18 @@ val absorbs_value : ?mode:mode -> Csh.index -> Fsdata_data.Data_value.t -> bool
     records right operand first, which the joins below a collection can
     meet, and the fold must then take the join's order. *)
 
+val absorbs_json : ?mode:mode -> Csh.index -> string -> bool
+(** [absorbs_json ~mode idx text] asks {!absorbs_value} of the JSON
+    document [text] on its tokens, as the engine's sequential JSON fold
+    does before it parses a document: record keys are matched in place
+    in [sigma]'s field order (looked up when off it), literals are
+    classified in place, and only a subtree under a collection or a top
+    of [sigma] is parsed, to be joined. It answers [false] for a text
+    that is not exactly one document, and for a key [sigma] lacks or
+    that repeats (the parser keeps a repeated key's last binding, which
+    the walk does not follow). Whenever it holds, [Json.parse text]
+    succeeds and [absorbs_value ~mode idx] accepts its value. *)
+
 val classify_string : string -> Shape.t
 (** The shape a string literal infers to in practical mode. *)
 
@@ -138,6 +150,12 @@ val run :
     corpus order, threaded across batches: the shape is exactly
     [shape_of_samples ~mode] of those documents, whatever the batching
     (CSV wraps it into the collection of rows, with its multiplicity).
+    A JSON [String] is read and folded in one pass: each document is
+    first walked on its tokens against σ as the previous document left
+    it ({!absorbs_json}), and only a document the walk declines is
+    parsed and folded, so reading costs less than parsing wherever σ
+    absorbs the corpus. Output, quarantine and counters are those of
+    parsing every document.
 
     {b Parallel runs.} At [jobs > 1] batches are folded in worker
     domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the

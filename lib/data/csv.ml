@@ -143,6 +143,19 @@ let parse_rows ?(separator = ',') ?(has_headers = true) ~on_row src =
             rest )
         else (List.mapi (fun i _ -> default_header i) first, first :: rest)
       in
+      (* a row is a record, whose field names are the headers *)
+      (match Data_value.first_duplicate (List.map (fun h -> (h, ())) headers) with
+      | Some name ->
+          (* at its second occurrence *)
+          let _, cell =
+            List.nth
+              (List.filter
+                 (fun (h, _) -> String.equal h name)
+                 (List.combine headers first))
+              1
+          in
+          error ~line:cell.cline ~column:cell.ccol "duplicate header %S" name
+      | None -> ());
       let width = List.length headers in
       let index = ref (-1) in
       let rows =

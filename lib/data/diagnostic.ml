@@ -28,9 +28,11 @@ let format_label = function Json -> "JSON" | Xml -> "XML" | Csv -> "CSV"
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 (* The column is omitted when unknown (0) so the rendering degrades to
-   the historical line-only CSV message shape. *)
+   the historical line-only CSV message shape. A diagnostic with no line
+   is no parse error: its message says what failed. *)
 let message_of d =
-  if d.column > 0 then
+  if d.line = 0 then d.message
+  else if d.column > 0 then
     Printf.sprintf "%s parse error at line %d, column %d: %s"
       (format_label d.format) d.line d.column d.message
   else

@@ -18,7 +18,9 @@ type severity = Error | Warning
 
 type t = {
   format : format;
-  line : int;  (** 1-based line of the error; 0 when unknown *)
+  line : int;
+      (** 1-based line of the error; 0 for a fault that has no position
+          in the text, such as a sample whose inference failed *)
   column : int;  (** 1-based column of the error; 0 when unknown *)
   index : int option;
       (** 0-based global index of the offending document/sample within
@@ -61,7 +63,8 @@ val to_string : t -> string
 
 val message_of : t -> string
 (** {!to_string} without the index suffix — byte-identical to what the
-    strict pipeline printed before diagnostics existed. *)
+    strict pipeline printed before diagnostics existed. A diagnostic
+    without a line renders as its message alone. *)
 
 val to_json : t -> Data_value.t
 (** A machine-readable rendering (a record with [format], [index],

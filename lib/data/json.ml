@@ -206,14 +206,14 @@ let parse_string st =
 
 let digit_at src len j = j < len && src.[j] >= '0' && src.[j] <= '9'
 
-let parse_number st =
-  (* Index-scanned for speed: none of the scanned characters can be a
-     newline, so no line bookkeeping until the position is committed. *)
+(* Scan a number from the cursor to its end and answer whether it is
+   written with a fraction or an exponent. Index-scanned for speed: none
+   of the scanned characters can be a newline, so no line bookkeeping
+   until the position is committed. *)
+let scan_number st =
   let src = st.src and len = st.len in
-  let start = st.pos in
-  let i = ref start in
-  let neg = !i < len && String.unsafe_get src !i = '-' in
-  if neg then incr i;
+  let i = ref st.pos in
+  if !i < len && String.unsafe_get src !i = '-' then incr i;
   let is_float = ref false in
   (* integer part: a lone '0', or a run starting with a nonzero digit *)
   (match if !i < len then String.unsafe_get src !i else '\000' with
@@ -243,27 +243,43 @@ let parse_number st =
       error st "expected digits in exponent"
     end
   end;
-  let stop = !i in
-  st.pos <- stop;
-  if !is_float then
+  st.pos <- !i;
+  !is_float
+
+(* An integer literal of at most 18 digits always fits a native int. *)
+let short_int src ~start ~stop =
+  let dig0 = if String.unsafe_get src start = '-' then start + 1 else start in
+  stop - dig0 <= 18
+
+let parse_number st =
+  let src = st.src and start = st.pos in
+  let is_float = scan_number st in
+  let stop = st.pos in
+  if is_float then
     Data_value.Float (float_of_string (String.sub src start (stop - start)))
-  else begin
-    let dig0 = if neg then start + 1 else start in
-    if stop - dig0 <= 18 then begin
-      (* at most 18 digits always fits a native int: accumulate without
-         the substring + int_of_string round-trip *)
-      let acc = ref 0 in
-      for j = dig0 to stop - 1 do
-        acc := (!acc * 10) + (Char.code (String.unsafe_get src j) - 48)
-      done;
-      Data_value.Int (if neg then - !acc else !acc)
-    end
-    else
-      let text = String.sub src start (stop - start) in
-      match int_of_string_opt text with
-      | Some v -> Data_value.Int v
-      | None -> Data_value.Float (float_of_string text)
+  else if short_int src ~start ~stop then begin
+    (* accumulate without the substring + int_of_string round-trip *)
+    let neg = String.unsafe_get src start = '-' in
+    let acc = ref 0 in
+    for j = (if neg then start + 1 else start) to stop - 1 do
+      acc := (!acc * 10) + (Char.code (String.unsafe_get src j) - 48)
+    done;
+    Data_value.Int (if neg then - !acc else !acc)
   end
+  else
+    let text = String.sub src start (stop - start) in
+    match int_of_string_opt text with
+    | Some v -> Data_value.Int v
+    | None -> Data_value.Float (float_of_string text)
+
+(* Whether the number at the cursor reads as an [Int], as {!parse_number}
+   decides, without building it. *)
+let number_is_int st =
+  let src = st.src and start = st.pos in
+  (not (scan_number st))
+  && (short_int src ~start ~stop:st.pos
+     || Option.is_some
+          (int_of_string_opt (String.sub src start (st.pos - start))))
 
 let parse_literal st word value =
   for i = 0 to String.length word - 1 do
@@ -447,47 +463,112 @@ let resync st ~start =
   done;
   !found
 
-let fold_many ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_error
-    f acc s =
-  if chunk_size < 1 then invalid_arg "Json.fold_many: chunk_size must be positive";
-  let byte_cap =
-    match chunk_bytes with
-    | None -> max_int
-    | Some b ->
-        if b < 1 then invalid_arg "Json.fold_many: chunk_bytes must be positive"
-        else b
-  in
-  let st = make_state s in
-  let rec loop acc chunk n bytes idx =
+(* A document stream read one document at a time. Each document is
+   offered to [absorb] first, which may consume it and answer [true];
+   when it answers [false] or raises a parse error, the reader rewinds
+   to the document's start and parses it. A malformed document goes to
+   [on_error] with its global index and the skipped text, and the
+   reader resumes at the next boundary; without [on_error] it raises.
+   Batches are cut after [chunk_size] documents or once they have
+   consumed [chunk_bytes] source bytes, whichever fills first; faults
+   count towards neither. *)
+module Reader = struct
+  type item = End | Doc of Data_value.t | Absorbed
+
+  type t = {
+    st : state;
+    cancel : Cancel.t;
+    on_error : (Diagnostic.t -> skipped:string -> unit) option;
+    chunk_size : int;
+    byte_cap : int;
+    mutable index : int; (* global index of the latest document, read or skipped *)
+    mutable n : int; (* documents in the current batch *)
+    mutable bytes : int; (* and their source bytes *)
+    mutable cut : bool; (* the latest document filled its batch *)
+  }
+
+  let create ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_error s
+      =
+    if chunk_size < 1 then invalid_arg "Json.fold_many: chunk_size must be positive";
+    let byte_cap =
+      match chunk_bytes with
+      | None -> max_int
+      | Some b ->
+          if b < 1 then invalid_arg "Json.fold_many: chunk_bytes must be positive"
+          else b
+    in
+    {
+      st = make_state s;
+      cancel;
+      on_error;
+      chunk_size;
+      byte_cap;
+      index = -1;
+      n = 0;
+      bytes = 0;
+      cut = false;
+    }
+
+  let index r = r.index
+  let cut r = r.cut
+
+  let read ?absorb st =
+    let pos = st.pos and line = st.line and bol = st.bol in
+    match absorb with
+    | Some absorb when (try absorb st with Diagnostic.Parse_error _ -> false) ->
+        Absorbed
+    | _ ->
+        st.pos <- pos;
+        st.line <- line;
+        st.bol <- bol;
+        st.depth <- 0;
+        Doc (parse_value st)
+
+  let rec next ?absorb r =
+    let st = r.st in
     skip_ws st;
-    if st.pos >= st.len then if n = 0 then acc else f acc (List.rev chunk)
+    if st.pos >= st.len then End
     else begin
-      Cancel.check cancel;
-      let mark = st.pos in
-      match Fsdata_obs.Metrics.time m_ns (fun () -> parse_value st) with
-      | v ->
+      Cancel.check r.cancel;
+      let start = st.pos in
+      r.index <- r.index + 1;
+      match Fsdata_obs.Metrics.time m_ns (fun () -> read ?absorb st) with
+      | item ->
+          let len = st.pos - start in
           Fsdata_obs.Metrics.incr m_docs;
-          Fsdata_obs.Metrics.add m_bytes (st.pos - mark);
-          let bytes = bytes + (st.pos - mark) in
-          (* cut the chunk at whichever cap fills first: the document
-             count, or the consumed source bytes (so huge documents keep
-             chunk residency bounded) *)
-          if n + 1 >= chunk_size || bytes >= byte_cap then
-            loop (f acc (List.rev (v :: chunk))) [] 0 0 (idx + 1)
-          else loop acc (v :: chunk) (n + 1) bytes (idx + 1)
+          Fsdata_obs.Metrics.add m_bytes len;
+          r.n <- r.n + 1;
+          r.bytes <- r.bytes + len;
+          r.cut <- r.n >= r.chunk_size || r.bytes >= r.byte_cap;
+          if r.cut then begin
+            r.n <- 0;
+            r.bytes <- 0
+          end;
+          item
       | exception Diagnostic.Parse_error d -> (
-          match on_error with
+          match r.on_error with
           | None -> reraise_legacy d
           | Some handler ->
               (* skip the malformed document, report it with its global
                  index and raw text, and keep going *)
-              ignore (resync st ~start:mark);
-              let skipped = String.trim (String.sub s mark (st.pos - mark)) in
-              handler (Diagnostic.with_index idx d) ~skipped;
-              loop acc chunk n bytes (idx + 1))
+              ignore (resync st ~start);
+              let skipped = String.trim (String.sub st.src start (st.pos - start)) in
+              handler (Diagnostic.with_index r.index d) ~skipped;
+              next ?absorb r)
     end
+end
+
+let fold_many ?cancel ?chunk_size ?chunk_bytes ?on_error f acc s =
+  let r = Reader.create ?cancel ?chunk_size ?chunk_bytes ?on_error s in
+  let rec loop acc chunk =
+    match Reader.next r with
+    | Reader.End -> if chunk = [] then acc else f acc (List.rev chunk)
+    | Reader.Doc v ->
+        if Reader.cut r then loop (f acc (List.rev (v :: chunk))) []
+        else loop acc (v :: chunk)
+    | Reader.Absorbed -> assert false (* nothing absorbs without [absorb] *)
   in
-  loop acc [] 0 0 0
+  loop acc []
 
 let parse_many s =
   List.rev (fold_many (fun acc c -> List.rev_append c acc) [] s)
@@ -669,6 +750,31 @@ module Raw = struct
          end
          else false
        end
+  (* [lit] for an object key: the quoted [name], when [name] needs no
+     escape, so that the source bytes are exactly its JSON literal. *)
+  let key st name =
+    let n = String.length name in
+    let src = st.src and p = st.pos in
+    p + n + 2 <= st.len
+    && String.unsafe_get src p = '"'
+    && String.unsafe_get src (p + n + 1) = '"'
+    && begin
+         let i = ref 0 in
+         while
+           !i < n
+           &&
+           let c = String.unsafe_get name !i in
+           c <> '"' && c <> '\\' && Char.code c >= 0x20
+           && String.unsafe_get src (p + 1 + !i) = c
+         do
+           incr i
+         done;
+         !i = n && (st.pos <- p + n + 2; true)
+       end
+
+  let enter = enter
+  let leave = leave
+  let number_is_int = number_is_int
   let peek = peek
   let advance = advance
   let skip_ws = skip_ws

@@ -150,6 +150,24 @@ module Raw : sig
       Lets a compiled record decoder match an expected ["key"] without
       decoding or allocating. *)
 
+  val key : state -> string -> bool
+  (** [key st name] consumes the JSON literal ["name"] at the cursor when
+      the source bytes are exactly [name] between quotes and [name]
+      needs no escape, and returns [true]; otherwise it leaves the
+      cursor untouched. An object key matched in place, without
+      decoding or allocating. *)
+
+  val enter : state -> unit
+  (** Count one more level of nesting, as the parser does at ['{'] and
+      ['[']. @raise Diagnostic.Parse_error past the parser's bound. *)
+
+  val leave : state -> unit
+
+  val number_is_int : state -> bool
+  (** Scan a JSON number and answer whether {!parse_number} reads it as
+      an [Int], without building it.
+      @raise Diagnostic.Parse_error on faults. *)
+
   val peek : state -> char option
   (** The next character, boxed: allocates on every call. Prefer
       {!peek_char} on any per-byte path. *)
@@ -185,6 +203,48 @@ module Raw : sig
   (** Raise [Diagnostic.Parse_error] at the current position with the
       given message — the same diagnostic shape the parser itself
       raises. *)
+end
+
+(** A document stream read one document at a time, for a consumer that
+    acts on each document before it reads the next ({!fold_many} is this
+    reader collecting batches). Error positions, resynchronization,
+    cancellation, batch cuts and the [parse.json.*] counters are
+    {!fold_many}'s. *)
+module Reader : sig
+  type t
+
+  type item =
+    | End  (** no document is left *)
+    | Doc of Data_value.t  (** the next document, parsed *)
+    | Absorbed  (** the next document, consumed by [absorb] *)
+
+  val create :
+    ?cancel:Cancel.t ->
+    ?chunk_size:int ->
+    ?chunk_bytes:int ->
+    ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
+    string ->
+    t
+  (** Arguments as for {!fold_many}. *)
+
+  val next : ?absorb:(Raw.state -> bool) -> t -> item
+  (** The next document. A malformed one is reported to [on_error]
+      (or raised as {!Parse_error} without it) and skipped. With
+      [absorb], the document is first offered to it at its first
+      token: it may consume the whole document and answer [true], and
+      the document is [Absorbed]; when it answers [false] or raises
+      [Diagnostic.Parse_error], the reader rewinds to the document's
+      start and parses it, so a document [absorb] declines is read as
+      if [absorb] had not run. *)
+
+  val index : t -> int
+  (** The global index of the latest document returned (faults
+      included in the count). *)
+
+  val cut : t -> bool
+  (** Whether the latest document filled its batch: it is the
+      [chunk_size]th of the batch, or the batch has consumed at least
+      [chunk_bytes] bytes. *)
 end
 
 val to_string :

@@ -231,7 +231,13 @@ let rec parse_element st =
     match peek st with
     | Some '/' | Some '>' -> List.rev acc
     | Some c when is_name_start c ->
+        let line = st.line and column = st.pos - st.bol + 1 in
         let attr_name = parse_name st in
+        (* an element is a record with its attributes and its body as
+           fields, so the body's field name is no attribute's *)
+        if String.equal attr_name Data_value.body_field then
+          Diagnostic.error ~format:Diagnostic.Xml ~line ~column
+            "attribute %s is reserved for the element body" attr_name;
         skip_ws st;
         (match peek st with
         | Some '=' -> advance st

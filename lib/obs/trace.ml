@@ -35,7 +35,7 @@ let buffer_key =
       Mutex.protect registry_mutex (fun () -> registry := buf :: !registry);
       buf)
 
-let with_span ?(args = []) name f =
+let with_span ?(args = []) ?late_args name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let buf = Domain.DLS.get buffer_key in
@@ -48,6 +48,9 @@ let with_span ?(args = []) name f =
       (match buf.stack with
       | top :: rest when top = id -> buf.stack <- rest
       | stack -> buf.stack <- List.filter (fun s -> s <> id) stack);
+      let args =
+        match late_args with None -> args | Some late -> args @ late ()
+      in
       buf.recorded <-
         { id; parent; name; domain = buf.dom; start_ns; dur_ns; args }
         :: buf.recorded

@@ -44,12 +44,19 @@ val set_enabled : bool -> unit
 (** [set_enabled b] turns recording on or off process-wide. Toggling
     does not discard spans already recorded. *)
 
-val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?args:(string * string) list ->
+  ?late_args:(unit -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [with_span name f] runs [f ()]; when tracing is enabled, the call is
     recorded as a span named [name] covering [f]'s execution, nested
     under the innermost open span of the current domain. The span is
     recorded even when [f] raises (the exception is re-raised with its
-    backtrace). When tracing is disabled this is just [f ()]. *)
+    backtrace). [late_args], for annotations known only once [f] is
+    done, is called as the span ends and its pairs follow [args]. When
+    tracing is disabled this is just [f ()]. *)
 
 val reset : unit -> unit
 (** [reset ()] discards all recorded spans in every domain buffer.

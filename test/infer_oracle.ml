@@ -88,3 +88,42 @@ let shape_of_samples ?(mode : mode = `Practical) ds =
   if Obs_metrics.enabled () then Obs_metrics.add m_samples (List.length ds);
   Csh.csh_all ~mode:(csh_mode mode)
     (List.map (fun d -> shape_of_value ~mode d) ds)
+
+(* The engine's JSON [String] run as it stood before the sequential fold
+   walked documents on their tokens: [Json.fold_many ~on_error] reads
+   the whole text, quarantining each malformed document with the text it
+   skipped, and the clean documents are folded as above. Answers the
+   engine's error lines, or the shape, the total and the quarantine as
+   (index, diagnostic, skipped text). *)
+let run_json ?(mode : mode = `Practical) (budget : Diagnostic.budget) text =
+  let faults = ref [] in
+  let docs =
+    Json.fold_many
+      ~on_error:(fun d ~skipped -> faults := (d, skipped) :: !faults)
+      (fun acc ds -> List.rev_append ds acc)
+      [] text
+    |> List.rev
+  in
+  let faults = List.rev !faults in
+  let errors = List.length faults in
+  let total = List.length docs + errors in
+  match faults with
+  | (d, _) :: _ when budget = Diagnostic.Strict ->
+      Error (Diagnostic.message_of d)
+  | [] when total = 0 -> Error "no JSON sample documents found"
+  | (d, _) :: _ when not (Diagnostic.allows budget ~errors ~total) ->
+      Error
+        (Printf.sprintf
+           "error budget exceeded: %d of %d samples malformed (budget %s); \
+            first: %s"
+           errors total
+           (Diagnostic.budget_to_string budget)
+           (Diagnostic.to_string d))
+  | _ ->
+      let quarantine =
+        List.map
+          (fun ((d : Diagnostic.t), skipped) ->
+            (Option.get d.index, d, skipped))
+          faults
+      in
+      Ok (shape_of_samples ~mode docs, total, quarantine)

@@ -103,3 +103,35 @@ let suite =
     tc "to_data (Section 6.2)" `Quick test_to_data;
     tc "serialize round-trip" `Quick test_roundtrip;
   ]
+
+(* A row is a record whose fields the headers name, so a repeated
+   header refuses the table once, at its second occurrence, whatever
+   the error budget. *)
+let test_duplicate_header () =
+  let module Diagnostic = Fsdata_data.Diagnostic in
+  let module Infer = Fsdata_core.Infer in
+  List.iter
+    (fun (text, expected) ->
+      match Csv.parse_diag text with
+      | Ok _ -> Alcotest.failf "expected a duplicate-header error in %S" text
+      | Error d ->
+          check
+            Alcotest.(triple int int string)
+            text expected
+            (d.Diagnostic.line, d.column, d.message);
+          List.iter
+            (fun budget ->
+              check
+                Alcotest.(result unit string)
+                (Diagnostic.budget_to_string budget)
+                (Error (Diagnostic.message_of d))
+                (Result.map ignore (Infer.run budget Csv (String text))))
+            [ Diagnostic.Strict; Count 99; Percent 50. ])
+    [
+      ("a,a\n1,2\n", (1, 3, {|duplicate header "a"|}));
+      ("x, b ,\"q\",b\n1,2,3,4\n5,6,7,8,9\n", (1, 11, {|duplicate header "b"|}));
+      (* an empty header takes its default name *)
+      (",Column1\n1,2\n", (1, 2, {|duplicate header "Column1"|}));
+    ]
+
+let suite = suite @ [ tc "duplicate header refused" `Quick test_duplicate_header ]

@@ -248,15 +248,18 @@ let test_chunk_boundary_poison () =
 
 (* The isolation boundary converts even non-parse exceptions into an
    indexed diagnostic: a crash in one worker's sample must surface as a
-   quarantine naming that sample, not kill the run. An XML attribute
-   named like the body field gives its element two fields of the same
-   name, which S rejects with [Invalid_argument]. *)
+   quarantine naming that sample, not kill the run. A record that
+   repeats a field name makes S raise [Invalid_argument]; no parser
+   yields one, so it comes as a parsed sample. *)
+let crash_record = Dv.Record ("root", [ ("a", Dv.Int 1); ("a", Dv.Int 2) ])
+
 let test_worker_crash_attributed () =
-  let crash = "<root \xe2\x80\xa2=\"1\"><a/></root>" in
-  let texts = List.init 44 (fun i -> if i = 42 then crash else "<root/>") in
+  let values =
+    List.init 44 (fun i -> if i = 42 then crash_record else Dv.Record ("root", []))
+  in
   List.iter
     (fun jobs ->
-      match Infer.run ~jobs (Diagnostic.Count 1) Xml (Samples texts) with
+      match Infer.run ~jobs (Diagnostic.Count 1) Xml (Values values) with
       | Error e -> Alcotest.failf "jobs=%d: the crash killed the run: %s" jobs e
       | Ok { Infer.quarantined = [ q ]; _ } ->
           let d = q.Infer.q_diagnostic in
@@ -484,13 +487,12 @@ let test_csv_tolerant_inference () =
       Alcotest.(check bool) "names the fault" true
         (contains ~affix:"unterminated" e)
 
-(* A strict run answers its lowest-index fault although the reader
-   reports a later one first: every row of a table with a repeated
-   header fails inference, and its second row is also ragged. *)
+(* A strict run answers its lowest-index fault, however the samples
+   were divided: both samples fail inference. *)
 let test_strict_lowest_index () =
-  let text = "a,a\n1,2\n3,4,5\n" in
-  match Infer.run (Diagnostic.Count 99) Csv (String text) with
-  | Error e -> Alcotest.failf "tolerant CSV failed: %s" e
+  let values = [ crash_record; crash_record ] in
+  match Infer.run (Diagnostic.Count 99) Xml (Values values) with
+  | Error e -> Alcotest.failf "tolerant run failed: %s" e
   | Ok r ->
       Alcotest.(check (list int))
         "both rows quarantined" [ 0; 1 ]
@@ -502,11 +504,12 @@ let test_strict_lowest_index () =
             (Printf.sprintf "jobs %d: row 0's line" jobs)
             (Error (Diagnostic.message_of first))
             (Result.map ignore
-               (Infer.run ~jobs Diagnostic.Strict Csv (String text))))
+               (Infer.run ~jobs Diagnostic.Strict Xml (Values values))))
         [ 1; 2 ]
 
-(* An XML text is one document, so a quarantined inference fault keeps
-   it as the skipped text, whatever the source. *)
+(* An XML text is one document, so a quarantined fault keeps it as the
+   skipped text, whatever the source. Here the fault is the parser's,
+   which refuses an attribute named like the body field. *)
 let test_xml_inference_fault_keeps_text () =
   let text = {|<root •="1"><a/></root>|} in
   List.iter
@@ -659,6 +662,44 @@ let test_ops_lenient () =
   Alcotest.(check (option int)) "no match is None" None
     (Ops.select_single_opt shape Ops.conv_int (Dv.List [ Dv.String "no" ]))
 
+(* An inference fault has no position in the text: it reads as the
+   failed inference of its sample, not as a parse error, in the strict
+   line and in the report. *)
+let test_inference_fault_message () =
+  let values = [ Dv.Record ("root", []); crash_record ] in
+  let expected =
+    {|inference of sample 1 failed: unexpected error: Invalid_argument("Shape.record: duplicate field \"a\"")|}
+  in
+  Alcotest.(check (result unit string))
+    "the strict line" (Error expected)
+    (Result.map ignore (Infer.run Diagnostic.Strict Xml (Values values)));
+  match Infer.run (Diagnostic.Count 1) Xml (Values values) with
+  | Ok { Infer.quarantined = [ q ]; _ } ->
+      let d = q.Infer.q_diagnostic in
+      Alcotest.(check (triple int int string))
+        "no line or column" (0, 0, expected)
+        (d.Diagnostic.line, d.column, d.message);
+      Alcotest.(check string) "with its index" (expected ^ " (document 1)")
+        (Diagnostic.to_string d)
+  | Ok _ -> Alcotest.fail "expected one quarantined sample"
+  | Error e -> Alcotest.failf "the budget run failed: %s" e
+
+(* Every document is read from depth 0: a fault inside an object does
+   not leave its nesting behind for the documents after it. *)
+let test_fold_many_fault_depth () =
+  let bad = List.init 5001 (fun _ -> {|{"a": {"b" 1}}|}) in
+  let text = String.concat "\n" (bad @ [ {|{"a": 1}|} ]) in
+  let faults = ref 0 in
+  let docs =
+    Json.fold_many
+      ~on_error:(fun _ ~skipped:_ -> incr faults)
+      (fun acc ds -> acc @ ds)
+      [] text
+  in
+  Alcotest.(check int) "every malformed document" 5001 !faults;
+  Alcotest.(check (list data_testable)) "the last one parses"
+    [ parse_record {|{"a": 1}|} ] docs
+
 let suite =
   [
     Alcotest.test_case "chunk-boundary poison (par)" `Quick
@@ -701,4 +742,8 @@ let suite =
       test_strict_lowest_index;
     Alcotest.test_case "xml: an inference fault keeps its text" `Quick
       test_xml_inference_fault_keeps_text;
+    Alcotest.test_case "an inference fault is no parse error" `Quick
+      test_inference_fault_message;
+    Alcotest.test_case "fold_many: a fault leaves no nesting behind" `Quick
+      test_fold_many_fault_depth;
   ]

@@ -498,6 +498,288 @@ let test_samples_merge_count () =
     (count (fun () -> Infer.shape_of_samples ~mode:`Xml docs))
     (run Xml (Samples xml))
 
+(* ----- The sequential JSON fold on the lexer stream ----- *)
+
+module Json = Fsdata_data.Json
+module Diagnostic = Fsdata_data.Diagnostic
+
+(* The record met first, depth first, edited by [f]. *)
+let rec edit_first_record f (d : Dv.t) : Dv.t option =
+  match d with
+  | Record (name, fields) -> Some (Dv.Record (name, f fields))
+  | List ds ->
+      let rec go before = function
+        | [] -> None
+        | x :: rest -> (
+            match edit_first_record f x with
+            | Some x -> Some (Dv.List (List.rev_append before (x :: rest)))
+            | None -> go (x :: before) rest)
+      in
+      go [] ds
+  | _ -> None
+
+(* The first literal replaced by [v]. *)
+let rec replace_first_leaf v (d : Dv.t) : Dv.t option =
+  let rec first = function
+    | [] -> None
+    | x :: rest -> (
+        match replace_first_leaf v x with
+        | Some x -> Some (x :: rest)
+        | None -> Option.map (fun rest -> x :: rest) (first rest))
+  in
+  match d with
+  | Record (name, fields) ->
+      let names, values = List.split fields in
+      Option.map (fun vs -> Dv.Record (name, List.combine names vs)) (first values)
+  | List ds -> Option.map (fun ds -> Dv.List ds) (first ds)
+  | _ -> Some v
+
+(* The first character of the [n]th non-empty string literal of a JSON
+   text written as a \u escape, which decodes to the same text. *)
+let escape_nth_string n text =
+  let starts = ref [] and in_str = ref false and esc = ref false in
+  String.iteri
+    (fun i c ->
+      if !in_str then begin
+        if !esc then esc := false
+        else if c = '\\' then esc := true
+        else if c = '"' then in_str := false
+      end
+      else if c = '"' then begin
+        in_str := true;
+        if i + 1 < String.length text then
+          match text.[i + 1] with
+          | '"' | '\\' -> ()
+          | c when Char.code c >= 0x80 -> ()
+          | _ -> starts := (i + 1) :: !starts
+      end)
+    text;
+  match List.rev !starts with
+  | [] -> text
+  | starts ->
+      let i = List.nth starts (n mod List.length starts) in
+      String.sub text 0 i
+      ^ Printf.sprintf "\\u%04x" (Char.code text.[i])
+      ^ String.sub text (i + 1) (String.length text - i - 1)
+
+(* integers past 18 digits, around the native bound, and past it *)
+let big_numbers =
+  [ "123456789012345678"; "4611686018427387903"; "-4611686018427387904";
+    "4611686018427387904"; "123456789012345678901234"; "-0.5e400" ]
+
+(* Documents related to σ, and one-edit near misses of them: a repeated
+   or an extra key, an escaped key or string, a number past 18 digits,
+   a truncated text; [gen_variant] already drops fields and retypes
+   literals. σ is the fold of the related documents, read through JSON
+   so that every record is an object. *)
+let gen_walk_case =
+  let open QCheck2.Gen in
+  let* ds, d = gen_fold_case in
+  let through_json d = Json.parse (Json.to_string d) in
+  let ds = List.map through_json ds in
+  let plain = Json.to_string d in
+  let* n = int_bound 1000 in
+  let+ text =
+    frequency
+      [
+        (4, return plain);
+        (2, return (escape_nth_string n plain));
+        ( 1,
+          return
+            (match
+               edit_first_record
+                 (function f :: rest -> (f :: rest) @ [ f ] | [] -> [])
+                 d
+             with
+            | Some d -> Json.to_string d
+            | None -> plain) );
+        ( 1,
+          return
+            (match
+               edit_first_record (fun fields -> fields @ [ ("zz", Dv.Int 1) ]) d
+             with
+            | Some d -> Json.to_string d
+            | None -> plain) );
+        ( 1,
+          let+ big = oneofl big_numbers in
+          match replace_first_leaf (Dv.String "@BIG@") d with
+          | Some d ->
+              let t = Json.to_string d in
+              let i = Option.get (Astring.String.find_sub ~sub:{|"@BIG@"|} t) in
+              String.sub t 0 i ^ big ^ String.sub t (i + 7) (String.length t - i - 7)
+          | None -> plain );
+        (1, return (String.sub plain 0 (n mod String.length plain)));
+      ]
+  in
+  (ds, text)
+
+let print_walk_case (ds, text) = print_samples ds ^ " / " ^ text
+
+let json_modes : Infer.mode list = [ `Paper; `Practical ]
+
+(* The walk's answer, and [absorbs_value]'s on the parsed text ([None]
+   when the text does not parse). *)
+let walk_answers ~mode (ds, text) =
+  let idx = Csh.index (Infer.shape_of_samples ~mode ds) in
+  let walked = Infer.absorbs_json ~mode idx text in
+  let parsed =
+    match Json.parse text with
+    | v -> Some (Infer.absorbs_value ~mode (Csh.index (Csh.indexed idx)) v)
+    | exception Json.Parse_error _ -> None
+  in
+  (walked, parsed)
+
+let prop_walk_sound =
+  QCheck2.Test.make
+    ~name:"the token walk accepts only what absorbs_value accepts, JSON modes"
+    ~count:1000 ~print:print_walk_case gen_walk_case (fun case ->
+      List.for_all
+        (fun mode ->
+          match walk_answers ~mode case with
+          | true, Some true | false, _ -> true
+          | true, (Some false | None) -> false)
+        json_modes)
+
+(* the generator keeps both answers of the walk common *)
+let test_walk_cases_balanced () =
+  let rand = Random.State.make [| 23 |] in
+  let cases = QCheck2.Gen.generate ~rand ~n:600 gen_walk_case in
+  List.iter
+    (fun mode ->
+      let accepted =
+        List.length (List.filter (fun c -> fst (walk_answers ~mode c)) cases)
+      in
+      let share = float_of_int accepted /. 600. in
+      if share < 0.25 || share > 0.75 then
+        Alcotest.failf "%s: the walk accepts %.0f%% of the cases"
+          (string_of_mode mode) (100. *. share))
+    json_modes
+
+(* The parser's nesting bound holds on the walk: σ, given parsed, nests
+   records as deep as the bound and its innermost field is a top, and
+   the walk declines a document past the bound that σ absorbs. *)
+let test_walk_depth () =
+  let rec nest n = if n = 0 then Dv.Int 1 else Dv.Record ("•", [ ("a", nest (n - 1)) ]) in
+  let idx = Csh.index (Infer.shape_of_samples [ nest 10_000; nest 10_001 ]) in
+  let text n = String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "1" ^ String.make n '}' in
+  check Alcotest.bool "at the bound" true (Infer.absorbs_json idx (text 10_000));
+  check Alcotest.bool "past the bound" false (Infer.absorbs_json idx (text 10_001))
+
+(* Faulty streams of related documents *)
+let gen_stream =
+  let open QCheck2.Gen in
+  let* ds, d = gen_fold_case in
+  let* docs =
+    flatten_l
+      (List.map
+         (fun d ->
+           let text = Json.to_string d in
+           frequency
+             [
+               (5, return text);
+               ( 1,
+                 let+ fault = oneofl Fault_inject.all_faults in
+                 Fault_inject.corrupt fault text );
+             ])
+         (ds @ [ d ]))
+  in
+  let+ sep = oneofl [ "\n"; " "; "" ] in
+  String.concat sep docs
+
+(* The engine's sequential JSON run, against the stream's fold as it
+   stood before the walk (Infer_oracle.run_json), at several batch
+   sizes: shape text, total, quarantine and error lines alike. *)
+let same_run ~mode ?chunk_size budget text =
+  match
+    ( Infer.run ~mode ?chunk_size budget Json (String text),
+      Infer_oracle.run_json ~mode budget text )
+  with
+  | Error a, Error b -> String.equal a b
+  | Ok r, Ok (shape, total, qs) ->
+      String.equal (Shape.to_string r.shape) (Shape.to_string shape)
+      && r.total = total
+      && List.map
+           (fun (q : Infer.quarantined) -> (q.q_index, q.q_diagnostic, q.q_text))
+           r.quarantined
+         = List.map (fun (i, d, skipped) -> (i, d, Some skipped)) qs
+  | _ -> false
+
+let prop_run_matches_oracle =
+  QCheck2.Test.make
+    ~name:"sequential JSON run = fold_many oracle, strict and percent"
+    ~count:400 ~print:Fun.id gen_stream (fun text ->
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun budget ->
+              List.for_all
+                (fun chunk_size -> same_run ~mode ?chunk_size budget text)
+                [ None; Some 1; Some 2 ])
+            [ Diagnostic.Strict; Percent 40. ])
+        json_modes)
+
+(* Within a batch each document is walked against σ as the previous one
+   left it: a corpus of one batch allocates far less than its parse. *)
+let test_walk_within_batch () =
+  let text =
+    String.concat "\n"
+      (List.init 1000 (fun i ->
+           Printf.sprintf {|{"id": %d, "name": "user%d", "score": %d.5, "ok": true}|}
+             i i i))
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let parse = words (fun () -> Json.fold_many (fun n ds -> n + List.length ds) 0 text) in
+  let fold = words (fun () -> Infer.run (Diagnostic.Percent 1.) Json (String text)) in
+  if fold > parse /. 2. then
+    Alcotest.failf "the fold allocated %.0f words, the parse %.0f" fold parse
+
+(* The batches, spans and counters of a run that walks documents are
+   the reader's: a fault between batches starts the next one, and a
+   walked document is read, counted and folded like a parsed one. *)
+let test_walk_batches () =
+  let module Trace = Fsdata_obs.Trace in
+  let module Metrics = Fsdata_obs.Metrics in
+  let docs = [ {|{"a": 1}|}; {|{"a": 2}|}; {|{"a" 3}|}; {|{"a": 4}|}; {|{"a": 5}|}; {|{"a": 6}|} ] in
+  let text = String.concat "\n" docs in
+  Trace.reset ();
+  Metrics.reset ();
+  Trace.set_enabled true;
+  Metrics.set_enabled true;
+  let r = Infer.run ~chunk_size:2 (Diagnostic.Count 1) Json (String text) in
+  Trace.set_enabled false;
+  Metrics.set_enabled false;
+  let spans =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        if s.name <> "infer.chunk" then None
+        else
+          let arg k = int_of_string (List.assoc k s.args) in
+          Some (arg "offset", arg "size"))
+      (Trace.spans ())
+  in
+  let metric name = List.assoc name (Metrics.export ()) in
+  check Alcotest.(list (pair int int)) "spans" [ (0, 2); (2, 2); (5, 1) ] spans;
+  check Alcotest.(list int) "quarantine" [ 2 ]
+    (List.map (fun q -> q.Infer.q_index) (Result.get_ok r).quarantined);
+  List.iter
+    (fun (name, v) -> check Alcotest.bool name true (metric name = `Int v))
+    [
+      ("par.chunks", 3);
+      ("parse.json.documents", 5);
+      ( "parse.json.bytes",
+        List.fold_left ( + ) 0
+          (List.map String.length (List.filteri (fun i _ -> i <> 2) docs)) );
+      ("infer.samples", 5);
+      ("ingest.samples_total", 6);
+      ("ingest.samples_quarantined", 1);
+    ];
+  Trace.reset ();
+  Metrics.reset ()
+
 let suite =
   [
     tc "S: primitives (Figure 3)" `Quick test_s_primitives;
@@ -527,4 +809,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fold_matches_oracle_xml;
     tc "the fold merges only what grows" `Quick test_fold_merge_count;
     tc "mode applies to JSON only" `Quick test_mode_applies_to_json_only;
+    QCheck_alcotest.to_alcotest prop_walk_sound;
+    tc "the walk: both answers are common" `Quick test_walk_cases_balanced;
+    tc "the walk: nesting bound" `Quick test_walk_depth;
+    QCheck_alcotest.to_alcotest prop_run_matches_oracle;
+    tc "the walk: within the first batch" `Quick test_walk_within_batch;
+    tc "the walk: batches and counters are the reader's" `Quick test_walk_batches;
   ]

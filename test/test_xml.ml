@@ -183,3 +183,17 @@ let test_depth_guard () =
   | Error e -> Alcotest.failf "5000 levels should parse: %s" e
 
 let suite = suite @ [ tc "nesting depth guard" `Quick test_depth_guard ]
+
+(* An element is a record of its attributes and its body, so an
+   attribute named like the body field is refused at its name. *)
+let test_body_field_attribute () =
+  match Xml.parse_diag "<root>\n  <a  \xe2\x80\xa2=\"1\"/></root>" with
+  | Ok _ -> Alcotest.fail "an attribute named like the body field parsed"
+  | Error d ->
+      Alcotest.(check (triple int int string))
+        "position and message"
+        (2, 7, "attribute \xe2\x80\xa2 is reserved for the element body")
+        (d.Fsdata_data.Diagnostic.line, d.column, d.message)
+
+let suite =
+  suite @ [ tc "error: attribute named like the body" `Quick test_body_field_attribute ]
