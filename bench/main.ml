@@ -541,7 +541,7 @@ let par_bench () =
 
 (* ----- faults: diagnostics overhead and recovering ingestion ----- *)
 
-(* Three questions, mirroring the robustness work:
+(* Four questions, mirroring the robustness work:
    1. What does a tolerant budget cost when nothing goes wrong? (target:
       <= 3% on the clean path — a 5% budget vs the strict budget; one
       engine runs both, and only a strict run stops at its first fault)
@@ -550,9 +550,11 @@ let par_bench () =
    3. Does the sequential fold cost less than the parse alone on a
       homogeneous corpus, as it reads absorbed documents on their
       tokens?
+   4. Does a document fed in fragments cost what it costs fed whole?
    In smoke mode the run asserts the agreement facts (clean-path shape
-   identity, exact quarantine counts) and the fold below the parse, and
-   exits non-zero on violation, so `dune runtest` pins them. *)
+   identity, exact quarantine counts), the fold below the parse and the
+   fragmented feed below twice the whole one, and exits non-zero on
+   violation, so `dune runtest` pins them. *)
 let faults_bench () =
   let module Diagnostic = Fsdata_data.Diagnostic in
   print_endline "== faults: diagnostics overhead and recovering ingestion ==";
@@ -644,6 +646,47 @@ let faults_bench () =
     if Result.is_error wide_report then fail "the wide corpus failed to infer";
     if ratio >= 1. then
       fail (Printf.sprintf "fold below parse: infer/parse %.2f, not below 1" ratio)
+  end;
+  (* 4. a feed read like a text: one ~1 MiB document costs about the
+     same fed in 8 KiB fragments (an HTTP socket read each) as fed in
+     one, since the reader scans each fed byte once for the document's
+     end and reads the document once *)
+  let array =
+    "[" ^ String.concat ",\n" (String.split_on_char '\n' (String.trim wide)) ^ "]"
+  in
+  let fed size push =
+    let n = String.length array in
+    let rec go i =
+      if i < n then begin
+        push (String.sub array i (min size (n - i)));
+        go (i + size)
+      end
+    in
+    go 0
+  in
+  let infer_fed size =
+    Result.map
+      (fun (r : Infer.report) -> Shape.to_string r.shape)
+      (Infer.run (Diagnostic.Percent 1.) Json (Feed (fed size)))
+  in
+  let (whole, t_whole), (fragmented, t_fragmented) =
+    time_interleaved ~repeats:5
+      (fun () -> infer_fed (String.length array))
+      (fun () -> infer_fed 8192)
+  in
+  let feed_ratio = t_fragmented /. t_whole in
+  Printf.printf
+    "  %.1f MiB array: fed whole %8.1f ms, in 8 KiB fragments %8.1f ms, \
+     fragmented/whole %.2f\n%!"
+    (float_of_int (String.length array) /. (1024. *. 1024.))
+    (t_whole *. 1e3) (t_fragmented *. 1e3) feed_ratio;
+  if !smoke then begin
+    if Result.is_error whole || whole <> fragmented then
+      fail "the array fed in fragments infers otherwise than fed whole";
+    if feed_ratio >= 2. then
+      fail
+        (Printf.sprintf "feed like a text: fragmented/whole %.2f, not below 2"
+           feed_ratio)
   end;
   ignore
     (stage_breakdown

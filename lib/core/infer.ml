@@ -296,9 +296,9 @@ let count ~clean ~quarantined =
    after a malformed one: [read] hands the documents to its callback
    batch by batch, in order, and a malformed one to [on_error] with its
    index instead; it raises [Diagnostic.Parse_error] for a fault no
-   boundary follows. [feed] reads the fragments a [Feed] pushes the
-   same way, [shape] is the shape of such a text given the fold of its
-   clean documents, and [empty] the error for a text that holds none. *)
+   boundary follows. [shape] is the shape of such a text given the fold
+   of its clean documents, and [empty] the error for a text that holds
+   none. *)
 type stream = {
   read :
     cancel:Cancel.t ->
@@ -307,12 +307,6 @@ type stream = {
     on_error:(Diagnostic.t -> skipped:string -> unit) ->
     (Data_value.t list -> unit) ->
     string ->
-    unit;
-  feed :
-    cancel:Cancel.t ->
-    on_error:(Diagnostic.t -> skipped:string -> unit) ->
-    (Data_value.t list -> unit) ->
-    ((string -> unit) -> unit) ->
     unit;
   shape : clean:int -> Shape.t -> Shape.t;
   empty : string option;
@@ -337,10 +331,8 @@ let buffer feed =
   feed (Buffer.add_string b);
   Buffer.contents b
 
-(* A JSON text is a whitespace-separated document stream; a feed's
-   batches follow its fragments, and the cursor holds at most one
-   partial document between them. JSON is the one format whose mode is
-   the caller's. *)
+(* A JSON text is a whitespace-separated document stream. JSON is the
+   one format whose mode is the caller's. *)
 module Json_format = struct
   let format = Diagnostic.Json
   let mode = Option.value ~default:`Practical
@@ -348,19 +340,12 @@ module Json_format = struct
 
   let read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text =
     Json.fold_many ~cancel ~chunk_size ~chunk_bytes ~on_error
-      (fun () ds -> emit ds)
-      () text
-
-  let feed ~cancel ~on_error emit feed =
-    let cur = Json.Cursor.create ~cancel ~on_error () in
-    feed (fun fragment -> emit (Json.Cursor.feed cur fragment));
-    emit (Json.Cursor.finish cur)
+      (fun () -> emit) () text
 
   let stream =
     Some
       {
         read;
-        feed;
         shape = (fun ~clean:_ s -> s);
         empty = Some "no JSON sample documents found";
       }
@@ -379,10 +364,9 @@ module Xml_format = struct
 end
 
 (* A CSV text is a table whose rows are the documents, and its shape
-   the collection of their records (Section 6.2); a feed is read once
-   it ends. A CSV sample is one whole table. An unterminated quoted
-   cell leaves no row boundary to resume from, so it fails the text
-   whatever the budget. *)
+   the collection of their records (Section 6.2). A CSV sample is one
+   whole table. An unterminated quoted cell leaves no row boundary to
+   resume from, so it fails the text whatever the budget. *)
 module Csv_format = struct
   let format = Diagnostic.Csv
   let mode _ = `Practical
@@ -404,10 +388,6 @@ module Csv_format = struct
     Some
       {
         read;
-        feed =
-          (fun ~cancel ~on_error emit feed ->
-            read ~cancel ~chunk_size:max_int ~chunk_bytes:max_int ~on_error
-              emit (buffer feed));
         shape =
           (fun ~clean s ->
             if clean = 0 then Shape.collection Shape.Bottom
@@ -555,20 +535,25 @@ let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
   traced_chunk ~offset:index ~size:(fun () -> size) @@ fun () ->
   go index gaps 0 [] items
 
-(* A JSON text at one job, folded as it is read: each document is first
-   walked against the index of σ as the previous document left it
-   ([absorbs_tokens]), and only a document the walk declines is parsed
-   and folded. The batches are the reader's, each an [infer.chunk] span
-   opened once its first document is read; the reader's faults are
-   reported to [on_error] as they are met. A strict run stops folding at
-   its first fault, reads the rest of that batch, and stops. *)
-let fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
-    ~(faults : quarantined list ref) ~on_batch text (fold : fold) =
-  let r = Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text in
+(* A JSON text or feed at one job, folded as it is read: each document
+   is first walked against the index of σ as the previous document left
+   it ([absorbs_tokens]), and only a document the walk declines is
+   parsed and folded. The batches are the reader's, each an
+   [infer.chunk] span opened once its first document is read; the
+   reader's faults are reported to its [on_error] as they are met. A
+   strict run stops folding at its first fault, reads the rest of that
+   batch, and stops. *)
+let fold_read ~mode ~strict ~cancel ~(faults : quarantined list ref) ~on_batch r
+    ~refill (fold : fold) =
   let absorb st =
     match fold.index with
     | Some idx -> absorbs_tokens ~mode idx st
     | None -> false
+  in
+  let rec next () =
+    match Json.Reader.next ~absorb r with
+    | Json.Reader.Await -> refill r; next ()
+    | item -> item
   in
   let size = ref 0 in
   let rec go item clean batch_faults =
@@ -589,7 +574,7 @@ let fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
       | _ -> (clean + 1, batch_faults)
     in
     match
-      if Json.Reader.cut r then Json.Reader.End else Json.Reader.next ~absorb r
+      if Json.Reader.cut r then Json.Reader.End else next ()
     with
     | Json.Reader.End ->
         { b_shape = fold.shape; b_clean = clean; b_faults = List.rev batch_faults }
@@ -598,7 +583,7 @@ let fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
   (* a batch starts after the previous one's last document: at its
      first document, or at a fault the reader met before it *)
   let rec batches offset =
-    match Json.Reader.next ~absorb r with
+    match next () with
     | Json.Reader.End -> ()
     | first ->
         size := 0;
@@ -609,11 +594,47 @@ let fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
   in
   batches 0
 
+(* [refill feed r] feeds [r] the next fragment [feed] pushes, or ends
+   its input once [feed] returns: [feed] runs as a fiber suspended at
+   each push until the reader awaits more input. A run that stops early
+   leaves the fiber suspended, so the feed reads no further. *)
+type _ Effect.t += Push : string -> unit Effect.t
+
+let refill feed =
+  let open Effect.Deep in
+  let next = ref ignore in
+  (next :=
+     fun r ->
+       try_with
+         (fun () ->
+           feed (fun s -> Effect.perform (Push s));
+           Json.Reader.finish r)
+         ()
+         {
+           effc =
+             (fun (type a) (e : a Effect.t) ->
+               match e with
+               | Push s ->
+                   Some
+                     (fun (k : (a, _) continuation) ->
+                       next := (fun _ -> continue k ());
+                       Json.Reader.feed r s)
+               | _ -> None);
+         });
+  fun r -> !next r
+
 let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
     source =
   let (module F : FORMAT) = format_module format in
   let mode = F.mode mode in
   let jobs = normalize_jobs jobs in
+  (* only a JSON feed at one job is read as it arrives; any other is
+     read as its text, so a parallel run's batches are a text's *)
+  let source =
+    match source with
+    | Feed feed when F.format <> Json || jobs > 1 -> String (buffer feed)
+    | source -> source
+  in
   let strict = budget = Diagnostic.Strict in
   let fresh () = { shape = Shape.Bottom; index = None } in
   (* the fold of a sequential run, and of a parallel run's last batch *)
@@ -671,9 +692,9 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
   (* A stream is parsed on this domain, batch by batch. A strict run
      stops reading at the end of the batch that holds the first fault,
      and still folds that batch, so every document before the fault is.
-     At one job a JSON text is read and folded together ([fold_read]).
-     [next] is where the next batch starts, [pending] the reader's
-     faults since. *)
+     At one job JSON is read and folded together ([fold_read]). [next]
+     is where the next batch starts, [pending] the reader's faults
+     since. *)
   let next = ref 0 and pending = ref [] in
   let on_error (d : Diagnostic.t) ~skipped =
     let i = Option.value d.Diagnostic.index ~default:!next in
@@ -695,25 +716,29 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
   let stream =
     match source with String _ | Feed _ -> F.stream | Samples _ | Values _ -> None
   in
+  (* a feed's length is unknown, so its batches take the least byte cap *)
+  let chunk_size, chunk_bytes =
+    stream_caps ~jobs
+      ~bytes:(match source with String text -> String.length text | _ -> 0)
+      chunk_size
+  in
+  let fold_read r ~refill =
+    fold_read ~mode ~strict ~cancel ~faults ~on_batch r ~refill acc
+  in
   let fatal =
     match
       match (source, stream) with
       | Samples texts, _ -> samples ~read:parse ~text:Option.some texts
       | Values ds, _ -> samples ~read:Fun.id ~text:(fun _ -> None) ds
       | String text, None -> samples ~read:parse ~text:Option.some [ text ]
-      | Feed feed, None -> samples ~read:parse ~text:Option.some [ buffer feed ]
       | String text, Some _ when jobs = 1 && F.format = Json ->
-          let chunk_size, chunk_bytes =
-            stream_caps ~jobs ~bytes:(String.length text) chunk_size
-          in
-          fold_read ~mode ~strict ~cancel ~on_error ~chunk_size ~chunk_bytes
-            ~faults ~on_batch text acc
+          fold_read ~refill:ignore
+            (Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text)
       | String text, Some st ->
-          let chunk_size, chunk_bytes =
-            stream_caps ~jobs ~bytes:(String.length text) chunk_size
-          in
           st.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
-      | Feed feed, Some st -> st.feed ~cancel ~on_error emit feed
+      | Feed feed, _ ->
+          fold_read ~refill:(refill feed)
+            (Json.Reader.incremental ~cancel ~chunk_size ~chunk_bytes ~on_error ())
     with
     | () | (exception Stop) -> None
     | exception Diagnostic.Parse_error d -> Some d

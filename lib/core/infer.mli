@@ -128,8 +128,10 @@ type source =
       (** samples already parsed, one per value; read like [Samples] *)
   | Feed of ((string -> unit) -> unit)
       (** [Feed f] reads like [String] over the concatenation of the
-          fragments [f] pushes. JSON is parsed as they arrive, holding
-          at most one partial document; XML and CSV once [f] returns. *)
+          fragments [f] pushes, wherever they are cut: JSON at one job
+          as they arrive, holding about one document and one fragment,
+          and otherwise as one text once [f] returns. [f] pushes within
+          its own call, on the calling domain. *)
 
 val run :
   ?cancel:Fsdata_data.Cancel.t ->
@@ -150,12 +152,13 @@ val run :
     corpus order, threaded across batches: the shape is exactly
     [shape_of_samples ~mode] of those documents, whatever the batching
     (CSV wraps it into the collection of rows, with its multiplicity).
-    A JSON [String] is read and folded in one pass: each document is
-    first walked on its tokens against σ as the previous document left
-    it ({!absorbs_json}), and only a document the walk declines is
-    parsed and folded, so reading costs less than parsing wherever σ
-    absorbs the corpus. Output, quarantine and counters are those of
-    parsing every document.
+    A JSON [String] or [Feed] is read and folded in one pass: each
+    document is first walked on its tokens against σ as the previous
+    document left it ({!absorbs_json}), and only a document the walk
+    declines is parsed and folded, so reading costs less than parsing
+    wherever σ absorbs the corpus. Output, quarantine and counters are those of
+    parsing every document. Its batches are cut as below; a feed's
+    length is unknown, so their byte cap is the least, 64KiB.
 
     {b Parallel runs.} At [jobs > 1] batches are folded in worker
     domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the

@@ -16,9 +16,12 @@ let reraise_legacy (d : Diagnostic.t) =
 
 let legacy f = try f () with Diagnostic.Parse_error d -> reraise_legacy d
 
+(* [src] holds the input in its first [len] bytes. A string's state
+   never writes it; a fed reader's grows by appending past [len] and is
+   replaced when it compacts (see [Reader]). *)
 type state = {
-  src : string;
-  len : int;
+  mutable src : Bytes.t;
+  mutable len : int;
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of the beginning of the current line *)
@@ -31,7 +34,14 @@ type state = {
 let max_depth = 10_000
 
 let make_state src =
-  { src; len = String.length src; pos = 0; line = 1; bol = 0; depth = 0 }
+  {
+    src = Bytes.unsafe_of_string src;
+    len = String.length src;
+    pos = 0;
+    line = 1;
+    bol = 0;
+    depth = 0;
+  }
 
 let error st fmt =
   Diagnostic.error ~format:Diagnostic.Json ~line:st.line
@@ -44,7 +54,7 @@ let enter st =
 
 let leave st = st.depth <- st.depth - 1
 
-let peek st = if st.pos < st.len then Some st.src.[st.pos] else None
+let peek st = if st.pos < st.len then Some (Bytes.get st.src st.pos) else None
 
 let at_eof st = st.pos >= st.len
 
@@ -54,10 +64,10 @@ let at_eof st = st.pos >= st.len
    that could consume it, so a caller that must tell the two apart asks
    [at_eof]. *)
 let peek_char st =
-  if st.pos >= st.len then '\000' else String.unsafe_get st.src st.pos
+  if st.pos >= st.len then '\000' else Bytes.unsafe_get st.src st.pos
 
 let advance st =
-  (if st.pos < st.len && st.src.[st.pos] = '\n' then begin
+  (if st.pos < st.len && Bytes.get st.src st.pos = '\n' then begin
      st.line <- st.line + 1;
      st.bol <- st.pos + 1
    end);
@@ -189,7 +199,7 @@ let parse_string st =
   while
     !i < len
     &&
-    let c = String.unsafe_get src !i in
+    let c = Bytes.unsafe_get src !i in
     if c = '"' || c = '\\' || Char.code c < 0x20 then begin
       stop := c;
       false
@@ -200,11 +210,12 @@ let parse_string st =
   done;
   if !stop = '"' then begin
     st.pos <- !i + 1;
-    String.sub src start (!i - start)
+    Bytes.sub_string src start (!i - start)
   end
   else parse_string_slow st
 
-let digit_at src len j = j < len && src.[j] >= '0' && src.[j] <= '9'
+let digit_at src len j =
+  j < len && Bytes.get src j >= '0' && Bytes.get src j <= '9'
 
 (* Scan a number from the cursor to its end and answer whether it is
    written with a fraction or an exponent. Index-scanned for speed: none
@@ -213,16 +224,16 @@ let digit_at src len j = j < len && src.[j] >= '0' && src.[j] <= '9'
 let scan_number st =
   let src = st.src and len = st.len in
   let i = ref st.pos in
-  if !i < len && String.unsafe_get src !i = '-' then incr i;
+  if !i < len && Bytes.unsafe_get src !i = '-' then incr i;
   let is_float = ref false in
   (* integer part: a lone '0', or a run starting with a nonzero digit *)
-  (match if !i < len then String.unsafe_get src !i else '\000' with
+  (match if !i < len then Bytes.unsafe_get src !i else '\000' with
   | '0' -> incr i
   | '1' .. '9' -> while digit_at src len !i do incr i done
   | _ ->
       st.pos <- !i;
       error st "invalid number");
-  if !i < len && String.unsafe_get src !i = '.' then begin
+  if !i < len && Bytes.unsafe_get src !i = '.' then begin
     is_float := true;
     incr i;
     let d0 = !i in
@@ -232,10 +243,10 @@ let scan_number st =
       error st "expected digits after decimal point"
     end
   end;
-  if !i < len && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+  if !i < len && (Bytes.get src !i = 'e' || Bytes.get src !i = 'E') then begin
     is_float := true;
     incr i;
-    if !i < len && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+    if !i < len && (Bytes.get src !i = '+' || Bytes.get src !i = '-') then incr i;
     let d0 = !i in
     while digit_at src len !i do incr i done;
     if !i = d0 then begin
@@ -248,7 +259,7 @@ let scan_number st =
 
 (* An integer literal of at most 18 digits always fits a native int. *)
 let short_int src ~start ~stop =
-  let dig0 = if String.unsafe_get src start = '-' then start + 1 else start in
+  let dig0 = if Bytes.unsafe_get src start = '-' then start + 1 else start in
   stop - dig0 <= 18
 
 let parse_number st =
@@ -256,18 +267,18 @@ let parse_number st =
   let is_float = scan_number st in
   let stop = st.pos in
   if is_float then
-    Data_value.Float (float_of_string (String.sub src start (stop - start)))
+    Data_value.Float (float_of_string (Bytes.sub_string src start (stop - start)))
   else if short_int src ~start ~stop then begin
     (* accumulate without the substring + int_of_string round-trip *)
-    let neg = String.unsafe_get src start = '-' in
+    let neg = Bytes.unsafe_get src start = '-' in
     let acc = ref 0 in
     for j = (if neg then start + 1 else start) to stop - 1 do
-      acc := (!acc * 10) + (Char.code (String.unsafe_get src j) - 48)
+      acc := (!acc * 10) + (Char.code (Bytes.unsafe_get src j) - 48)
     done;
     Data_value.Int (if neg then - !acc else !acc)
   end
   else
-    let text = String.sub src start (stop - start) in
+    let text = Bytes.sub_string src start (stop - start) in
     match int_of_string_opt text with
     | Some v -> Data_value.Int v
     | None -> Data_value.Float (float_of_string text)
@@ -279,7 +290,7 @@ let number_is_int st =
   (not (scan_number st))
   && (short_int src ~start ~stop:st.pos
      || Option.is_some
-          (int_of_string_opt (String.sub src start (st.pos - start))))
+          (int_of_string_opt (Bytes.sub_string src start (st.pos - start))))
 
 let parse_literal st word value =
   for i = 0 to String.length word - 1 do
@@ -409,59 +420,76 @@ let parse_result s =
   | Ok v -> Ok v
   | Error d -> Error (Diagnostic.message_of d)
 
-(* Resynchronize after a malformed document starting at [start]: advance
-   the state to the most plausible start of the next top-level document,
-   so one corrupt document does not consume the rest of the stream. Two
-   boundary rules, checked per character:
+(* The bracket-depth, in-string and escape state of a scan that finds
+   where a top-level document ends without parsing it, shared by
+   {!resync} and a fed reader's boundary scan. *)
+type scanner = { mutable nest : int; mutable in_str : bool; mutable esc : bool }
+
+let scanner () = { nest = 0; in_str = false; esc = false }
+
+let scan sc c =
+  if sc.in_str then begin
+    if sc.esc then sc.esc <- false
+    else if c = '\\' then sc.esc <- true
+    else if c = '"' then sc.in_str <- false
+  end
+  else
+    match c with
+    | '"' -> sc.in_str <- true
+    | '{' | '[' -> sc.nest <- sc.nest + 1
+    | '}' | ']' -> sc.nest <- sc.nest - 1
+    | _ -> ()
+
+(* A byte that may continue a literal or a number *)
+let in_token = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '+' | '-' | '.' -> true
+  | _ -> false
+
+(* The scan of a malformed document from [start] to its fault *)
+let seed_scanner st ~start =
+  let sc = scanner () in
+  for i = start to min st.pos st.len - 1 do
+    scan sc (Bytes.get st.src i)
+  done;
+  sc
+
+(* Resynchronize after a malformed document, whose text up to the
+   cursor [sc] has scanned: advance to the most plausible start of the
+   next top-level document, so one corrupt document does not consume
+   the rest of the stream. Two boundary rules, checked per character:
 
    - structural: a '}' or ']' outside any string literal that returns
-     the bracket depth (seeded by rescanning from [start]) to zero
-     closes the document — this recovers balanced-but-invalid documents
-     like [{"a": tru}] in full;
+     the bracket depth to zero closes the document — this recovers
+     balanced-but-invalid documents like [{"a": tru}] in full;
    - line-based: a newline whose very next character is '{' or '[' (a
      document opener at column 1) starts a fresh document — the
      newline-delimited-corpus fallback for truncated documents whose
      brackets never re-balance.
 
-   Returns [true] when a boundary was found and [false] when the rest of
-   the input was consumed (the corrupt document was the last one). The
-   scan advances through {!advance} so line/bol bookkeeping — and hence
-   the positions of later diagnostics — stays exact. *)
-let resync st ~start =
-  let depth = ref 0 and in_str = ref false and esc = ref false in
-  let scan c =
-    if !in_str then begin
-      if !esc then esc := false
-      else if c = '\\' then esc := true
-      else if c = '"' then in_str := false
-    end
-    else
-      match c with
-      | '"' -> in_str := true
-      | '{' | '[' -> incr depth
-      | '}' | ']' -> decr depth
-      | _ -> ()
-  in
-  for i = start to min st.pos st.len - 1 do
-    scan st.src.[i]
-  done;
-  let found = ref false in
-  while (not !found) && st.pos < st.len do
-    let c = st.src.[st.pos] in
-    if
-      c = '\n' && st.pos + 1 < st.len
-      && (st.src.[st.pos + 1] = '{' || st.src.[st.pos + 1] = '[')
-    then begin
-      advance st;
-      found := true
-    end
-    else begin
-      scan c;
-      advance st;
-      if (c = '}' || c = ']') && (not !in_str) && !depth <= 0 then found := true
-    end
-  done;
-  !found
+   Returns [true] when a boundary was found, and [false] at the end of
+   the buffer, having consumed it; unless [finished], a newline ending
+   the buffer is left for when its next byte is in. Advancing through
+   {!advance} keeps the positions of later diagnostics exact. *)
+let rec resume_resync ~finished st sc =
+  st.pos < st.len
+  &&
+  let c = Bytes.get st.src st.pos in
+  if c = '\n' && st.pos + 1 = st.len && not finished then false
+  else if
+    c = '\n' && st.pos + 1 < st.len
+    && (Bytes.get st.src (st.pos + 1) = '{' || Bytes.get st.src (st.pos + 1) = '[')
+  then begin
+    advance st;
+    true
+  end
+  else begin
+    scan sc c;
+    advance st;
+    ((c = '}' || c = ']') && (not sc.in_str) && sc.nest <= 0)
+    || resume_resync ~finished st sc
+  end
+
+let resync st ~start = resume_resync ~finished:true st (seed_scanner st ~start)
 
 (* A document stream read one document at a time. Each document is
    offered to [absorb] first, which may consume it and answer [true];
@@ -471,9 +499,11 @@ let resync st ~start =
    reader resumes at the next boundary; without [on_error] it raises.
    Batches are cut after [chunk_size] documents or once they have
    consumed [chunk_bytes] source bytes, whichever fills first; faults
-   count towards neither. *)
+   count towards neither. Until a fed reader's input is finished, a
+   document is read once [ended] finds its end in the buffer, and a
+   fault's resync resumes on the next fragment. *)
 module Reader = struct
-  type item = End | Doc of Data_value.t | Absorbed
+  type item = End | Await | Doc of Data_value.t | Absorbed
 
   type t = {
     st : state;
@@ -481,14 +511,19 @@ module Reader = struct
     on_error : (Diagnostic.t -> skipped:string -> unit) option;
     chunk_size : int;
     byte_cap : int;
+    mutable finished : bool; (* no input follows the buffer *)
+    mutable start : int; (* offset of the document being read; -1 between documents *)
+    mutable scanned : int; (* how far its boundary scan has come; -1 before it *)
+    mutable sc : scanner; (* that scan, or the resync of its fault *)
+    mutable fault : Diagnostic.t option; (* a fault whose resync awaits input *)
     mutable index : int; (* global index of the latest document, read or skipped *)
     mutable n : int; (* documents in the current batch *)
     mutable bytes : int; (* and their source bytes *)
     mutable cut : bool; (* the latest document filled its batch *)
   }
 
-  let create ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_error s
-      =
+  let make ~finished ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes
+      ?on_error s =
     if chunk_size < 1 then invalid_arg "Json.fold_many: chunk_size must be positive";
     let byte_cap =
       match chunk_bytes with
@@ -503,14 +538,67 @@ module Reader = struct
       on_error;
       chunk_size;
       byte_cap;
+      finished;
+      start = -1;
+      scanned = -1;
+      sc = scanner ();
+      fault = None;
       index = -1;
       n = 0;
       bytes = 0;
       cut = false;
     }
 
+  let create = make ~finished:true
+
+  let incremental ?cancel ?chunk_size ?chunk_bytes ?on_error () =
+    make ~finished:false ?cancel ?chunk_size ?chunk_bytes ?on_error ""
+
   let index r = r.index
   let cut r = r.cut
+  let finish r = r.finished <- true
+
+  (* Append [s], first dropping what precedes the document being read
+     if it does not fit, with the capacity doubled to twice what is
+     kept. [bol] may go negative: columns are [pos - bol + 1]. *)
+  let feed r s =
+    if r.finished then invalid_arg "Json.Reader.feed: the input is finished";
+    let st = r.st and n = String.length s in
+    if st.len + n > Bytes.length st.src then begin
+      let keep = if r.start >= 0 then r.start else st.pos in
+      let live = st.len - keep and cap = ref (max 4096 (Bytes.length st.src)) in
+      while !cap < 2 * (live + n) do cap := 2 * !cap done;
+      let src = if !cap > Bytes.length st.src then Bytes.create !cap else st.src in
+      Bytes.blit st.src keep src 0 live;
+      st.src <- src;
+      st.len <- live;
+      st.pos <- st.pos - keep;
+      st.bol <- st.bol - keep;
+      r.start <- (if r.start >= 0 then r.start - keep else -1);
+      r.scanned <- r.scanned - keep
+    end;
+    Bytes.blit_string s 0 st.src st.len n;
+    st.len <- st.len + n
+
+  (* Whether the document at [start] ends in the buffer: at a byte out
+     of strings and brackets that cannot continue a literal or number.
+     The parser reads no further, so it reads the document as in the
+     whole text; a number flush with the buffer waits for more digits. *)
+  let ended r =
+    let st = r.st in
+    if r.scanned < r.start then begin
+      r.sc <- scanner ();
+      r.scanned <- r.start
+    end;
+    let sc = r.sc and i = ref r.scanned and stop = ref false in
+    while (not !stop) && !i < st.len do
+      let c = Bytes.unsafe_get st.src !i in
+      scan sc c;
+      incr i;
+      stop := (not sc.in_str) && sc.nest <= 0 && not (in_token c)
+    done;
+    r.scanned <- !i;
+    !stop
 
   let read ?absorb st =
     let pos = st.pos and line = st.line and bol = st.bol in
@@ -526,14 +614,28 @@ module Reader = struct
 
   let rec next ?absorb r =
     let st = r.st in
-    skip_ws st;
-    if st.pos >= st.len then End
-    else begin
-      Cancel.check r.cancel;
-      let start = st.pos in
-      r.index <- r.index + 1;
+    match r.fault with
+    | Some d -> skip ?absorb r d
+    | None when r.start >= 0 -> document ?absorb r
+    | None ->
+        skip_ws st;
+        if st.pos < st.len then begin
+          Cancel.check r.cancel;
+          r.index <- r.index + 1;
+          r.start <- st.pos;
+          r.scanned <- -1;
+          document ?absorb r
+        end
+        else if r.finished then End
+        else Await
+
+  and document ?absorb r =
+    if not (r.finished || ended r) then Await
+    else
+      let st = r.st and start = r.start in
       match Fsdata_obs.Metrics.time m_ns (fun () -> read ?absorb st) with
       | item ->
+          r.start <- -1;
           let len = st.pos - start in
           Fsdata_obs.Metrics.incr m_docs;
           Fsdata_obs.Metrics.add m_bytes len;
@@ -548,13 +650,22 @@ module Reader = struct
       | exception Diagnostic.Parse_error d -> (
           match r.on_error with
           | None -> reraise_legacy d
-          | Some handler ->
-              (* skip the malformed document, report it with its global
-                 index and raw text, and keep going *)
-              ignore (resync st ~start);
-              let skipped = String.trim (String.sub st.src start (st.pos - start)) in
-              handler (Diagnostic.with_index r.index d) ~skipped;
-              next ?absorb r)
+          | Some _ ->
+              r.sc <- seed_scanner st ~start;
+              r.fault <- Some d;
+              skip ?absorb r d)
+
+  (* Once its resync finds the next boundary or the input ends, report
+     the malformed document with its global index and raw text. *)
+  and skip ?absorb r d =
+    let st = r.st and start = r.start in
+    if not (resume_resync ~finished:r.finished st r.sc || r.finished) then Await
+    else begin
+      r.fault <- None;
+      r.start <- -1;
+      let skipped = String.trim (Bytes.sub_string st.src start (st.pos - start)) in
+      Option.iter (fun h -> h (Diagnostic.with_index r.index d) ~skipped) r.on_error;
+      next ?absorb r
     end
 end
 
@@ -566,143 +677,14 @@ let fold_many ?cancel ?chunk_size ?chunk_bytes ?on_error f acc s =
     | Reader.Doc v ->
         if Reader.cut r then loop (f acc (List.rev (v :: chunk))) []
         else loop acc (v :: chunk)
-    | Reader.Absorbed -> assert false (* nothing absorbs without [absorb] *)
+    | Reader.Absorbed | Reader.Await ->
+        (* nothing absorbs without [absorb], and a whole text awaits nothing *)
+        assert false
   in
   loop acc []
 
 let parse_many s =
   List.rev (fold_many (fun acc c -> List.rev_append c acc) [] s)
-
-(* Incremental parsing of a document stream fed in arbitrary string
-   fragments. The cursor keeps the unconsumed tail (at most one partial
-   document) and the stream-global line/beginning-of-line of its start,
-   so a state seeded from it reports error positions relative to the
-   whole stream, not the fragment being parsed: [st.bol] may be
-   negative when the current line began before the retained tail, and
-   the column arithmetic [st.pos - st.bol + 1] is translation-invariant
-   so it keeps working. A partial document is re-parsed from its start
-   each time more input arrives — quadratic in the worst case, but
-   sample documents are small compared to read buffers. *)
-module Cursor = struct
-  type t = {
-    mutable pending : string; (* unconsumed tail, starting at a document start *)
-    mutable line : int; (* stream line of the start of [pending] *)
-    mutable bol : int; (* line-start offset relative to [pending]'s start, <= 0 *)
-    mutable seen : int; (* documents consumed so far, parsed or skipped *)
-    on_error : (Diagnostic.t -> skipped:string -> unit) option;
-    cancel : Cancel.t;
-  }
-
-  let create ?(cancel = Cancel.never) ?on_error () =
-    { pending = ""; line = 1; bol = 0; seen = 0; on_error; cancel }
-
-  let seeded_state cur buf =
-    let st = make_state buf in
-    st.line <- cur.line;
-    st.bol <- cur.bol;
-    st
-
-  let feed cur fragment =
-    let buf = if cur.pending = "" then fragment else cur.pending ^ fragment in
-    let st = seeded_state cur buf in
-    let docs = ref [] in
-    let retain mark mark_line mark_bol =
-      cur.pending <- String.sub buf mark (String.length buf - mark);
-      cur.line <- mark_line;
-      cur.bol <- mark_bol - mark
-    in
-    let rec loop () =
-      skip_ws st;
-      if st.pos >= st.len then begin
-        cur.pending <- "";
-        cur.line <- st.line;
-        cur.bol <- st.bol - st.len
-      end
-      else begin
-        Cancel.check cur.cancel;
-        let mark = st.pos and mark_line = st.line and mark_bol = st.bol in
-        match parse_value st with
-        | v ->
-            (* A top-level number ending exactly at the fragment boundary
-               could still grow in the next fragment ("12" + "34"), so
-               hold it back until more input (or {!finish}) decides. Any
-               other document ends on a closing delimiter or a complete
-               keyword and cannot extend. *)
-            let could_grow =
-              match v with
-              | Data_value.Int _ | Data_value.Float _ -> st.pos >= st.len
-              | _ -> false
-            in
-            if could_grow then retain mark mark_line mark_bol
-            else begin
-              docs := v :: !docs;
-              cur.seen <- cur.seen + 1;
-              loop ()
-            end
-        | exception Diagnostic.Parse_error _ when st.pos >= st.len ->
-            (* ran off the end of the buffer: incomplete document *)
-            retain mark mark_line mark_bol
-        | exception Diagnostic.Parse_error d -> (
-            match cur.on_error with
-            | None -> reraise_legacy d
-            | Some handler ->
-                if resync st ~start:mark then begin
-                  (* the corrupt document ends within this buffer: commit
-                     the skip and report it *)
-                  let skipped =
-                    String.trim (String.sub buf mark (st.pos - mark))
-                  in
-                  handler (Diagnostic.with_index cur.seen d) ~skipped;
-                  cur.seen <- cur.seen + 1;
-                  loop ()
-                end
-                else
-                  (* no boundary in sight yet — the document (and its
-                     recovery point) may continue in the next fragment,
-                     so hold judgement and re-parse with more input *)
-                  retain mark mark_line mark_bol)
-      end
-    in
-    loop ();
-    List.rev !docs
-
-  let finish cur =
-    if cur.pending = "" then []
-    else begin
-      let st = seeded_state cur cur.pending in
-      let docs = ref [] in
-      let rec loop () =
-        skip_ws st;
-        if st.pos < st.len then begin
-          Cancel.check cur.cancel;
-          let mark = st.pos in
-          match parse_value st with
-          | v ->
-              docs := v :: !docs;
-              cur.seen <- cur.seen + 1;
-              loop ()
-          | exception Diagnostic.Parse_error d -> (
-              match cur.on_error with
-              | None -> reraise_legacy d
-              | Some handler ->
-                  (* end of stream: every remaining fault is definite *)
-                  ignore (resync st ~start:mark);
-                  let skipped =
-                    String.trim
-                      (String.sub cur.pending mark (st.pos - mark))
-                  in
-                  handler (Diagnostic.with_index cur.seen d) ~skipped;
-                  cur.seen <- cur.seen + 1;
-                  loop ())
-        end
-      in
-      loop ();
-      cur.pending <- "";
-      cur.line <- 1;
-      cur.bol <- 0;
-      List.rev !docs
-    end
-end
 
 (* Raw lexer access for shape-specialized parser compilation
    (lib/core/shape_compile). Compiled decoders drive the same state,
@@ -724,7 +706,6 @@ module Raw = struct
 
   let offset st = st.pos
   let offset_of_mark m = m.m_pos
-  let source st = st.src
   let at_eof = at_eof
   let peek_char = peek_char
 
@@ -740,7 +721,7 @@ module Raw = struct
          let i = ref 0 in
          while
            !i < n
-           && String.unsafe_get st.src (st.pos + !i) = String.unsafe_get s !i
+           && Bytes.unsafe_get st.src (st.pos + !i) = String.unsafe_get s !i
          do
            incr i
          done;
@@ -756,8 +737,8 @@ module Raw = struct
     let n = String.length name in
     let src = st.src and p = st.pos in
     p + n + 2 <= st.len
-    && String.unsafe_get src p = '"'
-    && String.unsafe_get src (p + n + 1) = '"'
+    && Bytes.unsafe_get src p = '"'
+    && Bytes.unsafe_get src (p + n + 1) = '"'
     && begin
          let i = ref 0 in
          while
@@ -765,7 +746,7 @@ module Raw = struct
            &&
            let c = String.unsafe_get name !i in
            c <> '"' && c <> '\\' && Char.code c >= 0x20
-           && String.unsafe_get src (p + 1 + !i) = c
+           && Bytes.unsafe_get src (p + 1 + !i) = c
          do
            incr i
          done;

@@ -69,45 +69,6 @@ val fold_many :
     raises {!Cancel.Cancelled} immediately, without consuming further
     input or invoking the fold function again. *)
 
-(** Incremental parsing of a document stream fed in arbitrary string
-    fragments (e.g. fixed-size file reads). The cursor retains at most
-    one partial document between feeds; error positions are relative to
-    the whole stream fed so far, not the current fragment. *)
-module Cursor : sig
-  type t
-
-  val create :
-    ?cancel:Cancel.t ->
-    ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
-    unit ->
-    t
-  (** With [on_error], the cursor runs in recovering mode: a
-      definitely-malformed document whose recovery boundary lies within
-      the input fed so far is skipped and reported to the handler (with
-      its stream-global document index and raw text) instead of raising;
-      a fault whose document might still be completed by future input is
-      held back until more input or {!finish} decides. [cancel] is
-      polled before each document inside {!feed} and {!finish}; when it
-      trips, {!Cancel.Cancelled} is raised. *)
-
-  val feed : t -> string -> Data_value.t list
-  (** Parse as many complete documents as the input fed so far allows
-      and return them in stream order. A trailing document that may
-      still be incomplete — a truncated document, or a top-level number
-      ending exactly at the fragment boundary, since its digits could
-      continue in the next fragment — is retained for the next [feed]
-      or {!finish}.
-      @raise Parse_error on definitely-malformed input (strict cursors
-      only), with line and column relative to the whole stream. *)
-
-  val finish : t -> Data_value.t list
-  (** Signal end of stream: parse and return the retained tail (empty
-      if there is none), resetting the cursor. In recovering mode every
-      remaining fault is definite: it is reported and skipped.
-      @raise Parse_error if the tail is an incomplete document (strict
-      cursors only), with stream-global positions. *)
-end
-
 (** Raw access to the parser's lexing machinery, for shape-specialized
     parser compilation ([Fsdata_core.Shape_compile]). A compiled decoder
     drives the same mutable state, token readers and resynchronization
@@ -133,7 +94,6 @@ module Raw : sig
 
   val offset : state -> int
   val offset_of_mark : mark -> int
-  val source : state -> string
   val at_eof : state -> bool
 
   val peek_char : state -> char
@@ -209,12 +169,28 @@ end
     acts on each document before it reads the next ({!fold_many} is this
     reader collecting batches). Error positions, resynchronization,
     cancellation, batch cuts and the [parse.json.*] counters are
-    {!fold_many}'s. *)
+    {!fold_many}'s.
+
+    A reader reads a whole text ({!create}) or the fragments it is fed
+    ({!incremental}), and both read alike: the documents, diagnostics
+    (positions are the stream's), skipped texts and batches of a fed
+    stream are those of its concatenation, however it is cut. A fed
+    reader's buffer keeps only the document it is reading and the
+    fragments after it, and it reads a document once a boundary scan
+    has found its end there: a byte outside strings and brackets that
+    cannot continue a literal or number, such as the bracket closing a
+    bracketed document. So a top-level number ending with the buffer
+    waits for the next fragment or {!finish}. Each fed byte is scanned
+    once for boundaries (a fault's resync scans its document again); a
+    whole text is not scanned. *)
 module Reader : sig
   type t
 
   type item =
     | End  (** no document is left *)
+    | Await
+        (** no whole document is buffered: {!feed} more input, or
+            {!finish} it (a fed reader only) *)
     | Doc of Data_value.t  (** the next document, parsed *)
     | Absorbed  (** the next document, consumed by [absorb] *)
 
@@ -225,17 +201,35 @@ module Reader : sig
     ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
     string ->
     t
-  (** Arguments as for {!fold_many}. *)
+  (** A reader over a whole text. Arguments as for {!fold_many}. *)
+
+  val incremental :
+    ?cancel:Cancel.t ->
+    ?chunk_size:int ->
+    ?chunk_bytes:int ->
+    ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
+    unit ->
+    t
+  (** A reader with no input yet, to be fed fragments. *)
+
+  val feed : t -> string -> unit
+  (** Append a fragment to a fed reader's input.
+      @raise Invalid_argument once the input is finished. *)
+
+  val finish : t -> unit
+  (** End a fed reader's input: what is buffered is read as the tail of
+      a whole text, so a truncated document is a fault there. *)
 
   val next : ?absorb:(Raw.state -> bool) -> t -> item
   (** The next document. A malformed one is reported to [on_error]
-      (or raised as {!Parse_error} without it) and skipped. With
-      [absorb], the document is first offered to it at its first
-      token: it may consume the whole document and answer [true], and
-      the document is [Absorbed]; when it answers [false] or raises
-      [Diagnostic.Parse_error], the reader rewinds to the document's
-      start and parses it, so a document [absorb] declines is read as
-      if [absorb] had not run. *)
+      (or raised as {!Parse_error} without it) and skipped; its report
+      waits, as [Await], until the boundary its resynchronization finds
+      is buffered. With [absorb], the document is first offered to it
+      at its first token: it may consume the whole document and answer
+      [true], and the document is [Absorbed]; when it answers [false] or
+      raises [Diagnostic.Parse_error], the reader rewinds to the
+      document's start and parses it, so a document [absorb] declines
+      is read as if [absorb] had not run. *)
 
   val index : t -> int
   (** The global index of the latest document returned (faults

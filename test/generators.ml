@@ -365,6 +365,39 @@ let infer_strict ?mode ?jobs ?chunk_size format source =
     (Fsdata_core.Infer.run ?mode ?jobs ?chunk_size Fsdata_data.Diagnostic.Strict
        format source)
 
+(* A run's whole report as text: the shape, the total, and each
+   quarantined sample's index, diagnostic (line, column, message) and
+   skipped text. *)
+let report_text = function
+  | Error e -> "error: " ^ e
+  | Ok (r : Fsdata_core.Infer.report) ->
+      String.concat "\n"
+        (Shape.to_string r.shape
+        :: string_of_int r.total
+        :: List.map
+             (fun (q : Fsdata_core.Infer.quarantined) ->
+               let d = q.q_diagnostic in
+               Printf.sprintf "%d %d:%d %s %S" q.q_index d.line d.column
+                 d.message
+                 (Option.value ~default:"-" q.q_text))
+             r.quarantined)
+
+(* A fed JSON reader's documents: [feed_docs r s] feeds [s] and
+   answers the documents then read, until the reader awaits more input;
+   [finish_docs r] ends the input and answers the rest. *)
+let rec drain r =
+  match Fsdata_data.Json.Reader.next r with
+  | Fsdata_data.Json.Reader.Doc v -> v :: drain r
+  | End | Await | Absorbed -> []
+
+let feed_docs r s =
+  Fsdata_data.Json.Reader.feed r s;
+  drain r
+
+let finish_docs r =
+  Fsdata_data.Json.Reader.finish r;
+  drain r
+
 (* Random XML trees for the XML-pipeline safety properties. Element and
    attribute names come from small pools so same-named elements recur
    (exercising unification); literal values cover the classification

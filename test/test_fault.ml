@@ -351,26 +351,26 @@ let test_fold_many_strict_unchanged () =
 let test_cursor_recovering () =
   let errs = ref [] in
   let cur =
-    Json.Cursor.create
+    Json.Reader.incremental
       ~on_error:(fun d ~skipped -> errs := (d, skipped) :: !errs)
       ()
   in
   (* the fault is fed split across fragments: its recovery boundary (the
      balancing '}') only arrives in the second feed, so judgement is
      held until then *)
-  let d1 = Json.Cursor.feed cur "{\"a\": 1}\n{\"a\" 2" in
+  let d1 = feed_docs cur "{\"a\": 1}\n{\"a\" 2" in
   Alcotest.(check (list data_testable))
     "first fragment yields the clean document"
     [ parse_record "{\"a\": 1}" ]
     d1;
   Alcotest.(check int) "fault held back until its boundary arrives" 0
     (List.length !errs);
-  let d2 = Json.Cursor.feed cur "}\n{\"a\": 3}" in
+  let d2 = feed_docs cur "}\n{\"a\": 3}" in
   Alcotest.(check (list data_testable))
     "recovery resumes within the second fragment"
     [ parse_record "{\"a\": 3}" ]
     d2;
-  let d3 = Json.Cursor.finish cur in
+  let d3 = finish_docs cur in
   Alcotest.(check (list data_testable)) "no retained tail" [] d3;
   match !errs with
   | [ (d, skipped) ] ->
@@ -381,12 +381,12 @@ let test_cursor_recovering () =
 let test_cursor_recovering_finish () =
   let errs = ref [] in
   let cur =
-    Json.Cursor.create
+    Json.Reader.incremental
       ~on_error:(fun d ~skipped -> errs := (d, skipped) :: !errs)
       ()
   in
-  let d1 = Json.Cursor.feed cur "{\"a\": 1}\n{\"b\":" in
-  let d2 = Json.Cursor.finish cur in
+  let d1 = feed_docs cur "{\"a\": 1}\n{\"b\":" in
+  let d2 = finish_docs cur in
   Alcotest.(check (list data_testable))
     "clean document parsed"
     [ parse_record "{\"a\": 1}" ]
@@ -700,6 +700,38 @@ let test_fold_many_fault_depth () =
   Alcotest.(check (list data_testable)) "the last one parses"
     [ parse_record {|{"a": 1}|} ] docs
 
+(* A fed stream reads every document from depth 0 as well, so its
+   report is the text's, whether the text comes in one fragment or in
+   random ones. *)
+let test_feed_fault_depth () =
+  let bad = List.init 5001 (fun _ -> {|{"a": {"b" 1}}|}) in
+  let text = String.concat "\n" (bad @ [ {|{"a": 1}|} ]) in
+  let run source = Infer.run (Diagnostic.Percent 100.) Json source in
+  let expect = run (Infer.String text) in
+  (match expect with
+  | Ok r ->
+      Alcotest.(check int) "every malformed document" 5001
+        (List.length r.Infer.quarantined);
+      Alcotest.(check string) "the last one's shape" "• {a: int}"
+        (Shape.to_string r.Infer.shape)
+  | Error e -> Alcotest.failf "the text run failed: %s" e);
+  let rng = Random.State.make [| 21 |] in
+  let fragments push =
+    let rec go i =
+      if i < String.length text then begin
+        let n = min (1 + Random.State.int rng 64) (String.length text - i) in
+        push (String.sub text i n);
+        go (i + n)
+      end
+    in
+    go 0
+  in
+  List.iter
+    (fun (name, feed) ->
+      Alcotest.(check string) name (report_text expect)
+        (report_text (run (Infer.Feed feed))))
+    [ ("one fragment", fun push -> push text); ("random fragments", fragments) ]
+
 let suite =
   [
     Alcotest.test_case "chunk-boundary poison (par)" `Quick
@@ -746,4 +778,6 @@ let suite =
       test_inference_fault_message;
     Alcotest.test_case "fold_many: a fault leaves no nesting behind" `Quick
       test_fold_many_fault_depth;
+    Alcotest.test_case "feed: a fault leaves no nesting behind" `Quick
+      test_feed_fault_depth;
   ]

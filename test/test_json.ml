@@ -106,50 +106,50 @@ let test_fold_many_error_offsets () =
         "stream-global line and column" (3, 10) (line, column)
 
 let test_cursor_basics () =
-  let c = Json.Cursor.create () in
+  let c = Json.Reader.incremental () in
   check (Alcotest.list data_testable) "first fragment"
     [ Dv.Int 1; obj [] ]
-    (Json.Cursor.feed c "1 {} [tru");
+    (feed_docs c "1 {} [tru");
   check (Alcotest.list data_testable) "split document completes"
     [ Dv.List [ Dv.Bool true ] ]
-    (Json.Cursor.feed c "e]");
+    (feed_docs c "e]");
   (* a number ending flush with the buffer could still grow: it must be
      retained, not emitted early *)
   check (Alcotest.list data_testable) "number held at fragment boundary" []
-    (Json.Cursor.feed c "12");
+    (feed_docs c "12");
   check (Alcotest.list data_testable) "…and continued by the next fragment"
     [ Dv.Int 1234 ]
-    (Json.Cursor.feed c "34 ");
+    (feed_docs c "34 ");
   check (Alcotest.list data_testable) "finish flushes a complete tail"
     [ Dv.Int 5 ]
-    (let _ = Json.Cursor.feed c "5" in
-     Json.Cursor.finish c)
+    (let _ = feed_docs c "5" in
+     finish_docs c)
 
 let test_cursor_error_offsets () =
   (* error inside a later fragment: positions count from the start of the
      whole stream fed so far *)
-  let c = Json.Cursor.create () in
-  let feed s = ignore (Json.Cursor.feed c s) in
+  let c = Json.Reader.incremental () in
+  let feed s = ignore (feed_docs c s) in
   feed "{\"a\":\n 1}\n{\"b\":";
   feed " 2}\n";
-  (match Json.Cursor.feed c "{\"x\": tru}" with
+  (match feed_docs c "{\"x\": tru}" with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Json.Parse_error { line; column; _ } ->
       Alcotest.(check (pair int int))
         "error position spans fragments" (4, 10) (line, column));
-  (* retained-prefix case: the error lands in text carried over from an
-     earlier fragment, so the bol offset is negative internally *)
-  let c = Json.Cursor.create () in
-  ignore (Json.Cursor.feed c "12 {\"a\"");
-  (match Json.Cursor.feed c ": x}" with
+  (* retained-prefix case: the error lands in a document whose text
+     began in an earlier fragment *)
+  let c = Json.Reader.incremental () in
+  ignore (feed_docs c "12 {\"a\"");
+  (match feed_docs c ": x}" with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Json.Parse_error { line; column; _ } ->
       Alcotest.(check (pair int int))
         "position inside retained text" (1, 10) (line, column));
   (* finish on an incomplete tail reports where the tail began *)
-  let c = Json.Cursor.create () in
-  ignore (Json.Cursor.feed c "1\n2\n[3,");
-  match Json.Cursor.finish c with
+  let c = Json.Reader.incremental () in
+  ignore (feed_docs c "1\n2\n[3,");
+  match finish_docs c with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Json.Parse_error { line; _ } ->
       Alcotest.(check int) "truncated tail line" 3 line

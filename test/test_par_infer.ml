@@ -99,46 +99,94 @@ let prop_seq_eq_par (name, mode) =
           (Samples texts, Infer.shape_of_samples ~mode (parsed texts));
         ])
 
+(* [text] pushed in the fragments that [cuts] (positions, taken modulo
+   the text's length plus one) cut it into. *)
+let feed_at text cuts push =
+  let cuts =
+    List.sort_uniq compare (List.map (fun c -> c mod (String.length text + 1)) cuts)
+  in
+  let last =
+    List.fold_left
+      (fun from cut ->
+        push (String.sub text from (cut - from));
+        cut)
+      0 cuts
+  in
+  push (String.sub text last (String.length text - last))
+
+(* A faulty JSON text: documents, documents with a fault of each kind,
+   and top-level scalars whose numbers and escapes a cut can split. *)
+let gen_faulty_text =
+  let open QCheck2.Gen in
+  let scalar =
+    oneofl
+      [ "-12.5e+3"; "123456789012345678901"; "0"; "true"; "null"; "tru";
+        {|"a\"b\\\u00e9\ud83d\ude00"|} ]
+  in
+  let* docs =
+    list_size (int_range 1 10)
+      (frequency
+         [
+           (3, map Json.to_string gen_data);
+           ( 2,
+             map2
+               (fun fault d -> Fault_inject.corrupt fault (Fault_inject.doc_text d))
+               (oneofl Fault_inject.all_faults) gen_data );
+           (1, scalar);
+         ])
+  in
+  let+ seps = list_repeat (List.length docs) (oneofl [ "\n"; " "; "\n\n"; "" ]) in
+  String.concat "" (List.concat (List.map2 (fun d sep -> [ d; sep ]) docs seps))
+
 (* At one job the engine is one left fold over the documents in corpus
    order, so its output is byte-identical however the corpus arrives:
    one stream cut into batches of any size, fragments split anywhere,
-   or separate samples. *)
+   or separate samples. A strict run compares shapes over well-formed
+   texts; a tolerant one whole reports over faulty texts, fed in random
+   fragments and byte by byte, so that cuts fall inside numbers,
+   escapes and the span a fault's resynchronization skips. *)
 let prop_batching_invariant =
   QCheck2.Test.make ~name:"sequential output does not depend on batching"
     ~count:300
-    ~print:(fun (ds, cuts) ->
+    ~print:(fun (ds, cuts, faulty) ->
       String.concat " | " (List.map print_data ds)
-      ^ " / cuts " ^ String.concat "," (List.map string_of_int cuts))
+      ^ " / cuts " ^ String.concat "," (List.map string_of_int cuts)
+      ^ " / faulty " ^ faulty)
     QCheck2.Gen.(
-      pair (list_size (int_range 1 12) gen_data)
-        (list_size (int_range 0 8) (int_bound 10_000)))
-    (fun (ds, cuts) ->
+      triple
+        (list_size (int_range 1 12) gen_data)
+        (list_size (int_range 0 8) (int_bound 10_000))
+        gen_faulty_text)
+    (fun (ds, cuts, faulty) ->
       let texts = texts_of ds in
       let s = String.concat "\n" texts in
-      let cuts =
-        List.sort_uniq compare (List.map (fun c -> c mod (String.length s + 1)) cuts)
+      let strict =
+        List.for_all
+          (fun (_, mode) ->
+            let render r = Result.map Shape.to_string r in
+            let expect = render (Infer.of_json ~mode s) in
+            List.for_all
+              (fun chunk_size ->
+                render (infer_strict ~mode ?chunk_size Json (String s)) = expect)
+              [ Some 1; Some 2; Some 3; None ]
+            && render (infer_strict ~mode Json (Feed (feed_at s cuts))) = expect
+            && render (infer_strict ~mode Json (Samples texts)) = expect)
+          modes
       in
-      let feed push =
-        let last =
-          List.fold_left
-            (fun from cut ->
-              push (String.sub s from (cut - from));
-              cut)
-            0 cuts
-        in
-        push (String.sub s last (String.length s - last))
+      let bytes push = String.iter (fun c -> push (String.make 1 c)) faulty in
+      let tolerant =
+        List.for_all
+          (fun (_, mode) ->
+            List.for_all
+              (fun budget ->
+                let run source = report_text (Infer.run ~mode budget Json source) in
+                let expect = run (String faulty) in
+                run (Feed (feed_at faulty cuts)) = expect
+                && run (Feed bytes) = expect)
+              [ Fsdata_data.Diagnostic.Count 3; Percent 100. ])
+          modes
       in
-      List.for_all
-        (fun (_, mode) ->
-          let render r = Result.map Shape.to_string r in
-          let expect = render (Infer.of_json ~mode s) in
-          List.for_all
-            (fun chunk_size ->
-              render (infer_strict ~mode ?chunk_size Json (String s)) = expect)
-            [ Some 1; Some 2; Some 3; None ]
-          && render (infer_strict ~mode Json (Feed feed)) = expect
-          && render (infer_strict ~mode Json (Samples texts)) = expect)
-        modes)
+      strict && tolerant)
 
 (* Shapes must come from the inference mode that matches the merge mode
    (as Infer.csh_mode pairs them in the pipeline): e.g. `Core collapses

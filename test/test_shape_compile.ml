@@ -214,7 +214,7 @@ let int_record = Shape.record Dv.json_record_name [ ("a", Shape.Primitive Shape.
 (* A mid-document *shape* mismatch aborts the compiled descent partway
    into the document; the driver must rewind, fall back, and leave the
    cursor at the document's end so the successors still decode directly
-   — the same resynchronization discipline as [Json.Cursor]'s
+   — the same resynchronization discipline as [Json.Reader]'s
    recovering mode. *)
 let test_mid_document_mismatch_resyncs () =
   let compiled = Sc.compile (Shape.hcons int_record) in
