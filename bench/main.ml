@@ -654,21 +654,21 @@ let faults_bench () =
   let array =
     "[" ^ String.concat ",\n" (String.split_on_char '\n' (String.trim wide)) ^ "]"
   in
-  let fed size push =
-    let n = String.length array in
-    let rec go i =
-      if i < n then begin
-        push (String.sub array i (min size (n - i)));
-        go (i + size)
-      end
-    in
-    go 0
+  (* [text] in [size]-byte fragments, as a [Feed] pull *)
+  let fed size text =
+    let i = ref 0 in
+    fun () ->
+      let n = min size (String.length text - !i) in
+      let s = String.sub text !i n in
+      i := !i + n;
+      s
   in
-  let infer_fed size =
+  let infer_json source =
     Result.map
-      (fun (r : Infer.report) -> Shape.to_string r.shape)
-      (Infer.run (Diagnostic.Percent 1.) Json (Feed (fed size)))
+      (fun (r : Infer.report) -> (Shape.to_string r.shape, r.total))
+      (Infer.run (Diagnostic.Percent 1.) Json source)
   in
+  let infer_fed size = infer_json (Feed (fed size array)) in
   let (whole, t_whole), (fragmented, t_fragmented) =
     time_interleaved ~repeats:5
       (fun () -> infer_fed (String.length array))
@@ -687,6 +687,29 @@ let faults_bench () =
       fail
         (Printf.sprintf "feed like a text: fragmented/whole %.2f, not below 2"
            feed_ratio)
+  end;
+  (* 5. documents with no separator between them: the boundary scan a
+     document's read leaves behind is the next one's, so 1 MiB of
+     top-level 0s costs about the same fed in 8 KiB fragments as read
+     as a text *)
+  let zeros = String.make (1024 * 1024) '0' ^ "\n" in
+  let (as_text, t_text), (as_feed, t_feed) =
+    time_interleaved ~repeats:5
+      (fun () -> infer_json (String zeros))
+      (fun () -> infer_json (Feed (fed 8192 zeros)))
+  in
+  let run_ratio = t_feed /. t_text in
+  Printf.printf
+    "  1 MiB of 0s: as a text %8.1f ms, fed in 8 KiB fragments %8.1f ms, \
+     fed/text %.2f\n%!"
+    (t_text *. 1e3) (t_feed *. 1e3) run_ratio;
+  if !smoke then begin
+    if Result.is_error as_text || as_text <> as_feed then
+      fail "the 0s fed in fragments infer otherwise than as a text";
+    if run_ratio >= 2. then
+      fail
+        (Printf.sprintf "unseparated documents: fed/text %.2f, not below 2"
+           run_ratio)
   end;
   ignore
     (stage_breakdown

@@ -265,7 +265,7 @@ type source =
   | String of string
   | Samples of string list
   | Values of Data_value.t list
-  | Feed of ((string -> unit) -> unit)
+  | Feed of (unit -> string)
 
 (* Observability (docs/OBSERVABILITY.md). [count] is the one place the
    sample counters move, once per run, so they reconcile by
@@ -326,10 +326,10 @@ module type FORMAT = sig
   val stream : stream option
 end
 
-let buffer feed =
+let buffer pull =
   let b = Buffer.create 4096 in
-  feed (Buffer.add_string b);
-  Buffer.contents b
+  let rec go () = match pull () with "" -> Buffer.contents b | s -> Buffer.add_string b s; go () in
+  go ()
 
 (* A JSON text is a whitespace-separated document stream. JSON is the
    one format whose mode is the caller's. *)
@@ -594,35 +594,6 @@ let fold_read ~mode ~strict ~cancel ~(faults : quarantined list ref) ~on_batch r
   in
   batches 0
 
-(* [refill feed r] feeds [r] the next fragment [feed] pushes, or ends
-   its input once [feed] returns: [feed] runs as a fiber suspended at
-   each push until the reader awaits more input. A run that stops early
-   leaves the fiber suspended, so the feed reads no further. *)
-type _ Effect.t += Push : string -> unit Effect.t
-
-let refill feed =
-  let open Effect.Deep in
-  let next = ref ignore in
-  (next :=
-     fun r ->
-       try_with
-         (fun () ->
-           feed (fun s -> Effect.perform (Push s));
-           Json.Reader.finish r)
-         ()
-         {
-           effc =
-             (fun (type a) (e : a Effect.t) ->
-               match e with
-               | Push s ->
-                   Some
-                     (fun (k : (a, _) continuation) ->
-                       next := (fun _ -> continue k ());
-                       Json.Reader.feed r s)
-               | _ -> None);
-         });
-  fun r -> !next r
-
 let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
     source =
   let (module F : FORMAT) = format_module format in
@@ -632,7 +603,7 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
      read as its text, so a parallel run's batches are a text's *)
   let source =
     match source with
-    | Feed feed when F.format <> Json || jobs > 1 -> String (buffer feed)
+    | Feed pull when F.format <> Json || jobs > 1 -> String (buffer pull)
     | source -> source
   in
   let strict = budget = Diagnostic.Strict in
@@ -736,8 +707,9 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
             (Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text)
       | String text, Some st ->
           st.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
-      | Feed feed, _ ->
-          fold_read ~refill:(refill feed)
+      | Feed pull, _ ->
+          let refill r = match pull () with "" -> Json.Reader.finish r | s -> Json.Reader.feed r s in
+          fold_read ~refill
             (Json.Reader.incremental ~cancel ~chunk_size ~chunk_bytes ~on_error ())
     with
     | () | (exception Stop) -> None

@@ -126,12 +126,11 @@ type source =
           table *)
   | Values of Fsdata_data.Data_value.t list
       (** samples already parsed, one per value; read like [Samples] *)
-  | Feed of ((string -> unit) -> unit)
-      (** [Feed f] reads like [String] over the concatenation of the
-          fragments [f] pushes, wherever they are cut: JSON at one job
-          as they arrive, holding about one document and one fragment,
-          and otherwise as one text once [f] returns. [f] pushes within
-          its own call, on the calling domain. *)
+  | Feed of (unit -> string)
+      (** [Feed pull] reads like [String] over the fragments [pull]
+          answers until [""], however they are cut: JSON at one job as
+          they arrive, holding about a document and a fragment, and
+          otherwise as one text. *)
 
 val run :
   ?cancel:Fsdata_data.Cancel.t ->
@@ -156,9 +155,9 @@ val run :
     document is first walked on its tokens against σ as the previous
     document left it ({!absorbs_json}), and only a document the walk
     declines is parsed and folded, so reading costs less than parsing
-    wherever σ absorbs the corpus. Output, quarantine and counters are those of
-    parsing every document. Its batches are cut as below; a feed's
-    length is unknown, so their byte cap is the least, 64KiB.
+    wherever σ absorbs the corpus. Output, quarantine and counters are
+    those of parsing every document. A feed's batches take the least
+    byte cap below, 64KiB, as its length is unknown.
 
     {b Parallel runs.} At [jobs > 1] batches are folded in worker
     domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the

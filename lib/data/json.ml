@@ -34,14 +34,8 @@ type state = {
 let max_depth = 10_000
 
 let make_state src =
-  {
-    src = Bytes.unsafe_of_string src;
-    len = String.length src;
-    pos = 0;
-    line = 1;
-    bol = 0;
-    depth = 0;
-  }
+  let src = Bytes.unsafe_of_string src in
+  { src; len = Bytes.length src; pos = 0; line = 1; bol = 0; depth = 0 }
 
 let error st fmt =
   Diagnostic.error ~format:Diagnostic.Json ~line:st.line
@@ -500,8 +494,8 @@ let resync st ~start = resume_resync ~finished:true st (seed_scanner st ~start)
    Batches are cut after [chunk_size] documents or once they have
    consumed [chunk_bytes] source bytes, whichever fills first; faults
    count towards neither. Until a fed reader's input is finished, a
-   document is read once [ended] finds its end in the buffer, and a
-   fault's resync resumes on the next fragment. *)
+   document is read once its reading ends in the buffer ([ended],
+   [document]), and a fault's resync resumes on the next fragment. *)
 module Reader = struct
   type item = End | Await | Doc of Data_value.t | Absorbed
 
@@ -513,8 +507,9 @@ module Reader = struct
     byte_cap : int;
     mutable finished : bool; (* no input follows the buffer *)
     mutable start : int; (* offset of the document being read; -1 between documents *)
-    mutable scanned : int; (* how far its boundary scan has come; -1 before it *)
-    mutable sc : scanner; (* that scan, or the resync of its fault *)
+    mutable from : int; (* offset of the document the boundary scan is for *)
+    mutable scanned : int; (* how far that scan has come *)
+    mutable sc : scanner; (* that scan, or the resync of a fault *)
     mutable fault : Diagnostic.t option; (* a fault whose resync awaits input *)
     mutable index : int; (* global index of the latest document, read or skipped *)
     mutable n : int; (* documents in the current batch *)
@@ -540,7 +535,8 @@ module Reader = struct
       byte_cap;
       finished;
       start = -1;
-      scanned = -1;
+      from = -1;
+      scanned = 0;
       sc = scanner ();
       fault = None;
       index = -1;
@@ -575,27 +571,46 @@ module Reader = struct
       st.pos <- st.pos - keep;
       st.bol <- st.bol - keep;
       r.start <- (if r.start >= 0 then r.start - keep else -1);
+      r.from <- r.from - keep;
       r.scanned <- r.scanned - keep
     end;
     Bytes.blit_string s 0 st.src st.len n;
     st.len <- st.len + n
 
-  (* Whether the document at [start] ends in the buffer: at a byte out
-     of strings and brackets that cannot continue a literal or number.
-     The parser reads no further, so it reads the document as in the
-     whole text; a number flush with the buffer waits for more digits. *)
+  (* Whether a line opening with '{' or '[' at [i] cuts off the
+     document before it: the parser reads a value only after ',', '['
+     or ':' and faults on a newline in a string, so it faults by [i].
+     This is the resync's line rule, for brackets that never
+     re-balance. *)
+  let cut_off st sc i =
+    let j = ref (i - 2) in
+    sc.in_str
+    || begin
+         while String.contains " \t\r\n" (Bytes.get st.src !j) do decr j done;
+         not (String.contains ",[:" (Bytes.get st.src !j))
+       end
+
+  (* Whether the reading of the document at [start] ends in the buffer:
+     at a byte out of strings and brackets that cannot continue a
+     literal or number, or at a line that cuts it off. The parser reads
+     no further, so it reads the document as in the whole text; a number
+     flush with the buffer waits for more digits. *)
   let ended r =
     let st = r.st in
-    if r.scanned < r.start then begin
+    if r.from <> r.start then begin
+      r.from <- r.start;
       r.sc <- scanner ();
       r.scanned <- r.start
     end;
     let sc = r.sc and i = ref r.scanned and stop = ref false in
     while (not !stop) && !i < st.len do
       let c = Bytes.unsafe_get st.src !i in
+      stop :=
+        (c = '{' || c = '[') && !i > r.start
+        && Bytes.unsafe_get st.src (!i - 1) = '\n' && cut_off st sc !i;
       scan sc c;
       incr i;
-      stop := (not sc.in_str) && sc.nest <= 0 && not (in_token c)
+      stop := !stop || ((not sc.in_str) && sc.nest <= 0 && not (in_token c))
     done;
     r.scanned <- !i;
     !stop
@@ -623,18 +638,33 @@ module Reader = struct
           Cancel.check r.cancel;
           r.index <- r.index + 1;
           r.start <- st.pos;
-          r.scanned <- -1;
           document ?absorb r
         end
         else if r.finished then End
         else Await
 
+  (* A document that starts in bytes an earlier document's scan has
+     passed is read at once: faultless documents before it leave that
+     scan where its own would be, and a fault's resync may cut at a line
+     inside it. The reading counts unless it ran into the buffer's end;
+     then the reader rewinds and scans from the document, which covers
+     the bytes after it. So no byte is scanned more than twice. *)
   and document ?absorb r =
-    if not (r.finished || ended r) then Await
+    let st = r.st and start = r.start and line = r.st.line and bol = r.st.bol in
+    let at_once = (not r.finished) && r.from <> start && start < r.scanned in
+    if not (r.finished || at_once || ended r) then Await
     else
-      let st = r.st and start = r.start in
-      match Fsdata_obs.Metrics.time m_ns (fun () -> read ?absorb st) with
-      | item ->
+      match
+        Fsdata_obs.Metrics.time m_ns (fun () ->
+            try Ok (read ?absorb st) with Diagnostic.Parse_error d -> Error d)
+      with
+      | _ when at_once && st.pos >= st.len ->
+          st.pos <- start;
+          st.line <- line;
+          st.bol <- bol;
+          r.scanned <- start;
+          document ?absorb r
+      | Ok item ->
           r.start <- -1;
           let len = st.pos - start in
           Fsdata_obs.Metrics.incr m_docs;
@@ -647,7 +677,7 @@ module Reader = struct
             r.bytes <- 0
           end;
           item
-      | exception Diagnostic.Parse_error d -> (
+      | Error d -> (
           match r.on_error with
           | None -> reraise_legacy d
           | Some _ ->

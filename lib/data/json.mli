@@ -171,18 +171,16 @@ end
     cancellation, batch cuts and the [parse.json.*] counters are
     {!fold_many}'s.
 
-    A reader reads a whole text ({!create}) or the fragments it is fed
-    ({!incremental}), and both read alike: the documents, diagnostics
-    (positions are the stream's), skipped texts and batches of a fed
-    stream are those of its concatenation, however it is cut. A fed
-    reader's buffer keeps only the document it is reading and the
-    fragments after it, and it reads a document once a boundary scan
-    has found its end there: a byte outside strings and brackets that
-    cannot continue a literal or number, such as the bracket closing a
-    bracketed document. So a top-level number ending with the buffer
-    waits for the next fragment or {!finish}. Each fed byte is scanned
-    once for boundaries (a fault's resync scans its document again); a
-    whole text is not scanned. *)
+    A reader reads a whole text ({!create}) or fragments it is fed
+    ({!incremental}), and both read alike: a fed stream's documents,
+    diagnostics (positions are the stream's), skipped texts and batches
+    are its concatenation's, however it is cut. A fed reader buffers the
+    document it reads and the fragments after it, and reads a document
+    once a boundary scan finds where its reading ends: at a byte outside
+    strings and brackets that cannot continue a literal or number, or at
+    a line opening with [{] or [\[] after a value (the resync's line
+    rule). So a top-level number ending with the buffer waits for more.
+    Each fed byte is scanned at most twice; a whole text never. *)
 module Reader : sig
   type t
 

@@ -353,23 +353,16 @@ let handle_infer t ~cancel ~rest req =
     match (format, jobs, budget) with
     | _, Error m, _ | _, _, Error m -> json_error 400 m
     | "json", Ok _, Ok budget when rest <> None -> (
-        (* Streamed JSON: the body never materializes — fragments feed
-           the recovering cursor as they arrive off the socket. No
+        (* Streamed JSON: the body never materializes — the engine's
+           JSON reader reads the fragments as they arrive off the
+           socket, holding about one document and one fragment. No
            digest key exists without the bytes, so this path bypasses
            the response cache. *)
         Metrics.incr stream_bodies;
         let rest = Option.get rest in
-        let feed push =
-          let rec go () =
-            match Http.read_body_chunk rest with
-            | "" -> ()
-            | s ->
-                push s;
-                go ()
-          in
-          go ()
-        in
-        match Infer.run ~cancel budget Json (Feed feed) with
+        match
+          Infer.run ~cancel budget Json (Feed (fun () -> Http.read_body_chunk rest))
+        with
         | Error m -> json_error 422 m
         | Ok report ->
             let body, header =

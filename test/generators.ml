@@ -398,6 +398,21 @@ let finish_docs r =
   Fsdata_data.Json.Reader.finish r;
   drain r
 
+(* An [Infer.Feed] pull answering [fragments] in turn, empty ones left
+   out, as [""] ends a feed. Once it has answered [""] it starts over,
+   so one source can be run again. *)
+let pull fragments =
+  let fragments = List.filter (fun s -> s <> "") fragments in
+  let rest = ref fragments in
+  fun () ->
+    match !rest with
+    | [] ->
+        rest := fragments;
+        ""
+    | s :: more ->
+        rest := more;
+        s
+
 (* Random XML trees for the XML-pipeline safety properties. Element and
    attribute names come from small pools so same-named elements recur
    (exercising unification); literal values cover the classification

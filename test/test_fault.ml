@@ -522,7 +522,7 @@ let test_xml_inference_fault_keeps_text () =
             (List.map (fun q -> q.Infer.q_text) r.Infer.quarantined))
     [
       ("string", Infer.String text);
-      ("feed", Feed (fun push -> push text));
+      ("feed", Feed (pull [ text ]));
       ("samples", Samples [ text ]);
     ]
 
@@ -716,21 +716,61 @@ let test_feed_fault_depth () =
         (Shape.to_string r.Infer.shape)
   | Error e -> Alcotest.failf "the text run failed: %s" e);
   let rng = Random.State.make [| 21 |] in
-  let fragments push =
-    let rec go i =
-      if i < String.length text then begin
-        let n = min (1 + Random.State.int rng 64) (String.length text - i) in
-        push (String.sub text i n);
-        go (i + n)
-      end
-    in
-    go 0
+  let rec fragments i =
+    if i >= String.length text then []
+    else
+      let n = min (1 + Random.State.int rng 64) (String.length text - i) in
+      String.sub text i n :: fragments (i + n)
   in
   List.iter
-    (fun (name, feed) ->
+    (fun (name, fragments) ->
       Alcotest.(check string) name (report_text expect)
-        (report_text (run (Infer.Feed feed))))
-    [ ("one fragment", fun push -> push text); ("random fragments", fragments) ]
+        (report_text (run (Infer.Feed (pull fragments)))))
+    [ ("one fragment", [ text ]); ("random fragments", fragments 0) ]
+
+(* A fed document whose brackets never re-balance is cut at the next
+   line the parser cannot read it into, as the text's resync cuts it,
+   so the documents after it are read as they arrive, not at [finish];
+   so are top-level scalars with nothing between them. Each read
+   matches the text's report. *)
+let test_feed_unbalanced () =
+  let count_before_finish text =
+    let skipped = ref 0 in
+    let r =
+      Json.Reader.incremental ~on_error:(fun _ ~skipped:_ -> incr skipped) ()
+    in
+    let rec go i read =
+      if i >= String.length text then read
+      else
+        let n = min 8192 (String.length text - i) in
+        go (i + n) (read + List.length (feed_docs r (String.sub text i n)))
+    in
+    let read = go 0 0 in
+    let rest = List.length (finish_docs r) in
+    (read, rest, !skipped)
+  in
+  let text =
+    String.concat "\n" ({|{"a": 1|} :: List.init 10_000 (fun _ -> {|{"a": 2}|}))
+  in
+  let read, rest, skipped = count_before_finish text in
+  Alcotest.(check (list int)) "read before finish, at finish, skipped"
+    [ 9_999; 0; 1 ] [ read; rest; skipped ];
+  let zeros = String.make 100_000 '0' ^ "\n" in
+  let read, rest, _ = count_before_finish zeros in
+  Alcotest.(check (list int)) "0s read before finish, at finish"
+    [ 100_000; 0 ] [ read; rest ];
+  List.iter
+    (fun text ->
+      let run source = Infer.run (Diagnostic.Percent 100.) Json source in
+      let fragments =
+        List.init
+          ((String.length text + 8191) / 8192)
+          (fun i -> String.sub text (8192 * i) (min 8192 (String.length text - (8192 * i))))
+      in
+      Alcotest.(check string) "the text's report"
+        (report_text (run (Infer.String text)))
+        (report_text (run (Infer.Feed (pull fragments)))))
+    [ text; zeros ]
 
 let suite =
   [
@@ -780,4 +820,6 @@ let suite =
       test_fold_many_fault_depth;
     Alcotest.test_case "feed: a fault leaves no nesting behind" `Quick
       test_feed_fault_depth;
+    Alcotest.test_case "feed: an unbalanced document is cut at a line" `Quick
+      test_feed_unbalanced;
   ]

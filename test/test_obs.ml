@@ -274,8 +274,10 @@ let test_ingest_reconciliation () =
      counters are its report's *)
   let split s =
     Infer.Feed
-      (fun push ->
-        String.iteri (fun i _ -> if i mod 3 = 0 then push (String.sub s i (min 3 (String.length s - i)))) s)
+      (pull
+         (List.init
+            ((String.length s + 2) / 3)
+            (fun i -> String.sub s (3 * i) (min 3 (String.length s - (3 * i))))))
   in
   let csv = "a,b\n1,2\n3,4,5\n6,7\n" in
   (* a value whose inference raises: a record repeating a field *)

@@ -101,33 +101,34 @@ let prop_seq_eq_par (name, mode) =
 
 (* [text] pushed in the fragments that [cuts] (positions, taken modulo
    the text's length plus one) cut it into. *)
-let feed_at text cuts push =
+let feed_at text cuts =
   let cuts =
     List.sort_uniq compare (List.map (fun c -> c mod (String.length text + 1)) cuts)
   in
-  let last =
-    List.fold_left
-      (fun from cut ->
-        push (String.sub text from (cut - from));
-        cut)
-      0 cuts
+  let rec go from = function
+    | [] -> [ String.sub text from (String.length text - from) ]
+    | cut :: cuts -> String.sub text from (cut - from) :: go cut cuts
   in
-  push (String.sub text last (String.length text - last))
+  pull (go 0 cuts)
 
-(* A faulty JSON text: documents, documents with a fault of each kind,
-   and top-level scalars whose numbers and escapes a cut can split. *)
+(* A faulty JSON text: documents, some printed with each nested value
+   on a line of its own at column 1, documents with a fault of each
+   kind, openings and strings that never close, and top-level scalars
+   whose numbers and escapes a cut can split. *)
 let gen_faulty_text =
   let open QCheck2.Gen in
   let scalar =
     oneofl
       [ "-12.5e+3"; "123456789012345678901"; "0"; "true"; "null"; "tru";
-        {|"a\"b\\\u00e9\ud83d\ude00"|} ]
+        {|"a\"b\\\u00e9\ud83d\ude00"|}; {|{"a": 1|}; {|{"a": [1,|}; "["; {|{"k":|};
+        {|"ab|} ]
   in
   let* docs =
     list_size (int_range 1 10)
       (frequency
          [
            (3, map Json.to_string gen_data);
+           (1, map (Json.to_string ~indent:0) gen_data);
            ( 2,
              map2
                (fun fault d -> Fault_inject.corrupt fault (Fault_inject.doc_text d))
@@ -173,7 +174,7 @@ let prop_batching_invariant =
             && render (infer_strict ~mode Json (Samples texts)) = expect)
           modes
       in
-      let bytes push = String.iter (fun c -> push (String.make 1 c)) faulty in
+      let bytes () = pull (List.init (String.length faulty) (fun i -> String.sub faulty i 1)) in
       let tolerant =
         List.for_all
           (fun (_, mode) ->
@@ -182,7 +183,7 @@ let prop_batching_invariant =
                 let run source = report_text (Infer.run ~mode budget Json source) in
                 let expect = run (String faulty) in
                 run (Feed (feed_at faulty cuts)) = expect
-                && run (Feed bytes) = expect)
+                && run (Feed (bytes ())) = expect)
               [ Fsdata_data.Diagnostic.Count 3; Percent 100. ])
           modes
       in
