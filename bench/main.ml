@@ -627,26 +627,34 @@ let faults_bench () =
         "  %6d docs: tolerant, %d faults, -j %-2d   %8.1f ms  %5.2fx speedup, agree=%b\n%!"
         n expected_faults jobs (t_par *. 1e3) (t_seq /. t_par) agree)
     (if !smoke then [ 2; 7 ] else [ 2; 4; Domain.recommended_domain_count () ]);
-  (* 3. the sequential fold against the parse alone: on a homogeneous
-     corpus almost every document is walked against σ on its tokens
-     and never parsed, so inferring costs less than parsing *)
+  (* 3. the sequential fold against the parse alone: once σ holds a
+     corpus's variants, every document is walked against σ on its
+     tokens and never parsed, its string literals classified where they
+     lie and its lists an element at a time. On records of one wide
+     shape inferring costs less than parsing; on event records, with a
+     date on each and a tag list on a fifth, it is reported (about the
+     parse's cost, so not gated) *)
   let wide = Workloads.wide_corpus_text ~width:200 (1024 * 1024) in
-  let (_, t_parse), (wide_report, t_fold) =
-    time_interleaved ~repeats:5
-      (fun () -> Fsdata_data.Json.fold_many (fun k ds -> k + List.length ds) 0 wide)
-      (fun () -> Infer.run (Diagnostic.Percent 1.) Json (String wide))
-  in
-  let ratio = t_fold /. t_parse in
-  Printf.printf
-    "  %.1f MiB wide records: parse %8.1f ms, infer (budget 1%%) %8.1f ms, \
-     infer/parse %.2f\n%!"
-    (float_of_int (String.length wide) /. (1024. *. 1024.))
-    (t_parse *. 1e3) (t_fold *. 1e3) ratio;
-  if !smoke then begin
-    if Result.is_error wide_report then fail "the wide corpus failed to infer";
-    if ratio >= 1. then
-      fail (Printf.sprintf "fold below parse: infer/parse %.2f, not below 1" ratio)
-  end;
+  List.iter
+    (fun (name, text, gated) ->
+      let (_, t_parse), (report, t_fold) =
+        time_interleaved ~repeats:5
+          (fun () -> Fsdata_data.Json.fold_many (fun k ds -> k + List.length ds) 0 text)
+          (fun () -> Infer.run (Diagnostic.Percent 1.) Json (String text))
+      in
+      let ratio = t_fold /. t_parse in
+      Printf.printf
+        "  %.1f MiB %s: parse %8.1f ms, infer (budget 1%%) %8.1f ms, \
+         infer/parse %.2f\n%!"
+        (float_of_int (String.length text) /. (1024. *. 1024.))
+        name (t_parse *. 1e3) (t_fold *. 1e3) ratio;
+      if !smoke then begin
+        if Result.is_error report then fail (Printf.sprintf "the %s failed to infer" name);
+        if gated && ratio >= 1. then
+          fail (Printf.sprintf "fold below parse: infer/parse %.2f, not below 1" ratio)
+      end)
+    [ ("wide records", wide, true);
+      ("event records", Workloads.events_corpus_text (1024 * 1024), false) ];
   (* 4. a feed read like a text: one ~1 MiB document costs about the
      same fed in 8 KiB fragments (an HTTP socket read each) as fed in
      one, since the reader scans each fed byte once for the document's

@@ -247,6 +247,50 @@ let wide_corpus_text ~width bytes =
   done;
   Buffer.contents buf
 
+(* Newline-separated event records, [bytes] long or just over: an id, a
+   kind and an ISO date on every record, then one of five tails (none,
+   a float value, an int value and a flag, a null note and a nested
+   user, or a list of zero to three tags), so that the inference fold
+   classifies a date on every document and walks a tag list on a fifth
+   of them. *)
+let events_corpus_text bytes =
+  let r = rng 29 in
+  let buf = Buffer.create (bytes + 8192) in
+  let i = ref 0 in
+  while Buffer.length buf < bytes do
+    let str s = Dv.String s in
+    let date =
+      Printf.sprintf "20%02d-%02d-%02d" (10 + pick r 14) (1 + pick r 12) (1 + pick r 28)
+    in
+    let tail =
+      match pick r 5 with
+      | 0 -> []
+      | 1 -> [ ("value", Dv.Float (float_of_int (pick r 100_000) /. 100.)) ]
+      | 2 -> [ ("value", Dv.Int (pick r 1000)); ("flag", Dv.Bool (pick r 2 = 0)) ]
+      | 3 ->
+          [
+            ("note", Dv.Null);
+            ( "user",
+              Dv.Record
+                ( Dv.json_record_name,
+                  [ ("name", str (Printf.sprintf "user%d" (pick r 500)));
+                    ("age", Dv.Int (18 + pick r 60)) ] ) );
+          ]
+      | _ ->
+          [ ("tags", Dv.List (List.init (pick r 4) (fun _ -> str (Printf.sprintf "t%d" (pick r 20))))) ]
+    in
+    let d =
+      Dv.Record
+        ( Dv.json_record_name,
+          [ ("id", Dv.Int !i); ("kind", str (Printf.sprintf "kind%d" (pick r 7))); ("at", str date) ]
+          @ tail )
+    in
+    Buffer.add_string buf (json_text d);
+    Buffer.add_char buf '\n';
+    incr i
+  done;
+  Buffer.contents buf
+
 (* A corpus for the query-pushdown benchmarks (B14): every document
    carries the three fields queries touch plus a [payload] record an
    order of magnitude bigger than the rest — exactly the bytes a

@@ -279,14 +279,32 @@ let same_representation (a : Shape.t) b =
   a == b || (Shape.equal a b && Stdlib.compare a b = 0)
 
 (* The index of a shape for repeated absorption queries: every record
-   of σ reachable through records and nullable records gets its own
-   field table, so a query walks δ through the tables and builds none.
-   Any other subtree is [Whole], with a memo of the literals it absorbs
-   when it is a top or a collection. *)
+   of σ gets its own field table, so a query walks δ through the tables
+   and builds none. Any other subtree is [Whole], with a memo of the
+   literals it absorbs, but a collection or a top, whose entries or
+   labels are indexed in turn ([Parts]). *)
 type index =
   | Fields_of of table
   | Payload_of of Shape.t * table  (* σ = nullable ρ, with ρ's table *)
   | Whole of { sigma : Shape.t; memo : Bytes.t }
+  | Parts of parts
+
+(* A collection or a top with its memo: [tags] and [inner] are its
+   entries or labels, by tag, and their indices; [mults] and [flat] are a collection's entry
+   multiplicities and whether each entry holds no nullable record. The
+   element walk in progress counts its elements per entry in [counts];
+   [keyed] says whether it finds entries by tag (Section 6.4) or takes
+   the one entry whatever the tag. *)
+and parts = {
+  sigma : Shape.t;
+  memo : Bytes.t;
+  tags : Tag.t array;
+  inner : index array;
+  mults : Multiplicity.t array;
+  flat : bool array;
+  counts : int array;
+  mutable keyed : bool;
+}
 
 (* A record's fields in σ's order, their indices and slots by name, and
    the walk in progress: [met.(i)] is the number of the last walk that
@@ -304,10 +322,37 @@ and table = {
   mutable hits : int;
 }
 
+(* Whether a shape holds no nullable record at any depth *)
+let rec is_flat = function
+  | Nullable (Record _) -> false
+  | Bottom | Null | Primitive _ | Nullable _ -> true
+  | Record r -> List.for_all (fun (_, f) -> is_flat f) r.fields
+  | Collection entries -> List.for_all (fun (e : entry) -> is_flat e.shape) entries
+  | Top labels -> List.for_all is_flat labels
+
 let rec index sigma =
   match sigma with
   | Record r -> Fields_of (make_table sigma r)
   | Nullable (Record r as rho) -> Payload_of (sigma, make_table rho r)
+  | (Collection _ | Top _) as sigma ->
+      let parts =
+        Array.of_list
+          (match sigma with
+          | Collection entries -> List.map (fun (e : entry) -> (e.shape, e.mult)) entries
+          | Top labels -> List.map (fun l -> (l, Multiplicity.Multiple)) labels
+          | _ -> [])
+      in
+      Parts
+        {
+          sigma;
+          memo = Bytes.make 8 '\000';
+          tags = Array.map (fun (s, _) -> Shape.tagof s) parts;
+          inner = Array.map (fun (s, _) -> index s) parts;
+          mults = Array.map snd parts;
+          flat = Array.map (fun (s, _) -> is_flat s) parts;
+          counts = Array.make (Array.length parts) 0;
+          keyed = true;
+        }
   | sigma -> Whole { sigma; memo = Bytes.make 8 '\000' }
 
 and make_table record r =
@@ -322,7 +367,7 @@ and make_table record r =
 
 let indexed = function
   | Fields_of t -> t.record
-  | Payload_of (sigma, _) | Whole { sigma; _ } -> sigma
+  | Payload_of (sigma, _) | Whole { sigma; _ } | Parts { sigma; _ } -> sigma
 
 (* The record step, a field at a time. A walk of a record named [name]
    starts at its table, meets each field it reads once, and is absorbed
@@ -331,18 +376,28 @@ let indexed = function
    make a name repeated in the walk (which a data record may carry, and
    S rejects) fail it; with names unique, counting the required fields
    met suffices. *)
-let table idx name =
+let rec find_tag tags tag k =
+  if k = Array.length tags then -1
+  else if Tag.equal tags.(k) tag then k
+  else find_tag tags tag (k + 1)
+
+(* A top's label of a tag: csh joins a sample of that tag with the label
+   alone (top-incl), or adds it (top-add) *)
+let label w tag =
+  match w.sigma with
+  | Top _ -> (match find_tag w.tags tag 0 with -1 -> None | k -> Some w.inner.(k))
+  | _ -> None
+
+let rec table idx name =
   match idx with
   | (Fields_of t | Payload_of (_, t)) when String.equal t.name name ->
       t.walks <- t.walks + 1;
       t.hits <- 0;
       Some t
+  | Parts w -> Option.bind (label w (Tag.Record name)) (fun l -> table l name)
   | Fields_of _ | Payload_of _ | Whole _ -> None
 
-let width t = Array.length t.names
-let name_at t i = t.names.(i)
 let slot t name = match Hashtbl.find t.slots name with i -> i | exception Not_found -> -1
-let field t i = t.subs.(i)
 
 let meet t i =
   t.met.(i) <> t.walks
@@ -364,7 +419,7 @@ let absorbs_record idx name fields absorbs_field =
         | [] -> complete t
         | (name, x) :: rest ->
             let i =
-              if next < width t && String.equal t.names.(next) name then next
+              if next < Array.length t.names && String.equal t.names.(next) name then next
               else slot t name
             in
             i >= 0 && meet t i && absorbs_field t.subs.(i) x && go (i + 1) rest
@@ -386,7 +441,7 @@ let rec absorbs_shape ~mode s d =
 
 and absorbs_at ~mode idx d =
   match idx with
-  | Whole { sigma; _ } -> absorbs_shape ~mode sigma d
+  | Whole { sigma; _ } | Parts { sigma; _ } -> absorbs_shape ~mode sigma d
   | Fields_of _ | Payload_of _ -> (
       let sigma = indexed idx in
       sigma == d
@@ -418,17 +473,151 @@ let literal_slot : Shape.t -> int = function
   | Primitive Bit1 -> 7
   | _ -> -1
 
-(* A top or a collection answers by joining, once per kind of literal:
-   the join of σ with a constant shape depends on nothing else. *)
-let absorbs_literal ?(mode : mode = `Hetero) idx k =
+(* Any subtree but a record answers once per kind of literal, and
+   remembers: the join of σ with a constant shape depends on nothing
+   else. A top or a collection answers by joining. *)
+let absorbs_literal ~(mode : mode) idx k =
   match idx with
-  | Whole { sigma = (Top _ | Collection _) as sigma; memo } -> (
+  | Whole { sigma; memo } | Parts { sigma; memo; _ } -> (
       let i = literal_slot k in
       match if i < 0 then '\000' else Bytes.get memo i with
       | '\001' -> true
       | '\002' -> false
       | _ ->
-          let absorbed = same_representation (csh ~mode sigma k) sigma in
+          let absorbed =
+            match sigma with
+            | Top _ | Collection _ -> same_representation (csh ~mode sigma k) sigma
+            | _ -> absorbs_at ~mode idx k
+          in
           if i >= 0 then Bytes.set memo i (if absorbed then '\001' else '\002');
           absorbed)
-  | _ -> absorbs_at ~mode idx k
+  | Fields_of _ | Payload_of _ -> absorbs_at ~mode idx k
+
+(* --- the element walk: a list against a collection of σ ---
+
+   csh σ S([d1; ...; dn]) joins each entry of σ with the fold of the
+   elements of its tag, and its multiplicity with theirs (Section 6.4):
+   one element is [Single], more are [Multiple], and an entry no element
+   has widens to [Optional_single]. The join is σ, representation
+   included, when every element's tag is one of σ's entries and σ's
+   entry absorbs the element, and each entry's multiplicity already
+   covers its count. An entry meets the fold of two or more elements
+   only when it holds no nullable record: the (opt) rule joins two
+   nullable records right operand first, so a fold of several elements
+   may come back with a record's fields in another order even when each
+   element alone is absorbed. In the paper's mode the collection has one
+   entry, always [Multiple], which every element joins; in the XML mode
+   one entry whatever the tags. *)
+let elements ~(mode : mode) idx =
+  let start w =
+    match (mode, w.sigma) with
+    | `Hetero, Collection _ ->
+        Array.fill w.counts 0 (Array.length w.counts) 0;
+        w.keyed <- true;
+        Some w
+    | `Core, Collection ([] | [ { mult = Multiplicity.Multiple; _ } ])
+    | `Xml, Collection ([] | [ _ ]) ->
+        Array.fill w.counts 0 (Array.length w.counts) 0;
+        w.keyed <- false;
+        Some w
+    | _ -> None
+  in
+  match idx with
+  | Parts ({ sigma = Collection _; _ } as w) -> start w
+  | Parts ({ sigma = Top _; _ } as w) -> (
+      match label w Tag.Collection with Some (Parts w) -> start w | _ -> None)
+  | _ -> None
+
+let element w tag =
+  let k = if w.keyed then find_tag w.tags tag 0 else if Array.length w.inner = 1 then 0 else -1 in
+  if k < 0 then -1
+  else begin
+    let c = w.counts.(k) + 1 in
+    w.counts.(k) <- c;
+    if c >= 2 && not (Multiplicity.equal w.mults.(k) Multiple && w.flat.(k)) then -1
+    else k
+  end
+
+let elements_complete w =
+  let rec go k =
+    k = Array.length w.counts
+    || (w.counts.(k) > 0 || not (Multiplicity.equal w.mults.(k) Single)) && go (k + 1)
+  in
+  go 0
+
+(* --- the token walk: a JSON document against σ, on its tokens --- *)
+
+module Raw = Fsdata_data.Json.Raw
+
+(* The shape S gives the literal at the cursor, which it consumes:
+   outside the paper's mode a string is classified where it lies in the
+   source, its date read only when [dates]. *)
+let literal ~mode ~dates st = Shape.of_hint (Raw.literal st ~classify:(mode <> `Core) ~dates)
+
+let record_tag = Tag.Record Fsdata_data.Data_value.json_record_name
+
+(* How many of σ's names after the field met last a key is matched
+   against in place *)
+let window = 8
+
+(* The value at the cursor, which starts with [c]. A record is walked
+   through its table, a list through its collection's element walk,
+   and a literal answers from its node's memo. *)
+let rec absorbs_tokens_at ~mode idx st c =
+  match c with
+  | '{' -> (
+      match table idx Fsdata_data.Data_value.json_record_name with
+      | Some t ->
+          if Raw.open_ st '}' then complete t
+          else absorbs_member ~mode t st (Raw.member st t.names ~from:0 ~upto:window)
+      | None -> false)
+  | '[' -> (
+      match elements ~mode idx with
+      | Some w -> if Raw.open_ st ']' then elements_complete w else absorbs_element ~mode w st
+      | None -> false)
+  | c ->
+      (* date ⊔ string = string: σ absorbs a date iff it absorbs a
+         string, but for a date shape, so a date needs telling from a
+         string only where the two answers differ *)
+      let dates =
+        c = '"'
+        && absorbs_literal ~mode idx (Primitive Date)
+           <> absorbs_literal ~mode idx (Primitive String)
+      in
+      absorbs_literal ~mode idx (literal ~mode ~dates st)
+
+(* A member, as [Raw.member] read it: its key matched in place against
+   the few names of σ's order after the field met last, which covers a
+   record that skips a few optional fields, or ([-1]) to be decoded and
+   looked up *)
+and absorbs_member ~mode t st m =
+  let i = if m >= 0 then m lsr 8 else slot t (Raw.parse_string st) in
+  i >= 0
+  && meet t i
+  && absorbs_tokens_at ~mode t.subs.(i) st
+       (if m >= 0 then Char.unsafe_chr (m land 255) else Raw.colon st)
+  &&
+  match Raw.next_member st t.names ~from:(i + 1) ~upto:(i + 1 + window) with
+  | -2 -> complete t
+  | -3 -> false
+  | m -> absorbs_member ~mode t st m
+
+(* An element goes to its tag's entry, which walks it *)
+and absorbs_element ~mode w st =
+  begin
+    match Raw.next_value st with
+    | ('{' | '[') as c ->
+        let k = element w (if c = '{' then record_tag else Tag.Collection) in
+        k >= 0 && absorbs_tokens_at ~mode w.inner.(k) st c
+    | _ ->
+        let lit = literal ~mode ~dates:true st in
+        let k = element w (Shape.tagof lit) in
+        k >= 0 && absorbs_literal ~mode w.inner.(k) lit
+  end
+  &&
+  match Raw.after st ']' with
+  | 1 -> absorbs_element ~mode w st
+  | 0 -> elements_complete w
+  | _ -> false
+
+let absorbs_tokens ~mode idx st = absorbs_tokens_at ~mode idx st (Raw.next_value st)

@@ -93,15 +93,15 @@ val absorbs : ?mode:mode -> Shape.t -> Shape.t -> bool
 
 type index
 (** A shape prepared for repeated {!absorbs_indexed} queries: every
-    record of the shape reachable through record fields and nullable
-    records gets a table of its fields by name and the count of fields
-    that an absent value would change, and every top or collection a
-    memo of the literals it absorbs ({!absorbs_literal}). Queries stamp
-    the fields they meet and fill the memos, so an index must not be
-    queried from two domains at once. *)
+    record of the shape gets a table of its fields by name and the count
+    of fields that an absent value would change, every other node a memo
+    of the literals it absorbs ({!absorbs_literal}), and a collection's
+    entries and a top's labels are indexed in turn. Queries stamp the
+    fields they meet, count the elements they walk and fill the memos,
+    so an index must not be queried from two domains at once. *)
 
 val index : Shape.t -> index
-(** O(|shape|): one table per indexed record. *)
+(** O(|shape|): one table per record. *)
 
 val indexed : index -> Shape.t
 (** The shape the index was built from (physically). *)
@@ -117,46 +117,51 @@ val same_representation : Shape.t -> Shape.t -> bool
 (** Equal shapes with their record fields in the same order: the
     representation a fold keeps, which {!Shape.equal} does not fix. *)
 
-val absorbs_literal : ?mode:mode -> index -> Shape.t -> bool
+val absorbs_literal : mode:mode -> index -> Shape.t -> bool
 (** [absorbs_literal ~mode idx k], for [k] the shape S gives a literal
     ([null] or a primitive), is whether [csh ~mode sigma k] is [sigma]
     with its representation, for [sigma = indexed idx]. Under a top or
     a collection the join is computed once per kind of literal and
     remembered in the index (a join with a constant shape depends on
-    nothing else); elsewhere it is {!absorbs_indexed}. *)
+    nothing else); elsewhere it is {!absorbs_indexed}, remembered per
+    kind of literal at every node but a record's. *)
 
-(** {2 The record step, a field at a time}
+(** {2 On a JSON document's tokens} *)
 
-    Deciding whether a record is absorbed as its fields are read: a
-    walk starts at the table of σ's record, meets each field it reads,
-    and is absorbed when every field named one of σ's, was met once and
-    absorbed there, and every field that an absent value would change
-    was met. Fields are numbered in σ's order, so a reader whose fields
-    arrive in that order can match each name in place against the one
-    after the field it met last. A table holds one walk at a time. *)
+val absorbs_tokens : mode:mode -> index -> Fsdata_data.Json.Raw.state -> bool
+(** [absorbs_tokens ~mode idx st] asks, of the JSON document at the
+    cursor, whether [csh ~mode sigma (S d)] is [sigma] with its
+    representation, reading [d]'s tokens without building [d] or
+    [S d]; S is the paper's when [mode] is [`Core] and the practical one
+    (string literals classified, Section 6.2) otherwise. It answers
+    [true] only then, having consumed [d], and may answer [false]
+    where the join would be [sigma], the caller then building [S d].
 
-type table
+    - A record is walked against its table, a field at a time: σ's
+      fields are numbered in σ's order, a key is matched in place
+      against the names after the field met last and looked up off that
+      order, and the record is absorbed when every field named one of
+      σ's, was met once and absorbed there, and every field that an
+      absent value would change was met. A record under a top is
+      absorbed iff its label absorbs it.
+    - A literal answers from its node's memo ({!absorbs_literal}). A
+      string is classified where it lies in the source, and its date
+      recognized only where σ tells a date from a string.
+    - A list is walked an element at a time, in the spirit of inference
+      as a fold (Gajda, arXiv:2011.03076): against σ's collection (or a
+      top's collection label), each element goes to the entry of its
+      tag, which walks it, and is counted there. The list is absorbed
+      when every entry's multiplicity (Section 6.4) covers its count:
+      one element is [Single], more are [Multiple], none widens
+      [Single] away. An entry that holds a nullable record declines a
+      second element, since csh joins two nullable records right
+      operand first and the fold of several elements may reorder fields
+      that each element alone would not. In [`Core] the collection's
+      one entry, always [Multiple], takes every element, and in [`Xml]
+      its one entry whatever the tag.
 
-val table : index -> string -> table option
-(** The table of the record σ indexes (or of σ's payload, for a
-    nullable record), when that record is named [name], with a fresh
-    walk started; [None] for any other shape. *)
-
-val width : table -> int
-val name_at : table -> int -> string
-
-val slot : table -> string -> int
-(** The number of σ's field of that name, or [-1]. *)
-
-val meet : table -> int -> bool
-(** [meet t i] records that the walk read field [i]; [false] when it
-    already had (a repeated name, which the walk must reject). *)
-
-val field : table -> int -> index
-(** The index of field [i]'s shape. *)
-
-val complete : table -> bool
-(** Whether every field an absent value would change was met. *)
+    A syntax fault, or nesting past the parser's bound, raises
+    [Diagnostic.Parse_error] as the parser would. *)
 
 val absorbs_record :
   index -> string -> (string * 'a) list -> (index -> 'a -> bool) -> bool

@@ -6,16 +6,7 @@ type mode = [ `Paper | `Practical | `Xml ]
 
 let m_samples = Obs_metrics.counter "infer.samples"
 
-let classify_string s : Shape.t =
-  match Primitive.classify s with
-  | Primitive.Hint_null -> Null
-  | Primitive.Hint_bit0 -> Primitive Bit0
-  | Primitive.Hint_bit1 -> Primitive Bit1
-  | Primitive.Hint_int -> Primitive Int
-  | Primitive.Hint_float -> Primitive Float
-  | Primitive.Hint_bool -> Primitive Bool
-  | Primitive.Hint_date -> Primitive Date
-  | Primitive.Hint_string -> Primitive String
+let classify_string s = Shape.of_hint (Primitive.classify s)
 
 let csh_mode : mode -> Csh.mode = function
   | `Paper -> `Core
@@ -121,13 +112,9 @@ and absorbs_value ~mode idx (d : Data_value.t) =
 and absorbs_constant ~mode idx k =
   Csh.absorbs_literal ~mode:(csh_mode mode) idx k
 
-(* A string literal. date ⊔ string = string, so whatever absorbs a
-   string absorbs any text, and a text needs no date parse there. *)
 and absorbs_string ~mode idx s =
-  if is_paper mode then absorbs_constant ~mode idx (Primitive String)
-  else
-    (Primitive.is_text s && absorbs_constant ~mode idx (Primitive String))
-    || absorbs_constant ~mode idx (classify_string s)
+  absorbs_constant ~mode idx
+    (if is_paper mode then Primitive String else classify_string s)
 
 (* The fallback for a collection or top on σ's side: the join itself.
    It is compared by representation, not by [Shape.equal]: csh joins two
@@ -162,73 +149,7 @@ and fold_samples ~mode ds =
   List.iter (fold_value ~mode acc) ds;
   acc.shape
 
-(* [absorbs_value] asked of a JSON document on the lexer stream, from
-   its first token, without building its value: keys are matched in
-   place in σ's field order and looked up off it, literals are
-   classified as S would, and only a subtree under a collection or a
-   top of σ is parsed, to be joined as [absorbs_value] does. A key σ
-   lacks or repeats answers [false]; a syntax fault, or nesting past
-   the parser's bound, raises as the parser would. *)
-let rec absorbs_tokens ~mode idx st =
-  Json.Raw.skip_ws st;
-  match Json.Raw.peek_char st with
-  | '{' -> (
-      match Csh.table idx Data_value.json_record_name with
-      | Some t -> absorbs_members ~mode t st
-      | None -> absorbs_parsed ~mode idx st)
-  | '[' -> absorbs_parsed ~mode idx st
-  | '"' -> absorbs_string ~mode idx (Json.Raw.parse_string st)
-  | 't' -> Json.Raw.lit st "true" && absorbs_constant ~mode idx (Primitive Bool)
-  | 'f' -> Json.Raw.lit st "false" && absorbs_constant ~mode idx (Primitive Bool)
-  | 'n' -> Json.Raw.lit st "null" && absorbs_constant ~mode idx Null
-  | '-' | '0' .. '9' ->
-      absorbs_constant ~mode idx
-        (Primitive (if Json.Raw.number_is_int st then Int else Float))
-  | _ -> false
-
-and absorbs_parsed ~mode idx st =
-  match Csh.indexed idx with
-  | (Collection _ | Top _) as sigma ->
-      joins_to_itself ~mode sigma (Json.Raw.parse_value st)
-  | _ -> false
-
-and absorbs_members ~mode t st =
-  Json.Raw.enter st;
-  Json.Raw.advance st;
-  Json.Raw.skip_ws st;
-  if Json.Raw.peek_char st = '}' then begin
-    Json.Raw.advance st;
-    Json.Raw.leave st;
-    Csh.complete t
-  end
-  else absorbs_member ~mode t st 0
-
-(* The member after field [next - 1] of σ's order was met *)
-and absorbs_member ~mode t st next =
-  Json.Raw.skip_ws st;
-  let i =
-    if next < Csh.width t && Json.Raw.key st (Csh.name_at t next) then next
-    else Csh.slot t (Json.Raw.parse_string st)
-  in
-  i >= 0
-  && Csh.meet t i
-  && begin
-       Json.Raw.skip_ws st;
-       Json.Raw.expect st ':';
-       absorbs_tokens ~mode (Csh.field t i) st
-     end
-  && begin
-       Json.Raw.skip_ws st;
-       match Json.Raw.peek_char st with
-       | ',' ->
-           Json.Raw.advance st;
-           absorbs_member ~mode t st (i + 1)
-       | '}' ->
-           Json.Raw.advance st;
-           Json.Raw.leave st;
-           Csh.complete t
-       | _ -> false
-     end
+let absorbs_tokens ~mode idx st = Csh.absorbs_tokens ~mode:(csh_mode mode) idx st
 
 let absorbs_json ?(mode : mode = `Practical) idx text =
   let st = Json.Raw.make text in

@@ -59,8 +59,8 @@ val absorbs_value : ?mode:mode -> Csh.index -> Fsdata_data.Data_value.t -> bool
       record of [sigma] and counts the fields that [sigma] requires
       ({!Csh.absorbs_record}); a record repeating a field name, whose
       [S] raises, is not absorbed;
-    - a literal is classified in place; against a [string] it only
-      needs {!Fsdata_data.Primitive.is_text}, as [date ⊔ string = string];
+    - a literal is classified and answers from its node's memo
+      ({!Csh.absorbs_literal});
     - a collection or top on [sigma]'s side falls back to the join of
       [sigma] with [S] of that subtree, which merges.
 
@@ -73,17 +73,21 @@ val absorbs_value : ?mode:mode -> Csh.index -> Fsdata_data.Data_value.t -> bool
 val absorbs_json : ?mode:mode -> Csh.index -> string -> bool
 (** [absorbs_json ~mode idx text] asks {!absorbs_value} of the JSON
     document [text] on its tokens, as the engine's sequential JSON fold
-    does before it parses a document: record keys are matched in place
-    in [sigma]'s field order (looked up when off it), literals are
-    classified in place, and only a subtree under a collection or a top
-    of [sigma] is parsed, to be joined. It answers [false] for a text
-    that is not exactly one document, and for a key [sigma] lacks or
-    that repeats (the parser keeps a repeated key's last binding, which
-    the walk does not follow). Whenever it holds, [Json.parse text]
-    succeeds and [absorbs_value ~mode idx] accepts its value. *)
+    does before it parses a document ({!Csh.absorbs_tokens}): record
+    keys are matched in place in [sigma]'s field order (looked up when
+    off it), string literals are classified where they lie in the text,
+    and a list is walked an element at a time against [sigma]'s
+    collection, each element against its tag's entry. It answers
+    [false] for a text that is not exactly one document, for a key
+    [sigma] lacks or that repeats (the parser keeps a repeated key's
+    last binding, which the walk does not follow), and for an element,
+    a tag or a multiplicity [sigma]'s collection has not seen. Whenever
+    it holds, [Json.parse text] succeeds and [absorbs_value ~mode idx]
+    accepts its value. *)
 
 val classify_string : string -> Shape.t
-(** The shape a string literal infers to in practical mode. *)
+(** The shape a string literal infers to in practical mode:
+    {!Shape.of_hint} of {!Fsdata_data.Primitive.classify}. *)
 
 val csh_mode : mode -> Csh.mode
 (** The collection-merging discipline each inference mode folds with:

@@ -144,6 +144,16 @@ let record name fields =
   | Some n -> invalid_arg (Printf.sprintf "Shape.record: duplicate field %S" n)
   | None -> Record { name; fields }
 
+let of_hint : Fsdata_data.Primitive.hint -> t = function
+  | Hint_null -> Null
+  | Hint_bit0 -> Primitive Bit0
+  | Hint_bit1 -> Primitive Bit1
+  | Hint_int -> Primitive Int
+  | Hint_float -> Primitive Float
+  | Hint_bool -> Primitive Bool
+  | Hint_date -> Primitive Date
+  | Hint_string -> Primitive String
+
 let nullable s = if is_non_nullable s then Nullable s else s
 let strip_nullable = function Nullable s -> s | s -> s
 

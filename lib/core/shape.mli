@@ -113,6 +113,11 @@ val top : t list -> t
 val any : t
 (** The unlabelled top shape. *)
 
+val of_hint : Fsdata_data.Primitive.hint -> t
+(** The shape S gives a literal of that reading (Section 6.2): [null]
+    for a missing marker, [bit0] and [bit1] for the two bits, and the
+    primitive of that name otherwise. *)
+
 val nullable : t -> t
 (** The paper's ceiling operator [⌈s⌉]: wraps non-nullable shapes, leaves
     every other shape unchanged. *)

@@ -354,16 +354,6 @@ let dec_any st = Vany (Primitive.normalize (Raw.parse_value st))
    but runs only the classification steps whose outcome the expected
    shape can observe, in [Primitive.classify]'s priority order. *)
 
-(* [s] has none of the readings [Primitive.classify] ranks above a date
-   or a string: it is not missing, a number or a boolean. *)
-let is_plain s =
-  let t = String.trim s in
-  not
-    (Primitive.is_missing t
-    || Option.is_some (Primitive.parse_int t)
-    || Option.is_some (Primitive.parse_float t)
-    || Option.is_some (Primitive.parse_bool t))
-
 let prim_of_string (p : Shape.primitive) : string -> tvalue =
   match p with
   | Shape.Int -> (
@@ -407,12 +397,12 @@ let prim_of_string (p : Shape.primitive) : string -> tvalue =
         | _ -> raise Mismatch)
   | Shape.Date -> (
       fun s ->
-        if not (is_plain s) then raise Mismatch
+        if not (Primitive.is_text s) then raise Mismatch
         else
           match Date.of_string s with
           | Some d -> Vdate d
           | None -> raise Mismatch)
-  | Shape.String -> fun s -> if is_plain s then Vstring s else raise Mismatch
+  | Shape.String -> fun s -> if Primitive.is_text s then Vstring s else raise Mismatch
 
 let slot_missing = Vany (Data_value.String "\000fsdata-compile-missing")
 

@@ -16,7 +16,7 @@ let compare a b =
 
 let is_leap_year y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0
 
-let days_in_month y m =
+let[@inline] days_in_month y m =
   match m with
   | 1 | 3 | 5 | 7 | 8 | 10 | 12 -> 31
   | 4 | 6 | 9 | 11 -> 30
@@ -36,162 +36,293 @@ let make ?(hour = 0) ?(minute = 0) ?(second = 0) year month day =
   else None
 
 (* --- A small hand-rolled scanner; we avoid regexes so that the accepted
-   language is exactly what this module documents. --- *)
+   language is exactly what this module documents. It reads a literal's
+   tokens in place, left to right, and allocates nothing: a number is a
+   run of at most four digits, a word a run of letters, a separator one
+   of [-/:,.+], and spaces between tokens are skipped. Any other byte,
+   or a run of five digits, is no token, so no format matches a literal
+   that holds one. --- *)
 
-let month_names =
-  [
-    ("january", 1); ("jan", 1);
-    ("february", 2); ("feb", 2);
-    ("march", 3); ("mar", 3);
-    ("april", 4); ("apr", 4);
-    ("may", 5);
-    ("june", 6); ("jun", 6);
-    ("july", 7); ("jul", 7);
-    ("august", 8); ("aug", 8);
-    ("september", 9); ("sep", 9);
-    ("october", 10); ("oct", 10);
-    ("november", 11); ("nov", 11);
-    ("december", 12); ("dec", 12);
-  ]
+let full_names =
+  [| "january"; "february"; "march"; "april"; "may"; "june"; "july";
+     "august"; "september"; "october"; "november"; "december" |]
 
-(* [s] from [i] on equals [lower] from [i] on, ignoring the case of [s]. *)
-let rec equal_ci_from s lower i =
-  i = String.length s
-  || Char.lowercase_ascii (String.unsafe_get s i) = String.unsafe_get lower i
-     && equal_ci_from s lower (i + 1)
+let lower s i = Char.lowercase_ascii (String.unsafe_get s i)
 
-(* The month that [s] names (any case) in [names], or 0. Allocates
-   nothing: no lowercased copy, no option. *)
-let rec month_in names s =
-  match names with
-  | [] -> 0
-  | (name, m) :: names ->
-      if String.length s = String.length name && equal_ci_from s name 0 then m
-      else month_in names s
+(* [s] from [i] to [stop] is [name] from [j] on, ignoring the case of [s] *)
+let rec equal_ci s i stop name j =
+  i = stop || (lower s i = String.unsafe_get name j && equal_ci s (i + 1) stop name (j + 1))
 
-let month_of_name s = month_in month_names s
+(* The month the word from [i] to [stop] names in any case, as its full
+   English name or its three-letter abbreviation, or 0. Its first three
+   letters pick the only month it can name. *)
+let month_in s i stop =
+  let n = stop - i in
+  if n < 3 || n > 9 then 0
+  else
+    let m =
+      match (lower s i, lower s (i + 1), lower s (i + 2)) with
+      | 'j', 'a', 'n' -> 1
+      | 'f', 'e', 'b' -> 2
+      | 'm', 'a', 'r' -> 3
+      | 'a', 'p', 'r' -> 4
+      | 'm', 'a', 'y' -> 5
+      | 'j', 'u', 'n' -> 6
+      | 'j', 'u', 'l' -> 7
+      | 'a', 'u', 'g' -> 8
+      | 's', 'e', 'p' -> 9
+      | 'o', 'c', 't' -> 10
+      | 'n', 'o', 'v' -> 11
+      | 'd', 'e', 'c' -> 12
+      | _ -> 0
+    in
+    let name = if m = 0 then "" else full_names.(m - 1) in
+    if m > 0 && (n = 3 || (n = String.length name && equal_ci s (i + 3) stop name 3))
+    then m
+    else 0
 
-let is_digit c = c >= '0' && c <= '9'
-let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let[@inline] is_digit c = c >= '0' && c <= '9'
+let[@inline] is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let[@inline] is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
 
-type token = Num of int * int (* value, digit count *) | Word of string | Sep of char
+(* Spaces between tokens are usually none, which [skip_spaces] tells
+   without a call: this runs on every string literal an inference
+   classifies. *)
+let rec spaces_from s i stop =
+  if i < stop && String.unsafe_get s i = ' ' then spaces_from s (i + 1) stop else i
 
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  let ok = ref true in
-  while !i < n && !ok do
-    let c = s.[!i] in
-    if c = ' ' then incr i
-    else if is_digit c then begin
-      let start = !i in
-      while !i < n && is_digit s.[!i] do incr i done;
-      let digits = !i - start in
-      if digits > 4 then ok := false
-      else toks := Num (int_of_string (String.sub s start digits), digits) :: !toks
-    end
-    else if is_letter c then begin
-      let start = !i in
-      while !i < n && is_letter s.[!i] do incr i done;
-      toks := Word (String.sub s start (!i - start)) :: !toks
-    end
-    else if c = '-' || c = '/' || c = ':' || c = ',' || c = '.' || c = '+' then begin
-      toks := Sep c :: !toks;
-      incr i
-    end
-    else ok := false
+let[@inline] skip_spaces s i stop =
+  if i < stop && String.unsafe_get s i = ' ' then spaces_from s (i + 1) stop else i
+
+let digits_end s i stop =
+  let j = ref i in
+  while !j < stop && is_digit (String.unsafe_get s !j) do incr j done;
+  !j
+
+let letters_end s i stop =
+  let j = ref i in
+  while !j < stop && is_letter (String.unsafe_get s !j) do incr j done;
+  !j
+
+(* The end of the number token at [i], or -1 when there is none *)
+let num_end s i stop =
+  let e = digits_end s i stop in
+  if e > i && e - i <= 4 then e else -1
+
+(* The value of the digits from [i] to [j] *)
+let value s i j =
+  let v = ref 0 in
+  for k = i to j - 1 do
+    v := (!v * 10) + Char.code (String.unsafe_get s k) - 48
   done;
-  if !ok then Some (List.rev !toks) else None
+  !v
 
-(* Parse an optional time suffix: already-tokenized tail of the form
-   [Num h; Sep ':'; Num m (; Sep ':'; Num s)] possibly followed by an ISO
-   zone designator [Word "Z"] or [Sep '+'; Num _; Sep ':'; Num _]. The zone
-   is recognized and discarded: inference only needs to know the literal is
-   a date, not its absolute instant. *)
-let parse_time = function
-  | [] -> Some (0, 0, 0)
-  | Num (h, _) :: Sep ':' :: Num (m, _) :: rest -> (
-      let finish rest s =
-        match rest with
-        | [] | [ Word ("Z" | "z") ] -> Some s
-        | Sep ('+' | '-') :: Num (_, _) :: Sep ':' :: Num (_, _) :: [] -> Some s
-        | _ -> None
-      in
-      match rest with
-      | Sep ':' :: Num (s, _) :: rest -> (
-          (* allow fractional seconds: .123 *)
-          match rest with
-          | Sep '.' :: Num (_, _) :: rest ->
-              Option.map (fun s -> (h, m, s)) (finish rest s)
-          | _ -> Option.map (fun s -> (h, m, s)) (finish rest s))
-      | rest -> Option.map (fun s -> (h, m, s)) (finish rest 0))
-  | _ -> None
+let[@inline] is_sep s i stop c = i < stop && String.unsafe_get s i = c
 
-let build y m d rest =
-  match parse_time rest with
-  | None -> None
-  | Some (hh, mm, ss) -> make ~hour:hh ~minute:mm ~second:ss y m d
+(* The word at [i] is the one letter [c], in either case *)
+let[@inline] is_letter_word s i stop c =
+  letters_end s i stop = i + 1 && Char.lowercase_ascii (String.unsafe_get s i) = c
+
+(* What may end a time: nothing, an ISO zone designator [Z], or an
+   offset [+hh:mm] or [-hh:mm]. The zone is recognized and discarded:
+   inference only needs to know the literal is a date, not its
+   absolute instant. *)
+let zone_ends s i stop =
+  i = stop
+  || (is_letter_word s i stop 'z' && skip_spaces s (i + 1) stop = stop)
+  || (is_sep s i stop '+' || is_sep s i stop '-')
+     &&
+     let e = num_end s (skip_spaces s (i + 1) stop) stop in
+     e >= 0
+     &&
+     let j = skip_spaces s e stop in
+     is_sep s j stop ':'
+     &&
+     let e = num_end s (skip_spaces s (j + 1) stop) stop in
+     e >= 0 && skip_spaces s e stop = stop
+
+(* A valid time of day, the zone from [rest] on: packed as
+   [(h lsl 12) lor (m lsl 6) lor s], or -1 *)
+let clock s h m sec rest stop =
+  if h <= 23 && m <= 59 && sec <= 59 && zone_ends s rest stop then
+    (h lsl 12) lor (m lsl 6) lor sec
+  else -1
+
+(* An optional time suffix from [i] on: [hh:mm], [hh:mm:ss] or
+   [hh:mm:ss.fff], then a zone; midnight when there is none. *)
+let time s i stop =
+  if i = stop then 0
+  else
+    let e = num_end s i stop in
+    let j = if e < 0 then stop else skip_spaces s e stop in
+    if not (is_sep s j stop ':') then -1
+    else
+      let k = skip_spaces s (j + 1) stop in
+      let e' = num_end s k stop in
+      if e' < 0 then -1
+      else
+        let h = value s i e and m = value s k e' in
+        let l = skip_spaces s e' stop in
+        if not (is_sep s l stop ':') then clock s h m 0 l stop
+        else
+          let p = skip_spaces s (l + 1) stop in
+          let e = num_end s p stop in
+          if e < 0 then -1
+          else
+            let q = skip_spaces s e stop in
+            (* fractional seconds: .123 *)
+            let f =
+              if is_sep s q stop '.' then num_end s (skip_spaces s (q + 1) stop) stop
+              else -1
+            in
+            clock s h m (value s p e) (if f < 0 then q else skip_spaces s f stop) stop
+
+(* A valid calendar date and the time from [rest] on, packed into one
+   int (a year takes 14 bits) so that recognizing allocates nothing *)
+let build s y m d rest stop =
+  let t = time s rest stop in
+  if
+    t >= 0 && y >= 1 && y <= 9999 && m >= 1 && m <= 12 && d >= 1
+    && d <= days_in_month y m
+  then (((((y lsl 4) lor m) lsl 5) lor d) lsl 17) lor t
+  else -1
 
 let current_year = 2016
 (* Year-less dates ("May 3") need *a* year for calendar validation; F# Data
    uses the current year. We pin the paper's year so behaviour is
    deterministic. Only validity (e.g. Feb 29) depends on it. *)
 
-let rec word_end s i =
-  if i < String.length s && is_letter s.[i] then word_end s (i + 1) else i
+(* After "May 3" or "3 May", at [i]: a year, as [, yyyy] or [yyyy], or
+   none, then a time *)
+let with_year s m d i stop =
+  let j = if is_sep s i stop ',' then skip_spaces s (i + 1) stop else i in
+  let e = digits_end s j stop in
+  if e - j = 4 then build s (value s j e) m d (skip_spaces s e stop) stop
+  else build s current_year m d i stop
 
-let rec has_digit s i =
-  i < String.length s && (is_digit s.[i] || has_digit s (i + 1))
+(* yyyy-mm-dd or yyyy/mm/dd read up to the day's end [e]: an ISO date
+   may have a T before its time *)
+let year_first s sep y m d e stop =
+  let q = skip_spaces s e stop in
+  let q =
+    if q < stop && sep = '-' && is_letter_word s q stop 't' then skip_spaces s (q + 1) stop
+    else q
+  in
+  build s y m d q stop
 
-(* Every format below contains a digit and starts with a number or a
-   month name (a word of 3 to 9 letters): a scan that keeps ordinary
-   words and identifiers away from the tokenizer. *)
-let may_be_date s =
-  String.length s > 0
-  && (is_digit s.[0] || (let w = word_end s 0 in w >= 3 && w <= 9))
-  && has_digit s 0
+let[@inline] two_digits s i = is_digit (String.unsafe_get s i) && is_digit (String.unsafe_get s (i + 1))
+let[@inline] digit s i = Char.code (String.unsafe_get s i) - 48
 
-let of_string s =
-  let s = String.trim s in
-  if String.length s < 3 || String.length s > 40 || not (may_be_date s) then None
+(* The ten bytes from [i] are [dddd-dd-dd] or [dddd/dd/dd] *)
+let[@inline] plain_year_first s i =
+  let sep = String.unsafe_get s (i + 4) in
+  (sep = '-' || sep = '/')
+  && String.unsafe_get s (i + 7) = sep
+  && two_digits s i
+  && two_digits s (i + 2)
+  && two_digits s (i + 5)
+  && two_digits s (i + 8)
+
+(* A literal that starts with a number of [n] digits, [a], and goes on
+   at [j] *)
+let numeric s a n j stop =
+  if j >= stop then -1
   else
-    match tokenize s with
-    | None -> None
-    | Some toks -> (
-        match toks with
-        (* ISO: yyyy-mm-dd, with optional T or space before the time. *)
-        | Num (y, 4) :: Sep '-' :: Num (m, _) :: Sep '-' :: Num (d, _) :: rest -> (
-            match rest with
-            | Word ("T" | "t") :: rest | rest -> build y m d rest)
-        (* yyyy/mm/dd *)
-        | Num (y, 4) :: Sep '/' :: Num (m, _) :: Sep '/' :: Num (d, _) :: rest ->
-            build y m d rest
+    match String.unsafe_get s j with
+    | ('-' | '/') as sep when n = 4 ->
+        (* ISO: yyyy-mm-dd, with optional T or space before the time;
+           yyyy/mm/dd *)
+        let k = skip_spaces s (j + 1) stop in
+        let e = num_end s k stop in
+        let l = if e < 0 then stop else skip_spaces s e stop in
+        if not (is_sep s l stop sep) then -1
+        else
+          let p = skip_spaces s (l + 1) stop in
+          let e' = num_end s p stop in
+          if e' < 0 then -1 else year_first s sep a (value s k e) (value s p e') e' stop
+    | '/' ->
         (* mm/dd/yyyy (invariant culture), falling back to dd/mm/yyyy when
            the first number cannot be a month. *)
-        | Num (a, _) :: Sep '/' :: Num (b, _) :: Sep '/' :: Num (y, 4) :: rest ->
-            if a <= 12 then build y a b rest else build y b a rest
-        (* May 3 | May 3, 2012 *)
-        | Word w :: Num (d, dd) :: rest when dd <= 2 -> (
-            match month_of_name w with
-            | 0 -> None
-            | m -> (
-                match rest with
-                | Sep ',' :: Num (y, 4) :: rest | Num (y, 4) :: rest ->
-                    build y m d rest
-                | rest -> build current_year m d rest))
+        let k = skip_spaces s (j + 1) stop in
+        let e = num_end s k stop in
+        let l = if e < 0 then stop else skip_spaces s e stop in
+        if not (is_sep s l stop '/') then -1
+        else
+          let p = skip_spaces s (l + 1) stop in
+          let e' = digits_end s p stop in
+          if e' - p <> 4 then -1
+          else
+            let b = value s k e and y = value s p e' in
+            let rest = skip_spaces s e' stop in
+            if a <= 12 then build s y a b rest stop else build s y b a rest stop
+    | c when n <= 2 && is_letter c ->
         (* 3 May | 3 May 2012 *)
-        | Num (d, dd) :: Word w :: rest when dd <= 2 -> (
-            match month_of_name w with
-            | 0 -> None
-            | m -> (
-                match rest with
-                | Sep ',' :: Num (y, 4) :: rest | Num (y, 4) :: rest ->
-                    build y m d rest
-                | rest -> build current_year m d rest))
-        | _ -> None)
+        let w = letters_end s j stop in
+        let m = month_in s j w in
+        if m = 0 then -1 else with_year s m a (skip_spaces s w stop) stop
+    | _ -> -1
 
-let is_date s = of_string s <> None
+let rec trim_start s i stop =
+  if i < stop && is_space (String.unsafe_get s i) then trim_start s (i + 1) stop else i
+
+let rec trim_stop s i stop =
+  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop s i (stop - 1)
+  else stop
+
+(* The date the literal from [i] to [stop] spells, trimmed, packed as by
+   [build], or -1 *)
+let find s i stop =
+  let i = if i < stop && is_space (String.unsafe_get s i) then trim_start s i stop else i in
+  let stop =
+    if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop s i stop else stop
+  in
+  if stop - i < 3 || stop - i > 40 then -1
+  else
+    let c = String.unsafe_get s i in
+    if stop - i = 10 && plain_year_first s i then
+      (* yyyy-mm-dd or yyyy/mm/dd and nothing else: the commonest
+         spelling, read at its places *)
+      let y =
+        (digit s i * 1000) + (digit s (i + 1) * 100) + (digit s (i + 2) * 10) + digit s (i + 3)
+      and m = (digit s (i + 5) * 10) + digit s (i + 6)
+      and d = (digit s (i + 8) * 10) + digit s (i + 9) in
+      if y >= 1 && m >= 1 && m <= 12 && d >= 1 && d <= days_in_month y m then
+        ((((y lsl 4) lor m) lsl 5) lor d) lsl 17
+      else -1
+    else if is_digit c then
+      let e = digits_end s i stop in
+      if e - i > 4 then -1 else numeric s (value s i e) (e - i) (skip_spaces s e stop) stop
+    else if is_letter c then
+      (* May 3 | May 3, 2012 *)
+      let w = letters_end s i stop in
+      let m = month_in s i w in
+      if m = 0 then -1
+      else
+        let j = skip_spaces s w stop in
+        let e = digits_end s j stop in
+        if e = j || e - j > 2 then -1 else with_year s m (value s j e) (skip_spaces s e stop) stop
+    else -1
+
+let of_string s =
+  match find s 0 (String.length s) with
+  | -1 -> None
+  | p ->
+      Some
+        {
+          year = p lsr 26;
+          month = (p lsr 22) land 15;
+          day = (p lsr 17) land 31;
+          hour = (p lsr 12) land 31;
+          minute = (p lsr 6) land 63;
+          second = p land 63;
+        }
+
+let is_date s = find s 0 (String.length s) >= 0
+
+let is_date_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Date.is_date_sub"
+  else find s off (off + len) >= 0
 
 let to_iso8601 t =
   if t.hour = 0 && t.minute = 0 && t.second = 0 then

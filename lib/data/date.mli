@@ -38,10 +38,21 @@ val of_string : string -> t option
       ["3 January"], with full or three-letter English month names
 
     Returns [None] for anything else; notably bare numbers are not dates,
-    so numeric columns never collapse into dates. *)
+    so numeric columns never collapse into dates.
+
+    The recognizer reads the literal's tokens (numbers of at most four
+    digits, words, separators) in place, left to right, with no token
+    list and no substring: only the answer is allocated. *)
 
 val is_date : string -> bool
-(** [is_date s] is [of_string s <> None]. *)
+(** [is_date s] iff [of_string s <> None], decided without allocating. *)
+
+val is_date_sub : string -> int -> int -> bool
+(** [is_date_sub s off len] is [is_date (String.sub s off len)], read
+    in place: the date test of a literal that sits inside a larger
+    buffer, such as a JSON string in its source text.
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
 
 val to_iso8601 : t -> string
 (** Canonical printing: ["YYYY-MM-DD"] when the time is midnight, otherwise

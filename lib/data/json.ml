@@ -181,32 +181,54 @@ let parse_string_slow st =
   in
   loop ()
 
+(* The end of the run from [i] that needs no decoding: the offset of
+   the first quote, backslash or control character, or the end of the
+   input. Nothing in the run can be a newline (those are control
+   characters), so consuming it needs no line bookkeeping. *)
+let rec plain_end src len i =
+  if i < len
+     &&
+     let c = Bytes.unsafe_get src i in
+     c <> '"' && c <> '\\' && Char.code c >= 0x20
+  then plain_end src len (i + 1)
+  else i
+
+(* After the opening quote, the offset of the closing one when the
+   literal holds no escape or control character: its content is then
+   the source bytes in between, and the cursor moves past it.
+   Otherwise -1, with the cursor left where it was. *)
+let plain_literal st =
+  let i = plain_end st.src st.len st.pos in
+  if i < st.len && Bytes.unsafe_get st.src i = '"' then begin
+    st.pos <- i + 1;
+    i
+  end
+  else -1
+
+(* A literal without escapes or control characters decodes to a
+   substring of the source. *)
 let parse_string st =
   expect st '"';
-  (* Fast path: a literal without escapes or control characters decodes
-     to a substring of the source. Nothing in the scanned run can be a
-     newline (those are control characters), so no line bookkeeping. *)
-  let src = st.src and len = st.len in
   let start = st.pos in
-  let i = ref start in
-  let stop = ref '\000' in
-  while
-    !i < len
-    &&
-    let c = Bytes.unsafe_get src !i in
-    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
-      stop := c;
-      false
-    end
-    else true
-  do
-    incr i
-  done;
-  if !stop = '"' then begin
-    st.pos <- !i + 1;
-    Bytes.sub_string src start (!i - start)
-  end
-  else parse_string_slow st
+  match plain_literal st with
+  | -1 -> parse_string_slow st
+  | stop -> Bytes.sub_string st.src start (stop - start)
+
+(* [Primitive.classify] of a string literal, in the source when the
+   literal needs no decoding: the source is read through a string view
+   that lives only for the call. *)
+let classify_string ~dates st =
+  expect st '"';
+  let start = st.pos in
+  match plain_literal st with
+  | -1 ->
+      let s = parse_string_slow st in
+      Primitive.classify_sub ~dates s 0 (String.length s)
+  | stop -> Primitive.classify_sub ~dates (Bytes.unsafe_to_string st.src) start (stop - start)
+
+let skip_string st =
+  expect st '"';
+  if plain_literal st < 0 then ignore (parse_string_slow st)
 
 let digit_at src len j =
   j < len && Bytes.get src j >= '0' && Bytes.get src j <= '9'
@@ -389,6 +411,52 @@ and parse_array st =
     Data_value.List (List.rev rev_items)
   end
 
+(* [parse_value] that builds nothing: it reads the same syntax, stops
+   where the parser stops and faults where it faults. *)
+let rec skip_value st =
+  skip_ws st;
+  match peek_char st with
+  | '{' -> skip_members st '{' '}'
+  | '[' -> skip_members st '[' ']'
+  | '"' -> skip_string st
+  | 't' -> parse_literal st "true" ()
+  | 'f' -> parse_literal st "false" ()
+  | 'n' -> parse_literal st "null" ()
+  | '-' | '0' .. '9' -> ignore (scan_number st)
+  | c ->
+      if at_eof st then error st "unexpected end of input"
+      else error st "unexpected character %C" c
+
+(* An object's members or an array's elements, between [opening] and
+   [closing] *)
+and skip_members st opening closing =
+  enter st;
+  expect st opening;
+  skip_ws st;
+  if peek_char st = closing then advance st
+  else begin
+    let rec members () =
+      skip_ws st;
+      if opening = '{' then begin
+        skip_string st;
+        skip_ws st;
+        expect st ':'
+      end;
+      skip_value st;
+      skip_ws st;
+      match peek_char st with
+      | ',' ->
+          advance st;
+          members ()
+      | c when c = closing -> advance st
+      | c ->
+          if at_eof st then error st "unterminated"
+          else error st "expected ',' or %C but found %C" closing c
+    in
+    members ()
+  end;
+  leave st
+
 let parse s =
   Fsdata_obs.Trace.with_span "parse.json" @@ fun () ->
   Fsdata_obs.Metrics.incr m_docs;
@@ -509,6 +577,7 @@ module Reader = struct
     mutable start : int; (* offset of the document being read; -1 between documents *)
     mutable from : int; (* offset of the document the boundary scan is for *)
     mutable scanned : int; (* how far that scan has come *)
+    mutable tried : int; (* bytes buffered at the latest try of a held document *)
     mutable sc : scanner; (* that scan, or the resync of a fault *)
     mutable fault : Diagnostic.t option; (* a fault whose resync awaits input *)
     mutable index : int; (* global index of the latest document, read or skipped *)
@@ -537,6 +606,7 @@ module Reader = struct
       start = -1;
       from = -1;
       scanned = 0;
+      tried = 0;
       sc = scanner ();
       fault = None;
       index = -1;
@@ -627,6 +697,21 @@ module Reader = struct
         st.depth <- 0;
         Doc (parse_value st)
 
+  (* Whether reading the held document, without building it, stops
+     before the buffer's end, at its end or at a fault; the cursor stays
+     where it is *)
+  let stops_short r =
+    let st = r.st in
+    let pos = st.pos and line = st.line and bol = st.bol in
+    r.tried <- st.len - r.start;
+    (try skip_value st with Diagnostic.Parse_error _ -> ());
+    let short = st.pos < st.len in
+    st.pos <- pos;
+    st.line <- line;
+    st.bol <- bol;
+    st.depth <- 0;
+    short
+
   let rec next ?absorb r =
     let st = r.st in
     match r.fault with
@@ -638,6 +723,7 @@ module Reader = struct
           Cancel.check r.cancel;
           r.index <- r.index + 1;
           r.start <- st.pos;
+          r.tried <- 0;
           document ?absorb r
         end
         else if r.finished then End
@@ -648,12 +734,23 @@ module Reader = struct
      scan where its own would be, and a fault's resync may cut at a line
      inside it. The reading counts unless it ran into the buffer's end;
      then the reader rewinds and scans from the document, which covers
-     the bytes after it. So no byte is scanned more than twice. *)
+     the bytes after it. So no byte is scanned more than twice.
+
+     A document the scan holds (a fault that no line can cut off, such
+     as one before lines that each open after a comma) is tried each
+     time its buffered bytes double, by a reading that builds nothing
+     ([stops_short]). When it stops before the buffer's end, at the
+     document's end or at a fault, the document is read as in the text,
+     and a fault resyncs as in the text; when it runs into the end, the
+     document waits. So the tries of a held document cost at most two
+     readings of it. *)
   and document ?absorb r =
     let st = r.st and start = r.start and line = r.st.line and bol = r.st.bol in
     let at_once = (not r.finished) && r.from <> start && start < r.scanned in
-    if not (r.finished || at_once || ended r) then Await
-    else
+    let held = not (r.finished || at_once || ended r) in
+    if held && r.tried = 0 then r.tried <- st.len - start;
+    if held && not (st.len - start >= 2 * r.tried && stops_short r) then Await
+    else begin
       match
         Fsdata_obs.Metrics.time m_ns (fun () ->
             try Ok (read ?absorb st) with Diagnostic.Parse_error d -> Error d)
@@ -684,6 +781,7 @@ module Reader = struct
               r.sc <- seed_scanner st ~start;
               r.fault <- Some d;
               skip ?absorb r d)
+    end
 
   (* Once its resync finds the next boundary or the input ends, report
      the malformed document with its global index and raw text. *)
@@ -782,6 +880,87 @@ module Raw = struct
          done;
          !i = n && (st.pos <- p + n + 2; true)
        end
+
+  let rec key_among st names i upto =
+    if i >= upto then -1
+    else if key st (Array.unsafe_get names i) then i
+    else key_among st names (i + 1) upto
+
+  (* A key matched, then its colon: the key's number and the first
+     character of its value *)
+  let matched st i =
+    skip_ws st;
+    expect st ':';
+    skip_ws st;
+    (i lsl 8) lor Char.code (peek_char st)
+
+  let member st names ~from ~upto =
+    skip_ws st;
+    match key_among st names from (min upto (Array.length names)) with
+    | -1 -> -1
+    | i -> matched st i
+
+  let next_member st names ~from ~upto =
+    skip_ws st;
+    match peek_char st with
+    | ',' ->
+        st.pos <- st.pos + 1;
+        member st names ~from ~upto
+    | '}' ->
+        st.pos <- st.pos + 1;
+        leave st;
+        -2
+    | _ -> -3
+
+  let next_value st =
+    skip_ws st;
+    peek_char st
+
+  let colon st =
+    skip_ws st;
+    expect st ':';
+    next_value st
+
+  let literal st ~classify ~dates =
+    match peek_char st with
+    | '"' ->
+        if classify then classify_string ~dates st
+        else begin
+          skip_string st;
+          Primitive.Hint_string
+        end
+    | 't' -> parse_literal st "true" Primitive.Hint_bool
+    | 'f' -> parse_literal st "false" Primitive.Hint_bool
+    | 'n' -> parse_literal st "null" Primitive.Hint_null
+    | '-' | '0' .. '9' -> if number_is_int st then Primitive.Hint_int else Primitive.Hint_float
+    | c ->
+        if at_eof st then error st "unexpected end of input"
+        else error st "unexpected character %C" c
+
+  let open_ st closing =
+    enter st;
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    peek_char st = closing
+    && begin
+         st.pos <- st.pos + 1;
+         leave st;
+         true
+       end
+
+  let after st closing =
+    skip_ws st;
+    let c = peek_char st in
+    if c = ',' then begin
+      st.pos <- st.pos + 1;
+      1
+    end
+    else if c = closing then begin
+      st.pos <- st.pos + 1;
+      leave st;
+      0
+    end
+    else -1
 
   let enter = enter
   let leave = leave

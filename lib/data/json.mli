@@ -110,12 +110,61 @@ module Raw : sig
       Lets a compiled record decoder match an expected ["key"] without
       decoding or allocating. *)
 
-  val key : state -> string -> bool
-  (** [key st name] consumes the JSON literal ["name"] at the cursor when
-      the source bytes are exactly [name] between quotes and [name]
-      needs no escape, and returns [true]; otherwise it leaves the
-      cursor untouched. An object key matched in place, without
-      decoding or allocating. *)
+  (** {2 Steps of a walk}
+
+      The steps a walker over the token stream takes at every member or
+      element, each one call: a walker outside this module pays a call
+      per step, and fewer, coarser steps keep its cost per byte near the
+      lexer's. *)
+
+  val member : state -> string array -> from:int -> upto:int -> int
+  (** [member st names ~from ~upto], at an object member: skip
+      whitespace, and when the key is [names.(i)] for the first such [i]
+      from [from] below [upto] (and the length of [names]), matched in
+      place (the source bytes are exactly [names.(i)] between quotes,
+      and it needs no escape), consume it and its [':'] and answer
+      [(i lsl 8) lor Char.code c], [c] the first character of the value
+      after whitespace. Answer [-1] when no such name matches, having
+      consumed nothing but whitespace.
+      @raise Diagnostic.Parse_error when the key has no [':']. *)
+
+  val next_member : state -> string array -> from:int -> upto:int -> int
+  (** After an object member: skip whitespace and, at a [','], consume
+      it and go on as {!member}; at the closing ['}'], consume it, leave
+      the object's level and answer [-2]; answer [-3] at anything else,
+      consuming nothing. *)
+
+  val next_value : state -> char
+  (** Skip whitespace and {!peek_char} the first character of the next
+      value. *)
+
+  val colon : state -> char
+  (** Skip whitespace and the [':'] that ends an object key, then
+      {!next_value}. @raise Diagnostic.Parse_error when the next
+      character is no [':']. *)
+
+  val literal : state -> classify:bool -> dates:bool -> Primitive.hint
+  (** Scan the literal at the cursor and answer its reading. A string
+      with [~classify:true] reads as {!Primitive.classify_sub} [~dates]
+      reads its content, which for a literal without escapes is read
+      where it lies in the source, with no copy; with [~classify:false]
+      it reads as [Hint_string]. A number reads as [Hint_int] or
+      [Hint_float] as {!number_is_int} tells, [true] and [false] as
+      [Hint_bool], and [null] as [Hint_null].
+      @raise Diagnostic.Parse_error on faults, and at a ['{'], a ['\[']
+      or any other character that starts no literal. *)
+
+  val open_ : state -> char -> bool
+  (** [open_ st closing], at an object's ['{'] or an array's ['\[']:
+      {!enter} a level and consume the opener, and when the next
+      character after whitespace is [closing], consume it too, {!leave}
+      the level and answer [true] (an empty object or array).
+      @raise Diagnostic.Parse_error past the nesting bound. *)
+
+  val after : state -> char -> int
+  (** [after st closing], after a member or an element: skip whitespace
+      and consume a [','] (answer [1]), or [closing], leaving its level
+      (answer [0]); answer [-1] at anything else, consuming nothing. *)
 
   val enter : state -> unit
   (** Count one more level of nesting, as the parser does at ['{'] and
@@ -180,7 +229,11 @@ end
     strings and brackets that cannot continue a literal or number, or at
     a line opening with [{] or [\[] after a value (the resync's line
     rule). So a top-level number ending with the buffer waits for more.
-    Each fed byte is scanned at most twice; a whole text never. *)
+    Each fed byte is scanned at most twice; a whole text never. A
+    document the scan holds anyway (a fault before lines that each open
+    after a comma) is tried each time its buffered bytes double by a
+    reading that builds nothing, and read as in the text once that
+    reading stops before the buffer's end. *)
 module Reader : sig
   type t
 

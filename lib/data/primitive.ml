@@ -10,91 +10,215 @@ type hint =
 
 let missing_markers = [ ""; "#N/A"; "NA"; "N/A"; ":"; "-" ]
 
-(* [List.mem (String.trim s) missing_markers] as a string match: this
-   runs on every string literal inferred or decoded. [String.trim]
-   copies only when there is whitespace to remove. *)
-let is_missing s =
-  match String.trim s with
-  | "" | "#N/A" | "NA" | "N/A" | ":" | "-" -> true
+(* Every reading below is decided on a slice of a string, [s] from [i]
+   to [stop], in one left-to-right pass that copies nothing, so that a
+   literal is classified where it lies: in a CSV cell's text or in a
+   JSON source buffer. *)
+
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+(* The bounds of the slice trimmed as by [String.trim]; most literals
+   need no trimming, which is told without a loop *)
+let rec trim_start_from s i stop =
+  if i < stop && is_space (String.unsafe_get s i) then trim_start_from s (i + 1) stop else i
+
+let[@inline] trim_start s i stop =
+  if i < stop && is_space (String.unsafe_get s i) then trim_start_from s (i + 1) stop else i
+
+let rec trim_stop_from s i stop =
+  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop_from s i (stop - 1)
+  else stop
+
+let[@inline] trim_stop s i stop =
+  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop_from s i (stop - 1)
+  else stop
+
+let[@inline] check_slice name s off len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg name
+
+(* [List.mem] over the missing markers, for a trimmed slice *)
+let[@inline] missing_in s i stop =
+  match stop - i with
+  | 0 -> true
+  | 1 -> String.unsafe_get s i = ':' || String.unsafe_get s i = '-'
+  | 2 -> String.unsafe_get s i = 'N' && String.unsafe_get s (i + 1) = 'A'
+  | 3 ->
+      String.unsafe_get s i = 'N'
+      && String.unsafe_get s (i + 1) = '/'
+      && String.unsafe_get s (i + 2) = 'A'
+  | 4 ->
+      String.unsafe_get s i = '#'
+      && String.unsafe_get s (i + 1) = 'N'
+      && String.unsafe_get s (i + 2) = '/'
+      && String.unsafe_get s (i + 3) = 'A'
   | _ -> false
 
-(* The end of the run of decimal digits in [s] from [j]. *)
-let rec digits_from s j =
-  if j < String.length s && s.[j] >= '0' && s.[j] <= '9' then
-    digits_from s (j + 1)
+let is_missing s =
+  let stop = String.length s in
+  let i = trim_start s 0 stop in
+  missing_in s i (trim_stop s i stop)
+
+let rec digits_from s j stop =
+  if j < stop && String.unsafe_get s j >= '0' && String.unsafe_get s j <= '9' then
+    digits_from s (j + 1) stop
   else j
 
-let parse_int s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n = 0 then None
-  else
-    let start = if s.[0] = '-' || s.[0] = '+' then 1 else 0 in
-    if n = start || digits_from s start < n then None else int_of_string_opt s
+let rec zeros_from s j stop =
+  if j < stop && String.unsafe_get s j = '0' then zeros_from s (j + 1) stop else j
 
-let parse_float s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n = 0 then None
+(* The digits of [max_int] and of [min_int]'s magnitude: the bounds
+   [int_of_string] checks a decimal literal against. *)
+let max_digits = string_of_int max_int
+let min_digits = let m = string_of_int min_int in String.sub m 1 (String.length m - 1)
+
+(* The digits from [i] to [stop] against [bound]'s, as decimal numbers
+   of the same length *)
+let rec digits_at_most s i stop bound j =
+  i = stop
+  ||
+  let c = String.unsafe_get s i and b = String.unsafe_get bound j in
+  c < b || (c = b && digits_at_most s (i + 1) stop bound (j + 1))
+
+(* Whether the digits from [i] to [stop] (leading zeros included) fit a
+   native int, with a minus sign or without, as [int_of_string] rules *)
+let fits s ~neg i stop =
+  let i = zeros_from s i stop in
+  let bound = if neg then min_digits else max_digits in
+  let n = stop - i and b = String.length bound in
+  n < b || (n = b && digits_at_most s i stop bound 0)
+
+(* What a trimmed slice reads as a number:
+   [sign] digits [. digits] [(e|E) [sign] digits], with at least one
+   digit around the point. An integer is [Fits] when [int_of_string]
+   reads it and [Overflows] (a float) otherwise. *)
+type number = Not_number | Fits | Overflows | Fraction
+
+let number s i stop =
+  if i = stop then Not_number
   else
-    (* Accept: [sign] digits [. digits] [(e|E) [sign] digits]
-       with at least one digit somewhere around the point. *)
-    let start = if s.[0] = '-' || s.[0] = '+' then 1 else 0 in
-    let int_end = digits_from s start in
-    let frac_end =
-      if int_end < n && s.[int_end] = '.' then digits_from s (int_end + 1)
-      else int_end
-    in
-    let saw_digits = int_end > start || frac_end > int_end + 1 in
-    (* the end of the exponent, or -1 when it has no digits *)
-    let end_after_exp =
-      if frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then begin
-        let j =
-          if frac_end + 1 < n && (s.[frac_end + 1] = '-' || s.[frac_end + 1] = '+')
-          then frac_end + 2
-          else frac_end + 1
-        in
-        let e = digits_from s j in
-        if e > j then e else -1
-      end
-      else frac_end
-    in
-    if end_after_exp = n && saw_digits then float_of_string_opt s else None
+    let c = String.unsafe_get s i in
+    let start = if c = '-' || c = '+' then i + 1 else i in
+    let int_end = digits_from s start stop in
+    if int_end = stop && int_end > start then
+      if fits s ~neg:(c = '-') start stop then Fits else Overflows
+    else
+      let frac_end =
+        if int_end < stop && String.unsafe_get s int_end = '.' then
+          digits_from s (int_end + 1) stop
+        else int_end
+      in
+      let saw_digits = int_end > start || frac_end > int_end + 1 in
+      (* the end of the exponent, or -1 when it has no digits *)
+      let end_after_exp =
+        if frac_end < stop
+           && (String.unsafe_get s frac_end = 'e' || String.unsafe_get s frac_end = 'E')
+        then begin
+          let j =
+            if frac_end + 1 < stop
+               && (String.unsafe_get s (frac_end + 1) = '-'
+                  || String.unsafe_get s (frac_end + 1) = '+')
+            then frac_end + 2
+            else frac_end + 1
+          in
+          let e = digits_from s j stop in
+          if e > j then e else -1
+        end
+        else frac_end
+      in
+      if end_after_exp = stop && saw_digits then Fraction else Not_number
 
 (* [is t i c]: the [i]th character of [t], lowercased, is [c]. *)
-let is t i c = Char.lowercase_ascii (String.unsafe_get t i) = c
+let[@inline] is t i c = Char.lowercase_ascii (String.unsafe_get t i) = c
 
-(* Case-insensitive, without a lowercased copy. *)
+(* A trimmed slice as a boolean, case-insensitive: 1 for true, 0 for
+   false, -1 for neither *)
+let[@inline] bool_in s i stop =
+  match stop - i with
+  | 2 when is s i 'n' && is s (i + 1) 'o' -> 0
+  | 3 when is s i 'y' && is s (i + 1) 'e' && is s (i + 2) 's' -> 1
+  | 4 when is s i 't' && is s (i + 1) 'r' && is s (i + 2) 'u' && is s (i + 3) 'e' -> 1
+  | 5
+    when is s i 'f' && is s (i + 1) 'a' && is s (i + 2) 'l' && is s (i + 3) 's'
+         && is s (i + 4) 'e' ->
+      0
+  | _ -> -1
+
+(* The value of the digits from [i] to [stop], which fit: accumulated
+   negatively, so that [min_int] is reached too *)
+let rec int_value s i stop acc =
+  if i = stop then acc
+  else int_value s (i + 1) stop ((acc * 10) - (Char.code (String.unsafe_get s i) - 48))
+
+let parse_int s =
+  let stop = String.length s in
+  let i = trim_start s 0 stop in
+  let stop = trim_stop s i stop in
+  match number s i stop with
+  | Fits ->
+      let c = String.unsafe_get s i in
+      let start = if c = '-' || c = '+' then i + 1 else i in
+      let v = int_value s start stop 0 in
+      Some (if c = '-' then v else -v)
+  | Not_number | Overflows | Fraction -> None
+
+let parse_float s =
+  let stop = String.length s in
+  let i = trim_start s 0 stop in
+  let stop = trim_stop s i stop in
+  match number s i stop with
+  | Not_number -> None
+  | Fits | Overflows | Fraction -> float_of_string_opt (String.sub s i (stop - i))
+
 let parse_bool s =
-  let t = String.trim s in
-  match String.length t with
-  | 2 when is t 0 'n' && is t 1 'o' -> Some false
-  | 3 when is t 0 'y' && is t 1 'e' && is t 2 's' -> Some true
-  | 4 when is t 0 't' && is t 1 'r' && is t 2 'u' && is t 3 'e' -> Some true
-  | 5 when is t 0 'f' && is t 1 'a' && is t 2 'l' && is t 3 's' && is t 4 'e'
-    ->
-      Some false
-  | _ -> None
+  let stop = String.length s in
+  let i = trim_start s 0 stop in
+  match bool_in s i (trim_stop s i stop) with 1 -> Some true | 0 -> Some false | _ -> None
 
-let classify s =
-  let t = String.trim s in
-  if is_missing t then Hint_null
-  else if String.equal t "0" then Hint_bit0
-  else if String.equal t "1" then Hint_bit1
-  else if Option.is_some (parse_int t) then Hint_int
-  else if Option.is_some (parse_float t) then Hint_float
-  else if Option.is_some (parse_bool t) then Hint_bool
-  else if Date.is_date t then Hint_date
-  else Hint_string
+(* The first byte of the trimmed slice tells which readings it may
+   have: a number starts with a digit, a sign or a point, a boolean with
+   a letter, a date with a digit or a letter, a missing marker with
+   [#], [:], [-] or [N]; a missing marker or a boolean has at most five
+   bytes. *)
+let classify_sub ~dates s off len =
+  check_slice "Primitive.classify_sub" s off len;
+  let i = trim_start s off (off + len) in
+  let stop = trim_stop s i (off + len) in
+  if stop = i then Hint_null
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9'
+      when dates && stop - i = 10
+           && (String.unsafe_get s (i + 4) = '-' || String.unsafe_get s (i + 4) = '/')
+           && Date.is_date_sub s i 10 ->
+        (* a date is never a number: yyyy-mm-dd is told first *)
+        Hint_date
+    | ('0' .. '9' | '+' | '-' | '.') as c -> (
+        match number s i stop with
+        | Fits ->
+            if stop > i + 1 then Hint_int
+            else if c = '0' then Hint_bit0
+            else if c = '1' then Hint_bit1
+            else Hint_int
+        | Overflows | Fraction -> Hint_float
+        | Not_number ->
+            if stop = i + 1 && c = '-' then Hint_null
+            else if dates && c >= '0' && c <= '9' && Date.is_date_sub s i (stop - i) then
+              Hint_date
+            else Hint_string)
+    | 'a' .. 'z' | 'A' .. 'Z' ->
+        if stop - i <= 5 && missing_in s i stop then Hint_null
+        else if stop - i <= 5 && bool_in s i stop >= 0 then Hint_bool
+        else if dates && Date.is_date_sub s i (stop - i) then Hint_date
+        else Hint_string
+    | '#' | ':' -> if missing_in s i stop then Hint_null else Hint_string
+    | _ -> Hint_string
 
-(* [parse_float] accepts every literal that [parse_int] does ("0" and "1"
-   among them), so ruling out missing markers, floats and booleans rules
-   out every hint before the date. *)
+let classify s = classify_sub ~dates:true s 0 (String.length s)
+
 let is_text s =
-  let t = String.trim s in
-  (not (is_missing t))
-  && Option.is_none (parse_float t)
-  && Option.is_none (parse_bool t)
+  match classify_sub ~dates:false s 0 (String.length s) with
+  | Hint_string -> true
+  | Hint_null | Hint_bit0 | Hint_bit1 | Hint_int | Hint_float | Hint_bool | Hint_date -> false
 
 let to_value s =
   let t = String.trim s in

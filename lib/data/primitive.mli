@@ -43,15 +43,27 @@ val classify : string -> hint
     0s and 1s provides a [bool] (the [Autofilled] column of Section 6.2):
     their join is the [bit] shape, which maps to [bool].
 
-    The literal is trimmed once and no step copies it: the number
-    parsers stop at the first character that rules them out, and the
-    tokenizing date parser runs only on literals that start with a digit
-    or a word of month-name length and contain a digit. *)
+    It is [classify_sub ~dates:true s 0 (String.length s)]. *)
+
+val classify_sub : dates:bool -> string -> int -> int -> hint
+(** [classify_sub ~dates:true s off len] is [classify (String.sub s off len)],
+    decided in place and without allocating: one left-to-right pass
+    over the trimmed slice reads it as a missing marker, then as a
+    number (an integer that [int_of_string] would reject as too large
+    reads as a float), then as a boolean, and only then hands it to
+    {!Date.is_date_sub}, whose recognizer also reads the slice in
+    place. A JSON string without escapes is so classified in its
+    source text. With [~dates:false] the date recognizer does not run
+    and a date reads as [Hint_string]: all that a reader that only
+    needs [is_text] asks, or one that already knows that its shape
+    absorbs a string, since [date ⊔ string = string].
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
 
 val is_text : string -> bool
 (** [is_text s] iff [classify s] is [Hint_date] or [Hint_string]: the
     literals a [string] shape absorbs, since [date ⊔ string = string].
-    It decides that without running the date parser. *)
+    It decides that without running the date recognizer. *)
 
 val to_value : string -> Data_value.t * hint
 (** [to_value s] converts the literal to a data value together with its

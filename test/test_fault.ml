@@ -733,22 +733,36 @@ let test_feed_fault_depth () =
    so the documents after it are read as they arrive, not at [finish];
    so are top-level scalars with nothing between them. Each read
    matches the text's report. *)
-let test_feed_unbalanced () =
-  let count_before_finish text =
-    let skipped = ref 0 in
-    let r =
-      Json.Reader.incremental ~on_error:(fun _ ~skipped:_ -> incr skipped) ()
-    in
-    let rec go i read =
-      if i >= String.length text then read
-      else
-        let n = min 8192 (String.length text - i) in
-        go (i + n) (read + List.length (feed_docs r (String.sub text i n)))
-    in
-    let read = go 0 0 in
-    let rest = List.length (finish_docs r) in
-    (read, rest, !skipped)
+(* [text] fed to a reader in 8 KiB fragments: the documents read before
+   [finish], those read at it, and the faults skipped *)
+let count_before_finish text =
+  let skipped = ref 0 in
+  let r =
+    Json.Reader.incremental ~on_error:(fun _ ~skipped:_ -> incr skipped) ()
   in
+  let rec go i read =
+    if i >= String.length text then read
+    else
+      let n = min 8192 (String.length text - i) in
+      go (i + n) (read + List.length (feed_docs r (String.sub text i n)))
+  in
+  let read = go 0 0 in
+  let rest = List.length (finish_docs r) in
+  (read, rest, !skipped)
+
+(* [Infer.run]'s report on [text] read whole and fed in 8 KiB fragments *)
+let check_fed_report text =
+  let run source = Infer.run (Diagnostic.Percent 100.) Json source in
+  let fragments =
+    List.init
+      ((String.length text + 8191) / 8192)
+      (fun i -> String.sub text (8192 * i) (min 8192 (String.length text - (8192 * i))))
+  in
+  Alcotest.(check string) "the text's report"
+    (report_text (run (Infer.String text)))
+    (report_text (run (Infer.Feed (pull fragments))))
+
+let test_feed_unbalanced () =
   let text =
     String.concat "\n" ({|{"a": 1|} :: List.init 10_000 (fun _ -> {|{"a": 2}|}))
   in
@@ -759,18 +773,23 @@ let test_feed_unbalanced () =
   let read, rest, _ = count_before_finish zeros in
   Alcotest.(check (list int)) "0s read before finish, at finish"
     [ 100_000; 0 ] [ read; rest ];
-  List.iter
-    (fun text ->
-      let run source = Infer.run (Diagnostic.Percent 100.) Json source in
-      let fragments =
-        List.init
-          ((String.length text + 8191) / 8192)
-          (fun i -> String.sub text (8192 * i) (min 8192 (String.length text - (8192 * i))))
-      in
-      Alcotest.(check string) "the text's report"
-        (report_text (run (Infer.String text)))
-        (report_text (run (Infer.Feed (pull fragments)))))
-    [ text; zeros ]
+  List.iter check_fed_report [ text; zeros ]
+
+(* A fault before lines that each open after a comma: no line cuts the
+   document off, since a valid pretty-printed array looks the same. A
+   held document is read again each time its buffered bytes double, so
+   its fault resyncs at line 2 as in the text, and every line after it
+   is read as it arrives. *)
+let test_feed_held_fault () =
+  let text =
+    String.concat "\n" ({|{"a": tru,|} :: List.init 80_000 (fun _ -> {|{"b": 2},|}))
+  in
+  let read, rest, skipped = count_before_finish text in
+  if read < 79_000 then
+    Alcotest.failf "only %d documents read before finish" read;
+  Alcotest.(check int) "every document read" 80_000 (read + rest);
+  Alcotest.(check int) "a fault per line" 80_001 skipped;
+  check_fed_report text
 
 let suite =
   [
@@ -822,4 +841,6 @@ let suite =
       test_feed_fault_depth;
     Alcotest.test_case "feed: an unbalanced document is cut at a line" `Quick
       test_feed_unbalanced;
+    Alcotest.test_case "feed: a held fault is read before finish" `Quick
+      test_feed_held_fault;
   ]

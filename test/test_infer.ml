@@ -339,6 +339,8 @@ let test_absorbs_value_field_order () =
     (Csh.absorbs ~mode:`Core sigma delta);
   check Alcotest.bool "absorbs_value: not the same representation" false
     (Infer.absorbs_value ~mode:`Paper (Csh.index sigma) d2);
+  check Alcotest.bool "the token walk: a second element against a nullable record" false
+    (Infer.absorbs_json ~mode:`Paper (Csh.index sigma) (Fsdata_data.Json.to_string d2));
   check Alcotest.string "the fold takes the join's field order"
     "[nullable \xe2\x80\xa2 {x: int, z: int, y: nullable int}]"
     (Shape.to_string (Infer.shape_of_samples ~mode:`Paper [ d1; d2 ]));
@@ -613,6 +615,70 @@ let gen_walk_case =
   in
   (ds, text)
 
+(* Documents whose lists the element walk counts: empty, one-element
+   and longer lists, lists mixing tags (a top, or per-tag entries),
+   lists of lists, and lists under a record that is sometimes null or
+   absent, and under list elements whose own record field is sometimes
+   null (an entry holding a nullable record). [gen_variant] drops and
+   repeats elements and retypes literals, so the folded variants and
+   the one asked about differ in tags and in counts. *)
+let gen_list_doc =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun i -> Dv.Int i) (int_range 0 2);
+        map (fun s -> Dv.String s) (oneofl [ "a"; "2012-05-01"; "1"; "NA" ]);
+        return Dv.Null;
+        map (fun b -> Dv.Bool b) bool;
+      ]
+  in
+  let record inner =
+    let* a = leaf in
+    let+ r = oneof [ return Dv.Null; map (fun v -> Dv.Record ("•", [ ("x", v) ])) leaf; inner ] in
+    Dv.Record ("•", [ ("a", a); ("r", r) ])
+  in
+  let list elem = map (fun xs -> Dv.List xs) (list_size (oneofl [ 0; 1; 1; 2; 3 ]) elem) in
+  let elem =
+    frequency
+      [ (3, leaf); (2, record (return Dv.Null)); (1, list leaf); (1, list (record (return Dv.Null))) ]
+  in
+  let* l = list elem in
+  let* m = list (oneof [ leaf; list leaf ]) in
+  let+ o = oneof [ return Dv.Null; map (fun l -> Dv.Record ("•", [ ("l", l) ])) (list elem) ] in
+  Dv.Record ("•", [ ("l", l); ("m", m); ("o", o) ])
+
+(* Each document also gets a field [t] of its own, a list in some and a
+   literal in others, so that σ holds a top whose collection label the
+   element walk reads *)
+let gen_list_fold_case =
+  let open QCheck2.Gen in
+  let with_t (d : Dv.t) =
+    let+ t =
+      oneof
+        [
+          map (fun xs -> Dv.List xs) (list_size (int_range 0 3) (map (fun i -> Dv.Int i) (int_range 0 2)));
+          map (fun i -> Dv.Int i) (int_range 0 2);
+          return (Dv.String "x");
+        ]
+    in
+    match d with Dv.Record (n, fields) -> Dv.Record (n, fields @ [ ("t", t) ]) | d -> d
+  in
+  let* base = gen_list_doc in
+  let* folded = list_size (int_range 0 3) (gen_variant base) in
+  let* d = gen_variant base in
+  let* ds = flatten_l (List.map with_t (base :: folded)) in
+  let+ d = with_t d in
+  (ds, d)
+
+(* A document and the ones folded into σ, written as JSON text *)
+let gen_list_walk_case =
+  QCheck2.Gen.map
+    (fun (ds, d) ->
+      let through_json d = Json.parse (Json.to_string d) in
+      (List.map through_json ds, Json.to_string d))
+    gen_list_fold_case
+
 let print_walk_case (ds, text) = print_samples ds ^ " / " ^ text
 
 let json_modes : Infer.mode list = [ `Paper; `Practical ]
@@ -632,13 +698,15 @@ let walk_answers ~mode (ds, text) =
 let prop_walk_sound =
   QCheck2.Test.make
     ~name:"the token walk accepts only what absorbs_value accepts, JSON modes"
-    ~count:1000 ~print:print_walk_case gen_walk_case (fun case ->
+    ~count:1000 ~print:print_walk_case
+    (QCheck2.Gen.oneof [ gen_walk_case; gen_list_walk_case ])
+    (fun case ->
       List.for_all
         (fun mode ->
           match walk_answers ~mode case with
           | true, Some true | false, _ -> true
           | true, (Some false | None) -> false)
-        json_modes)
+        modes)
 
 (* the generator keeps both answers of the walk common *)
 let test_walk_cases_balanced () =
@@ -654,6 +722,21 @@ let test_walk_cases_balanced () =
         Alcotest.failf "%s: the walk accepts %.0f%% of the cases"
           (string_of_mode mode) (100. *. share))
     json_modes
+
+(* The element walk reads lists and does not decline them wholesale:
+   on the list cases it accepts a fair share in every mode *)
+let test_walk_lists_accepted () =
+  let rand = Random.State.make [| 29 |] in
+  let cases = QCheck2.Gen.generate ~rand ~n:600 gen_list_walk_case in
+  List.iter
+    (fun mode ->
+      let accepted =
+        List.length (List.filter (fun c -> fst (walk_answers ~mode c)) cases)
+      in
+      if accepted < 60 then
+        Alcotest.failf "%s: the walk accepts %d of 600 list cases"
+          (string_of_mode mode) accepted)
+    modes
 
 (* The parser's nesting bound holds on the walk: σ, given parsed, nests
    records as deep as the bound and its innermost field is a top, and
@@ -810,6 +893,7 @@ let suite =
     tc "the fold merges only what grows" `Quick test_fold_merge_count;
     tc "mode applies to JSON only" `Quick test_mode_applies_to_json_only;
     QCheck_alcotest.to_alcotest prop_walk_sound;
+    tc "absorbs_json: lists are walked" `Quick test_walk_lists_accepted;
     tc "the walk: both answers are common" `Quick test_walk_cases_balanced;
     tc "the walk: nesting bound" `Quick test_walk_depth;
     QCheck_alcotest.to_alcotest prop_run_matches_oracle;

@@ -193,16 +193,77 @@ let gen_literal =
     string_size ~gen:(pick (String.to_seq "0123456789-/:,.+ TZtMayJnSepe" |> List.of_seq))
       (int_range 0 24)
   in
+  (* every production of the date grammar, with spaces between tokens,
+     2- and 1-digit fields, digit runs of five and more, times with and
+     without seconds, fractions and zones, and month words in any case *)
+  let grammar =
+    let sp = pick [ ""; ""; ""; " "; "  " ] in
+    let field = oneof [ map (Printf.sprintf "%02d") (int_range 0 99); map string_of_int (int_range 0 99) ] in
+    let run = oneof [ field; map string_of_int (int_range 100 99_999); pick [ "000"; "00000"; "123456" ] ] in
+    let year = oneof [ map (Printf.sprintf "%04d") (int_range 0 9999); pick [ "2016"; "2000"; "1900"; "12345"; "12" ] ] in
+    let clock =
+      let* h = run in
+      let* s1 = sp in
+      let* m = field in
+      let* sec = oneof [ return ""; map (fun s -> ":" ^ s) field; pick [ ":"; ":5" ] ] in
+      let* frac =
+        if sec = "" then return ""
+        else oneof [ return ""; map (fun d -> "." ^ d) run; return "." ]
+      in
+      let+ zone = pick [ ""; ""; "Z"; "z"; " Z"; "+02:00"; "-05:30"; "+2:0"; "+0200"; "Zz"; "-"; "+01:00:00" ] in
+      h ^ s1 ^ ":" ^ m ^ sec ^ frac ^ zone
+    in
+    let time seps = oneof [ return ""; (let* sep = pick seps in let+ c = clock in sep ^ c) ] in
+    let year_first =
+      let* y = year in
+      let* sep = pick [ "-"; "-"; "/"; "." ] in
+      let* s1 = sp and* s2 = sp in
+      let* m = run and* d = run in
+      let+ t = time [ "T"; "t"; " "; ""; "TT" ] in
+      y ^ s1 ^ sep ^ s2 ^ m ^ sep ^ d ^ t
+    in
+    let month_first_slash =
+      let* a = run and* b = run in
+      let* y = year in
+      let+ t = time [ " "; "" ] in
+      a ^ "/" ^ b ^ "/" ^ y ^ t
+    in
+    let named =
+      let* w = month >>= case_mix in
+      let* d = run in
+      let* s1 = sp in
+      let* y = oneof [ return ""; map (fun y -> ", " ^ y) year; map (fun y -> " " ^ y) year; return "," ] in
+      let* t = time [ " " ] in
+      let+ day_first = bool in
+      if day_first then d ^ s1 ^ " " ^ w ^ y ^ t else w ^ s1 ^ " " ^ d ^ y ^ t
+    in
+    oneof [ year_first; month_first_slash; named ]
+  in
+  (* integers about the native bounds, signed and zero-padded, and
+     exponents *)
+  let big =
+    let* sign = pick [ ""; "-"; "+" ] in
+    let* pad = pick [ ""; "0"; "000000" ] in
+    let+ digits =
+      pick
+        [ "4611686018427387903"; "4611686018427387904"; "4611686018427387905";
+          "9223372036854775807"; "99999999999999999999"; "1e400"; "1E+5"; "2e-3";
+          "12.5e"; "1e+"; "0.0000001"; "123456789012345678" ]
+    in
+    sign ^ pad ^ digits
+  in
   let literal =
     frequency
       [
         (3, map2 ( ^ ) iso time); (2, slashed); (2, month_date); (2, day_month);
         (1, feb29); (2, marker); (3, number); (2, boolean); (2, hex_id);
-        (2, words); (3, fuzz);
+        (2, words); (3, fuzz); (4, grammar); (2, big);
       ]
   in
-  map3 (fun l s r -> l ^ s ^ r) (pick [ ""; ""; " "; "\t" ]) literal
-    (pick [ ""; ""; " "; "\n" ])
+  map3 (fun l s r -> l ^ s ^ r)
+    (pick [ ""; ""; " "; "\t"; "\r\n "; "\012" ])
+    literal
+    (pick [ ""; ""; " "; "\n"; "\t"; " \012" ])
 
 let prop_classify_matches_oracle =
   QCheck2.Test.make ~count:3000
@@ -213,6 +274,90 @@ let prop_classify_matches_oracle =
       && P.parse_bool s = Oracle.parse_bool s
       && P.parse_float s = Oracle.parse_float s
       && P.is_missing s = Oracle.is_missing s)
+
+(* The readings of a literal wherever it lies and however it reaches a
+   reader: as a slice of a larger buffer (bytes that would read
+   otherwise on either side), as a JSON string with and without an
+   escaped byte, and through the compiled decoder of every primitive
+   shape and of its nullable form, which decodes it iff the old cascade
+   gives it that shape and then to the value that cascade converts it
+   to. *)
+module Shape = Fsdata_core.Shape
+module Compile = Fsdata_core.Shape_compile
+
+let oracle_value s : Dv.t =
+  match Oracle.classify s with
+  | Oracle.Hint_null -> Dv.Null
+  | Oracle.Hint_bit0 -> Dv.Int 0
+  | Oracle.Hint_bit1 -> Dv.Int 1
+  | Oracle.Hint_int -> Dv.Int (Option.get (Oracle.parse_int s))
+  | Oracle.Hint_float -> Dv.Float (Option.get (Oracle.parse_float s))
+  | Oracle.Hint_bool -> Dv.Bool (Option.get (Oracle.parse_bool s))
+  | Oracle.Hint_date | Oracle.Hint_string -> Dv.String s
+
+let compiled =
+  List.concat_map
+    (fun p ->
+      let s = Shape.Primitive p in
+      [ (s, Compile.compile s); (Shape.nullable s, Compile.compile (Shape.nullable s)) ])
+    Shape.[ Bit0; Bit1; Bit; Bool; Int; Float; Date; String ]
+
+let gen_placed_literal =
+  QCheck2.Gen.(
+    let padding = string_size ~gen:(oneofl (String.to_seq "0123456789-:/ .eTZMay\t" |> List.of_seq)) (int_range 0 4) in
+    let* s = gen_literal in
+    let* pre = padding and* post = padding in
+    let+ k = int_bound 1000 in
+    (s, pre, post, k))
+
+(* [s] as a JSON string, and with its [k]th byte (if any, and ASCII)
+   written as a \u escape *)
+let json_literals s k =
+  let part t =
+    let j = Fsdata_data.Json.to_string (Dv.String t) in
+    String.sub j 1 (String.length j - 2)
+  in
+  let n = String.length s in
+  let i = if n = 0 then 0 else k mod n in
+  ("\"" ^ part s ^ "\"")
+  ::
+  (if n = 0 || Char.code s.[i] >= 0x80 then []
+   else
+     [ "\"" ^ part (String.sub s 0 i) ^ Printf.sprintf "\\u%04x" (Char.code s.[i])
+       ^ part (String.sub s (i + 1) (n - i - 1)) ^ "\"" ])
+
+let prop_placed_literals_match_oracle =
+  QCheck2.Test.make ~count:3000
+    ~name:"slices, JSON literals and compiled string decoders agree with the old cascade"
+    ~print:(fun (s, pre, post, k) -> Printf.sprintf "%S in %S ... %S (%d)" s pre post k)
+    gen_placed_literal (fun (s, pre, post, k) ->
+      let buf = pre ^ s ^ post and off = String.length pre and len = String.length s in
+      let expected = Oracle.classify s in
+      let text = match expected with Oracle.Hint_date -> Oracle.Hint_string | h -> h in
+      P.classify_sub ~dates:true buf off len = expected
+      && P.classify_sub ~dates:false buf off len = text
+      && Fsdata_data.Date.is_date_sub buf off len = Oracle.Date.is_date s
+      && List.for_all
+           (fun json ->
+             let literal classify dates =
+               Fsdata_data.Json.Raw.literal (Fsdata_data.Json.Raw.make json) ~classify ~dates
+             in
+             literal true true = expected
+             && literal true false = text
+             && literal false true = Oracle.Hint_string
+             && List.for_all
+                  (fun (shape, c) ->
+                    let direct =
+                      match Compile.convert shape (oracle_value s) with
+                      | v -> Some v
+                      | exception Compile.Mismatch -> None
+                    in
+                    match (Compile.parse c json, direct) with
+                    | Compile.Direct v, Some w -> Compile.equal_tvalue v w
+                    | Compile.Fallback _, None -> true
+                    | _ -> false)
+                  compiled)
+           (json_literals s k))
 
 (* the shortcut the inference fold takes against a string shape *)
 let prop_is_text_matches_classify =
@@ -250,4 +395,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_classify_matches_oracle;
     QCheck_alcotest.to_alcotest prop_is_text_matches_classify;
+    QCheck_alcotest.to_alcotest prop_placed_literals_match_oracle;
   ]
