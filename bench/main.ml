@@ -631,12 +631,13 @@ let faults_bench () =
      corpus's variants, every document is walked against σ on its
      tokens and never parsed, its string literals classified where they
      lie and its lists an element at a time. On records of one wide
-     shape inferring costs less than parsing; on event records, with a
-     date on each and a tag list on a fifth, it is reported (about the
-     parse's cost, so not gated) *)
+     shape inferring costs less than parsing. Event records, with a
+     date on each and a tag list on a fifth, still infer at 1.1 to 1.2
+     times their parse, so they are timed outside --smoke only, with
+     no bound *)
   let wide = Workloads.wide_corpus_text ~width:200 (1024 * 1024) in
   List.iter
-    (fun (name, text, gated) ->
+    (fun (name, text) ->
       let (_, t_parse), (report, t_fold) =
         time_interleaved ~repeats:5
           (fun () -> Fsdata_data.Json.fold_many (fun k ds -> k + List.length ds) 0 text)
@@ -650,11 +651,11 @@ let faults_bench () =
         name (t_parse *. 1e3) (t_fold *. 1e3) ratio;
       if !smoke then begin
         if Result.is_error report then fail (Printf.sprintf "the %s failed to infer" name);
-        if gated && ratio >= 1. then
+        if ratio >= 1. then
           fail (Printf.sprintf "fold below parse: infer/parse %.2f, not below 1" ratio)
       end)
-    [ ("wide records", wide, true);
-      ("event records", Workloads.events_corpus_text (1024 * 1024), false) ];
+    (("wide records", wide)
+    :: (if !smoke then [] else [ ("event records", Workloads.events_corpus_text (1024 * 1024)) ]));
   (* 4. a feed read like a text: one ~1 MiB document costs about the
      same fed in 8 KiB fragments (an HTTP socket read each) as fed in
      one, since the reader scans each fed byte once for the document's

@@ -81,9 +81,7 @@ let month_in s i stop =
     then m
     else 0
 
-let[@inline] is_digit c = c >= '0' && c <= '9'
 let[@inline] is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-let[@inline] is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
 
 (* Spaces between tokens are usually none, which [skip_spaces] tells
    without a call: this runs on every string literal an inference
@@ -94,11 +92,6 @@ let rec spaces_from s i stop =
 let[@inline] skip_spaces s i stop =
   if i < stop && String.unsafe_get s i = ' ' then spaces_from s (i + 1) stop else i
 
-let digits_end s i stop =
-  let j = ref i in
-  while !j < stop && is_digit (String.unsafe_get s !j) do incr j done;
-  !j
-
 let letters_end s i stop =
   let j = ref i in
   while !j < stop && is_letter (String.unsafe_get s !j) do incr j done;
@@ -106,7 +99,7 @@ let letters_end s i stop =
 
 (* The end of the number token at [i], or -1 when there is none *)
 let num_end s i stop =
-  let e = digits_end s i stop in
+  let e = Slice.digits_end s i stop in
   if e > i && e - i <= 4 then e else -1
 
 (* The value of the digits from [i] to [j] *)
@@ -196,7 +189,7 @@ let current_year = 2016
    none, then a time *)
 let with_year s m d i stop =
   let j = if is_sep s i stop ',' then skip_spaces s (i + 1) stop else i in
-  let e = digits_end s j stop in
+  let e = Slice.digits_end s j stop in
   if e - j = 4 then build s (value s j e) m d (skip_spaces s e stop) stop
   else build s current_year m d i stop
 
@@ -210,6 +203,7 @@ let year_first s sep y m d e stop =
   in
   build s y m d q stop
 
+let[@inline] is_digit c = c >= '0' && c <= '9'
 let[@inline] two_digits s i = is_digit (String.unsafe_get s i) && is_digit (String.unsafe_get s (i + 1))
 let[@inline] digit s i = Char.code (String.unsafe_get s i) - 48
 
@@ -249,7 +243,7 @@ let numeric s a n j stop =
         if not (is_sep s l stop '/') then -1
         else
           let p = skip_spaces s (l + 1) stop in
-          let e' = digits_end s p stop in
+          let e' = Slice.digits_end s p stop in
           if e' - p <> 4 then -1
           else
             let b = value s k e and y = value s p e' in
@@ -262,26 +256,15 @@ let numeric s a n j stop =
         if m = 0 then -1 else with_year s m a (skip_spaces s w stop) stop
     | _ -> -1
 
-let rec trim_start s i stop =
-  if i < stop && is_space (String.unsafe_get s i) then trim_start s (i + 1) stop else i
-
-let rec trim_stop s i stop =
-  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop s i (stop - 1)
-  else stop
-
-(* The date the literal from [i] to [stop] spells, trimmed, packed as by
-   [build], or -1 *)
+(* The date the slice from [i] to [stop], as it lies, spells, packed
+   as by [build], or -1 *)
 let find s i stop =
-  let i = if i < stop && is_space (String.unsafe_get s i) then trim_start s i stop else i in
-  let stop =
-    if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop s i stop else stop
-  in
   if stop - i < 3 || stop - i > 40 then -1
   else
     let c = String.unsafe_get s i in
     if stop - i = 10 && plain_year_first s i then
       (* yyyy-mm-dd or yyyy/mm/dd and nothing else: the commonest
-         spelling, read at its places *)
+         spelling, read at its places rather than through [numeric] *)
       let y =
         (digit s i * 1000) + (digit s (i + 1) * 100) + (digit s (i + 2) * 10) + digit s (i + 3)
       and m = (digit s (i + 5) * 10) + digit s (i + 6)
@@ -290,7 +273,7 @@ let find s i stop =
         ((((y lsl 4) lor m) lsl 5) lor d) lsl 17
       else -1
     else if is_digit c then
-      let e = digits_end s i stop in
+      let e = Slice.digits_end s i stop in
       if e - i > 4 then -1 else numeric s (value s i e) (e - i) (skip_spaces s e stop) stop
     else if is_letter c then
       (* May 3 | May 3, 2012 *)
@@ -299,12 +282,17 @@ let find s i stop =
       if m = 0 then -1
       else
         let j = skip_spaces s w stop in
-        let e = digits_end s j stop in
+        let e = Slice.digits_end s j stop in
         if e = j || e - j > 2 then -1 else with_year s m (value s j e) (skip_spaces s e stop) stop
     else -1
 
+(* [find] on the slice trimmed as by [String.trim] *)
+let find_trimmed s i stop =
+  let i = Slice.trim_start s i stop in
+  find s i (Slice.trim_stop s i stop)
+
 let of_string s =
-  match find s 0 (String.length s) with
+  match find_trimmed s 0 (String.length s) with
   | -1 -> None
   | p ->
       Some
@@ -317,12 +305,15 @@ let of_string s =
           second = p land 63;
         }
 
-let is_date s = find s 0 (String.length s) >= 0
+let is_date s = find_trimmed s 0 (String.length s) >= 0
 
 let is_date_sub s off len =
-  if off < 0 || len < 0 || off > String.length s - len then
-    invalid_arg "Date.is_date_sub"
-  else find s off (off + len) >= 0
+  Slice.check "Date.is_date_sub" s off len;
+  find_trimmed s off (off + len) >= 0
+
+let is_date_trimmed s off len =
+  Slice.check "Date.is_date_trimmed" s off len;
+  find s off (off + len) >= 0
 
 let to_iso8601 t =
   if t.hour = 0 && t.minute = 0 && t.second = 0 then

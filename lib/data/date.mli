@@ -54,6 +54,14 @@ val is_date_sub : string -> int -> int -> bool
     @raise Invalid_argument when [off] and [len] are not a valid slice
     of [s]. *)
 
+val is_date_trimmed : string -> int -> int -> bool
+(** [is_date_trimmed s off len] reads the slice as it lies, without
+    trimming it: it is [is_date_sub s off len] for a slice that neither
+    starts nor ends with a space, such as one {!Primitive.classify_sub}
+    has trimmed.
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
+
 val to_iso8601 : t -> string
 (** Canonical printing: ["YYYY-MM-DD"] when the time is midnight, otherwise
     ["YYYY-MM-DDTHH:MM:SS"]. *)

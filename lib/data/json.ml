@@ -412,12 +412,15 @@ and parse_array st =
   end
 
 (* [parse_value] that builds nothing: it reads the same syntax, stops
-   where the parser stops and faults where it faults. *)
-let rec skip_value st =
+   where the parser stops and faults where it faults. [mark] is told
+   the offset after each separator of the value's own members or
+   elements, from where {!skip_elements} reads on as this reading
+   would. *)
+let rec skip_value ?(mark = ignore) st =
   skip_ws st;
   match peek_char st with
-  | '{' -> skip_members st '{' '}'
-  | '[' -> skip_members st '[' ']'
+  | '{' -> skip_members ~mark st '{' '}'
+  | '[' -> skip_members ~mark st '[' ']'
   | '"' -> skip_string st
   | 't' -> parse_literal st "true" ()
   | 'f' -> parse_literal st "false" ()
@@ -429,33 +432,33 @@ let rec skip_value st =
 
 (* An object's members or an array's elements, between [opening] and
    [closing] *)
-and skip_members st opening closing =
+and skip_members ~mark st opening closing =
   enter st;
   expect st opening;
   skip_ws st;
-  if peek_char st = closing then advance st
-  else begin
-    let rec members () =
-      skip_ws st;
-      if opening = '{' then begin
-        skip_string st;
-        skip_ws st;
-        expect st ':'
-      end;
-      skip_value st;
-      skip_ws st;
-      match peek_char st with
-      | ',' ->
-          advance st;
-          members ()
-      | c when c = closing -> advance st
-      | c ->
-          if at_eof st then error st "unterminated"
-          else error st "expected ',' or %C but found %C" closing c
-    in
-    members ()
-  end;
+  if peek_char st = closing then advance st else skip_elements ~mark st opening closing;
   leave st
+
+(* The members or elements from the first or from after a separator,
+   through [closing] *)
+and skip_elements ~mark st opening closing =
+  skip_ws st;
+  if opening = '{' then begin
+    skip_string st;
+    skip_ws st;
+    expect st ':'
+  end;
+  skip_value st;
+  skip_ws st;
+  match peek_char st with
+  | ',' ->
+      advance st;
+      mark st.pos;
+      skip_elements ~mark st opening closing
+  | c when c = closing -> advance st
+  | c ->
+      if at_eof st then error st "unterminated"
+      else error st "expected ',' or %C but found %C" closing c
 
 let parse s =
   Fsdata_obs.Trace.with_span "parse.json" @@ fun () ->
@@ -577,7 +580,9 @@ module Reader = struct
     mutable start : int; (* offset of the document being read; -1 between documents *)
     mutable from : int; (* offset of the document the boundary scan is for *)
     mutable scanned : int; (* how far that scan has come *)
+    mutable declined : bool; (* that scan passed a line [cut_off] declined *)
     mutable tried : int; (* bytes buffered at the latest try of a held document *)
+    mutable resume : int; (* where that try can read on from, or -1 *)
     mutable sc : scanner; (* that scan, or the resync of a fault *)
     mutable fault : Diagnostic.t option; (* a fault whose resync awaits input *)
     mutable index : int; (* global index of the latest document, read or skipped *)
@@ -606,7 +611,9 @@ module Reader = struct
       start = -1;
       from = -1;
       scanned = 0;
+      declined = false;
       tried = 0;
+      resume = -1;
       sc = scanner ();
       fault = None;
       index = -1;
@@ -642,7 +649,8 @@ module Reader = struct
       st.bol <- st.bol - keep;
       r.start <- (if r.start >= 0 then r.start - keep else -1);
       r.from <- r.from - keep;
-      r.scanned <- r.scanned - keep
+      r.scanned <- r.scanned - keep;
+      if r.resume >= 0 then r.resume <- r.resume - keep
     end;
     Bytes.blit_string s 0 st.src st.len n;
     st.len <- st.len + n
@@ -664,20 +672,25 @@ module Reader = struct
      at a byte out of strings and brackets that cannot continue a
      literal or number, or at a line that cuts it off. The parser reads
      no further, so it reads the document as in the whole text; a number
-     flush with the buffer waits for more digits. *)
+     flush with the buffer waits for more digits. A line that opens with
+     '{' or '[' but does not cut the document off is noted in
+     [declined]. *)
   let ended r =
     let st = r.st in
     if r.from <> r.start then begin
       r.from <- r.start;
       r.sc <- scanner ();
-      r.scanned <- r.start
+      r.scanned <- r.start;
+      r.declined <- false
     end;
     let sc = r.sc and i = ref r.scanned and stop = ref false in
     while (not !stop) && !i < st.len do
       let c = Bytes.unsafe_get st.src !i in
-      stop :=
-        (c = '{' || c = '[') && !i > r.start
-        && Bytes.unsafe_get st.src (!i - 1) = '\n' && cut_off st sc !i;
+      if (c = '{' || c = '[') && !i > r.start && Bytes.unsafe_get st.src (!i - 1) = '\n'
+      then begin
+        stop := cut_off st sc !i;
+        r.declined <- r.declined || not !stop
+      end;
       scan sc c;
       incr i;
       stop := !stop || ((not sc.in_str) && sc.nest <= 0 && not (in_token c))
@@ -699,12 +712,24 @@ module Reader = struct
 
   (* Whether reading the held document, without building it, stops
      before the buffer's end, at its end or at a fault; the cursor stays
-     where it is *)
+     where it is. The reading reads on from the latest separator of the
+     document's own members or elements that the previous try passed,
+     so a try reads the bytes fed since then and the member or element
+     that ran into the end. *)
   let stops_short r =
     let st = r.st in
     let pos = st.pos and line = st.line and bol = st.bol in
+    let mark i = r.resume <- i in
     r.tried <- st.len - r.start;
-    (try skip_value st with Diagnostic.Parse_error _ -> ());
+    (try
+       if r.resume < 0 then skip_value ~mark st
+       else begin
+         let opening = Bytes.get st.src r.start in
+         st.pos <- r.resume;
+         st.depth <- 1;
+         skip_elements ~mark st opening (if opening = '{' then '}' else ']')
+       end
+     with Diagnostic.Parse_error _ -> ());
     let short = st.pos < st.len in
     st.pos <- pos;
     st.line <- line;
@@ -724,6 +749,7 @@ module Reader = struct
           r.index <- r.index + 1;
           r.start <- st.pos;
           r.tried <- 0;
+          r.resume <- -1;
           document ?absorb r
         end
         else if r.finished then End
@@ -736,20 +762,24 @@ module Reader = struct
      then the reader rewinds and scans from the document, which covers
      the bytes after it. So no byte is scanned more than twice.
 
-     A document the scan holds (a fault that no line can cut off, such
-     as one before lines that each open after a comma) is tried each
-     time its buffered bytes double, by a reading that builds nothing
+     A document the scan holds past a line that opens with '{' or '['
+     after a comma, a '[' or a colon ([declined]) may hold a fault that
+     no line can cut off: the line is an element of a pretty-printed
+     array or the rest of the feed after a fault. Such a document is
+     tried each time its buffered bytes double, by a reading that builds
+     nothing and reads on where the previous try stopped
      ([stops_short]). When it stops before the buffer's end, at the
      document's end or at a fault, the document is read as in the text,
      and a fault resyncs as in the text; when it runs into the end, the
-     document waits. So the tries of a held document cost at most two
-     readings of it. *)
+     document waits. So the tries of a held document cost about one
+     reading of it, and a document with no such line none. *)
   and document ?absorb r =
     let st = r.st and start = r.start and line = r.st.line and bol = r.st.bol in
     let at_once = (not r.finished) && r.from <> start && start < r.scanned in
     let held = not (r.finished || at_once || ended r) in
-    if held && r.tried = 0 then r.tried <- st.len - start;
-    if held && not (st.len - start >= 2 * r.tried && stops_short r) then Await
+    if held && r.declined && r.tried = 0 then r.tried <- st.len - start;
+    if held && not (r.declined && st.len - start >= 2 * r.tried && stops_short r) then
+      Await
     else begin
       match
         Fsdata_obs.Metrics.time m_ns (fun () ->

@@ -230,10 +230,12 @@ end
     a line opening with [{] or [\[] after a value (the resync's line
     rule). So a top-level number ending with the buffer waits for more.
     Each fed byte is scanned at most twice; a whole text never. A
-    document the scan holds anyway (a fault before lines that each open
-    after a comma) is tried each time its buffered bytes double by a
-    reading that builds nothing, and read as in the text once that
-    reading stops before the buffer's end. *)
+    document the scan holds past a line that opens with [{] or [\[]
+    after a comma, a [\[] or a colon (a fault before such lines, or a
+    pretty-printed array) is tried each time its buffered bytes double
+    by a reading that builds nothing and reads on where the previous
+    try stopped, and read as in the text once that reading stops before
+    the buffer's end. *)
 module Reader : sig
   type t
 

@@ -15,27 +15,6 @@ let missing_markers = [ ""; "#N/A"; "NA"; "N/A"; ":"; "-" ]
    literal is classified where it lies: in a CSV cell's text or in a
    JSON source buffer. *)
 
-let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
-
-(* The bounds of the slice trimmed as by [String.trim]; most literals
-   need no trimming, which is told without a loop *)
-let rec trim_start_from s i stop =
-  if i < stop && is_space (String.unsafe_get s i) then trim_start_from s (i + 1) stop else i
-
-let[@inline] trim_start s i stop =
-  if i < stop && is_space (String.unsafe_get s i) then trim_start_from s (i + 1) stop else i
-
-let rec trim_stop_from s i stop =
-  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop_from s i (stop - 1)
-  else stop
-
-let[@inline] trim_stop s i stop =
-  if stop > i && is_space (String.unsafe_get s (stop - 1)) then trim_stop_from s i (stop - 1)
-  else stop
-
-let[@inline] check_slice name s off len =
-  if off < 0 || len < 0 || off > String.length s - len then invalid_arg name
-
 (* [List.mem] over the missing markers, for a trimmed slice *)
 let[@inline] missing_in s i stop =
   match stop - i with
@@ -55,13 +34,8 @@ let[@inline] missing_in s i stop =
 
 let is_missing s =
   let stop = String.length s in
-  let i = trim_start s 0 stop in
-  missing_in s i (trim_stop s i stop)
-
-let rec digits_from s j stop =
-  if j < stop && String.unsafe_get s j >= '0' && String.unsafe_get s j <= '9' then
-    digits_from s (j + 1) stop
-  else j
+  let i = Slice.trim_start s 0 stop in
+  missing_in s i (Slice.trim_stop s i stop)
 
 let rec zeros_from s j stop =
   if j < stop && String.unsafe_get s j = '0' then zeros_from s (j + 1) stop else j
@@ -98,13 +72,13 @@ let number s i stop =
   else
     let c = String.unsafe_get s i in
     let start = if c = '-' || c = '+' then i + 1 else i in
-    let int_end = digits_from s start stop in
+    let int_end = Slice.digits_end s start stop in
     if int_end = stop && int_end > start then
       if fits s ~neg:(c = '-') start stop then Fits else Overflows
     else
       let frac_end =
         if int_end < stop && String.unsafe_get s int_end = '.' then
-          digits_from s (int_end + 1) stop
+          Slice.digits_end s (int_end + 1) stop
         else int_end
       in
       let saw_digits = int_end > start || frac_end > int_end + 1 in
@@ -120,7 +94,7 @@ let number s i stop =
             then frac_end + 2
             else frac_end + 1
           in
-          let e = digits_from s j stop in
+          let e = Slice.digits_end s j stop in
           if e > j then e else -1
         end
         else frac_end
@@ -151,8 +125,8 @@ let rec int_value s i stop acc =
 
 let parse_int s =
   let stop = String.length s in
-  let i = trim_start s 0 stop in
-  let stop = trim_stop s i stop in
+  let i = Slice.trim_start s 0 stop in
+  let stop = Slice.trim_stop s i stop in
   match number s i stop with
   | Fits ->
       let c = String.unsafe_get s i in
@@ -163,16 +137,16 @@ let parse_int s =
 
 let parse_float s =
   let stop = String.length s in
-  let i = trim_start s 0 stop in
-  let stop = trim_stop s i stop in
+  let i = Slice.trim_start s 0 stop in
+  let stop = Slice.trim_stop s i stop in
   match number s i stop with
   | Not_number -> None
   | Fits | Overflows | Fraction -> float_of_string_opt (String.sub s i (stop - i))
 
 let parse_bool s =
   let stop = String.length s in
-  let i = trim_start s 0 stop in
-  match bool_in s i (trim_stop s i stop) with 1 -> Some true | 0 -> Some false | _ -> None
+  let i = Slice.trim_start s 0 stop in
+  match bool_in s i (Slice.trim_stop s i stop) with 1 -> Some true | 0 -> Some false | _ -> None
 
 (* The first byte of the trimmed slice tells which readings it may
    have: a number starts with a digit, a sign or a point, a boolean with
@@ -180,16 +154,16 @@ let parse_bool s =
    [#], [:], [-] or [N]; a missing marker or a boolean has at most five
    bytes. *)
 let classify_sub ~dates s off len =
-  check_slice "Primitive.classify_sub" s off len;
-  let i = trim_start s off (off + len) in
-  let stop = trim_stop s i (off + len) in
+  Slice.check "Primitive.classify_sub" s off len;
+  let i = Slice.trim_start s off (off + len) in
+  let stop = Slice.trim_stop s i (off + len) in
   if stop = i then Hint_null
   else
     match String.unsafe_get s i with
     | '0' .. '9'
       when dates && stop - i = 10
            && (String.unsafe_get s (i + 4) = '-' || String.unsafe_get s (i + 4) = '/')
-           && Date.is_date_sub s i 10 ->
+           && Date.is_date_trimmed s i 10 ->
         (* a date is never a number: yyyy-mm-dd is told first *)
         Hint_date
     | ('0' .. '9' | '+' | '-' | '.') as c -> (
@@ -202,13 +176,13 @@ let classify_sub ~dates s off len =
         | Overflows | Fraction -> Hint_float
         | Not_number ->
             if stop = i + 1 && c = '-' then Hint_null
-            else if dates && c >= '0' && c <= '9' && Date.is_date_sub s i (stop - i) then
+            else if dates && c >= '0' && c <= '9' && Date.is_date_trimmed s i (stop - i) then
               Hint_date
             else Hint_string)
     | 'a' .. 'z' | 'A' .. 'Z' ->
         if stop - i <= 5 && missing_in s i stop then Hint_null
         else if stop - i <= 5 && bool_in s i stop >= 0 then Hint_bool
-        else if dates && Date.is_date_sub s i (stop - i) then Hint_date
+        else if dates && Date.is_date_trimmed s i (stop - i) then Hint_date
         else Hint_string
     | '#' | ':' -> if missing_in s i stop then Hint_null else Hint_string
     | _ -> Hint_string

@@ -51,7 +51,7 @@ val classify_sub : dates:bool -> string -> int -> int -> hint
     over the trimmed slice reads it as a missing marker, then as a
     number (an integer that [int_of_string] would reject as too large
     reads as a float), then as a boolean, and only then hands it to
-    {!Date.is_date_sub}, whose recognizer also reads the slice in
+    {!Date.is_date_trimmed}, whose recognizer also reads the slice in
     place. A JSON string without escapes is so classified in its
     source text. With [~dates:false] the date recognizer does not run
     and a date reads as [Hint_string]: all that a reader that only

@@ -695,18 +695,25 @@ let walk_answers ~mode (ds, text) =
   in
   (walked, parsed)
 
+(* The walk accepts a case only where [absorbs_value] accepts its
+   parsed text, in every mode *)
+let walk_sound case =
+  List.for_all
+    (fun mode ->
+      match walk_answers ~mode case with
+      | true, Some true | false, _ -> true
+      | true, (Some false | None) -> false)
+    modes
+
 let prop_walk_sound =
   QCheck2.Test.make
     ~name:"the token walk accepts only what absorbs_value accepts, JSON modes"
-    ~count:1000 ~print:print_walk_case
-    (QCheck2.Gen.oneof [ gen_walk_case; gen_list_walk_case ])
-    (fun case ->
-      List.for_all
-        (fun mode ->
-          match walk_answers ~mode case with
-          | true, Some true | false, _ -> true
-          | true, (Some false | None) -> false)
-        modes)
+    ~count:1000 ~print:print_walk_case gen_walk_case walk_sound
+
+let prop_list_walk_sound =
+  QCheck2.Test.make
+    ~name:"the token walk accepts only what absorbs_value accepts, lists"
+    ~count:1000 ~print:print_walk_case gen_list_walk_case walk_sound
 
 (* the generator keeps both answers of the walk common *)
 let test_walk_cases_balanced () =
@@ -893,6 +900,7 @@ let suite =
     tc "the fold merges only what grows" `Quick test_fold_merge_count;
     tc "mode applies to JSON only" `Quick test_mode_applies_to_json_only;
     QCheck_alcotest.to_alcotest prop_walk_sound;
+    QCheck_alcotest.to_alcotest prop_list_walk_sound;
     tc "absorbs_json: lists are walked" `Quick test_walk_lists_accepted;
     tc "the walk: both answers are common" `Quick test_walk_cases_balanced;
     tc "the walk: nesting bound" `Quick test_walk_depth;
