@@ -16,16 +16,9 @@ module Notify = Fsdata_evolve.Notify
 module Evolve = Fsdata_evolve.Service
 module Delivery = Fsdata_evolve.Delivery
 
-(* --- instruments (docs/OBSERVABILITY.md, "serve.*") --- *)
+(* --- instruments (docs/OBSERVABILITY.md, "serve.*" and "compile.*");
+   the serve.requests.* counters are made with the route table --- *)
 
-let req_infer = Metrics.counter "serve.requests.infer"
-let req_check = Metrics.counter "serve.requests.check"
-let req_explain = Metrics.counter "serve.requests.explain"
-let req_metrics = Metrics.counter "serve.requests.metrics"
-let req_healthz = Metrics.counter "serve.requests.healthz"
-let req_stream = Metrics.counter "serve.requests.stream"
-let req_query = Metrics.counter "serve.requests.query"
-let req_other = Metrics.counter "serve.requests.other"
 let plan_cache_hits = Metrics.counter "serve.plan_cache.hits"
 let plan_cache_misses = Metrics.counter "serve.plan_cache.misses"
 let resp_2xx = Metrics.counter "serve.responses.2xx"
@@ -35,6 +28,9 @@ let cache_hits = Metrics.counter "serve.cache.hits"
 let cache_misses = Metrics.counter "serve.cache.misses"
 let cache_evictions = Metrics.counter "serve.cache.evictions"
 let cache_invalidations = Metrics.counter "serve.cache.invalidations"
+let compile_hits = Metrics.counter "compile.cache.hits"
+let compile_misses = Metrics.counter "compile.cache.misses"
+let compile_evictions = Metrics.counter "compile.cache.evictions"
 let http_errors = Metrics.counter "serve.http_errors"
 let connections = Metrics.counter "serve.connections"
 let latency_ms = Metrics.histogram "serve.latency_ms"
@@ -106,10 +102,20 @@ type plan_entry = {
   pe_fast : Fsdata_query.Eval_fast.plan option;  (* Some iff compiled=1 *)
 }
 
+(* Compiled parsers keyed by the identity of an interned shape
+   (Shape.hcons): a hit costs a bounded hash and a pointer comparison,
+   never a walk of two shape trees. *)
+module Parsers = Cache.Make (struct
+  type t = Shape.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   cfg : config;
   cache : string Cache.t;
-  compiled : Compile_cache.t;
+  parsers : Shape_compile.compiled Parsers.t;
   plans : plan_entry Cache.t;
   registry : Fsdata_registry.Registry.t;
   watch : Notify.t;
@@ -140,7 +146,7 @@ let create ?(draining = Atomic.make false) cfg =
   {
     cfg;
     cache = Cache.create ~capacity:cfg.cache_entries;
-    compiled = Compile_cache.create ~capacity:compiled_cache_capacity;
+    parsers = Parsers.create ~capacity:compiled_cache_capacity;
     plans = Cache.create ~capacity:plan_cache_capacity;
     registry;
     watch;
@@ -228,17 +234,116 @@ let json_error status msg =
 
 let json_ok ?headers fields = Http.response ?headers ~status:200 (json_body fields)
 
-let method_not_allowed allow =
-  Http.response ~status:405
-    ~headers:[ ("allow", allow) ]
-    (json_body [ ("error", Dv.String (Printf.sprintf "use %s" allow)) ])
+(* Handlers validate step by step; a failed step's [Error] is the
+   response. *)
+let ( let* ) r f = match r with Ok v -> f v | Error resp -> resp
+
+let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+(* The response cache in front of [compute]: a hit answers the stored
+   body; on a miss, [compute ()] renders a body, which is stored (with
+   the configured TTL) and answered, or fails with a response that is
+   answered uncached. [x-fsdata-cache] tells which; bodies are
+   byte-identical either way. *)
+let cached t ?content_type key compute =
+  let answer tag body =
+    Http.response ?content_type
+      ~headers:[ ("x-fsdata-cache", tag) ]
+      ~status:200 body
+  in
+  match Cache.find t.cache key with
+  | Some body ->
+      Metrics.incr cache_hits;
+      answer "hit" body
+  | None -> (
+      Metrics.incr cache_misses;
+      match compute () with
+      | Error resp -> resp
+      | Ok body ->
+          Metrics.add cache_evictions
+            (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
+          answer "miss" body)
+
+(* --- query parameters --- *)
+
+let bad_value name s = Printf.sprintf "bad %s value %S" name s
+
+let required req name =
+  match Http.query_param req name with
+  | Some v -> Ok v
+  | None -> Error (json_error 400 ("missing required query parameter " ^ name))
+
+(* An integer parameter no smaller than [min]; [default] answers its
+   absence. *)
+let int_param ?(min = min_int) req name ~default =
+  Result.map_error (json_error 400)
+    (match Http.query_param req name with
+    | None -> default
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some n when n >= min -> Ok n
+        | _ -> Error (bad_value name s)))
+
+(* The error budget of the ingesting routes; Strict without max-errors,
+   exactly as on the command line. *)
+let budget_param req =
+  match Http.query_param req "max-errors" with
+  | None -> Ok Diagnostic.Strict
+  | Some s -> Result.map_error (json_error 400) (Diagnostic.budget_of_string s)
+
+(* compiled=0|1 on /check, /query and /streams/:name/query; "true" is
+   read as 1. *)
+let compiled_param req =
+  match Http.query_param req "compiled" with
+  | None | Some "0" -> Ok false
+  | Some ("1" | "true") -> Ok true
+  | Some v -> Error (json_error 400 (bad_value "compiled" v ^ " (use 0 or 1)"))
+
+let unsupported_format f choices =
+  let rec words = function
+    | [] -> ""
+    | [ w ] -> w
+    | [ w; last ] -> w ^ " or " ^ last
+    | w :: ws -> w ^ ", " ^ words ws
+  in
+  Printf.sprintf "unsupported format %S (use %s)" f (words choices)
+
+let format_param req ~default choices =
+  let format = Option.value ~default (Http.query_param req "format") in
+  if List.mem format choices then Ok format
+  else Error (json_error 400 (unsupported_format format choices))
+
+let ingest_formats = [ "json"; "csv"; "xml" ]
+
+(* A format already checked to be one of [ingest_formats]. *)
+let infer_format = function
+  | "xml" -> Infer.Xml
+  | "csv" -> Infer.Csv
+  | _ -> Infer.Json
 
 (* --- /infer --- *)
 
 (* The interning table is process-global; keep it from growing without
    bound on a long-lived server. 200k nodes is far beyond any hot set —
    clearing only costs future sharing, never correctness. *)
-let hcons_guard () = if Shape.hcons_size () > 200_000 then Shape.hcons_clear ()
+let intern s =
+  let s = Shape.hcons s in
+  if Shape.hcons_size () > 200_000 then Shape.hcons_clear ();
+  s
+
+(* The compiled parser of an interned shape. Compiling runs outside the
+   cache lock: concurrent misses on one shape may compile twice, which
+   is only wasted work, never wrong. *)
+let compiled_parser t shape =
+  match Parsers.find t.parsers shape with
+  | Some parser ->
+      Metrics.incr compile_hits;
+      parser
+  | None ->
+      Metrics.incr compile_misses;
+      let parser = Shape_compile.compile shape in
+      Metrics.add compile_evictions (Parsers.add t.parsers shape parser);
+      parser
 
 let quarantine_entry (q : Infer.quarantined) =
   let d = q.Infer.q_diagnostic in
@@ -250,16 +355,6 @@ let quarantine_entry (q : Infer.quarantined) =
         ("column", Dv.Int d.Diagnostic.column);
         ("message", Dv.String d.Diagnostic.message);
       ] )
-
-let render_report ~format (report : Infer.report) shape =
-  json_body
-    [
-      ("format", Dv.String format);
-      ("shape", Dv.String (shape_string shape));
-      ("total", Dv.Int report.Infer.total);
-      ("quarantined", Dv.Int (List.length report.Infer.quarantined));
-      ("samples", Dv.List (List.map quarantine_entry report.Infer.quarantined));
-    ]
 
 (* Content negotiation: the Accept header picks the response
    representation — the full JSON report (default), the shape's JSON
@@ -292,10 +387,11 @@ let negotiate_accept req =
       | Some a -> Ok a
       | None ->
           Error
-            (Printf.sprintf
-               "cannot satisfy Accept: %s (supported: application/json, \
-                application/schema+json, text/x-fsdata-shape)"
-               v))
+            (json_error 406
+               (Printf.sprintf
+                  "cannot satisfy Accept: %s (supported: application/json, \
+                   application/schema+json, text/x-fsdata-shape)"
+                  v)))
 
 let accept_tag = function
   | `Report -> "report"
@@ -307,117 +403,80 @@ let accept_content_type = function
   | `Schema -> "application/schema+json"
   | `Paper -> "text/plain; charset=utf-8"
 
-let render_ok t ~format ~accept ~cache_header report =
-  let shape = Shape.hcons report.Infer.shape in
-  hcons_guard ();
+let render_report t ~format ~accept (report : Infer.report) =
+  let shape = intern report.Infer.shape in
   (* warm the compiled-parser cache: a client that infers a shape and
      then re-parses documents against it (POST /check?compiled=1) hits
      compiled code immediately *)
-  if format = "json" then ignore (Compile_cache.get t.compiled shape);
-  let body =
-    match accept with
-    | `Report -> render_report ~format report shape
-    | `Schema -> Fsdata_codegen.Json_schema.to_string shape ^ "\n"
-    | `Paper -> shape_string shape ^ "\n"
+  if format = "json" then ignore (compiled_parser t shape);
+  match accept with
+  | `Report ->
+      json_body
+        [
+          ("format", Dv.String format);
+          ("shape", Dv.String (shape_string shape));
+          ("total", Dv.Int report.Infer.total);
+          ("quarantined", Dv.Int (List.length report.Infer.quarantined));
+          ("samples", Dv.List (List.map quarantine_entry report.Infer.quarantined));
+        ]
+  | `Schema -> Fsdata_codegen.Json_schema.to_string shape ^ "\n"
+  | `Paper -> shape_string shape ^ "\n"
+
+(* What a handler gets beside the request: the request's cancellation
+   token and deadline, the body still on the wire (only a route that
+   streams its body sees one), and the :name of a /streams/:name/
+   route. *)
+type ctx = {
+  cancel : Fsdata_data.Cancel.t;
+  deadline : Deadline.t;
+  rest : Http.body_rest option;
+  name : string;
+}
+
+let handle_infer t c req =
+  let* accept = negotiate_accept req in
+  let* jobs = int_param req "jobs" ~min:0 ~default:(Ok 1) in
+  let* budget = budget_param req in
+  let* format = format_param req ~default:"json" ingest_formats in
+  let content_type = accept_content_type accept in
+  let infer ?jobs source =
+    Infer.run ~cancel:c.cancel ?jobs budget (infer_format format) source
+    |> Result.map (render_report t ~format ~accept)
+    |> Result.map_error (json_error 422)
   in
-  (body, cache_header)
-
-(* A [format] query parameter already checked to be json, csv or xml. *)
-let infer_format = function
-  | "xml" -> Infer.Xml
-  | "csv" -> Infer.Csv
-  | _ -> Infer.Json
-
-let handle_infer t ~cancel ~rest req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
-  else
-    match negotiate_accept req with
-    | Error m ->
-        Http.response ~status:406 (json_body [ ("error", Dv.String m) ])
-    | Ok accept -> (
-    let content_type = accept_content_type accept in
-    let format = Option.value ~default:"json" (Http.query_param req "format") in
-    let jobs =
-      match Http.query_param req "jobs" with
-      | None -> Ok 1
-      | Some s -> (
-          match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | _ -> Error (Printf.sprintf "bad jobs value %S" s))
-    in
-    let budget =
-      match Http.query_param req "max-errors" with
-      | None -> Ok Diagnostic.Strict
-      | Some s -> Diagnostic.budget_of_string s
-    in
-    match (format, jobs, budget) with
-    | _, Error m, _ | _, _, Error m -> json_error 400 m
-    | "json", Ok _, Ok budget when rest <> None -> (
-        (* Streamed JSON: the body never materializes — the engine's
-           JSON reader reads the fragments as they arrive off the
-           socket, holding about one document and one fragment. No
-           digest key exists without the bytes, so this path bypasses
-           the response cache. *)
-        Metrics.incr stream_bodies;
-        let rest = Option.get rest in
-        match
-          Infer.run ~cancel budget Json (Feed (fun () -> Http.read_body_chunk rest))
-        with
-        | Error m -> json_error 422 m
-        | Ok report ->
-            let body, header =
-              render_ok t ~format ~accept ~cache_header:"bypass" report
-            in
-            Http.response ~content_type
-              ~headers:[ ("x-fsdata-cache", header) ]
-              ~status:200 body)
-    | ("json" | "csv" | "xml"), Ok jobs, Ok budget -> (
-        (* Buffered (or non-JSON streamed: drained here, still under the
-           reservation) — the digest-keyed cache path. The negotiated
-           representation rides in the key: the same body under a
-           different Accept is a different response. *)
-        let body_text =
-          match rest with
-          | None -> req.Http.body
-          | Some rest -> Http.read_body_all rest
-        in
-        let key =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "\x00"
-                  [
-                    format;
-                    accept_tag accept;
-                    string_of_int jobs;
-                    Diagnostic.budget_to_string budget;
-                    body_text;
-                  ]))
-        in
-        match Cache.find t.cache key with
-        | Some body ->
-            Metrics.incr cache_hits;
-            Http.response ~content_type
-              ~headers:[ ("x-fsdata-cache", "hit") ]
-              ~status:200 body
-        | None -> (
-            Metrics.incr cache_misses;
-            match
-              Infer.run ~cancel ~jobs budget (infer_format format)
-                (String body_text)
-            with
-            | Error m -> json_error 422 m
-            | Ok report ->
-                let body, header =
-                  render_ok t ~format ~accept ~cache_header:"miss" report
-                in
-                Metrics.add cache_evictions
-                  (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
-                Http.response ~content_type
-                  ~headers:[ ("x-fsdata-cache", header) ]
-                  ~status:200 body))
-    | fmt, _, _ ->
-        json_error 400
-          (Printf.sprintf "unsupported format %S (use json, csv or xml)" fmt))
+  match c.rest with
+  | Some rest when format = "json" ->
+      (* Streamed JSON: the body never materializes — the engine's JSON
+         reader reads the fragments as they arrive off the socket,
+         holding about one document and one fragment. No digest key
+         exists without the bytes, so this path bypasses the response
+         cache. *)
+      Metrics.incr stream_bodies;
+      let* body = infer (Feed (fun () -> Http.read_body_chunk rest)) in
+      Http.response ~content_type
+        ~headers:[ ("x-fsdata-cache", "bypass") ]
+        ~status:200 body
+  | rest ->
+      (* Buffered (or non-JSON streamed: drained here, still under the
+         reservation) — the digest-keyed cache path. The negotiated
+         representation rides in the key: the same body under a
+         different Accept is a different response. *)
+      let body =
+        match rest with
+        | None -> req.Http.body
+        | Some rest -> Http.read_body_all rest
+      in
+      let key =
+        digest
+          [
+            format;
+            accept_tag accept;
+            string_of_int jobs;
+            Diagnostic.budget_to_string budget;
+            body;
+          ]
+      in
+      cached t ~content_type key (fun () -> infer ~jobs (String body))
 
 (* --- /check and /explain --- *)
 
@@ -431,78 +490,48 @@ let mismatch_entry (m : Explain.mismatch) =
         ("reason", Dv.String m.Explain.reason);
       ] )
 
-let handle_checkish t ~explain req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
+let handle_checkish ~explain t _ req =
+  let* compiled = compiled_param req in
+  let* text = required req "shape" in
+  let* shape = Result.map_error (json_error 400) (Shape_parser.parse_result text) in
+  let format = Option.value ~default:"json" (Http.query_param req "format") in
+  if compiled && (explain || format <> "json") then
+    json_error 400 "compiled=1 applies to /check with format json"
   else
-    let compiled_mode =
-      match Http.query_param req "compiled" with
-      | None | Some "0" -> Ok false
-      | Some ("1" | "true") -> Ok true
-      | Some v -> Error (Printf.sprintf "bad compiled value %S (use 0 or 1)" v)
+    let* doc =
+      Result.map_error (json_error 422)
+        (match format with
+        | "json" -> Json.parse_result req.Http.body
+        | "xml" -> Result.map Xml.to_data (Xml.parse_result req.Http.body)
+        | f -> Error (unsupported_format f [ "json"; "xml" ]))
     in
-    match (Http.query_param req "shape", compiled_mode) with
-    | _, Error m -> json_error 400 m
-    | None, _ -> json_error 400 "missing required query parameter shape"
-    | Some text, Ok compiled_mode -> (
-        match Shape_parser.parse_result text with
-        | Error m -> json_error 400 m
-        | Ok shape -> (
-            let format =
-              Option.value ~default:"json" (Http.query_param req "format")
-            in
-            if compiled_mode && (explain || format <> "json") then
-              json_error 400 "compiled=1 applies to /check with format json"
-            else
-              let doc =
-                match format with
-                | "json" -> Json.parse_result req.Http.body
-                | "xml" ->
-                    Result.map
-                      (fun tree -> Xml.to_data tree)
-                      (Xml.parse_result req.Http.body)
-                | f ->
-                    Error
-                      (Printf.sprintf "unsupported format %S (use json or xml)"
-                         f)
-              in
-              match doc with
-              | Error m -> json_error 422 m
-              | Ok doc ->
-                  let mode = if format = "xml" then `Xml else `Practical in
-                  let input_shape = Infer.shape_of_value ~mode doc in
-                  let conforms () =
-                    if compiled_mode then begin
-                      (* the shape-compiled engine: hot shapes hit a cached
-                         parser; conformance is judged on the normalized
-                         document (docs/COMPILED_PARSERS.md) *)
-                      let shape = Shape.hcons shape in
-                      hcons_guard ();
-                      let parser = Compile_cache.get t.compiled shape in
-                      match Shape_compile.parse parser req.Http.body with
-                      | Shape_compile.Direct _ -> true
-                      | Shape_compile.Fallback _ -> false
-                    end
-                    else Shape_check.has_shape shape doc
-                  in
-                  json_ok
-                    (if explain then
-                       [
-                         ("input_shape", Dv.String (shape_string input_shape));
-                         ("shape", Dv.String (shape_string shape));
-                         ( "mismatches",
-                           Dv.List
-                             (List.map mismatch_entry
-                                (Explain.explain input_shape shape)) );
-                       ]
-                     else
-                       [
-                         ("has_shape", Dv.Bool (conforms ()));
-                         ( "preferred",
-                           Dv.Bool (Preference.is_preferred input_shape shape)
-                         );
-                         ("input_shape", Dv.String (shape_string input_shape));
-                         ("shape", Dv.String (shape_string shape));
-                       ])))
+    let mode = if format = "xml" then `Xml else `Practical in
+    let input_shape = Infer.shape_of_value ~mode doc in
+    let conforms () =
+      if compiled then
+        (* the shape-compiled engine: hot shapes hit a cached parser;
+           conformance is judged on the normalized document
+           (docs/COMPILED_PARSERS.md) *)
+        match Shape_compile.parse (compiled_parser t (intern shape)) req.Http.body with
+        | Shape_compile.Direct _ -> true
+        | Shape_compile.Fallback _ -> false
+      else Shape_check.has_shape shape doc
+    in
+    json_ok
+      (if explain then
+         [
+           ("input_shape", Dv.String (shape_string input_shape));
+           ("shape", Dv.String (shape_string shape));
+           ( "mismatches",
+             Dv.List (List.map mismatch_entry (Explain.explain input_shape shape)) );
+         ]
+       else
+         [
+           ("has_shape", Dv.Bool (conforms ()));
+           ("preferred", Dv.Bool (Preference.is_preferred input_shape shape));
+           ("input_shape", Dv.String (shape_string input_shape));
+           ("shape", Dv.String (shape_string shape));
+         ])
 
 (* --- /streams/:name/* — the durable live shape registry --- *)
 
@@ -511,10 +540,30 @@ let handle_checkish t ~explain req =
    entries it supersedes. *)
 let stream_cache_prefix name = "stream:" ^ name ^ ":"
 
-let invalidate_prefix t prefix =
-  let n = Cache.remove_where t.cache (String.starts_with ~prefix) in
-  Metrics.add cache_invalidations n;
-  n
+(* Drop a stream's cached responses and checked queries; returns how
+   many responses went. *)
+let invalidate_stream t name =
+  let prefix = stream_cache_prefix name in
+  ignore (Cache.remove_where t.plans (String.starts_with ~prefix));
+  Cache.remove_where t.cache (String.starts_with ~prefix)
+
+let no_such_stream name =
+  json_error 404 (Printf.sprintf "no such stream %S" name)
+
+let find_stream t name =
+  match Registry.find t.registry name with
+  | Some st -> Ok st
+  | None -> Error (no_such_stream name)
+
+(* A registry write whose WAL append raised: nothing was applied and
+   the client may simply retry. *)
+let durably what write =
+  match write () with
+  | v -> Ok v
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        (json_error 503
+           (Printf.sprintf "storage error, %s: %s" what (Unix.error_message e)))
 
 let stream_fields (st : Registry.stream) =
   [
@@ -527,265 +576,167 @@ let stream_fields (st : Registry.stream) =
 (* POST /streams/:name/push — fold the body's inferred shape into the
    stream in O(merge). Never cached and never served from cache: the
    response is the registry's word on the new version. A storage fault
-   (the WAL append raised) answers 503 — the push was not acknowledged
-   and the in-memory shape is unchanged, so the client may simply
-   retry. *)
-let handle_stream_push t ~cancel name req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
-  else
-    let format = Option.value ~default:"json" (Http.query_param req "format") in
-    let budget =
-      match Http.query_param req "max-errors" with
-      | None -> Ok Diagnostic.Strict
-      | Some s -> Diagnostic.budget_of_string s
-    in
-    match (format, budget) with
-    | _, Error m -> json_error 400 m
-    | ("json" | "csv" | "xml"), Ok budget -> (
-        match
-          Infer.run ~cancel budget (infer_format format) (String req.Http.body)
-        with
-        | Error m -> json_error 422 m
-        | Ok report -> (
-            let delta = Shape.hcons report.Infer.shape in
-            hcons_guard ();
-            let clean =
-              report.Infer.total - List.length report.Infer.quarantined
-            in
-            match
-              Registry.push t.registry ~stream:name
-                ~count:(max 1 clean) delta
-            with
-            | exception Unix.Unix_error (e, _, _) ->
-                json_error 503
-                  (Printf.sprintf "storage error, push not applied: %s"
-                     (Unix.error_message e))
-            | st ->
-                ignore (invalidate_prefix t (stream_cache_prefix name));
-                ignore
-                  (Cache.remove_where t.plans
-                     (String.starts_with ~prefix:(stream_cache_prefix name)));
-                json_ok
-                  ~headers:[ ("x-fsdata-cache", "bypass") ]
-                  (stream_fields st
-                  @ [
-                      ("total", Dv.Int report.Infer.total);
-                      ( "quarantined",
-                        Dv.Int (List.length report.Infer.quarantined) );
-                    ])))
-    | fmt, _ ->
-        json_error 400
-          (Printf.sprintf "unsupported format %S (use json, csv or xml)" fmt)
+   answers 503 — the push was not acknowledged and the in-memory shape
+   is unchanged. *)
+let handle_stream_push t c req =
+  let* budget = budget_param req in
+  let* format = format_param req ~default:"json" ingest_formats in
+  let* report =
+    Result.map_error (json_error 422)
+      (Infer.run ~cancel:c.cancel budget (infer_format format)
+         (String req.Http.body))
+  in
+  let delta = intern report.Infer.shape in
+  let clean = report.Infer.total - List.length report.Infer.quarantined in
+  let* st =
+    durably "push not applied" (fun () ->
+        Registry.push t.registry ~stream:c.name ~count:(max 1 clean) delta)
+  in
+  Metrics.add cache_invalidations (invalidate_stream t c.name);
+  json_ok
+    ~headers:[ ("x-fsdata-cache", "bypass") ]
+    (stream_fields st
+    @ [
+        ("total", Dv.Int report.Infer.total);
+        ("quarantined", Dv.Int (List.length report.Infer.quarantined));
+      ])
 
 (* GET /streams/:name/shape?format=paper|schema — the current shape, in
    the paper notation or as the exported JSON Schema. Responses are
    cached under the stream's prefix (with the configured TTL) and
-   invalidated by the next applied push. *)
-let handle_stream_shape t name req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else
-    let format = Option.value ~default:"paper" (Http.query_param req "format") in
-    match format with
-    | "paper" | "schema" -> (
-        match Registry.find t.registry name with
-        | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-        | Some st -> (
-            let key = stream_cache_prefix name ^ "shape:" ^ format in
-            match Cache.find t.cache key with
-            | Some body ->
-                Metrics.incr cache_hits;
-                Http.response
-                  ~headers:[ ("x-fsdata-cache", "hit") ]
-                  ~status:200 body
-            | None ->
-                Metrics.incr cache_misses;
-                let body =
-                  if format = "schema" then
-                    Fsdata_codegen.Json_schema.to_string st.Registry.shape
-                    ^ "\n"
-                  else json_body (stream_fields st)
-                in
-                Metrics.add cache_evictions
-                  (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
-                Http.response
-                  ~headers:[ ("x-fsdata-cache", "miss") ]
-                  ~status:200 body))
-    | fmt ->
-        json_error 400
-          (Printf.sprintf "unsupported format %S (use paper or schema)" fmt)
+   invalidated by the next applied push; the version in the key keeps a
+   read that raced that push from answering for the new version. *)
+let handle_stream_shape t c req =
+  let* format = format_param req ~default:"paper" [ "paper"; "schema" ] in
+  let* st = find_stream t c.name in
+  let key =
+    stream_cache_prefix c.name
+    ^ Printf.sprintf "shape:v%d:%s" st.Registry.version format
+  in
+  cached t key (fun () ->
+      Ok
+        (if format = "schema" then
+           Fsdata_codegen.Json_schema.to_string st.Registry.shape ^ "\n"
+         else json_body (stream_fields st)))
 
 (* GET /streams/:name/history — one entry per version bump. *)
-let handle_stream_history t name req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else
-    match Registry.find t.registry name with
-    | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-    | Some st ->
-        let entry (version, seq, shape) =
-          Dv.Record
-            ( Dv.json_record_name,
-              [
-                ("version", Dv.Int version);
-                ("seq", Dv.Int seq);
-                ("shape", Dv.String (shape_string shape));
-              ] )
-        in
-        json_ok
-          [
-            ("stream", Dv.String st.Registry.name);
-            ("version", Dv.Int st.Registry.version);
-            ("history", Dv.List (List.map entry st.Registry.history));
-          ]
+let handle_stream_history t c _ =
+  let* st = find_stream t c.name in
+  let entry (version, seq, shape) =
+    Dv.Record
+      ( Dv.json_record_name,
+        [
+          ("version", Dv.Int version);
+          ("seq", Dv.Int seq);
+          ("shape", Dv.String (shape_string shape));
+        ] )
+  in
+  json_ok
+    [
+      ("stream", Dv.String st.Registry.name);
+      ("version", Dv.Int st.Registry.version);
+      ("history", Dv.List (List.map entry st.Registry.history));
+    ]
 
 (* GET /streams/:name/diff?from=A&to=B — what grew between two versions,
    rendered with Explain: the newer shape is checked against the older
    one, so each mismatch pinpoints a place where the stream outgrew the
    old contract. Defaults: [to] is the current version, [from] is the
    one before it. *)
-let handle_stream_diff t name req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else
-    match Registry.find t.registry name with
-    | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-    | Some st -> (
-        let version_of param default =
-          match Http.query_param req param with
-          | None -> Ok default
-          | Some s -> (
-              match int_of_string_opt s with
-              | Some v when v >= 0 -> Ok v
-              | _ -> Error (Printf.sprintf "bad %s value %S" param s))
-        in
-        match version_of "to" st.Registry.version with
-        | Error m -> json_error 400 m
-        | Ok to_v -> (
-            match version_of "from" (max 0 (to_v - 1)) with
-            | Error m -> json_error 400 m
-            | Ok from_v -> (
-                match
-                  ( Registry.version_shape st from_v,
-                    Registry.version_shape st to_v )
-                with
-                | None, _ ->
-                    json_error 404
-                      (Printf.sprintf "stream %S never had version %d" name
-                         from_v)
-                | _, None ->
-                    json_error 404
-                      (Printf.sprintf "stream %S never had version %d" name
-                         to_v)
-                | Some from_shape, Some to_shape ->
-                    json_ok
-                      [
-                        ("stream", Dv.String st.Registry.name);
-                        ("from", Dv.Int from_v);
-                        ("to", Dv.Int to_v);
-                        ("from_shape", Dv.String (shape_string from_shape));
-                        ("to_shape", Dv.String (shape_string to_shape));
-                        ( "grew",
-                          Dv.Bool (not (Shape.equal from_shape to_shape)) );
-                        ( "changes",
-                          Dv.List
-                            (List.map mismatch_entry
-                               (Explain.explain to_shape from_shape)) );
-                      ])))
+let handle_stream_diff t c req =
+  let* st = find_stream t c.name in
+  let* to_v = int_param req "to" ~min:0 ~default:(Ok st.Registry.version) in
+  let* from_v = int_param req "from" ~min:0 ~default:(Ok (max 0 (to_v - 1))) in
+  let version_shape v =
+    match Registry.version_shape st v with
+    | Some shape -> Ok shape
+    | None ->
+        Error
+          (json_error 404
+             (Printf.sprintf "stream %S never had version %d" c.name v))
+  in
+  let* from_shape = version_shape from_v in
+  let* to_shape = version_shape to_v in
+  json_ok
+    [
+      ("stream", Dv.String st.Registry.name);
+      ("from", Dv.Int from_v);
+      ("to", Dv.Int to_v);
+      ("from_shape", Dv.String (shape_string from_shape));
+      ("to_shape", Dv.String (shape_string to_shape));
+      ("grew", Dv.Bool (not (Shape.equal from_shape to_shape)));
+      ( "changes",
+        Dv.List (List.map mismatch_entry (Explain.explain to_shape from_shape))
+      );
+    ]
 
 (* --- /streams/:name/{migrate,watch,hooks} — schema evolution --- *)
+
+let migrate_error err =
+  let status =
+    match err with
+    | Evolve.No_stream | Evolve.Unknown_version _ -> 404
+    | Evolve.Evicted _ -> 409
+    | Evolve.Parse_error _ -> 400
+    | Evolve.Ill_typed _ | Evolve.Unsupported _ -> 422
+    | Evolve.Internal _ -> 500
+  in
+  let extra =
+    match err with
+    | Evolve.Unknown_version (_, cur) -> [ ("current_version", Dv.Int cur) ]
+    | Evolve.Evicted (_, oldest) -> [ ("oldest_retained", Dv.Int oldest) ]
+    | _ -> []
+  in
+  Http.response ~status
+    (json_body (("error", Dv.String (Fmt.str "%a" Evolve.pp_error err)) :: extra))
 
 (* POST /streams/:name/migrate?since=V — rewrite the Foo program in the
    body from the provided type of version V to the current one
    (docs/EVOLUTION.md). Successes are cached under the stream's prefix
    with both versions in the key, so a push both invalidates them and
    makes them unreachable; errors are cheap and not cached. *)
-let handle_stream_migrate t name req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
+let handle_stream_migrate t c req =
+  let* since =
+    int_param req "since"
+      ~default:
+        (Error
+           "missing required query parameter since (the version the program \
+            was compiled against)")
+  in
+  let program = String.trim req.Http.body in
+  if program = "" then json_error 400 "missing program: send it as the request body"
   else
-    match Http.query_param req "since" with
-    | None ->
-        json_error 400
-          "missing required query parameter since (the version the program \
-           was compiled against)"
-    | Some s -> (
-        match int_of_string_opt s with
-        | None -> json_error 400 (Printf.sprintf "bad since value %S" s)
-        | Some since -> (
-            let program = String.trim req.Http.body in
-            if program = "" then
-              json_error 400 "missing program: send it as the request body"
-            else
-              let current =
-                match Registry.find t.registry name with
-                | Some st -> st.Registry.version
-                | None -> -1
-              in
-              let key =
-                stream_cache_prefix name
-                ^ Printf.sprintf "migrate:%d-%d:" since current
-                ^ Digest.to_hex (Digest.string program)
-              in
-              match Cache.find t.cache key with
-              | Some body ->
-                  Metrics.incr cache_hits;
-                  Http.response
-                    ~headers:[ ("x-fsdata-cache", "hit") ]
-                    ~status:200 body
-              | None -> (
-                  Metrics.incr cache_misses;
-                  match
-                    Evolve.migrate t.registry ~stream:name ~since ~program
-                  with
-                  | Error err ->
-                      let status =
-                        match err with
-                        | Evolve.No_stream | Evolve.Unknown_version _ -> 404
-                        | Evolve.Evicted _ -> 409
-                        | Evolve.Parse_error _ -> 400
-                        | Evolve.Ill_typed _ | Evolve.Unsupported _ -> 422
-                        | Evolve.Internal _ -> 500
-                      in
-                      let extra =
-                        match err with
-                        | Evolve.Unknown_version (_, cur) ->
-                            [ ("current_version", Dv.Int cur) ]
-                        | Evolve.Evicted (_, oldest) ->
-                            [ ("oldest_retained", Dv.Int oldest) ]
-                        | _ -> []
-                      in
-                      Http.response ~status
-                        (json_body
-                           (("error", Dv.String (Fmt.str "%a" Evolve.pp_error err))
-                           :: extra))
-                  | Ok r ->
-                      let body =
-                        json_body
-                          [
-                            ("stream", Dv.String r.Evolve.stream);
-                            ("from_version", Dv.Int r.Evolve.from_version);
-                            ("to_version", Dv.Int r.Evolve.to_version);
-                            ( "old_shape",
-                              Dv.String (shape_string r.Evolve.old_shape) );
-                            ( "new_shape",
-                              Dv.String (shape_string r.Evolve.new_shape) );
-                            ( "program",
-                              Dv.String
-                                (Fsdata_foo.Syntax.expr_to_string
-                                   r.Evolve.program) );
-                            ( "type",
-                              Dv.String
-                                (Fmt.str "%a" Fsdata_foo.Syntax.pp_ty
-                                   r.Evolve.ty) );
-                          ]
-                      in
-                      Metrics.add cache_evictions
-                        (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
-                      Http.response
-                        ~headers:[ ("x-fsdata-cache", "miss") ]
-                        ~status:200 body)))
+    let current =
+      match Registry.find t.registry c.name with
+      | Some st -> st.Registry.version
+      | None -> -1
+    in
+    let key =
+      stream_cache_prefix c.name
+      ^ Printf.sprintf "migrate:%d-%d:" since current
+      ^ digest [ program ]
+    in
+    cached t key (fun () ->
+        match Evolve.migrate t.registry ~stream:c.name ~since ~program with
+        | Error err -> Error (migrate_error err)
+        | Ok r ->
+            Ok
+              (json_body
+                 [
+                   ("stream", Dv.String r.Evolve.stream);
+                   ("from_version", Dv.Int r.Evolve.from_version);
+                   ("to_version", Dv.Int r.Evolve.to_version);
+                   ("old_shape", Dv.String (shape_string r.Evolve.old_shape));
+                   ("new_shape", Dv.String (shape_string r.Evolve.new_shape));
+                   ( "program",
+                     Dv.String (Fsdata_foo.Syntax.expr_to_string r.Evolve.program) );
+                   ("type", Dv.String (Fmt.str "%a" Fsdata_foo.Syntax.pp_ty r.Evolve.ty));
+                 ]))
 
 (* How long a watch may park when neither the deadline nor timeout-ms
    says otherwise (direct handler calls in tests; the live server's
    request deadline is always finite and tighter). *)
-let watch_default_s = 25.
+let watch_default_ms = 25_000
 
 (* GET /streams/:name/watch?since=V[&timeout-ms=N] — long-poll until the
    stream's version exceeds V (default: its version at arrival, i.e.
@@ -793,81 +744,51 @@ let watch_default_s = 25.
    budget expires first, 503 when the waiter table is full. The wait is
    bounded by the request deadline less a write margin, so the answer
    always beats the socket timeout. *)
-let handle_stream_watch t ~deadline name req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else
-    match Registry.find t.registry name with
-    | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-    | Some st -> (
-        let since =
-          match Http.query_param req "since" with
-          | None -> Ok st.Registry.version
-          | Some s -> (
-              match int_of_string_opt s with
-              | Some v when v >= 0 -> Ok v
-              | _ -> Error (Printf.sprintf "bad since value %S" s))
-        in
-        let timeout_param =
-          match Http.query_param req "timeout-ms" with
-          | None -> Ok None
-          | Some s -> (
-              match int_of_string_opt s with
-              | Some ms when ms >= 0 -> Ok (Some ms)
-              | _ -> Error (Printf.sprintf "bad timeout-ms value %S" s))
-        in
-        match (since, timeout_param) with
-        | Error m, _ | _, Error m -> json_error 400 m
-        | Ok since, Ok timeout_param -> (
-            let poll () =
-              match Registry.find t.registry name with
-              | Some st when st.Registry.version > since -> Some st
-              | _ -> None
-            in
-            let budget =
-              let from_deadline =
-                let r = Deadline.remaining_seconds deadline in
-                if r = infinity then infinity else Float.max 0. (r -. 0.05)
-              in
-              let from_param =
-                match timeout_param with
-                | Some ms -> float_of_int ms /. 1e3
-                | None -> watch_default_s
-              in
-              Float.min from_deadline from_param
-            in
-            match Notify.wait t.watch ~key:name ~seconds:budget ~poll with
-            | `Ready st ->
-                Metrics.incr watch_notified;
-                json_ok
-                  ~headers:[ ("x-fsdata-watch", "notified") ]
-                  (stream_fields st)
-            | `Timeout ->
-                Metrics.incr watch_timeouts;
-                Http.response ~status:204
-                  ~headers:[ ("x-fsdata-watch", "timeout") ]
-                  ""
-            | `Capacity ->
-                Metrics.incr watch_shed;
-                Metrics.incr shed_total;
-                Http.response ~status:503
-                  ~headers:[ ("retry-after", "1") ]
-                  (json_body
-                     [ ("error", Dv.String "too many concurrent watchers") ])))
+let handle_stream_watch t c req =
+  let* st = find_stream t c.name in
+  let* since = int_param req "since" ~min:0 ~default:(Ok st.Registry.version) in
+  let* timeout_ms =
+    int_param req "timeout-ms" ~min:0 ~default:(Ok watch_default_ms)
+  in
+  let poll () =
+    match Registry.find t.registry c.name with
+    | Some st when st.Registry.version > since -> Some st
+    | _ -> None
+  in
+  let budget =
+    let from_deadline =
+      let r = Deadline.remaining_seconds c.deadline in
+      if r = infinity then infinity else Float.max 0. (r -. 0.05)
+    in
+    Float.min from_deadline (float_of_int timeout_ms /. 1e3)
+  in
+  match Notify.wait t.watch ~key:c.name ~seconds:budget ~poll with
+  | `Ready st ->
+      Metrics.incr watch_notified;
+      json_ok ~headers:[ ("x-fsdata-watch", "notified") ] (stream_fields st)
+  | `Timeout ->
+      Metrics.incr watch_timeouts;
+      Http.response ~status:204 ~headers:[ ("x-fsdata-watch", "timeout") ] ""
+  | `Capacity ->
+      Metrics.incr watch_shed;
+      Metrics.incr shed_total;
+      Http.response ~status:503
+        ~headers:[ ("retry-after", "1") ]
+        (json_body [ ("error", Dv.String "too many concurrent watchers") ])
 
 (* /streams/:name/hooks?url=U — webhook registration. POST registers
    (idempotently; the cursor starts at the current version, recorded
    durably in the WAL), DELETE removes, GET lists with delivery
    cursors. Registration is durable before it is acknowledged: a WAL
    append failure answers 503 and registers nothing. *)
-let handle_stream_hooks t name req =
-  let url_param () =
-    match Http.query_param req "url" with
-    | None -> Error "missing required query parameter url"
-    | Some url when String.length url > 2048 -> Error "url too long"
-    | Some url -> (
-        match Fsdata_evolve.Client.parse_url url with
-        | Ok _ -> Ok url
-        | Error m -> Error m)
+let handle_stream_hooks t c req =
+  let url () =
+    Result.bind (required req "url") (fun url ->
+        if String.length url > 2048 then Error (json_error 400 "url too long")
+        else
+          match Fsdata_evolve.Client.parse_url url with
+          | Ok _ -> Ok url
+          | Error m -> Error (json_error 400 m))
   in
   let hook_entry (h : Registry.hook) =
     Dv.Record
@@ -886,62 +807,39 @@ let handle_stream_hooks t name req =
       ]
   in
   match req.Http.meth with
-  | "GET" -> (
-      match Registry.find t.registry name with
-      | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-      | Some st -> render st)
-  | "POST" -> (
-      match url_param () with
-      | Error m -> json_error 400 m
-      | Ok url -> (
-          match Registry.add_hook t.registry ~stream:name ~url with
-          | exception Unix.Unix_error (e, _, _) ->
-              json_error 503
-                (Printf.sprintf "storage error, hook not registered: %s"
-                   (Unix.error_message e))
-          | st -> render st))
-  | "DELETE" -> (
-      match url_param () with
-      | Error m -> json_error 400 m
-      | Ok url -> (
-          match Registry.remove_hook t.registry ~stream:name ~url with
-          | exception Unix.Unix_error (e, _, _) ->
-              json_error 503
-                (Printf.sprintf "storage error, hook not removed: %s"
-                   (Unix.error_message e))
-          | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-          | Some st -> render st))
-  | _ -> method_not_allowed "GET, POST, DELETE"
+  | "GET" ->
+      let* st = find_stream t c.name in
+      render st
+  | "POST" ->
+      let* url = url () in
+      let* st =
+        durably "hook not registered" (fun () ->
+            Registry.add_hook t.registry ~stream:c.name ~url)
+      in
+      render st
+  | _ (* DELETE: the route admits no other method *) -> (
+      let* url = url () in
+      let* removed =
+        durably "hook not removed" (fun () ->
+            Registry.remove_hook t.registry ~stream:c.name ~url)
+      in
+      match removed with None -> no_such_stream c.name | Some st -> render st)
 
 (* --- /query and /streams/:name/query — typed query pushdown --- *)
 
 let default_query_limit = 1000
 
-let query_args req =
-  match Http.query_param req "q" with
-  | None -> Error "missing required query parameter q"
-  | Some qtext -> (
-      let compiled =
-        match Http.query_param req "compiled" with
-        | None | Some "0" -> Ok false
-        | Some "1" -> Ok true
-        | Some v -> Error (Printf.sprintf "bad compiled value %S (use 0 or 1)" v)
-      in
-      let limit =
-        match Http.query_param req "limit" with
-        | None -> Ok default_query_limit
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some n when n > 0 -> Ok n
-            | _ -> Error (Printf.sprintf "bad limit value %S" s))
-      in
-      match (compiled, limit) with
-      | Error m, _ | _, Error m -> Error m
-      | Ok compiled, Ok limit -> (
-          match Fsdata_query.Parser.parse_result qtext with
-          | Error m -> Error m
-          | Ok query ->
-              Ok (qtext, Fsdata_query.Syntax.ensure_limit limit query, compiled, limit)))
+(* The q, compiled and limit parameters of both query routes, handed on
+   as the query text, the parsed query bounded by the limit, the engine
+   flag and the limit. *)
+let with_query req k =
+  let* qtext = required req "q" in
+  let* compiled = compiled_param req in
+  let* limit = int_param req "limit" ~min:1 ~default:(Ok default_query_limit) in
+  let* query =
+    Result.map_error (json_error 400) (Fsdata_query.Parser.parse_result qtext)
+  in
+  k qtext (Fsdata_query.Syntax.ensure_limit limit query) compiled limit
 
 (* An ill-typed query is a client error: 400 with the Explain-style
    diagnostic split into fields the client can act on. *)
@@ -956,6 +854,9 @@ let query_rejection (e : Fsdata_query.Check.error) =
          ("expected", Dv.String e.Fsdata_query.Check.expected);
          ("found", Dv.String (shape_string e.Fsdata_query.Check.found));
        ])
+
+let check_query sigma query =
+  Result.map_error query_rejection (Fsdata_query.Check.check (intern sigma) query)
 
 let query_fields ~compiled (checked : Fsdata_query.Check.checked)
     (r : Fsdata_query.Value.result) =
@@ -978,80 +879,73 @@ let query_fields ~compiled (checked : Fsdata_query.Check.checked)
    before the corpus is even parsed; without it σ is first inferred
    from the body. Responses are digest-keyed in the same LRU as
    /infer. *)
-let handle_query t ~cancel req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
-  else
-    match query_args req with
-    | Error m -> json_error 400 m
-    | Ok (qtext, query, compiled, limit) -> (
-        let shape_param = Http.query_param req "shape" in
-        let pre_checked =
-          (* the explicit-σ path typechecks before touching the body *)
-          match shape_param with
-          | None -> Ok None
-          | Some text -> (
-              match Shape_parser.parse_result text with
-              | Error m -> Error (json_error 400 m)
-              | Ok sigma -> (
-                  let sigma = Shape.hcons sigma in
-                  hcons_guard ();
-                  match Fsdata_query.Check.check sigma query with
-                  | Error e -> Error (query_rejection e)
-                  | Ok checked -> Ok (Some checked)))
-        in
+let handle_query t c req =
+  with_query req @@ fun qtext query compiled limit ->
+  let shape_param = Http.query_param req "shape" in
+  (* the explicit-σ path typechecks before touching the body *)
+  let* pre_checked =
+    match shape_param with
+    | None -> Ok None
+    | Some text -> (
+        match Shape_parser.parse_result text with
+        | Error m -> Error (json_error 400 m)
+        | Ok sigma -> Result.map Option.some (check_query sigma query))
+  in
+  let key =
+    digest
+      [
+        "query";
+        qtext;
+        string_of_bool compiled;
+        string_of_int limit;
+        Option.value ~default:"" shape_param;
+        req.Http.body;
+      ]
+  in
+  cached t key (fun () ->
+      let checked =
         match pre_checked with
-        | Error resp -> resp
-        | Ok pre_checked -> (
-            let key =
-              Digest.to_hex
-                (Digest.string
-                   (String.concat "\x00"
-                      [
-                        "query";
-                        qtext;
-                        string_of_bool compiled;
-                        string_of_int limit;
-                        Option.value ~default:"" shape_param;
-                        req.Http.body;
-                      ]))
-            in
-            match Cache.find t.cache key with
-            | Some body ->
-                Metrics.incr cache_hits;
-                Http.response
-                  ~headers:[ ("x-fsdata-cache", "hit") ]
-                  ~status:200 body
-            | None -> (
-                Metrics.incr cache_misses;
-                let checked =
-                  match pre_checked with
-                  | Some c -> Ok c
-                  | None -> (
-                      match Infer.of_json req.Http.body with
-                      | Error m -> Error (json_error 422 m)
-                      | Ok sigma -> (
-                          let sigma = Shape.hcons sigma in
-                          hcons_guard ();
-                          match Fsdata_query.Check.check sigma query with
-                          | Error e -> Error (query_rejection e)
-                          | Ok checked -> Ok checked))
-                in
-                match checked with
-                | Error resp -> resp
-                | Ok checked ->
-                    let result =
-                      if compiled then
-                        Fsdata_query.Eval_fast.eval ~cancel
-                          (Fsdata_query.Eval_fast.compile checked)
-                          req.Http.body
-                      else Fsdata_query.Eval.eval ~cancel checked req.Http.body
-                    in
-                    let body = json_body (query_fields ~compiled checked result) in
-                    Metrics.add cache_evictions
-                      (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
-                    Http.response
-                      ~headers:[ ("x-fsdata-cache", "miss") ]
-                      ~status:200 body)))
+        | Some checked -> Ok checked
+        | None -> (
+            match Infer.of_json req.Http.body with
+            | Error m -> Error (json_error 422 m)
+            | Ok sigma -> check_query sigma query)
+      in
+      Result.map
+        (fun checked ->
+          let result =
+            if compiled then
+              Fsdata_query.Eval_fast.eval ~cancel:c.cancel
+                (Fsdata_query.Eval_fast.compile checked)
+                req.Http.body
+            else Fsdata_query.Eval.eval ~cancel:c.cancel checked req.Http.body
+          in
+          json_body (query_fields ~compiled checked result))
+        checked)
+
+(* The checked (and for compiled=1, plan-compiled) stream query: the
+   second-level lookup under a stream query's response-cache miss.
+   Rejections are not kept. *)
+let stream_plan t key ~compiled (st : Registry.stream) query =
+  match Cache.find t.plans key with
+  | Some entry ->
+      Metrics.incr plan_cache_hits;
+      Ok entry
+  | None ->
+      Metrics.incr plan_cache_misses;
+      Result.map
+        (fun checked ->
+          let entry =
+            {
+              pe_checked = checked;
+              pe_fast =
+                (if compiled then Some (Fsdata_query.Eval_fast.compile checked)
+                 else None);
+            }
+          in
+          ignore (Cache.add t.plans key entry);
+          entry)
+        (check_query st.Registry.shape query)
 
 (* POST /streams/:name/query?q=Q[&compiled=0|1][&limit=N] — run Q over
    the body, checked against the stream's CURRENT shape. Both caches
@@ -1059,116 +953,56 @@ let handle_query t ~cancel req =
    the query against the new σ automatically — a plan compiled against
    version N can never serve version N+1 — and a push additionally
    evicts the stream's plans and responses outright. *)
-let handle_stream_query t ~cancel name req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
-  else
-    match Registry.find t.registry name with
-    | None -> json_error 404 (Printf.sprintf "no such stream %S" name)
-    | Some st -> (
-        match query_args req with
-        | Error m -> json_error 400 m
-        | Ok (qtext, query, compiled, limit) -> (
-            let version = st.Registry.version in
-            let vtag =
-              Printf.sprintf "v%d:%s:%d:" version
-                (if compiled then "fast" else "eval")
-                limit
-            in
-            let resp_key =
-              stream_cache_prefix name ^ "query:" ^ vtag
-              ^ Digest.to_hex (Digest.string (qtext ^ "\x00" ^ req.Http.body))
-            in
-            match Cache.find t.cache resp_key with
-            | Some body ->
-                Metrics.incr cache_hits;
-                Http.response
-                  ~headers:[ ("x-fsdata-cache", "hit") ]
-                  ~status:200 body
-            | None -> (
-                Metrics.incr cache_misses;
-                let plan_key = stream_cache_prefix name ^ "plan:" ^ vtag ^ qtext in
-                let entry =
-                  match Cache.find t.plans plan_key with
-                  | Some e ->
-                      Metrics.incr plan_cache_hits;
-                      Ok e
-                  | None -> (
-                      Metrics.incr plan_cache_misses;
-                      let sigma = Shape.hcons st.Registry.shape in
-                      hcons_guard ();
-                      match Fsdata_query.Check.check sigma query with
-                      | Error e -> Error (query_rejection e)
-                      | Ok checked ->
-                          let entry =
-                            {
-                              pe_checked = checked;
-                              pe_fast =
-                                (if compiled then
-                                   Some (Fsdata_query.Eval_fast.compile checked)
-                                 else None);
-                            }
-                          in
-                          ignore (Cache.add t.plans plan_key entry);
-                          Ok entry)
-                in
-                match entry with
-                | Error resp -> resp
-                | Ok entry ->
-                    let result =
-                      match entry.pe_fast with
-                      | Some plan ->
-                          Fsdata_query.Eval_fast.eval ~cancel plan req.Http.body
-                      | None ->
-                          Fsdata_query.Eval.eval ~cancel entry.pe_checked
-                            req.Http.body
-                    in
-                    let body =
-                      json_body
-                        (( "stream", Dv.String st.Registry.name )
-                         :: ("version", Dv.Int version)
-                         :: query_fields ~compiled entry.pe_checked result)
-                    in
-                    Metrics.add cache_evictions
-                      (Cache.add ?ttl_ns:(cache_ttl t) t.cache resp_key body);
-                    Http.response
-                      ~headers:[ ("x-fsdata-cache", "miss") ]
-                      ~status:200 body)))
+let handle_stream_query t c req =
+  let* st = find_stream t c.name in
+  with_query req @@ fun qtext query compiled limit ->
+  let version = st.Registry.version in
+  let vtag =
+    Printf.sprintf "v%d:%s:%d:" version (if compiled then "fast" else "eval") limit
+  in
+  let prefix = stream_cache_prefix c.name in
+  cached t
+    (prefix ^ "query:" ^ vtag ^ digest [ qtext; req.Http.body ])
+    (fun () ->
+      Result.map
+        (fun entry ->
+          let result =
+            match entry.pe_fast with
+            | Some plan -> Fsdata_query.Eval_fast.eval ~cancel:c.cancel plan req.Http.body
+            | None ->
+                Fsdata_query.Eval.eval ~cancel:c.cancel entry.pe_checked req.Http.body
+          in
+          json_body
+            (("stream", Dv.String st.Registry.name)
+            :: ("version", Dv.Int version)
+            :: query_fields ~compiled entry.pe_checked result))
+        (stream_plan t (prefix ^ "plan:" ^ vtag ^ qtext) ~compiled st query))
 
 (* POST /cache/invalidate[?key=K|stream=NAME] — drop cached responses:
    one exact key, one stream's entries, or (with no parameter)
    everything. *)
-let handle_cache_invalidate t req =
-  if req.Http.meth <> "POST" then method_not_allowed "POST"
-  else
-    let n =
-      match (Http.query_param req "key", Http.query_param req "stream") with
-      | Some key, _ -> if Cache.remove t.cache key then 1 else 0
-      | None, Some stream ->
-          ignore
-            (Cache.remove_where t.plans
-               (String.starts_with ~prefix:(stream_cache_prefix stream)));
-          Cache.remove_where t.cache
-            (String.starts_with ~prefix:(stream_cache_prefix stream))
-      | None, None ->
-          ignore (Cache.clear t.plans);
-          Cache.clear t.cache
-    in
-    Metrics.add cache_invalidations n;
-    json_ok [ ("invalidated", Dv.Int n) ]
+let handle_cache_invalidate t _ req =
+  let n =
+    match (Http.query_param req "key", Http.query_param req "stream") with
+    | Some key, _ -> Bool.to_int (Cache.remove t.cache key)
+    | None, Some stream -> invalidate_stream t stream
+    | None, None ->
+        ignore (Cache.clear t.plans);
+        Cache.clear t.cache
+  in
+  Metrics.add cache_invalidations n;
+  json_ok [ ("invalidated", Dv.Int n) ]
 
-(* --- routing --- *)
+(* --- /metrics and /healthz --- *)
 
-let handle_metrics req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else Http.response ~status:200 (Metrics.to_json ())
+let handle_metrics _ _ _ = Http.response ~status:200 (Metrics.to_json ())
 
 (* Health degrades in the order a load balancer should learn about it:
    draining (the process is on its way out) beats overloaded (back off
    and retry), beats ok. Both degraded states answer 503 so the check
    itself is the back-off signal. *)
-let handle_healthz t req =
-  if req.Http.meth <> "GET" then method_not_allowed "GET"
-  else if Atomic.get t.draining then
+let handle_healthz t _ _ =
+  if Atomic.get t.draining then
     Http.response ~status:503 (json_body [ ("status", Dv.String "draining") ])
   else if overloaded t then
     Http.response ~status:503
@@ -1176,60 +1010,89 @@ let handle_healthz t req =
       (json_body [ ("status", Dv.String "overloaded") ])
   else json_ok [ ("status", Dv.String "ok") ]
 
-(* "/streams/:name/:op" *)
-let split_stream_path p =
-  match String.split_on_char '/' p with
-  | [ ""; "streams"; name; op ] when name <> "" -> Some (name, op)
-  | _ -> None
+(* --- routing --- *)
 
-let route t ~cancel ~deadline ~rest req =
-  match req.Http.path with
-  | "/infer" -> handle_infer t ~cancel ~rest req
-  | p -> (
-      (* only /infer streams; any other endpoint needs the whole body *)
-      let req =
-        match rest with
-        | None -> req
-        | Some rest -> { req with Http.body = Http.read_body_all rest }
-      in
-      match p with
-      | "/check" -> handle_checkish t ~explain:false req
-      | "/explain" -> handle_checkish t ~explain:true req
-      | "/metrics" -> handle_metrics req
-      | "/healthz" -> handle_healthz t req
-      | "/cache/invalidate" -> handle_cache_invalidate t req
-      | "/query" -> handle_query t ~cancel req
-      | p -> (
-          match split_stream_path p with
-          | Some (name, "push") -> handle_stream_push t ~cancel name req
-          | Some (name, "query") -> handle_stream_query t ~cancel name req
-          | Some (name, "shape") -> handle_stream_shape t name req
-          | Some (name, "history") -> handle_stream_history t name req
-          | Some (name, "diff") -> handle_stream_diff t name req
-          | Some (name, "migrate") -> handle_stream_migrate t name req
-          | Some (name, "watch") -> handle_stream_watch t ~deadline name req
-          | Some (name, "hooks") -> handle_stream_hooks t name req
-          | _ -> json_error 404 (Printf.sprintf "no such endpoint %s" p)))
+type route = {
+  meths : string list;  (* the methods it admits; any other is 405 *)
+  counter : Metrics.counter;  (* serve.requests.* *)
+  streams : bool;  (* reads a streamed body off the wire itself *)
+  run : t -> ctx -> Http.request -> Http.response;
+}
 
-let request_counter p =
-  if String.starts_with ~prefix:"/streams/" p then req_stream
-  else
-    match p with
-    | "/infer" -> req_infer
-    | "/query" -> req_query
-    | "/check" -> req_check
-    | "/explain" -> req_explain
-    | "/metrics" -> req_metrics
-    | "/healthz" -> req_healthz
-    | _ -> req_other
+let requests name = Metrics.counter ("serve.requests." ^ name)
+
+(* an unknown path counts under "other", or under "stream" for any
+   /streams/* path, as every stream route does *)
+let req_stream = requests "stream"
+let req_other = requests "other"
+
+let route ?(streams = false) meths name run =
+  { meths; counter = requests name; streams; run }
+
+let routes =
+  [
+    ("/infer", route ~streams:true [ "POST" ] "infer" handle_infer);
+    ("/check", route [ "POST" ] "check" (handle_checkish ~explain:false));
+    ("/explain", route [ "POST" ] "explain" (handle_checkish ~explain:true));
+    ("/query", route [ "POST" ] "query" handle_query);
+    ("/metrics", route [ "GET" ] "metrics" handle_metrics);
+    ("/healthz", route [ "GET" ] "healthz" handle_healthz);
+    ("/cache/invalidate", route [ "POST" ] "other" handle_cache_invalidate);
+  ]
+
+(* /streams/:name/OP, by OP *)
+let stream_routes =
+  [
+    ("push", route [ "POST" ] "stream" handle_stream_push);
+    ("query", route [ "POST" ] "stream" handle_stream_query);
+    ("shape", route [ "GET" ] "stream" handle_stream_shape);
+    ("history", route [ "GET" ] "stream" handle_stream_history);
+    ("diff", route [ "GET" ] "stream" handle_stream_diff);
+    ("migrate", route [ "POST" ] "stream" handle_stream_migrate);
+    ("watch", route [ "GET" ] "stream" handle_stream_watch);
+    ("hooks", route [ "GET"; "POST"; "DELETE" ] "stream" handle_stream_hooks);
+  ]
+
+(* The route of a path, with the :name of a stream route *)
+let find_route path =
+  match List.assoc_opt path routes with
+  | Some r -> Some (r, "")
+  | None -> (
+      match String.split_on_char '/' path with
+      | [ ""; "streams"; name; op ] when name <> "" ->
+          Option.map (fun r -> (r, name)) (List.assoc_opt op stream_routes)
+      | _ -> None)
+
+let dispatch t ~cancel ~deadline ~rest found req =
+  (* a route that does not stream its body gets the whole of it, drained
+     before even the method check *)
+  let rest, req =
+    match (rest, found) with
+    | Some _, Some (r, _) when r.streams -> (rest, req)
+    | Some body, _ -> (None, { req with Http.body = Http.read_body_all body })
+    | None, _ -> (None, req)
+  in
+  match found with
+  | None -> json_error 404 (Printf.sprintf "no such endpoint %s" req.Http.path)
+  | Some (r, _) when not (List.mem req.Http.meth r.meths) ->
+      let allow = String.concat ", " r.meths in
+      Http.response ~status:405
+        ~headers:[ ("allow", allow) ]
+        (json_body [ ("error", Dv.String ("use " ^ allow)) ])
+  | Some (r, name) -> r.run t { cancel; deadline; rest; name } req
 
 let handle ?(cancel = Fsdata_data.Cancel.never) ?(deadline = Deadline.never)
     ?rest t req =
-  Metrics.incr (request_counter req.Http.path);
+  let found = find_route req.Http.path in
+  Metrics.incr
+    (match found with
+    | Some (r, _) -> r.counter
+    | None when String.starts_with ~prefix:"/streams/" req.Http.path -> req_stream
+    | None -> req_other);
   Metrics.gauge_add inflight 1.0;
   let t0 = Clock.now_ns () in
   let resp =
-    match route t ~cancel ~deadline ~rest req with
+    match dispatch t ~cancel ~deadline ~rest found req with
     | resp -> resp
     | exception Fsdata_data.Cancel.Cancelled ->
         (* the deadline tripped mid-inference: the cooperative token cut
@@ -1276,7 +1139,7 @@ let deadline_of_header req =
   | Some v -> (
       match int_of_string_opt (String.trim v) with
       | Some ms when ms > 0 -> Ok (Deadline.after_ms ms)
-      | _ -> Error (Printf.sprintf "bad X-Fsdata-Deadline-Ms value %S" v))
+      | _ -> Error (bad_value "X-Fsdata-Deadline-Ms" v))
 
 (* One keep-alive connection, start to close. Any socket fault (peer
    reset, send timeout, expired deadline) just ends the connection — the

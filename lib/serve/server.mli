@@ -12,11 +12,16 @@
       {!Fsdata_core.Infer.run}; without [max-errors] the budget is
       [Strict], exactly as on the command line. [jobs=0] is the
       machine's recommended domain count.
-    - [POST /check?shape=EXPR&format=json|xml] — body is one document;
-      responds with the Figure 6 runtime shape test and the preference
-      check against [EXPR].
+    - [POST /check?shape=EXPR&format=json|xml&compiled=0|1] — body is
+      one document; responds with the Figure 6 runtime shape test and
+      the preference check against [EXPR] ([compiled=1]: the test runs
+      a cached shape-compiled parser).
     - [POST /explain?shape=EXPR&format=json|xml] — body is one document;
       responds with the list of preference violations ({!Fsdata_core.Explain}).
+    - [POST /query?q=Q&shape=EXPR&compiled=0|1&limit=N] — runs the
+      typed query [Q] ({!Fsdata_query}) over the body's documents,
+      checked against [EXPR] or, without it, the shape inferred from
+      the body; an ill-typed query is [400] with its diagnostic.
     - [GET /metrics] — the {!Fsdata_obs.Metrics} registry as flat JSON,
       including the [serve.*] instruments below.
     - [GET /healthz] — liveness.
@@ -37,10 +42,13 @@
       push was not acknowledged and is safe to retry.
     - [GET /streams/:name/shape?format=paper|schema] — the current
       shape, paper notation or JSON Schema; cached under the stream's
-      prefix with the configured TTL.
+      prefix and version with the configured TTL.
     - [GET /streams/:name/history] — one entry per version bump.
     - [GET /streams/:name/diff?from=A&to=B] — the growth between two
       versions, rendered as {!Fsdata_core.Explain} mismatches.
+    - [POST /streams/:name/query?q=Q&compiled=0|1&limit=N] — [Q] checked
+      against the stream's current shape; the checked query (plan) and
+      the response are cached per stream version.
     - [POST /cache/invalidate[?key=K|stream=NAME]] — drop one cached
       response, one stream's, or all of them.
 
@@ -73,8 +81,9 @@
     [text/x-fsdata-shape] / [text/plain] (the bare paper notation);
     unsatisfiable headers answer [406].
 
-    Results of [/infer] are cached in an LRU keyed by the digest of
-    (format, jobs, budget, body); the inferred shape is interned with
+    [compiled=true] reads as [compiled=1]. Results of [/infer] are
+    cached in an LRU keyed by the digest of (format, negotiated
+    representation, jobs, budget, body); the inferred shape is interned with
     {!Fsdata_core.Shape.hcons} so hot shapes share one heap
     representation. Hits and misses are distinguished only by the
     [X-Fsdata-Cache] response header (and the [serve.cache.*] counters)
@@ -89,8 +98,8 @@
     the ingestion engine, so inference over an adversarial
     corpus stops between documents and answers 504. JSON [/infer]
     bodies above [stream_threshold] are never buffered — they stream
-    off the socket into the recovering cursor (bypassing the response
-    cache). Admission control reserves each declared [Content-Length]
+    off the socket into the engine's [Json.Reader] (bypassing the
+    response cache). Admission control reserves each declared [Content-Length]
     against [max_inflight_bytes] before reading it; over-budget and
     over-queue requests are shed with [503] + [Retry-After]. Worker
     domains are supervised ({!Supervisor}): an escaped exception is
@@ -103,8 +112,9 @@
     {2 [serve.*] metrics}
 
     Counters
-    [serve.requests.{infer,check,explain,metrics,healthz,stream,other}]
-    (every [/streams/*] request counts under [stream]),
+    [serve.requests.{infer,check,explain,query,metrics,healthz,stream,other}]
+    (every [/streams/*] request counts under [stream]; unknown paths
+    and [/cache/invalidate] under [other]),
     [serve.responses.{2xx,4xx,5xx}],
     [serve.cache.{hits,misses,evictions,invalidations}],
     [serve.http_errors] (malformed requests answered from the parser),

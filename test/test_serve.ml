@@ -456,6 +456,9 @@ let test_query_endpoint () =
   check Alcotest.int "unparseable q is 400" 400 (run "where ==").Http.status;
   check Alcotest.int "bad compiled is 400" 400
     (run ~query:[ ("compiled", "yes") ] "count").Http.status;
+  check Alcotest.string "compiled=true reads as compiled=1, as on /check"
+    "eval_fast"
+    (field_string "engine" (run ~query:[ ("compiled", "true") ] "count"));
   check Alcotest.int "bad limit is 400" 400
     (run ~query:[ ("limit", "0") ] "count").Http.status;
   check Alcotest.int "GET is 405" 405
@@ -686,6 +689,204 @@ let test_concurrent_infer_identical () =
     results;
   ignore reference
 
+(* ----- the route table ----- *)
+
+module Metrics = Fsdata_obs.Metrics
+
+(* [f ()], and each named counter that moved, with how far *)
+let counting names f =
+  let enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let read () = List.map (fun n -> Metrics.value (Metrics.counter n)) names in
+  let before = read () in
+  let v = Fun.protect ~finally:(fun () -> Metrics.set_enabled enabled) f in
+  let moved =
+    List.concat
+      (List.map2
+         (fun (n, b) a -> if a > b then [ (n, a - b) ] else [])
+         (List.combine names before) (read ()))
+  in
+  (v, moved)
+
+let request_counters =
+  List.map
+    (fun n -> "serve.requests." ^ n)
+    [ "infer"; "check"; "explain"; "metrics"; "healthz"; "stream"; "query"; "other" ]
+
+let moved_pp = Alcotest.(list (pair string int))
+
+(* Every route with its allowed methods and the counter its requests
+   move; a stream route answers 405 before it looks the stream up. *)
+let routes =
+  [
+    ("/infer", "POST", "infer");
+    ("/check", "POST", "check");
+    ("/explain", "POST", "explain");
+    ("/metrics", "GET", "metrics");
+    ("/healthz", "GET", "healthz");
+    ("/cache/invalidate", "POST", "other");
+    ("/query", "POST", "query");
+    ("/streams/s/push", "POST", "stream");
+    ("/streams/s/query", "POST", "stream");
+    ("/streams/s/shape", "GET", "stream");
+    ("/streams/s/history", "GET", "stream");
+    ("/streams/s/diff", "GET", "stream");
+    ("/streams/s/migrate", "POST", "stream");
+    ("/streams/s/watch", "GET", "stream");
+    ("/streams/s/hooks", "GET, POST, DELETE", "stream");
+  ]
+
+let test_route_table_405 () =
+  let t = server () in
+  List.iter
+    (fun (path, allow, counter) ->
+      let allowed = String.split_on_char ',' allow |> List.map String.trim in
+      List.iter
+        (fun meth ->
+          if not (List.mem meth allowed) then begin
+            let label = Printf.sprintf "%s %s" meth path in
+            let resp, moved =
+              counting request_counters (fun () ->
+                  Server.handle t (request ~meth path))
+            in
+            check Alcotest.int (label ^ " is 405") 405 resp.Http.status;
+            check (Alcotest.option Alcotest.string) (label ^ " allow")
+              (Some allow)
+              (List.assoc_opt "allow" resp.Http.resp_headers);
+            check Alcotest.string (label ^ " body")
+              (Printf.sprintf "{\n  \"error\": \"use %s\"\n}\n" allow)
+              resp.Http.resp_body;
+            check moved_pp (label ^ " counter")
+              [ ("serve.requests." ^ counter, 1) ]
+              moved
+          end)
+        [ "GET"; "POST"; "PUT"; "DELETE"; "HEAD"; "PATCH" ])
+    routes;
+  (* unknown paths: 404, counted under other — or under stream for any
+     /streams/ path *)
+  List.iter
+    (fun (path, counter) ->
+      let resp, moved =
+        counting request_counters (fun () ->
+            Server.handle t (request ~meth:"GET" path))
+      in
+      check Alcotest.int (path ^ " is 404") 404 resp.Http.status;
+      check Alcotest.string (path ^ " body")
+        (Printf.sprintf "{\n  \"error\": \"no such endpoint %s\"\n}\n" path)
+        resp.Http.resp_body;
+      check moved_pp (path ^ " counter")
+        [ ("serve.requests." ^ counter, 1) ]
+        moved)
+    [
+      ("/nope", "other");
+      ("/streams/s/nope", "stream");
+      ("/streams//shape", "stream");
+      ("/streams/s", "stream");
+    ];
+  (* an allowed /cache/invalidate is counted under other too *)
+  let _, moved =
+    counting request_counters (fun () ->
+        Server.handle t (request "/cache/invalidate"))
+  in
+  check moved_pp "POST /cache/invalidate counter"
+    [ ("serve.requests.other", 1) ]
+    moved;
+  (* a streamed body is drained before the method check, so the
+     connection stays usable; /infer refuses it unread *)
+  let req, rest = streamed_request ~target:"/metrics" corpus in
+  check Alcotest.int "streamed POST /metrics is 405" 405
+    (Server.handle ~rest t req).Http.status;
+  check Alcotest.int "and its body was drained" 0 (Http.body_remaining rest);
+  let req, rest = streamed_request ~target:"/infer" corpus in
+  check Alcotest.int "streamed PUT /infer is 405" 405
+    (Server.handle ~rest t { req with Http.meth = "PUT" }).Http.status;
+  check Alcotest.int "and its body was left unread" (String.length corpus)
+    (Http.body_remaining rest)
+
+(* ----- the compiled-parser cache, through /check?compiled=1 ----- *)
+
+let compile_counters =
+  List.map (fun n -> "compile.cache." ^ n) [ "hits"; "misses"; "evictions" ]
+
+let test_compiled_parser_cache () =
+  let t = server () in
+  let check_compiled shape =
+    let resp =
+      Server.handle t
+        (request
+           ~query:[ ("shape", shape); ("compiled", "1") ]
+           ~body:"{\"name\": \"ada\", \"age\": 36}" "/check")
+    in
+    check Alcotest.int ("check against " ^ shape) 200 resp.Http.status
+  in
+  let _, moved = counting compile_counters (fun () -> check_compiled shape_expr) in
+  check moved_pp "first use compiles" [ ("compile.cache.misses", 1) ] moved;
+  let _, moved = counting compile_counters (fun () -> check_compiled shape_expr) in
+  check moved_pp "second use hits" [ ("compile.cache.hits", 1) ] moved;
+  (* capacity 32: the 33rd distinct shape evicts one parser *)
+  let t = server () in
+  let _, moved =
+    counting compile_counters (fun () ->
+        for i = 1 to 33 do
+          let resp =
+            Server.handle t
+              (request
+                 ~query:
+                   [
+                     ("shape", Printf.sprintf "{name: string, f%d: nullable int}" i);
+                     ("compiled", "1");
+                   ]
+                 ~body:"{\"name\": \"ada\"}" "/check")
+          in
+          check Alcotest.int "200" 200 resp.Http.status
+        done)
+  in
+  check moved_pp "33 distinct shapes"
+    [ ("compile.cache.misses", 33); ("compile.cache.evictions", 1) ]
+    moved
+
+(* ----- /streams/:name/shape never outlives an acknowledged push ----- *)
+
+(* A /shape read racing a push: the read may miss before the push and
+   store its rendering after the push invalidated the stream's entries.
+   Once the push is acknowledged, no later read may report the old
+   version. *)
+let test_stream_shape_races_push () =
+  let t = server () in
+  let grown =
+    String.concat "\n"
+      (List.init 200 (fun i ->
+           Printf.sprintf "{\"name\": \"n%d\", \"age\": %d}" i i))
+  in
+  let stale = ref 0 in
+  for round = 1 to 1000 do
+    let name = Printf.sprintf "s%d" round in
+    let shape = request ~meth:"GET" ("/streams/" ^ name ^ "/shape") in
+    let push body = Server.handle t (request ~body ("/streams/" ^ name ^ "/push")) in
+    ignore (push "{\"name\": \"ada\"}");
+    let go = Atomic.make false and stop = Atomic.make false in
+    let reader =
+      Domain.spawn (fun () ->
+          Atomic.set go true;
+          while not (Atomic.get stop) do
+            ignore (Server.handle t shape)
+          done)
+    in
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    ignore (push grown);
+    Atomic.set stop true;
+    Domain.join reader;
+    match Fsdata_registry.Registry.find (Server.registry t) name with
+    | None -> Alcotest.fail "stream vanished"
+    | Some st ->
+        if field_int "version" (Server.handle t shape)
+           <> st.Fsdata_registry.Registry.version
+        then incr stale
+  done;
+  check Alcotest.int "reads after an acknowledged push see its version" 0 !stale
+
 let suite =
   [
     tc "cache: LRU eviction order" `Quick test_cache_lru;
@@ -732,4 +933,10 @@ let suite =
       test_concurrent_infer_identical;
     tc "strict budget answers the legacy strict line" `Quick
       test_strict_budget_legacy_line;
+    tc "route table: wrong methods, 404s and counters" `Quick
+      test_route_table_405;
+    tc "compiled-parser cache: hits, misses, evictions" `Quick
+      test_compiled_parser_cache;
+    tc "stream shape: a racing read never outlives a push" `Quick
+      test_stream_shape_races_push;
   ]
