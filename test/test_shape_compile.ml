@@ -344,6 +344,49 @@ let test_missing_optional_field_defaults () =
         v
   | Sc.Fallback _ -> Alcotest.fail "conforming document fell back"
 
+(* The exact text [diagnose] gives for one violation of each kind: the
+   path from the root, what was expected there and what was found. *)
+let test_pinned_diagnostics () =
+  let int = Shape.Primitive Shape.Int and str = Shape.Primitive Shape.String in
+  let json = Dv.json_record_name in
+  let once = Shape.hetero [ (int, Multiplicity.Single); (str, Multiplicity.Single) ] in
+  List.iter
+    (fun (what, sigma, text, expected) ->
+      let message =
+        Option.map
+          (fun (d : Diagnostic.t) -> d.message)
+          (Sc.diagnose sigma (Prim.normalize (Json.parse text)))
+      in
+      Alcotest.(check (option string)) what (Some expected) message)
+    [
+      ( "wrong primitive", int_record, {|{"a": true}|},
+        "document does not have the expected shape at $.a: expected int, \
+         found a boolean" );
+      ( "missing required field", int_record, {|{"b": 1}|},
+        "document does not have the expected shape at $.a: expected int, \
+         found a missing field" );
+      ( "record name", Shape.record "row" [ ("a", int) ], {|{"a": 1}|},
+        "document does not have the expected shape at $: expected a record \
+         named row, found a record" );
+      ( "null element, non-nullable entry",
+        Shape.record json [ ("xs", Shape.collection int_record) ],
+        {|{"xs": [{"a": 1}, null]}|},
+        "document does not have the expected shape at $.xs[1]: expected \
+         • {a: int}, found null" );
+      ( "bad element", Shape.record json [ ("xs", Shape.collection int) ],
+        {|{"xs": [1, 2, "two"]}|},
+        "document does not have the expected shape at $.xs[2]: expected int, \
+         found the string \"two\"" );
+      ( "unmatched exactly-once entry", Shape.record json [ ("xs", once) ],
+        {|{"xs": [1]}|},
+        "document does not have the expected shape at $.xs: expected exactly \
+         one element of shape string, found a collection with none" );
+      ( "null against a Single entry", Shape.record json [ ("xs", once) ],
+        {|{"xs": null}|},
+        "document does not have the expected shape at $.xs: expected [int, 1 | \
+         string, 1], found null (an exactly-once entry cannot be supplied)" );
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_corpus_differential;
@@ -362,4 +405,6 @@ let suite =
       test_duplicate_key_position;
     Alcotest.test_case "missing optional fields default" `Quick
       test_missing_optional_field_defaults;
+    Alcotest.test_case "diagnostics pinned, one per kind" `Quick
+      test_pinned_diagnostics;
   ]
