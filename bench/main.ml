@@ -1074,11 +1074,24 @@ let compile_bench () =
     String.concat "\n" (List.map (fun v -> Json.to_string (Sc.to_data v)) vs)
   in
   let bytes_identical = render generic_vals = render compiled_vals in
+  (* compiled decoding reads through Json.Reader, which counts every
+     document it reads (a malformed one it skips is not read); a
+     private document loop would leave the counter where it was *)
+  let docs_read =
+    let module M = Fsdata_obs.Metrics in
+    let read = M.counter "parse.json.documents" and was = M.enabled () in
+    M.set_enabled true;
+    let before = M.value read in
+    ignore (Sc.parse_corpus compiled text);
+    M.set_enabled was;
+    M.value read - before
+  in
   Printf.printf
-    "                direct %d, fallback %d, skipped %d; values identical: %b; \
-     rendered bytes identical: %b\n\
+    "                direct %d, fallback %d, skipped %d, documents read %d; \
+     values identical: %b; rendered bytes identical: %b\n\
      %!"
-    stats.Sc.direct stats.Sc.fallback stats.Sc.skipped identical bytes_identical;
+    stats.Sc.direct stats.Sc.fallback stats.Sc.skipped docs_read identical
+    bytes_identical;
   let fail msg =
     Printf.eprintf "compile: smoke assertion failed: %s\n" msg;
     exit 1
@@ -1091,6 +1104,12 @@ let compile_bench () =
         (Printf.sprintf "expected %d direct decodes, got %d (fallback %d)" n
            stats.Sc.direct stats.Sc.fallback);
     if stats.Sc.skipped <> 0 then fail "clean corpus reported skipped docs";
+    if docs_read <> stats.Sc.direct + stats.Sc.fallback then
+      fail
+        (Printf.sprintf
+           "parse.json.documents moved by %d, not direct + fallback = %d: \
+            compiled decoding must read through Json.Reader"
+           docs_read (stats.Sc.direct + stats.Sc.fallback));
     (* the acceptance bar is 5x; pin a 2x floor so CI noise on the shared
        container can't flake the build *)
     if speedup < 2. then

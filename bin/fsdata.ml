@@ -205,48 +205,6 @@ let quarantine_arg =
 let read_files paths =
   Obs_trace.with_span "cli.read" @@ fun () -> List.map read_file paths
 
-(* --- shape-compiled re-parsing (docs/COMPILED_PARSERS.md) --- *)
-
-let compiled_arg =
-  Arg.(
-    value & flag
-    & info [ "compiled" ]
-        ~doc:
-          "Drive the corpus through a parser compiled from the shape
-           (JSON only): record fields matched by expected key, primitives
-           decoded directly, with per-document fallback to the generic
-           parser on mismatch. Output is byte-identical to the
-           interpreted pipeline; the engine is observable through the
-           $(b,compile.*) metrics and $(b,compile.parse) trace spans.
-           See $(b,docs/COMPILED_PARSERS.md).")
-
-(* Re-parse the input texts through a parser compiled from [shape],
-   silently: documents that do not conform fall back per document, and
-   malformed documents are skipped with the same resynchronization as
-   the tolerant generic path. Printed output must stay byte-identical to
-   the non-compiled run, so the outcome surfaces only through the
-   compile.* instruments. *)
-let compiled_reparse shape texts =
-  let parser = Fsdata_core.Shape_compile.compile (Shape.hcons shape) in
-  List.iter
-    (fun text ->
-      ignore
-        (Fsdata_core.Shape_compile.parse_corpus
-           ~on_fallback:(fun _ -> ())
-           ~on_error:(fun _ ~skipped:_ -> ())
-           parser text))
-    texts
-
-(* --compiled applies to JSON corpora in practical mode; reject the
-   combinations whose semantics would silently differ. *)
-let compiled_applicable ~compiled ~format ~paths =
-  if not compiled then Ok ()
-  else
-    match resolve_format format paths with
-    | Ok Json -> Ok ()
-    | Ok _ -> Error "--compiled applies to JSON samples"
-    | Error (`Msg m) -> Error m
-
 (* Infer the shape of the sample files. Without --max-errors
    ([budget = None]) inference is strict and each JSON file is one
    document; with it, a single JSON file is a whitespace-separated
@@ -371,20 +329,10 @@ let infer_cmd =
              classification, homogeneous collections. The default is the
              practical mode the library ships (Sections 6.2, 6.4).")
   in
-  let run () format global paper compiled csv_schema jobs max_errors quarantine
-      paths =
+  let run () format global paper csv_schema jobs max_errors quarantine paths =
     if quarantine <> None && max_errors = None then
       `Error (false, "--quarantine requires --max-errors")
-    else if compiled && (global || paper) then
-      `Error
-        ( false,
-          "--compiled uses practical-mode JSON semantics and applies to \
-           neither --global nor --paper" )
-    else
-      match compiled_applicable ~compiled ~format ~paths with
-      | Error m -> `Error (false, m)
-      | Ok () ->
-    if global then
+    else if global then
       if max_errors <> None then
         `Error (false, "--max-errors does not apply to --global inference")
       else
@@ -415,8 +363,6 @@ let infer_cmd =
               | Error (`Msg m) -> `Error (false, m)
               | Ok (f, report) ->
                   Format.printf "%a@." Shape.pp report.Infer.shape;
-                  if compiled then
-                    compiled_reparse report.Infer.shape (read_files paths);
                   finish_tolerant ~quarantine ~format:f ~paths ~budget report))
       | None -> (
           if paper then
@@ -436,7 +382,6 @@ let infer_cmd =
             match infer_shape ~csv_schema ~jobs format paths with
             | Ok (_, shape) ->
                 Format.printf "%a@." Shape.pp shape;
-                if compiled then compiled_reparse shape (read_files paths);
                 `Ok ()
             | Error (`Msg m) -> `Error (false, m))
   in
@@ -445,8 +390,8 @@ let infer_cmd =
     Term.(
       ret
         (const run $ obs_term $ format_arg $ global_arg $ paper_arg
-       $ compiled_arg $ csv_schema_arg $ jobs_arg $ max_errors_arg
-       $ quarantine_arg $ samples_arg))
+       $ csv_schema_arg $ jobs_arg $ max_errors_arg $ quarantine_arg
+       $ samples_arg))
 
 (* --- provide --- *)
 
@@ -587,7 +532,7 @@ let check_cmd =
              '[• {name: string, age: nullable float}]') instead of
              inferring it from sample files.")
   in
-  let run () format shape compiled jobs input paths =
+  let run () format shape jobs input paths =
     let sample_shape =
       match shape with
       | Some text -> (
@@ -605,18 +550,6 @@ let check_cmd =
     match sample_shape with
     | Error (`Msg m) -> `Error (false, m)
     | Ok (f, sample_shape) -> (
-        match
-          compiled_applicable ~compiled
-            ~format:(match f with Some f -> Some f | None -> format)
-            ~paths:[ input ]
-        with
-        | Error m -> `Error (false, m)
-        | Ok () ->
-        (* decode the input through the shape-compiled engine first: the
-           printed verdict below is unchanged, but non-conforming (or
-           malformed) documents exercise the per-document fallback, and
-           the direct/fallback split lands in the compile.* metrics *)
-        if compiled then compiled_reparse sample_shape [ read_file input ];
         match infer_shape (match f with Some f -> Some f | None -> format) [ input ] with
         | Error (`Msg m) -> `Error (false, m)
         | Ok (_, input_shape) ->
@@ -644,8 +577,7 @@ let check_cmd =
              samples (the premise of relative type safety).")
     Term.(
       ret
-        (const run $ obs_term $ format_arg $ shape_arg $ compiled_arg
-        $ jobs_arg $ input_arg
+        (const run $ obs_term $ format_arg $ shape_arg $ jobs_arg $ input_arg
         $ Arg.(
             value & pos_all file []
             & info [] ~docv:"SAMPLE" ~doc:"Sample document(s).")))

@@ -97,82 +97,6 @@ let non_null_entries entries =
 let has_null_entry entries =
   List.exists (fun (e : Shape.entry) -> e.shape = Shape.Null) entries
 
-let rec convert (s : Shape.t) (d : Data_value.t) : tvalue =
-  match (s, d) with
-  | Shape.Bottom, _ -> raise Mismatch
-  | Shape.Null, Null -> Vnull
-  | Shape.Null, _ -> raise Mismatch
-  | Shape.Top _, d -> Vany d
-  | Shape.Nullable _, Null -> Vnull
-  | Shape.Nullable s', d -> convert s' d
-  | Shape.Primitive p, d -> prim_of_value p d
-  | Shape.Record { name; fields }, Record (name', dfields)
-    when String.equal name name' ->
-      let conv_field (f, fs) =
-        match List.assoc_opt f dfields with
-        | Some v -> (f, convert fs v)
-        | None -> (
-            match missing_field_default fs with
-            | Some t -> (f, t)
-            | None -> raise Mismatch)
-      in
-      Vrecord (name, Array.of_list (List.map conv_field fields))
-  | Shape.Record _, _ -> raise Mismatch
-  | Shape.Collection entries, Null ->
-      if Shape_check.has_shape (Shape.Collection entries) Data_value.Null then
-        Vlist [||]
-      else raise Mismatch
-  | Shape.Collection entries, List ds -> convert_elements entries ds
-  | Shape.Collection _, _ -> raise Mismatch
-
-and convert_elements entries ds : tvalue =
-  let null_ok = has_null_entry entries in
-  match non_null_entries entries with
-  | [] ->
-      (* [⊥]-like collections: only null elements conform *)
-      Vlist
-        (Array.of_list
-           (List.map
-              (fun d -> if d = Data_value.Null then Vnull else raise Mismatch)
-              ds))
-  | [ f ] ->
-      (* single non-null entry: homogeneous check of every element *)
-      Vlist
-        (Array.of_list
-           (List.map
-              (fun d ->
-                if d = Data_value.Null then
-                  if null_ok then Vnull else convert f.shape Data_value.Null
-                else convert f.shape d)
-              ds))
-  | consumers ->
-      (* several entries: dispatch by exhibited tag, open world for
-         unknown tags and nulls *)
-      let conv d =
-        if d = Data_value.Null then Vnull
-        else
-          let t = Shape_check.tag_of_data d in
-          match
-            List.find_opt
-              (fun (e : Shape.entry) -> Tag.equal (Shape.tagof e.shape) t)
-              consumers
-          with
-          | Some e -> convert e.shape d
-          | None -> Vany d
-      in
-      let items = List.map conv ds in
-      (* exactly-once entries must actually be matched by some element *)
-      List.iter
-        (fun (e : Shape.entry) ->
-          if
-            e.mult = Multiplicity.Single
-            && not (List.exists (fun d -> Shape_check.has_shape e.shape d) ds)
-          then raise Mismatch)
-        consumers;
-      Vlist (Array.of_list items)
-
-(* ----- Diagnosis ----- *)
-
 let describe (d : Data_value.t) =
   match d with
   | Null -> "null"
@@ -188,119 +112,131 @@ let describe (d : Data_value.t) =
       if String.equal name Data_value.json_record_name then "a record"
       else Printf.sprintf "a record named %s" name
 
-(* First violation of [has_shape s d], with the path from the root in the
-   JSONPath-ish notation of [Explain]. Mirrors [Shape_check.has_shape]
-   case for case; the differential suite pins
-   [diagnose s d = None <=> has_shape s d]. *)
-let rec first_mismatch path (s : Shape.t) (d : Data_value.t) :
-    (string * string * string) option =
-  let fail expected = Some (path, expected, describe d) in
+(* The first violation of [has_shape]: the steps from the root to it in
+   the JSONPath-ish notation of [Explain] (["." ^ field], ["[i]"]), what
+   was expected there and what was found. A step joins the path as the
+   violation leaves the field or element it names, so a conforming
+   value builds no path. *)
+exception Violation of string list * string * string
+
+let violation expected found = raise (Violation ([], expected, found))
+
+(* [conv s d] is Fig. 6's conversion of the normalized value [d] through
+   [s], defined exactly where [Shape_check.has_shape s d] holds, and
+   [Violation] names the first place it fails. *)
+let rec conv (s : Shape.t) (d : Data_value.t) : tvalue =
   match (s, d) with
-  | Shape.Bottom, _ -> fail "nothing (bottom)"
-  | Shape.Null, Null -> None
-  | Shape.Null, _ -> fail "null"
-  | Shape.Top _, _ -> None
-  | Shape.Nullable _, Null -> None
-  | Shape.Nullable s', d -> first_mismatch path s' d
+  | Shape.Bottom, _ -> violation "nothing (bottom)" (describe d)
+  | Shape.Null, Null -> Vnull
+  | Shape.Null, _ -> violation "null" (describe d)
+  | Shape.Top _, d -> Vany d
+  | Shape.Nullable _, Null -> Vnull
+  | Shape.Nullable s', d -> conv s' d
   | Shape.Primitive p, d -> (
-      match prim_of_value p d with
-      | _ -> None
-      | exception Mismatch -> fail (Shape.to_string (Shape.Primitive p)))
+      try prim_of_value p d
+      with Mismatch -> violation (Shape.to_string s) (describe d))
   | Shape.Record { name; fields }, Record (name', dfields)
     when String.equal name name' ->
-      List.find_map
-        (fun (f, fs) ->
-          let path = path ^ "." ^ f in
-          match List.assoc_opt f dfields with
-          | Some v -> first_mismatch path fs v
-          | None ->
-              if missing_field_default fs <> None then None
-              else Some (path, Shape.to_string fs, "a missing field"))
-        fields
+      let conv_field (f, fs) =
+        match List.assoc_opt f dfields with
+        | Some v -> (
+            try (f, conv fs v)
+            with Violation (path, e, a) ->
+              raise (Violation (("." ^ f) :: path, e, a)))
+        | None -> (
+            match missing_field_default fs with
+            | Some t -> (f, t)
+            | None ->
+                raise
+                  (Violation ([ "." ^ f ], Shape.to_string fs, "a missing field")))
+      in
+      Vrecord (name, Array.of_list (List.map conv_field fields))
   | Shape.Record { name; _ }, _ ->
-      fail (Printf.sprintf "a record named %s" name)
-  | Shape.Collection entries, Null ->
-      if Shape_check.has_shape (Shape.Collection entries) Data_value.Null then
-        None
+      violation (Printf.sprintf "a record named %s" name) (describe d)
+  | Shape.Collection _, Null ->
+      if Shape_check.has_shape s Data_value.Null then Vlist [||]
       else
-        Some
-          ( path,
-            Shape.to_string (Shape.Collection entries),
-            "null (an exactly-once entry cannot be supplied)" )
-  | Shape.Collection entries, List ds -> elements_mismatch path entries ds
-  | Shape.Collection entries, _ ->
-      fail (Shape.to_string (Shape.Collection entries))
+        violation (Shape.to_string s)
+          "null (an exactly-once entry cannot be supplied)"
+  | Shape.Collection entries, List ds ->
+      Vlist (Array.of_list (conv_elements entries ds))
+  | Shape.Collection _, _ -> violation (Shape.to_string s) (describe d)
 
-and elements_mismatch path entries ds =
-  let null_ok = has_null_entry entries in
-  let find_at check =
-    List.find_map Fun.id
-      (List.mapi (fun i d -> check (Printf.sprintf "%s[%d]" path i) d) ds)
+and conv_elements entries ds =
+  let elements conv_one =
+    List.mapi
+      (fun i d ->
+        try conv_one d
+        with Violation (path, e, a) ->
+          raise (Violation (Printf.sprintf "[%d]" i :: path, e, a)))
+      ds
   in
   match non_null_entries entries with
   | [] ->
-      find_at (fun p d ->
-          if d = Data_value.Null then None else Some (p, "null", describe d))
+      (* [⊥]-like collections: only null elements conform *)
+      elements (conv Shape.Null)
   | [ f ] ->
-      find_at (fun p d ->
-          if d = Data_value.Null then
-            if null_ok || Shape_check.has_shape f.shape Data_value.Null then
-              None
-            else Some (p, Shape.to_string f.shape, "null")
-          else first_mismatch p f.shape d)
-  | consumers -> (
-      let elt_mismatch =
-        find_at (fun p d ->
-            if d = Data_value.Null then None
-            else
+      (* single non-null entry: homogeneous check of every element *)
+      let null_ok = has_null_entry entries in
+      elements (function
+        | Data_value.Null when null_ok -> Vnull
+        | Data_value.Null -> (
+            try conv f.shape Data_value.Null
+            with Violation _ -> violation (Shape.to_string f.shape) "null")
+        | d -> conv f.shape d)
+  | consumers ->
+      (* several entries: dispatch by exhibited tag, open world for
+         unknown tags and nulls *)
+      let items =
+        elements (function
+          | Data_value.Null -> Vnull
+          | d -> (
               let t = Shape_check.tag_of_data d in
               match
                 List.find_opt
                   (fun (e : Shape.entry) -> Tag.equal (Shape.tagof e.shape) t)
                   consumers
               with
-              | Some e -> first_mismatch p e.shape d
-              | None -> None)
+              | Some e -> conv e.shape d
+              | None -> Vany d))
       in
-      match elt_mismatch with
-      | Some _ as m -> m
-      | None ->
-          List.find_map
-            (fun (e : Shape.entry) ->
-              if
-                e.mult = Multiplicity.Single
-                && not
-                     (List.exists
-                        (fun d -> Shape_check.has_shape e.shape d)
-                        ds)
-              then
-                Some
-                  ( path,
-                    Printf.sprintf "exactly one element of shape %s"
-                      (Shape.to_string e.shape),
-                    "a collection with none" )
-              else None)
-            consumers)
+      (* exactly-once entries must actually be matched by some element *)
+      List.iter
+        (fun (e : Shape.entry) ->
+          if
+            e.mult = Multiplicity.Single
+            && not (List.exists (fun d -> Shape_check.has_shape e.shape d) ds)
+          then
+            violation
+              (Printf.sprintf "exactly one element of shape %s"
+                 (Shape.to_string e.shape))
+              "a collection with none")
+        consumers;
+      items
 
-let diagnose (s : Shape.t) (d : Data_value.t) : Diagnostic.t option =
-  match first_mismatch "$" s d with
-  | None -> None
-  | Some (at, expected, actual) ->
-      Some
-        (Diagnostic.make ~severity:Diagnostic.Warning ~format:Diagnostic.Json
-           ~line:0 ~column:0
-           (Printf.sprintf
-              "document does not have the expected shape at %s: expected %s, \
-               found %s"
-              at expected actual))
+let convert s d = try conv s d with Violation _ -> raise Mismatch
+
+let diagnostic ?index path expected found =
+  Diagnostic.make ?index ~severity:Diagnostic.Warning ~format:Diagnostic.Json ~line:0
+    ~column:0
+    (Printf.sprintf
+       "document does not have the expected shape at %s: expected %s, found %s"
+       (String.concat "" ("$" :: path))
+       expected found)
+
+let diagnose s d =
+  match conv s d with
+  | _ -> None
+  | exception Violation (path, expected, found) ->
+      Some (diagnostic path expected found)
 
 (* ----- Compilation ----- *)
 
 (* A decoder consumes one JSON value from the raw lexer state and
    produces its direct representation. It may raise {!Mismatch} eagerly
-   at any point — the document driver rewinds to the document start and
-   re-derives the truth on the generic path, so decoders never need to
-   repair the cursor themselves — and it may raise
+   at any point — [Json.Reader] (or [parse]) rewinds to the document
+   start and re-derives the truth on the generic path, so decoders never
+   need to repair the cursor themselves — and it may raise
    [Diagnostic.Parse_error] through the shared lexer on malformed
    syntax. *)
 type decoder = Raw.state -> tvalue
@@ -326,8 +262,11 @@ type compiled_shape = {
 type compiled = { cshape : Shape.t; dec : decoder }
 
 let shape c = c.cshape
-let reject_struct : decoder = fun _ -> raise Mismatch
-let reject_scalar : Data_value.t -> tvalue = fun _ -> raise Mismatch
+
+(* Every token rejected: the base the shapes below override. *)
+let reject =
+  let no _ = raise Mismatch in
+  { on_record = no; on_array = no; of_scalar = no; of_string = no }
 
 (* Decode one value against a compiled shape: dispatch on the first
    token character. Structured openers are left for the shape's own
@@ -449,13 +388,9 @@ let rec decode_members r st out expected =
 
 let rec compile_shape (s : Shape.t) : compiled_shape =
   match s with
-  | Shape.Bottom ->
-      { on_record = reject_struct; on_array = reject_struct;
-        of_scalar = reject_scalar;
-        of_string = (fun _ -> raise Mismatch) }
+  | Shape.Bottom -> reject
   | Shape.Null ->
-      { on_record = reject_struct;
-        on_array = reject_struct;
+      { reject with
         of_scalar =
           (function Data_value.Null -> Vnull | _ -> raise Mismatch);
         of_string =
@@ -467,9 +402,7 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
         of_scalar = (fun v -> Vany v);
         of_string = (fun s -> Vany (fst (Primitive.to_value s))) }
   | Shape.Primitive p ->
-      { on_record = reject_struct; on_array = reject_struct;
-        of_scalar = prim_of_value p;
-        of_string = prim_of_string p }
+      { reject with of_scalar = prim_of_value p; of_string = prim_of_string p }
   | Shape.Nullable s' ->
       (* a null token (or a literal normalizing to null) short-circuits;
          everything else is the payload's business, same token *)
@@ -489,9 +422,7 @@ and compile_record { Shape.name; fields } : compiled_shape =
   if not (String.equal name Data_value.json_record_name) then
     (* JSON objects are all named [json_record_name]; an XML-derived
        record shape can never match JSON input directly *)
-    { on_record = reject_struct; on_array = reject_struct;
-      of_scalar = reject_scalar;
-      of_string = (fun _ -> raise Mismatch) }
+    reject
   else begin
     let fields = Array.of_list fields in
     let r =
@@ -528,8 +459,7 @@ and compile_record { Shape.name; fields } : compiled_shape =
       done;
       Vrecord (name, out)
     in
-    { on_record; on_array = reject_struct; of_scalar = reject_scalar;
-      of_string = (fun _ -> raise Mismatch) }
+    { reject with on_record }
   end
 
 and compile_collection entries : compiled_shape =
@@ -538,7 +468,7 @@ and compile_collection entries : compiled_shape =
   in
   let dec_elements = compile_elements entries in
   {
-    on_record = reject_struct;
+    reject with
     on_array =
       (fun st ->
         Raw.advance st (* past '[' *);
@@ -560,29 +490,23 @@ and compile_collection entries : compiled_shape =
 and compile_elements entries : Raw.state -> tvalue array =
   let dec_one = run (compile_element entries) in
   fun st ->
+    let items = ref [] in
+    let rec elements () =
+      items := dec_one st :: !items;
+      Raw.skip_ws st;
+      match Raw.peek_char st with
+      | ',' ->
+          Raw.advance st;
+          Raw.skip_ws st;
+          elements ()
+      | ']' -> Raw.advance st
+      | _ -> raise Mismatch
+    in
     Raw.skip_ws st;
-    if Raw.peek_char st = ']' then begin
-      Raw.advance st;
-      finish_elements entries [] st
-    end
-    else begin
-      let items = ref [] in
-      let rec elements () =
-        items := dec_one st :: !items;
-        Raw.skip_ws st;
-        match Raw.peek_char st with
-        | ',' ->
-            Raw.advance st;
-            Raw.skip_ws st;
-            elements ()
-        | ']' -> Raw.advance st
-        | _ -> raise Mismatch
-      in
-      elements ();
-      finish_elements entries (List.rev !items) st
-    end
+    if Raw.peek_char st = ']' then Raw.advance st else elements ();
+    finish_elements entries (List.rev !items)
 
-and finish_elements entries items _st =
+and finish_elements entries items =
   (* Exactly-once entries of a multi-entry collection must be matched by
      some element. The compiled path tracks only which entry each element
      decoded through; an element can also satisfy an entry it did not
@@ -609,15 +533,7 @@ and finish_elements entries items _st =
 and compile_element entries : compiled_shape =
   let null_ok = has_null_entry entries in
   match non_null_entries entries with
-  | [] ->
-      { on_record = reject_struct;
-        on_array = reject_struct;
-        of_scalar =
-          (function Data_value.Null -> Vnull | _ -> raise Mismatch);
-        of_string =
-          (fun s ->
-            if Primitive.is_missing s then Vnull else raise Mismatch);
-      }
+  | [] -> compile_shape Shape.Null (* only null elements conform *)
   | [ f ] ->
       let cs = compile_shape f.shape in
       let null_elem =
@@ -690,103 +606,74 @@ type outcome = Direct of tvalue | Fallback of tvalue * Diagnostic.t
 
 type stats = { direct : int; fallback : int; skipped : int }
 
-let reraise_legacy (d : Diagnostic.t) =
-  raise
-    (Json.Parse_error { line = d.line; column = d.column; message = d.message })
+let direct v =
+  Fsdata_obs.Metrics.incr m_direct;
+  Direct v
 
-(* Decode one document starting at the current position. On a compiled
-   mismatch — or a parse error, which on a desynchronized compiled path
-   may be spurious — rewind to the document start and re-derive the truth
-   generically: parse, normalize, diagnose. The cursor always ends at a
-   sound position: after the document on any parse (the generic re-parse
-   consumed it), and the caller resynchronizes on `Malformed. *)
-let decode_one (c : compiled) st =
-  let m = Raw.mark st in
-  match c.dec st with
-  | v ->
-      Fsdata_obs.Metrics.incr m_direct;
-      `Direct v
-  | exception (Mismatch | Diagnostic.Parse_error _) -> (
-      Raw.reset st m;
-      match Raw.parse_value st with
-      | dv -> (
-          let dv = Primitive.normalize dv in
-          match diagnose c.cshape dv with
-          | Some d ->
-              Fsdata_obs.Metrics.incr m_fallback;
-              `Fallback (Vany dv, d)
-          | None ->
-              (* the compiled decoder was conservative (duplicate keys,
-                 multiplicity corner cases): the document conforms *)
-              Fsdata_obs.Metrics.incr m_direct;
-              `Direct (convert c.cshape dv))
-      | exception Diagnostic.Parse_error d -> `Malformed d)
+(* A document the compiled decoder declined, re-derived from its generic
+   parse: the conversion of the normalized value, or that value with the
+   first violation's diagnostic. The decoder may decline a conforming
+   document (duplicate keys, multiplicity corner cases); the conversion
+   decides. *)
+let generic ?index c dv =
+  let dv = Primitive.normalize dv in
+  match conv c.cshape dv with
+  | v -> direct v
+  | exception Violation (path, expected, found) ->
+      Fsdata_obs.Metrics.incr m_fallback;
+      Fallback (Vany dv, diagnostic ?index path expected found)
 
+(* The decoder on the whole text; on a mismatch, a fault or a trailing
+   byte, [Json.parse] decides, and raises its own exception on a fault. *)
 let parse (c : compiled) (src : string) : outcome =
   Fsdata_obs.Trace.with_span "compile.parse" @@ fun () ->
   let st = Raw.make src in
-  Raw.skip_ws st;
-  let finish () =
+  let at_end () =
     Raw.skip_ws st;
-    match Raw.peek st with
-    | Some ch ->
-        Raw.fail st (Printf.sprintf "trailing content after JSON value: %C" ch)
-    | None -> ()
+    Raw.at_eof st
   in
-  match
-    match decode_one c st with
-    | `Direct v ->
-        finish ();
-        Direct v
-    | `Fallback (v, d) ->
-        finish ();
-        Fallback (v, d)
-    | `Malformed d -> raise (Diagnostic.Parse_error d)
-  with
-  | outcome -> outcome
-  | exception Diagnostic.Parse_error d -> reraise_legacy d
+  match c.dec st with
+  | v when at_end () -> direct v
+  | _ | (exception (Mismatch | Diagnostic.Parse_error _)) ->
+      generic c (Json.parse src)
 
-let fold_corpus ?(cancel = Cancel.never) ?on_error (c : compiled)
+(* The compiled decoder is the reader's [absorb] hook: the reader skips
+   whitespace, polls [cancel], counts documents, rewinds a declined
+   document to parse it, and resyncs and reports a fault, as in
+   [Json.fold_many]. *)
+let fold_corpus ?cancel ?on_error (c : compiled)
     (f : 'acc -> outcome -> [ `Continue of 'acc | `Stop of 'acc ])
     (acc : 'acc) (src : string) : 'acc * stats =
   Fsdata_obs.Trace.with_span "compile.parse" @@ fun () ->
-  let st = Raw.make src in
-  let direct = ref 0 and fellback = ref 0 and skipped = ref 0 in
-  let rec loop acc idx =
-    Raw.skip_ws st;
-    if Raw.at_eof st then acc
-    else begin
-      Cancel.check cancel;
-      let start = Raw.offset st in
-      match decode_one c st with
-      | `Direct v -> (
-          incr direct;
-          match f acc (Direct v) with
-          | `Continue acc -> loop acc (idx + 1)
-          | `Stop acc -> acc)
-      | `Fallback (v, d) -> (
-          incr fellback;
-          match f acc (Fallback (v, Diagnostic.with_index idx d)) with
-          | `Continue acc -> loop acc (idx + 1)
-          | `Stop acc -> acc)
-      | `Malformed d -> (
-          match on_error with
-          | None -> reraise_legacy d
-          | Some handler ->
-              (* skip the malformed document and resynchronize at the
-                 next top-level boundary, exactly like [Json.fold_many]'s
-                 recovering mode *)
-              ignore (Raw.resync st ~start);
-              let text =
-                String.trim (String.sub src start (Raw.offset st - start))
-              in
-              incr skipped;
-              handler (Diagnostic.with_index idx d) ~skipped:text;
-              loop acc (idx + 1))
-    end
+  let direct_n = ref 0 and fallback_n = ref 0 and skipped = ref 0 in
+  let on_error =
+    Option.map
+      (fun h d ~skipped:text ->
+        incr skipped;
+        h d ~skipped:text)
+      on_error
   in
-  let acc = loop acc 0 in
-  (acc, { direct = !direct; fallback = !fellback; skipped = !skipped })
+  let r = Json.Reader.create ?cancel ?on_error src in
+  let decoded = ref Vnull in
+  let absorb st =
+    match c.dec st with
+    | v ->
+        decoded := v;
+        true
+    | exception Mismatch -> false
+  in
+  let rec loop acc =
+    match Json.Reader.next ~absorb r with
+    | Json.Reader.End -> acc
+    | Json.Reader.Absorbed -> step acc (direct !decoded)
+    | Json.Reader.Doc dv -> step acc (generic ~index:(Json.Reader.index r) c dv)
+    | Json.Reader.Await -> assert false (* a whole text awaits nothing *)
+  and step acc o =
+    incr (match o with Direct _ -> direct_n | Fallback _ -> fallback_n);
+    match f acc o with `Continue acc -> loop acc | `Stop acc -> acc
+  in
+  let acc = loop acc in
+  (acc, { direct = !direct_n; fallback = !fallback_n; skipped = !skipped })
 
 let parse_corpus ?cancel ?on_fallback ?on_error (c : compiled) (src : string) :
     tvalue list * stats =

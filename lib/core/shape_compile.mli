@@ -17,16 +17,21 @@
       [Shape_check.has_shape σ (Primitive.normalize (Json.parse text))]
       holds, and the direct result equals {!convert} of that normalized
       value (the differential test harness asserts both);
-    - on a mismatch the driver {e falls back} per document: it rewinds to
-      the document start, re-parses generically, and either emits the
-      normalized value with a {!Diagnostic.t} explaining the first
-      violation ({!diagnose}), or — when the compiled decoder was merely
-      conservative (duplicate keys, multiplicity corner cases) — the
-      converted value with no diagnostic;
-    - malformed documents behave exactly like [Json.fold_many]'s
-      recovering mode: same diagnostics, same resynchronization at
-      top-level boundaries (the decoders drive [Json.Raw], the generic
-      parser's own lexer), same 0-based document indices.
+    - on a mismatch the document {e falls back}: it is parsed
+      generically and converted, which either names the first violation
+      (the normalized value is emitted with the {!diagnose} diagnostic)
+      or, when the compiled decoder was merely conservative (duplicate
+      keys, multiplicity corner cases), yields the converted value with
+      no diagnostic;
+    - a corpus is read through [Json.Reader], the one JSON document
+      reader, with the compiled decoder as its [absorb] hook: the reader
+      skips whitespace, polls cancellation, keeps the document index,
+      rewinds a declined document to parse it, and resyncs and reports a
+      malformed one. So malformed documents behave exactly like
+      [Json.fold_many]'s recovering mode (same diagnostics, same
+      resynchronization at top-level boundaries, same 0-based document
+      indices), and the [parse.json.*] counters count compiled decodes
+      too.
 
     Instrumented with [compile.*] counters and [compile.build] /
     [compile.parse] spans (docs/OBSERVABILITY.md). *)
@@ -76,12 +81,12 @@ val convert : Shape.t -> Data_value.t -> tvalue
     @raise Mismatch when [not (has_shape s d)]. *)
 
 val diagnose : Shape.t -> Data_value.t -> Diagnostic.t option
-(** [diagnose s d] is [None] iff [Shape_check.has_shape s d]; otherwise a
-    warning-severity JSON diagnostic (positions unknown, hence 0/0)
-    pinpointing the first violation: the path from the root, the expected
-    shape and the found value kind. Both the compiled fallback and any
-    strict conformance report use this one function, so their fields
-    agree by construction. *)
+(** [diagnose s d] is the failure arm of {!convert}'s conversion: [None]
+    iff [Shape_check.has_shape s d]; otherwise a warning-severity JSON
+    diagnostic (positions unknown, hence 0/0) pinpointing the first
+    violation: the path from the root, the expected shape and the found
+    value kind. The compiled fallback reports through the same
+    conversion, so the two agree by construction. *)
 
 (** {1 Compilation} *)
 
@@ -107,9 +112,10 @@ val shape : compiled -> Shape.t
 type outcome = Direct of tvalue | Fallback of tvalue * Diagnostic.t
 
 val parse : compiled -> string -> outcome
-(** Decode one JSON document, rejecting trailing content.
-    @raise Json.Parse_error on malformed input — same positions and
-    message as [Json.parse]. *)
+(** Decode one JSON document, rejecting trailing content. The compiled
+    decoder reads the whole text; on a mismatch, a fault or a trailing
+    byte the text goes to [Json.parse].
+    @raise Json.Parse_error on malformed input — [Json.parse]'s. *)
 
 type stats = { direct : int; fallback : int; skipped : int }
 (** Per-call decode accounting: documents decoded by the compiled path,
@@ -124,16 +130,17 @@ val fold_corpus :
   'acc ->
   string ->
   'acc * stats
-(** The fold underneath {!parse_corpus}: decode a stream of
-    whitespace-separated JSON documents one at a time and hand each
-    {!outcome} to [f], which decides whether to continue — [`Stop]
+(** The fold underneath {!parse_corpus}: read a stream of
+    whitespace-separated JSON documents one at a time through
+    [Json.Reader], the compiled decoder as its [absorb] hook, and hand
+    each {!outcome} to [f], which decides whether to continue — [`Stop]
     abandons the rest of the corpus without reading further bytes,
     which is what lets a query's [take] bound a scan. [Fallback]
     diagnostics carry the 0-based document index. Malformed documents
     never reach [f]: without [on_error] the first one raises
     [Json.Parse_error]; with it they are skipped, reported and counted
     ([stats.skipped]) exactly like [Json.fold_many]'s recovering mode.
-    [cancel] is polled between documents. *)
+    [cancel] is polled between documents, by the reader. *)
 
 val parse_corpus :
   ?cancel:Cancel.t ->
@@ -143,7 +150,8 @@ val parse_corpus :
   string ->
   tvalue list * stats
 (** Decode a stream of whitespace-separated JSON documents, the compiled
-    counterpart of [Json.fold_many]. Conforming documents take the direct
+    counterpart of [Json.fold_many], read through [Json.Reader] as
+    {!fold_corpus} reads it. Conforming documents take the direct
     path; non-conforming ones fall back per document (their normalized
     value is included in the results and [on_fallback], if given,
     receives the {!diagnose} diagnostic carrying the 0-based document

@@ -844,26 +844,15 @@ let fold_many ?cancel ?chunk_size ?chunk_bytes ?on_error f acc s =
 let parse_many s =
   List.rev (fold_many (fun acc c -> List.rev_append c acc) [] s)
 
-(* Raw lexer access for shape-specialized parser compilation
-   (lib/core/shape_compile). Compiled decoders drive the same state,
-   token readers, error reporting and resynchronization as the generic
-   parser, so their diagnostics and recovery boundaries are identical by
-   construction. *)
+(* Raw lexer access for the walkers a [Reader] offers documents to
+   (lib/core/shape_compile's decoders, the inference fold's token walk):
+   the same state, token readers and error reporting as the generic
+   parser, so their diagnostics are the parser's by construction. *)
 module Raw = struct
   type nonrec state = state
-  type mark = { m_pos : int; m_line : int; m_bol : int }
 
   let make = make_state
-  let mark st = { m_pos = st.pos; m_line = st.line; m_bol = st.bol }
-
-  let reset st m =
-    st.pos <- m.m_pos;
-    st.line <- m.m_line;
-    st.bol <- m.m_bol;
-    st.depth <- 0
-
   let offset st = st.pos
-  let offset_of_mark m = m.m_pos
   let at_eof = at_eof
   let peek_char = peek_char
 
@@ -995,7 +984,6 @@ module Raw = struct
   let enter = enter
   let leave = leave
   let number_is_int = number_is_int
-  let peek = peek
   let advance = advance
   let skip_ws = skip_ws
   let expect = expect

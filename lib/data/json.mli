@@ -69,35 +69,26 @@ val fold_many :
     raises {!Cancel.Cancelled} immediately, without consuming further
     input or invoking the fold function again. *)
 
-(** Raw access to the parser's lexing machinery, for shape-specialized
-    parser compilation ([Fsdata_core.Shape_compile]). A compiled decoder
-    drives the same mutable state, token readers and resynchronization
-    as the generic parser, so its error positions (via
-    [Diagnostic.Parse_error]) and recovery boundaries are identical to
-    the interpreted path by construction. Not a stable public API:
-    intended for in-tree consumers. *)
+(** Raw access to the parser's lexing machinery, for the walkers that
+    {!Reader.next} offers each document to: shape-specialized decoders
+    ([Fsdata_core.Shape_compile]) and the inference fold's token walk.
+    They read the same mutable state with the same token readers as the
+    generic parser, so their error positions (via
+    [Diagnostic.Parse_error]) are the parser's. A walker the reader
+    offers a document to neither rewinds nor resynchronizes: the reader
+    rewinds a document its hook declines and resyncs a fault. Not a
+    stable public API: intended for in-tree consumers. *)
 module Raw : sig
   type state
   (** Mutable scan state over one source string: position, line
       bookkeeping and nesting depth. *)
 
-  type mark
-  (** Immutable snapshot of a position (offset, line, line start), used
-      to rewind to a document start for fallback re-parsing. *)
-
   val make : string -> state
-  val mark : state -> mark
-
-  val reset : state -> mark -> unit
-  (** Rewind to [mark] and clear the nesting depth (a failed descent may
-      have left it non-zero). *)
-
   val offset : state -> int
-  val offset_of_mark : mark -> int
   val at_eof : state -> bool
 
   val peek_char : state -> char
-  (** Non-allocating [peek]: the next character, or ['\000'] at end of
+  (** The next character, without allocating, or ['\000'] at end of
       input (a literal NUL in the source is a control character and
       errors on any path that could consume it; {!at_eof} tells the two
       apart). The generic parser's own hot loops — whitespace,
@@ -176,10 +167,6 @@ module Raw : sig
   (** Scan a JSON number and answer whether {!parse_number} reads it as
       an [Int], without building it.
       @raise Diagnostic.Parse_error on faults. *)
-
-  val peek : state -> char option
-  (** The next character, boxed: allocates on every call. Prefer
-      {!peek_char} on any per-byte path. *)
 
   val advance : state -> unit
   val skip_ws : state -> unit

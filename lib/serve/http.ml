@@ -352,7 +352,7 @@ let status_reason = function
   | 505 -> "HTTP Version Not Supported"
   | _ -> "Unknown"
 
-let serialize_response ~keep_alive resp =
+let serialize_response ?(head = false) ~keep_alive resp =
   let buf = Buffer.create (String.length resp.resp_body + 256) in
   Buffer.add_string buf
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status (status_reason resp.status));
@@ -365,5 +365,5 @@ let serialize_response ~keep_alive resp =
     (fun (k, v) -> Buffer.add_string buf (k ^ ": " ^ v ^ "\r\n"))
     resp.resp_headers;
   Buffer.add_string buf "\r\n";
-  Buffer.add_string buf resp.resp_body;
+  if not head then Buffer.add_string buf resp.resp_body;
   Buffer.contents buf

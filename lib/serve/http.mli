@@ -147,7 +147,9 @@ val response :
 val status_reason : int -> string
 (** The standard reason phrase, e.g. [status_reason 404 = "Not Found"]. *)
 
-val serialize_response : keep_alive:bool -> response -> string
+val serialize_response : ?head:bool -> keep_alive:bool -> response -> string
 (** The response as wire bytes: status line, [content-type],
     [content-length], [connection], the extra headers, and the body.
+    With [~head:true] (the answer to a [HEAD] request) the body is left
+    out and the headers stay as they are, [content-length] included.
     No [Date] header — responses are deterministic for the cram tests. *)

@@ -1170,8 +1170,10 @@ let serve_connection t fd =
          true
        end
   in
-  let send ~keep_alive resp =
-    write_all ?fault fd (Http.serialize_response ~keep_alive resp)
+  (* a response to HEAD carries no body, or a keep-alive client would
+     read it as the start of its next response *)
+  let send ?head ~keep_alive resp =
+    write_all ?fault fd (Http.serialize_response ?head ~keep_alive resp)
   in
   let rec loop () =
     (* the deadline covers the whole request: header read, body read
@@ -1195,12 +1197,13 @@ let serve_connection t fd =
              (json_body [ ("error", Dv.String e.Http.reason) ]));
         give_back ()
     | Ok (Some (req, rest)) -> (
+        let head = String.equal req.Http.meth "HEAD" in
         match deadline_of_header req with
         | Error m ->
             (* can't trust the connection state with the body possibly
                unread: answer and close *)
             Metrics.incr resp_4xx;
-            send ~keep_alive:false (json_error 400 m);
+            send ~head ~keep_alive:false (json_error 400 m);
             give_back ()
         | Ok header_deadline ->
             let deadline =
@@ -1224,7 +1227,7 @@ let serve_connection t fd =
               && Http.keep_alive req
               && not (Atomic.get t.draining)
             in
-            send ~keep_alive:ka resp;
+            send ~head ~keep_alive:ka resp;
             give_back ();
             if ka then loop ())
   in

@@ -12,45 +12,9 @@ module Json = Fsdata_data.Json
 module Xml = Fsdata_data.Xml
 open QCheck2
 
-(* ----- JSON faults ----- *)
+(* ----- JSON faults (with the generators, which draw faulty texts) ----- *)
 
-type fault =
-  | Truncated  (** drop the closing brace: unterminated document *)
-  | Invalid_utf8  (** prepend bytes that are not valid JSON (or UTF-8) *)
-  | Unbalanced  (** append a stray closing bracket: trailing content *)
-  | Garbage  (** blank the first field separator: balanced but invalid *)
-
-let fault_name = function
-  | Truncated -> "truncated"
-  | Invalid_utf8 -> "invalid-utf8"
-  | Unbalanced -> "unbalanced"
-  | Garbage -> "garbage"
-
-let all_faults = [ Truncated; Invalid_utf8; Unbalanced; Garbage ]
-
-(* Faults that are safe to inject mid-stream: the corrupt text still ends
-   at its own closing brace, so [Json.fold_many]'s resynchronization
-   skips exactly the corrupted document. (A truncated document would
-   swallow its successor; a stray trailing ']' would be skipped as a
-   document of its own.) *)
-let stream_safe_faults = [ Invalid_utf8; Garbage ]
-
-(* Wrap every corpus document in a one-field object so its text starts
-   with '{' and ends with '}' — the precondition for the corruptions
-   above to guarantee a parse failure. *)
-let doc_text v = Json.to_string (Dv.Record (Dv.json_record_name, [ ("v", v) ]))
-
-let corrupt fault text =
-  match fault with
-  | Truncated -> String.sub text 0 (String.length text - 1)
-  | Invalid_utf8 -> "\xff\xfe" ^ text
-  | Unbalanced -> text ^ "]"
-  | Garbage -> (
-      (* the first ':' is the wrapper's field separator, before any
-         value text, so blanking it never touches a string literal *)
-      match String.index_opt text ':' with
-      | Some i -> String.mapi (fun j c -> if j = i then ' ' else c) text
-      | None -> "{\"bad\" 0}")
+include Generators.Json_fault
 
 (* ----- XML faults ----- *)
 

@@ -7,6 +7,7 @@
      Theorem 3 are stated and property-tested. *)
 
 module Dv = Fsdata_data.Data_value
+module Json = Fsdata_data.Json
 module Shape = Fsdata_core.Shape
 module Multiplicity = Fsdata_core.Multiplicity
 open QCheck2
@@ -457,3 +458,76 @@ let gen_xml_tree : Fsdata_data.Xml.tree Gen.t =
          return { Fsdata_data.Xml.name; attributes; children })
 
 let print_xml t = Fsdata_data.Xml.to_string t
+
+(* ----- Faulty JSON texts ----- *)
+
+(* JSON faults, each unparseable by construction ([Fault_inject] builds
+   its corpora on them). *)
+module Json_fault = struct
+  type fault =
+    | Truncated  (** drop the closing brace: unterminated document *)
+    | Invalid_utf8  (** prepend bytes that are not valid JSON (or UTF-8) *)
+    | Unbalanced  (** append a stray closing bracket: trailing content *)
+    | Garbage  (** blank the first field separator: balanced but invalid *)
+
+  let fault_name = function
+    | Truncated -> "truncated"
+    | Invalid_utf8 -> "invalid-utf8"
+    | Unbalanced -> "unbalanced"
+    | Garbage -> "garbage"
+
+  let all_faults = [ Truncated; Invalid_utf8; Unbalanced; Garbage ]
+
+  (* Faults that are safe to inject mid-stream: the corrupt text still ends
+     at its own closing brace, so [Json.fold_many]'s resynchronization
+     skips exactly the corrupted document. (A truncated document would
+     swallow its successor; a stray trailing ']' would be skipped as a
+     document of its own.) *)
+  let stream_safe_faults = [ Invalid_utf8; Garbage ]
+
+  (* Wrap every corpus document in a one-field object so its text starts
+     with '{' and ends with '}' — the precondition for the corruptions
+     above to guarantee a parse failure. *)
+  let doc_text v =
+    Json.to_string (Dv.Record (Dv.json_record_name, [ ("v", v) ]))
+
+  let corrupt fault text =
+    match fault with
+    | Truncated -> String.sub text 0 (String.length text - 1)
+    | Invalid_utf8 -> "\xff\xfe" ^ text
+    | Unbalanced -> text ^ "]"
+    | Garbage -> (
+        (* the first ':' is the wrapper's field separator, before any
+           value text, so blanking it never touches a string literal *)
+        match String.index_opt text ':' with
+        | Some i -> String.mapi (fun j c -> if j = i then ' ' else c) text
+        | None -> "{\"bad\" 0}")
+end
+
+(* A faulty JSON text: documents, some printed with each nested value
+   on a line of its own at column 1, documents with a fault of each
+   kind, openings and strings that never close, and top-level scalars
+   whose numbers and escapes a cut can split. *)
+let gen_faulty_text =
+  let open QCheck2.Gen in
+  let scalar =
+    oneofl
+      [ "-12.5e+3"; "123456789012345678901"; "0"; "true"; "null"; "tru";
+        {|"a\"b\\\u00e9\ud83d\ude00"|}; {|{"a": 1|}; {|{"a": [1,|}; "["; {|{"k":|};
+        {|"ab|} ]
+  in
+  let* docs =
+    list_size (int_range 1 10)
+      (frequency
+         [
+           (3, map Json.to_string gen_data);
+           (1, map (Json.to_string ~indent:0) gen_data);
+           ( 2,
+             map2
+               (fun fault d -> Json_fault.corrupt fault (Json_fault.doc_text d))
+               (oneofl Json_fault.all_faults) gen_data );
+           (1, scalar);
+         ])
+  in
+  let+ seps = list_repeat (List.length docs) (oneofl [ "\n"; " "; "\n\n"; "" ]) in
+  String.concat "" (List.concat (List.map2 (fun d sep -> [ d; sep ]) docs seps))

@@ -216,10 +216,11 @@ let http_request ?(meth = "POST") ?(headers = []) ?(body = "") path =
 type reply = { status : int; headers : (string * string) list; body : string }
 
 (* Read one response off the socket: headers up to the blank line, then
-   exactly content-length body bytes. Raises [Failure] if the peer
-   closes first — which some chaos tests expect. *)
-let recv_response fd =
-  let buf = Buffer.create 1024 in
+   exactly content-length body bytes, or none when it answers a HEAD
+   ([head]). Raises [Failure] if the peer closes first — which some
+   chaos tests expect. Bytes read past the response stay in [buf], for
+   the next response on the connection. *)
+let recv_response ?head:(no_body = false) ?(buf = Buffer.create 1024) fd =
   let bytes = Bytes.create 4096 in
   let read_more () =
     match Unix.read fd bytes 0 (Bytes.length bytes) with
@@ -267,8 +268,8 @@ let recv_response fd =
   in
   let clen =
     match List.assoc_opt "content-length" headers with
-    | Some v -> int_of_string (String.trim v)
-    | None -> 0
+    | Some v when not no_body -> int_of_string (String.trim v)
+    | _ -> 0
   in
   let total = hdr_end + 4 + clen in
   let rec fill () =
@@ -276,7 +277,10 @@ let recv_response fd =
       if read_more () then fill () else failwith "peer closed mid-body"
   in
   fill ();
-  { status; headers; body = String.sub (Buffer.contents buf) (hdr_end + 4) clen }
+  let all = Buffer.contents buf in
+  Buffer.clear buf;
+  Buffer.add_substring buf all total (String.length all - total);
+  { status; headers; body = String.sub all (hdr_end + 4) clen }
 
 let corpus = "{\"name\": \"ada\", \"age\": 36}\n{\"name\": \"grace\"}\n"
 
@@ -637,6 +641,25 @@ let test_keep_alive_after_4xx () =
       check Alcotest.int "the connection interleaves on to a 200" 200
         (recv_response fd).status)
 
+(* No route admits HEAD, so it is answered 405; the response must end
+   with its headers, or the client reads the body as the start of the
+   next response on the connection. *)
+let test_head_response_has_no_body () =
+  with_server (fun ~port ~stop:_ ->
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> close_quiet fd) @@ fun () ->
+      let buf = Buffer.create 1024 in
+      send_all fd (http_request ~meth:"HEAD" "/healthz");
+      let r405 = recv_response ~head:true ~buf fd in
+      check Alcotest.int "HEAD is not allowed" 405 r405.status;
+      check
+        (Alcotest.option Alcotest.string)
+        "the 405 keeps the connection" (Some "keep-alive")
+        (List.assoc_opt "connection" r405.headers);
+      send_all fd (http_request ~meth:"GET" "/healthz");
+      check Alcotest.int "the next response parses" 200
+        (recv_response ~buf fd).status)
+
 let test_drain_and_port_file () =
   let pf = Filename.temp_file "fsdata_chaos" ".port" in
   Sys.remove pf;
@@ -730,4 +753,6 @@ let suite =
       test_drain_and_port_file;
     tc "signal storm: EINTR everywhere, served throughout" `Quick
       test_signal_storm;
+    tc "a response to HEAD carries no body" `Quick
+      test_head_response_has_no_body;
   ]

@@ -111,34 +111,6 @@ let feed_at text cuts =
   in
   pull (go 0 cuts)
 
-(* A faulty JSON text: documents, some printed with each nested value
-   on a line of its own at column 1, documents with a fault of each
-   kind, openings and strings that never close, and top-level scalars
-   whose numbers and escapes a cut can split. *)
-let gen_faulty_text =
-  let open QCheck2.Gen in
-  let scalar =
-    oneofl
-      [ "-12.5e+3"; "123456789012345678901"; "0"; "true"; "null"; "tru";
-        {|"a\"b\\\u00e9\ud83d\ude00"|}; {|{"a": 1|}; {|{"a": [1,|}; "["; {|{"k":|};
-        {|"ab|} ]
-  in
-  let* docs =
-    list_size (int_range 1 10)
-      (frequency
-         [
-           (3, map Json.to_string gen_data);
-           (1, map (Json.to_string ~indent:0) gen_data);
-           ( 2,
-             map2
-               (fun fault d -> Fault_inject.corrupt fault (Fault_inject.doc_text d))
-               (oneofl Fault_inject.all_faults) gen_data );
-           (1, scalar);
-         ])
-  in
-  let+ seps = list_repeat (List.length docs) (oneofl [ "\n"; " "; "\n\n"; "" ]) in
-  String.concat "" (List.concat (List.map2 (fun d sep -> [ d; sep ]) docs seps))
-
 (* At one job the engine is one left fold over the documents in corpus
    order, so its output is byte-identical however the corpus arrives:
    one stream cut into batches of any size, fragments split anywhere,

@@ -207,6 +207,64 @@ let prop_quarantine_parity =
                   && r.Infer.total = List.length c.texts)
             [ 1; 7 ]))
 
+(* ----- Reader parity on any faulty text ----- *)
+
+(* The compiled fold reads a text as [Json.fold_many] does, whatever its
+   faults: openings and strings that never close, pretty-printed
+   documents, faults of every kind. It skips the same documents with the
+   same diagnostics and texts, keeps the same survivors, and decodes each
+   to its conversion, or falls back to the normalized value with the
+   [diagnose] diagnostic at the survivor's index. The shape is the
+   survivors' own (most decode directly) or an arbitrary one (most fall
+   back). *)
+let prop_reader_parity =
+  QCheck2.Test.make ~count:300
+    ~name:"compiled fold ≡ fold_many on faulty texts"
+    ~print:(fun (text, s) ->
+      Printf.sprintf "%S against %s" text
+        (Option.fold ~none:"the survivors' shape" ~some:print_shape s))
+    QCheck2.Gen.(pair gen_faulty_text (opt gen_core_shape))
+    (fun (text, s) ->
+      let collect () =
+        let l = ref [] in
+        (l, fun d ~skipped -> l := (d, skipped) :: !l)
+      in
+      let gen_errs, on_gen = collect () and comp_errs, on_comp = collect () in
+      let docs = Json.fold_many ~on_error:on_gen (fun acc ds -> acc @ ds) [] text in
+      let sigma =
+        Shape.hcons (match s with Some s -> s | None -> Infer.shape_of_samples docs)
+      in
+      let outcomes, st =
+        Sc.fold_corpus ~on_error:on_comp (Sc.compile sigma)
+          (fun acc o -> `Continue (o :: acc))
+          [] text
+      in
+      let gen_errs = List.rev !gen_errs and comp_errs = List.rev !comp_errs in
+      let skipped_at = List.map (fun (d, _) -> d.Diagnostic.index) gen_errs in
+      let survivors_at =
+        List.init (List.length docs + List.length gen_errs) Option.some
+        |> List.filter (fun i -> not (List.mem i skipped_at))
+      in
+      List.length comp_errs = List.length gen_errs
+      && List.for_all2
+           (fun (d1, s1) (d2, s2) -> diag_equal d1 d2 && String.equal s1 s2)
+           comp_errs gen_errs
+      && st.Sc.skipped = List.length gen_errs
+      && List.length outcomes = List.length docs
+      && st.Sc.direct + st.Sc.fallback = List.length docs
+      && List.for_all2
+           (fun (o, d) at ->
+             let n = Prim.normalize d in
+             let r = try Some (Sc.convert sigma n) with Sc.Mismatch -> None in
+             match (o, r, Sc.diagnose sigma n) with
+             | Sc.Direct v, Some r, None -> Sc.equal_tvalue v r
+             | Sc.Fallback (v, d), None, Some d' ->
+                 Sc.equal_tvalue v (Sc.Vany n)
+                 && diag_equal d { d' with Diagnostic.index = at }
+             | _ -> false)
+           (List.combine (List.rev outcomes) docs)
+           survivors_at)
+
 (* ----- Pinned corner cases ----- *)
 
 let int_record = Shape.record Dv.json_record_name [ ("a", Shape.Primitive Shape.Int) ]
@@ -407,4 +465,5 @@ let suite =
       test_missing_optional_field_defaults;
     Alcotest.test_case "diagnostics pinned, one per kind" `Quick
       test_pinned_diagnostics;
+    QCheck_alcotest.to_alcotest prop_reader_parity;
   ]
