@@ -352,39 +352,37 @@ let field_missing = ("", slot_missing)
 (* A compiled record shape, slot by slot in the shape's field order. *)
 type record_slots = {
   keys : string array;
-  quoted : string array;  (** ["key"], as it appears unescaped in source *)
   decs : decoder array;
-  index : (string, int) Hashtbl.t;  (** key -> slot *)
+  index : (string, int) Hashtbl.t;  (** key -> slot, for escaped keys *)
   defaults : (string * tvalue) option array;  (** for an absent field *)
 }
 
-(* Decode the members of an already-opened object into [out], up to and
-   including the closing '}'. Fields usually arrive in shape order, so
-   slot [expected] is tried before the hashtable, and a hashtable hit
-   keeps that fast path alive across skipped optional fields. A repeated
-   key overwrites its slot: the last binding wins, as in the generic
+(* Decode the members of an opened object into [out], through its
+   closing '}'. [m] is what [Raw.wanted] answered, its keys matched in
+   place against the slots from [expected] on (fields usually arrive in
+   shape order), then against the slots before it: a member whose key
+   matches no slot was read past on its tokens, its value by
+   [Raw.skip_value], which builds nothing and faults where the parser
+   does, so a malformed document stays malformed. Only a key written
+   with an escape is decoded, and looked up in [index]. A repeated key
+   overwrites its slot: the last binding wins, as in the generic
    parser. *)
-let rec decode_members r st out expected =
-  Raw.skip_ws st;
-  let slot =
-    if expected < Array.length r.quoted && Raw.lit st r.quoted.(expected) then
-      expected
-    else
-      match Hashtbl.find_opt r.index (Raw.parse_string st) with
-      | Some i -> i
-      | None -> -1
-  in
-  Raw.skip_ws st;
-  Raw.expect st ':';
-  if slot >= 0 then out.(slot) <- (r.keys.(slot), r.decs.(slot) st)
-  else ignore (Raw.parse_value st);
-  Raw.skip_ws st;
-  match Raw.peek_char st with
-  | ',' ->
-      Raw.advance st;
-      decode_members r st out (if slot >= 0 then slot + 1 else expected)
-  | '}' -> Raw.advance st
-  | _ -> raise Mismatch
+let rec decode_members r st out expected = function
+  | -2 -> ()
+  | -3 -> raise Mismatch
+  | m ->
+      let slot =
+        if m >= 0 then m lsr 8
+        else begin
+          let key = Raw.parse_string st in
+          ignore (Raw.colon st);
+          Option.value (Hashtbl.find_opt r.index key) ~default:(-1)
+        end
+      in
+      if slot >= 0 then out.(slot) <- (r.keys.(slot), r.decs.(slot) st)
+      else Raw.skip_value st;
+      let expected = if slot >= 0 then slot + 1 else expected in
+      decode_members r st out expected (Raw.next_wanted st r.keys ~from:expected)
 
 let rec compile_shape (s : Shape.t) : compiled_shape =
   match s with
@@ -428,11 +426,6 @@ and compile_record { Shape.name; fields } : compiled_shape =
     let r =
       {
         keys = Array.map fst fields;
-        (* raw byte images of the keys for the in-order fast path:
-           matching ["key"] against the source directly skips the
-           decode+hash of the common case (escaped spellings fall
-           through to the hashtable) *)
-        quoted = Array.map (fun (key, _) -> "\"" ^ key ^ "\"") fields;
         decs = Array.map (fun (_, fs) -> run (compile_shape fs)) fields;
         index = Hashtbl.create (max 4 (2 * Array.length fields));
         defaults =
@@ -445,12 +438,8 @@ and compile_record { Shape.name; fields } : compiled_shape =
     Array.iteri (fun i key -> Hashtbl.replace r.index key i) r.keys;
     let nslots = Array.length fields in
     let on_record st =
-      Raw.advance st (* past '{' *);
       let out = Array.make nslots field_missing in
-      Raw.skip_ws st;
-      (match Raw.peek_char st with
-      | '}' -> Raw.advance st
-      | _ -> decode_members r st out 0);
+      if not (Raw.open_ st '}') then decode_members r st out 0 (Raw.wanted st r.keys ~from:0);
       for i = 0 to nslots - 1 do
         if out.(i) == field_missing then
           match r.defaults.(i) with
@@ -469,10 +458,7 @@ and compile_collection entries : compiled_shape =
   let dec_elements = compile_elements entries in
   {
     reject with
-    on_array =
-      (fun st ->
-        Raw.advance st (* past '[' *);
-        Vlist (dec_elements st));
+    on_array = (fun st -> Vlist (dec_elements st));
     of_scalar =
       (* a null (or a literal normalizing to null) reads as the empty
          collection when the shape admits it *)
@@ -485,26 +471,19 @@ and compile_collection entries : compiled_shape =
         else raise Mismatch);
   }
 
-(* Decode the elements of an already-opened array (the '[' is consumed),
-   returning them in order and consuming the closing ']'. *)
+(* Decode the elements of the array at the cursor, through its closing
+   ']', returning them in order. *)
 and compile_elements entries : Raw.state -> tvalue array =
   let dec_one = run (compile_element entries) in
   fun st ->
-    let items = ref [] in
-    let rec elements () =
-      items := dec_one st :: !items;
-      Raw.skip_ws st;
-      match Raw.peek_char st with
-      | ',' ->
-          Raw.advance st;
-          Raw.skip_ws st;
-          elements ()
-      | ']' -> Raw.advance st
+    let rec elements items =
+      let items = dec_one st :: items in
+      match Raw.after st ']' with
+      | 1 -> elements items
+      | 0 -> List.rev items
       | _ -> raise Mismatch
     in
-    Raw.skip_ws st;
-    if Raw.peek_char st = ']' then Raw.advance st else elements ();
-    finish_elements entries (List.rev !items)
+    finish_elements entries (if Raw.open_ st ']' then [] else elements [])
 
 and finish_elements entries items =
   (* Exactly-once entries of a multi-entry collection must be matched by

@@ -859,8 +859,7 @@ module Raw = struct
   (* Zero-allocation literal match: when the source bytes at the cursor
      are exactly [s], consume them and return true; otherwise leave the
      cursor untouched. [s] must not contain newlines (no line
-     bookkeeping). Used by compiled record decoders to match an expected
-     ["key"] without decoding it. *)
+     bookkeeping). *)
   let lit st s =
     let n = String.length s in
     st.pos + n <= st.len
@@ -981,6 +980,37 @@ module Raw = struct
     end
     else -1
 
+  (* [member] against every name, from [from] and then from the first,
+     reading past each member whose key needs no decoding and matches
+     no name: the key where it lies, the value by [skip_value]. *)
+  let rec wanted st names ~from =
+    skip_ws st;
+    let n = Array.length names in
+    let i =
+      match key_among st names from n with
+      | -1 -> key_among st names 0 (min from n)
+      | i -> i
+    in
+    if i >= 0 then matched st i
+    else begin
+      let start = st.pos in
+      expect st '"';
+      if plain_literal st < 0 then begin
+        st.pos <- start;
+        -1
+      end
+      else begin
+        skip_ws st;
+        expect st ':';
+        skip_value st;
+        next_wanted st names ~from
+      end
+    end
+
+  and next_wanted st names ~from =
+    match after st '}' with 1 -> wanted st names ~from | 0 -> -2 | _ -> -3
+
+  let skip_value st = skip_value st
   let enter = enter
   let leave = leave
   let number_is_int = number_is_int

@@ -97,9 +97,7 @@ module Raw : sig
   val lit : state -> string -> bool
   (** [lit st s] consumes the source bytes at the cursor when they are
       exactly [s] and returns [true]; otherwise leaves the cursor
-      untouched. [s] must not contain newlines (no line bookkeeping).
-      Lets a compiled record decoder match an expected ["key"] without
-      decoding or allocating. *)
+      untouched. [s] must not contain newlines (no line bookkeeping). *)
 
   (** {2 Steps of a walk}
 
@@ -144,6 +142,28 @@ module Raw : sig
       [Hint_bool], and [null] as [Hint_null].
       @raise Diagnostic.Parse_error on faults, and at a ['{'], a ['\[']
       or any other character that starts no literal. *)
+
+  val wanted : state -> string array -> from:int -> int
+  (** [wanted st names ~from], at an object member: {!member} against
+      every name, from [from] and then from the first, reading past
+      each member whose key needs no decoding and matches no name (the
+      key where it lies, the value by {!skip_value}, building nothing).
+      Answers as {!member} for a matched key; [-1] at a key with an
+      escape, left unread; [-2] at the object's closing ['}'], consumed
+      with the object's level; [-3] at anything else after a member,
+      consuming nothing.
+      @raise Diagnostic.Parse_error where the parser faults. *)
+
+  val next_wanted : state -> string array -> from:int -> int
+  (** After an object member: skip whitespace and, at a [','], consume
+      it and go on as {!wanted}; otherwise answer as {!wanted} does
+      after a member it reads past. *)
+
+  val skip_value : state -> unit
+  (** {!parse_value} that builds nothing: it reads the same syntax
+      under the same nesting bound, stops where the parser stops and
+      faults at the same line and column.
+      @raise Diagnostic.Parse_error on faults. *)
 
   val open_ : state -> char -> bool
   (** [open_ st closing], at an object's ['{'] or an array's ['\[']:

@@ -3,8 +3,11 @@
     [compile] pairs the checked query with a
     {!Fsdata_core.Shape_compile} parser for the {e pruned} σ — so a
     conforming document is decoded straight into the query's projected
-    slots, untouched fields skipped at the lexer level without
-    materializing a generic value — and precompiles every stage: paths
+    slots: each key is matched in place against the slots (only a key
+    written with an escape is decoded), and an untouched member is read
+    on its tokens by [Json.Raw.skip_value], which builds nothing but
+    faults where the parser does, so a malformed untouched member still
+    makes its document malformed — and precompiles every stage: paths
     become integer slot indices into the pruned records (the decoder
     emits fields in shape order), predicates become closures over
     {!Value.test_compare}. A plan is immutable and reusable: the serve

@@ -69,4 +69,4 @@ let test_compare v (c : cmp) lit =
             | Gt -> n > 0
             | Ge -> n >= 0))
 
-let render v = Format.asprintf "%a" pp_tvalue v
+let render v = Json.to_string (to_data v)

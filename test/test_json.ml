@@ -395,6 +395,44 @@ let suite =
     QCheck_alcotest.to_alcotest prop_escape_matches_oracle;
   ]
 
+(* ----- Differential: the validating skip against the parser ----- *)
+
+(* Nesting at and past the parser's bound, in arrays or objects, closed
+   or cut short *)
+let gen_deep_text =
+  let open QCheck2.Gen in
+  let* n = int_range 9_998 10_002 in
+  let* objects = bool in
+  let* closed = frequency [ (3, return true); (1, return false) ] in
+  let close = if closed then n else n / 2 in
+  return
+    (if objects then String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "1" ^ String.make close '}'
+     else String.make n '[' ^ String.make close ']')
+
+(* Read documents until the end or the first fault: the offset after
+   each, and the fault's line and column *)
+let read_all step text =
+  let st = Json.Raw.make text in
+  let rec go stops =
+    Json.Raw.skip_ws st;
+    if Json.Raw.at_eof st then Ok (List.rev stops)
+    else
+      match step st with
+      | () -> go (Json.Raw.offset st :: stops)
+      | exception Fsdata_data.Diagnostic.Parse_error d ->
+          Error (List.rev stops, d.line, d.column)
+  in
+  go []
+
+let prop_skip_matches_parse =
+  QCheck2.Test.make ~count:400
+    ~name:"Raw.skip_value stops and faults where Raw.parse_value does"
+    ~print:(fun t -> Printf.sprintf "%S" (if String.length t > 200 then String.sub t 0 200 ^ "..." else t))
+    QCheck2.Gen.(frequency [ (6, gen_faulty_text); (1, gen_deep_text) ])
+    (fun text ->
+      read_all (fun st -> ignore (Json.Raw.parse_value st)) text
+      = read_all Json.Raw.skip_value text)
+
 let test_depth_guard () =
   (* 10_001 nested arrays must raise a parse error, not overflow *)
   let deep = String.make 10_001 '[' ^ String.make 10_001 ']' in
@@ -409,4 +447,9 @@ let test_depth_guard () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "5000 levels should parse: %s" e
 
-let suite = suite @ [ tc "nesting depth guard" `Quick test_depth_guard ]
+let suite =
+  suite
+  @ [
+      tc "nesting depth guard" `Quick test_depth_guard;
+      QCheck_alcotest.to_alcotest prop_skip_matches_parse;
+    ]

@@ -465,6 +465,60 @@ let test_eval_pins () =
   check Alcotest.int "all scanned" 3 r.Value.stats.Value.scanned;
   check Alcotest.int "none skipped" 0 r.Value.stats.Value.skipped
 
+(* ----- eval ≡ eval_fast where the compiled engine skips ----- *)
+
+(* Documents whose untouched members the compiled engine reads on their
+   tokens (Raw.skip_value) and whose keys it matches in place: each is
+   put between two clean documents, and both engines must give the same
+   rows and stats. [malformed] is what both must count; [row] is a row
+   the first query must give, when the document conforms. *)
+let skip_cases =
+  let deep n = String.make n '[' ^ String.make n ']' in
+  [
+    ("malformed array in an untouched member", {|{"kind":"a","id":3,"payload":[1,,2]}|}, 1, None);
+    ("unterminated string in an untouched member", {|{"kind":"a","id":3,"payload":"abc}|}, 1, None);
+    ("raw control character in an untouched member", "{\"kind\":\"a\",\"id\":3,\"payload\":\"a\001b\"}", 1, None);
+    ("nesting past the bound in an untouched member", {|{"kind":"a","id":3,"payload":|} ^ deep 10_000 ^ "}", 1, None);
+    ("nesting at the bound in an untouched member", {|{"kind":"a","id":3,"payload":|} ^ deep 9_999 ^ "}", 0, Some {|{"id":3}|});
+    ("escaped spelling of a pruned key", {|{"\u006bind":"a","id":3}|}, 0, Some {|{"id":3}|});
+    ("escaped key that decodes to an unknown name", {|{"kind":"a","\u0078yz":[1,{"q":2}],"id":3}|}, 0, Some {|{"id":3}|});
+    ("pruned key repeated around untouched members",
+      {|{"kind":"b","payload":{"x":[]},"at":"1999-01-01","kind":"a","payload":7,"id":2,"id":3}|}, 0, Some {|{"id":3}|});
+    ("untouched members only", {|{"payload":{"x":[1]},"at":"2020-01-01"}|}, 0, None);
+  ]
+
+let test_skip_cases () =
+  let clean =
+    {|{"kind":"a","id":1,"payload":{"x":[1,2]},"at":"2015-01-02"}
+{"kind":"b","id":2,"payload":{"x":[]},"at":"2016-03-04T05:06:07"}|}
+  in
+  let sigma = infer_exn clean in
+  let queries =
+    [ {|where .kind == "a" | select .id|}; "select .kind, .id"; {|where .at > "2015-06-01" | select .id, .at|}; "count" ]
+  in
+  List.iter
+    (fun (name, doc, malformed, row) ->
+      let corpus = clean ^ "\n" ^ doc ^ "\n" ^ clean ^ "\n" in
+      List.iteri
+        (fun i q ->
+          match Check.check sigma (parse_exn q) with
+          | Error e -> Alcotest.failf "%s: rejected: %s" q (Fmt.str "%a" Check.pp_error e)
+          | Ok checked ->
+              let r1 = Eval.eval checked corpus in
+              let r2 = Eval_fast.eval (Eval_fast.compile checked) corpus in
+              let label what = Printf.sprintf "%s, %s: %s" name q what in
+              check Alcotest.string (label "rows") (render_rows r1) (render_rows r2);
+              check Alcotest.bool (label "stats") true (r1.Value.stats = r2.Value.stats);
+              check Alcotest.int (label "malformed") malformed r2.Value.stats.Value.malformed;
+              if i = 0 then
+                Option.iter
+                  (fun row ->
+                    check Alcotest.bool (label ("row " ^ row)) true
+                      (List.mem row (List.map Value.render r2.Value.rows)))
+                  row)
+        queries)
+    skip_cases
+
 let suite =
   [
     tc "parser: pinned syntax" `Quick test_parser_pins;
@@ -475,4 +529,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
     QCheck_alcotest.to_alcotest prop_engines_agree;
     QCheck_alcotest.to_alcotest prop_unknown_field_rejected;
+    tc "eval ≡ eval_fast: untouched members and in-place keys" `Quick test_skip_cases;
   ]
