@@ -205,6 +205,11 @@ let quarantine_arg =
 let read_files paths =
   Obs_trace.with_span "cli.read" @@ fun () -> List.map read_file paths
 
+(* The files as one corpus text, joined by newlines; a single file is
+   its own text, not a copy of it. *)
+let corpus_text paths =
+  match read_files paths with [ text ] -> text | texts -> String.concat "\n" texts
+
 (* Infer the shape of the sample files. Without --max-errors
    ([budget = None]) inference is strict and each JSON file is one
    document; with it, a single JSON file is a whitespace-separated
@@ -1031,7 +1036,7 @@ let query_cmd =
                  stream of whitespace-separated documents), keeping the
                  text around for the evaluation pass *)
               match
-                try Ok (String.concat "\n" (read_files paths))
+                try Ok (corpus_text paths)
                 with Sys_error m -> Error (`Msg m)
               with
               | Error e -> Error e
@@ -1055,7 +1060,7 @@ let query_cmd =
                   match cached_src with
                   | Some src -> Ok src
                   | None -> (
-                      try Ok (String.concat "\n" (read_files paths))
+                      try Ok (corpus_text paths)
                       with Sys_error m -> Error m)
                 with
                 | Error m -> `Error (false, m)

@@ -245,28 +245,27 @@ type decoder = Raw.state -> tvalue
    structured openers get dedicated decoders (the opener is peeked, not
    consumed), while scalar tokens are lexed once by the {!run} driver.
    Number/boolean/null tokens reach [of_scalar] as data values; string
-   literals reach [of_string] raw, so each shape runs only the part of
+   literals reach [of_slice] raw, as their content where it lies ([s]
+   from [off] for [len] bytes: the source itself when the literal needs
+   no decoding), so each shape runs only the part of
    [Primitive.to_value]'s classification cascade that can change its
-   verdict (a [string]-shaped slot, e.g., never runs the date scanner:
-   both the date and the string reading keep the raw string). The split
-   is what keeps the hot path single-scan: a nullable payload or a
+   verdict and copies only what it keeps (a [string]-shaped slot, e.g.,
+   never runs the date scanner: both the date and the string reading
+   keep the raw string; a number slot reads the number in place). The
+   split is what keeps the hot path single-scan: a nullable payload or a
    collection element never rewinds to re-lex a token its null check
    already consumed. *)
 type compiled_shape = {
   on_record : decoder;  (* next character is '{' *)
   on_array : decoder;  (* next character is '[' *)
   of_scalar : Data_value.t -> tvalue;  (* a lexed number/bool/null token *)
-  of_string : string -> tvalue;  (* a lexed string literal, unclassified *)
+  of_slice : string -> int -> int -> tvalue;  (* a string literal's content, unclassified *)
 }
-
-type compiled = { cshape : Shape.t; dec : decoder }
-
-let shape c = c.cshape
 
 (* Every token rejected: the base the shapes below override. *)
 let reject =
   let no _ = raise Mismatch in
-  { on_record = no; on_array = no; of_scalar = no; of_string = no }
+  { on_record = no; on_array = no; of_scalar = no; of_slice = (fun _ _ -> no) }
 
 (* Decode one value against a compiled shape: dispatch on the first
    token character. Structured openers are left for the shape's own
@@ -277,7 +276,7 @@ let run (cs : compiled_shape) : decoder =
   match Raw.peek_char st with
   | '{' -> cs.on_record st
   | '[' -> cs.on_array st
-  | '"' -> cs.of_string (Raw.parse_string st)
+  | '"' -> Raw.read_string st cs.of_slice
   | '-' | '0' .. '9' -> cs.of_scalar (Raw.parse_number st)
   | 't' | 'f' | 'n' -> cs.of_scalar (Raw.parse_value st)
   | _ -> raise Mismatch
@@ -288,60 +287,63 @@ let dec_any st = Vany (Primitive.normalize (Raw.parse_value st))
 
 (* ----- Shape-directed literal classification -----
 
-   Every [of_string] below is extensionally [of_scalar] composed with
-   [fst (Primitive.to_value s)] — the differential suite checks this —
-   but runs only the classification steps whose outcome the expected
-   shape can observe, in [Primitive.classify]'s priority order. *)
+   Every [of_slice] below is extensionally [of_scalar] composed with
+   [fst (Primitive.to_value (String.sub s off len))] — the differential
+   suite checks this — but runs only the classification steps whose
+   outcome the expected shape can observe, in [Primitive.classify]'s
+   priority order, on the literal where it lies. *)
 
-let prim_of_string (p : Shape.primitive) : string -> tvalue =
+(* The slice as a string of its own: a decoded literal is not copied
+   again *)
+let sub s off len = if off = 0 && len = String.length s then s else String.sub s off len
+
+let prim_of_slice (p : Shape.primitive) : string -> int -> int -> tvalue =
   match p with
   | Shape.Int -> (
-      fun s ->
-        match Primitive.parse_int s with
+      fun s off len ->
+        match Primitive.int_sub s off len with
         | Some i -> Vint i
         | None -> raise Mismatch)
   | Shape.Float -> (
-      fun s ->
-        match Primitive.parse_int s with
-        | Some i -> Vfloat (float_of_int i)
-        | None -> (
-            match Primitive.parse_float s with
-            | Some f -> Vfloat f
-            | None -> raise Mismatch))
+      fun s off len ->
+        match Primitive.float_sub s off len with
+        | Some f -> Vfloat f
+        | None -> raise Mismatch)
   | Shape.Bool -> (
-      fun s ->
-        match Primitive.parse_int s with
+      fun s off len ->
+        match Primitive.int_sub s off len with
         | Some 0 -> Vbool false
         | Some 1 -> Vbool true
         | Some _ -> raise Mismatch
         | None -> (
-            match Primitive.parse_bool s with
+            match Primitive.parse_bool (sub s off len) with
             | Some b -> Vbool b
             | None -> raise Mismatch))
   | Shape.Bit -> (
-      fun s ->
-        match Primitive.parse_int s with
+      fun s off len ->
+        match Primitive.int_sub s off len with
         | Some 0 -> Vbool false
         | Some 1 -> Vbool true
         | _ -> raise Mismatch)
   | Shape.Bit0 -> (
-      fun s ->
-        match Primitive.parse_int s with
+      fun s off len ->
+        match Primitive.int_sub s off len with
         | Some 0 -> Vint 0
         | _ -> raise Mismatch)
   | Shape.Bit1 -> (
-      fun s ->
-        match Primitive.parse_int s with
+      fun s off len ->
+        match Primitive.int_sub s off len with
         | Some 1 -> Vint 1
         | _ -> raise Mismatch)
   | Shape.Date -> (
-      fun s ->
-        if not (Primitive.is_text s) then raise Mismatch
+      fun s off len ->
+        if not (Primitive.is_text s off len) then raise Mismatch
         else
-          match Date.of_string s with
+          match Date.of_sub s off len with
           | Some d -> Vdate d
           | None -> raise Mismatch)
-  | Shape.String -> fun s -> if Primitive.is_text s then Vstring s else raise Mismatch
+  | Shape.String ->
+      fun s off len -> if Primitive.is_text s off len then Vstring (sub s off len) else raise Mismatch
 
 let slot_missing = Vany (Data_value.String "\000fsdata-compile-missing")
 
@@ -349,25 +351,32 @@ let slot_missing = Vany (Data_value.String "\000fsdata-compile-missing")
    a decoder produces or a default supplies. *)
 let field_missing = ("", slot_missing)
 
-(* A compiled record shape, slot by slot in the shape's field order. *)
+(* A compiled record shape, slot by slot in the shape's field order. A
+   deferred slot (see {!compile}) has a check: the value is checked
+   where it lies, its offset noted, and the slot holds its [pending]
+   field until the row is built. *)
 type record_slots = {
   keys : string array;
+  table : Raw.keys;  (** the keys' table, for [Raw.wanted] *)
   decs : decoder array;
   index : (string, int) Hashtbl.t;  (** key -> slot, for escaped keys *)
   defaults : (string * tvalue) option array;  (** for an absent field *)
+  checks : (Raw.state -> unit) option array;  (** a deferred slot's check *)
+  pending : (string * tvalue) array;  (** a deferred slot's field until built *)
 }
 
 (* Decode the members of an opened object into [out], through its
-   closing '}'. [m] is what [Raw.wanted] answered, its keys matched in
-   place against the slots from [expected] on (fields usually arrive in
-   shape order), then against the slots before it: a member whose key
-   matches no slot was read past on its tokens, its value by
-   [Raw.skip_value], which builds nothing and faults where the parser
-   does, so a malformed document stays malformed. Only a key written
-   with an escape is decoded, and looked up in [index]. A repeated key
-   overwrites its slot: the last binding wins, as in the generic
-   parser. *)
-let rec decode_members r st out expected = function
+   closing '}'. [m] is what [Raw.wanted] answered: a key is matched in
+   place against the slot at [expected] (fields usually arrive in shape
+   order), and otherwise scanned once and looked up in the record's key
+   table; a member whose key matches no slot was read past on its
+   tokens, its value by [Raw.skip_value], which builds nothing and
+   faults where the parser does, so a malformed document stays
+   malformed. Only a key written with an escape is decoded, and looked
+   up in [index]. A deferred slot's value is checked and its offset
+   noted in [offs]. A repeated key overwrites its slot, or its offset:
+   the last binding wins, as in the generic parser. *)
+let rec decode_members r st out offs expected = function
   | -2 -> ()
   | -3 -> raise Mismatch
   | m ->
@@ -379,10 +388,32 @@ let rec decode_members r st out expected = function
           Option.value (Hashtbl.find_opt r.index key) ~default:(-1)
         end
       in
-      if slot >= 0 then out.(slot) <- (r.keys.(slot), r.decs.(slot) st)
-      else Raw.skip_value st;
+      if slot < 0 then Raw.skip_value st
+      else begin
+        match r.checks.(slot) with
+        | None -> out.(slot) <- (r.keys.(slot), r.decs.(slot) st)
+        | Some check ->
+            offs.(slot) <- Raw.offset st;
+            check st;
+            out.(slot) <- r.pending.(slot)
+      end;
       let expected = if slot >= 0 then slot + 1 else expected in
-      decode_members r st out expected (Raw.next_wanted st r.keys ~from:expected)
+      decode_members r st out offs expected (Raw.next_wanted st r.table ~from:expected)
+
+(* An object at the cursor, through its closing '}', as the record
+   [name] with slots [r] *)
+let decode_record r name offs st =
+  let nslots = Array.length r.keys in
+  let out = Array.make nslots field_missing in
+  if not (Raw.open_ st '}') then
+    decode_members r st out offs 0 (Raw.wanted st r.table ~from:0);
+  for i = 0 to nslots - 1 do
+    if out.(i) == field_missing then
+      match r.defaults.(i) with
+      | Some field -> out.(i) <- field
+      | None -> raise Mismatch
+  done;
+  Vrecord (name, out)
 
 let rec compile_shape (s : Shape.t) : compiled_shape =
   match s with
@@ -391,16 +422,16 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
       { reject with
         of_scalar =
           (function Data_value.Null -> Vnull | _ -> raise Mismatch);
-        of_string =
-          (fun s ->
-            if Primitive.is_missing s then Vnull else raise Mismatch);
+        of_slice =
+          (fun s off len ->
+            if Primitive.is_missing s off len then Vnull else raise Mismatch);
       }
   | Shape.Top _ ->
       { on_record = dec_any; on_array = dec_any;
         of_scalar = (fun v -> Vany v);
-        of_string = (fun s -> Vany (fst (Primitive.to_value s))) }
+        of_slice = (fun s off len -> Vany (fst (Primitive.to_value (sub s off len)))) }
   | Shape.Primitive p ->
-      { reject with of_scalar = prim_of_value p; of_string = prim_of_string p }
+      { reject with of_scalar = prim_of_value p; of_slice = prim_of_slice p }
   | Shape.Nullable s' ->
       (* a null token (or a literal normalizing to null) short-circuits;
          everything else is the payload's business, same token *)
@@ -409,47 +440,39 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
         cs with
         of_scalar =
           (function Data_value.Null -> Vnull | v -> cs.of_scalar v);
-        of_string =
-          (fun s ->
-            if Primitive.is_missing s then Vnull else cs.of_string s);
+        of_slice =
+          (fun s off len ->
+            if Primitive.is_missing s off len then Vnull else cs.of_slice s off len);
       }
-  | Shape.Record r -> compile_record r
+  | Shape.Record { name; fields } ->
+      if not (String.equal name Data_value.json_record_name) then
+        (* JSON objects are all named [json_record_name]; an XML-derived
+           record shape can never match JSON input directly *)
+        reject
+      else
+        let r = record_slots ~check:(fun _ _ -> None) fields in
+        { reject with on_record = decode_record r name [||] }
   | Shape.Collection entries -> compile_collection entries
 
-and compile_record { Shape.name; fields } : compiled_shape =
-  if not (String.equal name Data_value.json_record_name) then
-    (* JSON objects are all named [json_record_name]; an XML-derived
-       record shape can never match JSON input directly *)
-    reject
-  else begin
-    let fields = Array.of_list fields in
-    let r =
-      {
-        keys = Array.map fst fields;
-        decs = Array.map (fun (_, fs) -> run (compile_shape fs)) fields;
-        index = Hashtbl.create (max 4 (2 * Array.length fields));
-        defaults =
-          Array.map
-            (fun (key, fs) ->
-              Option.map (fun t -> (key, t)) (missing_field_default fs))
-            fields;
-      }
-    in
-    Array.iteri (fun i key -> Hashtbl.replace r.index key i) r.keys;
-    let nslots = Array.length fields in
-    let on_record st =
-      let out = Array.make nslots field_missing in
-      if not (Raw.open_ st '}') then decode_members r st out 0 (Raw.wanted st r.keys ~from:0);
-      for i = 0 to nslots - 1 do
-        if out.(i) == field_missing then
-          match r.defaults.(i) with
-          | Some field -> out.(i) <- field
-          | None -> raise Mismatch
-      done;
-      Vrecord (name, out)
-    in
-    { reject with on_record }
-  end
+(* The slots of a JSON record shape's [fields]; [check] gives the check
+   of each slot that is deferred *)
+and record_slots ~check fields : record_slots =
+  let fields = Array.of_list fields in
+  let keys = Array.map fst fields in
+  let index = Hashtbl.create (max 4 (2 * Array.length fields)) in
+  Array.iteri (fun i key -> Hashtbl.replace index key i) keys;
+  {
+    keys;
+    table = Raw.keys keys;
+    decs = Array.map (fun (_, fs) -> run (compile_shape fs)) fields;
+    index;
+    defaults =
+      Array.map
+        (fun (key, fs) -> Option.map (fun t -> (key, t)) (missing_field_default fs))
+        fields;
+    checks = Array.map (fun (key, fs) -> check key fs) fields;
+    pending = Array.map (fun (key, _) -> (key, slot_missing)) fields;
+  }
 
 and compile_collection entries : compiled_shape =
   let null_ok =
@@ -465,9 +488,9 @@ and compile_collection entries : compiled_shape =
       (function
       | Data_value.Null when null_ok -> Vlist [||]
       | _ -> raise Mismatch);
-    of_string =
-      (fun s ->
-        if null_ok && Primitive.is_missing s then Vlist [||]
+    of_slice =
+      (fun s off len ->
+        if null_ok && Primitive.is_missing s off len then Vlist [||]
         else raise Mismatch);
   }
 
@@ -529,10 +552,10 @@ and compile_element entries : compiled_shape =
         cs with
         of_scalar =
           (function Data_value.Null -> as_null () | v -> cs.of_scalar v);
-        of_string =
-          (fun s ->
-            if Primitive.is_missing s then as_null ()
-            else cs.of_string s);
+        of_slice =
+          (fun s off len ->
+            if Primitive.is_missing s off len then as_null ()
+            else cs.of_slice s off len);
       }
   | consumers ->
       (* dispatch on the exhibited tag of the next token; unknown tags
@@ -570,14 +593,109 @@ and compile_element entries : compiled_shape =
               cs.on_record);
         on_array = struct_for Tag.Collection (fun cs -> cs.on_array);
         of_scalar;
-        of_string = (fun s -> of_scalar (fst (Primitive.to_value s)));
+        of_slice = (fun s off len -> of_scalar (fst (Primitive.to_value (sub s off len))));
       }
 
-let compile (s : Shape.t) : compiled =
+(* ----- Deferred slots -----
+
+   A slot that nothing reads before a row is kept need not be built for
+   a row that is dropped; but its verdict counts, since a document whose
+   slot does not conform is [skipped]. So such a slot is checked where
+   its value lies, and built from there once the row is kept. *)
+
+(* The check of a primitive or nullable-primitive slot: it consumes what
+   the slot's decoder consumes and raises where it raises, but reads the
+   literal in place ([Raw.literal], as [Csh.absorbs_tokens] does) and
+   builds nothing. A boolean or bit slot, whose verdict on an integer
+   depends on its value, is checked by its decoder. *)
+let checker (s : Shape.t) : (Raw.state -> unit) option =
+  let literal ~null_ok (p : Shape.primitive) =
+    let accepts : Primitive.hint -> bool = function
+      | Hint_null -> null_ok
+      | Hint_bit0 | Hint_bit1 | Hint_int -> p = Shape.Int || p = Shape.Float
+      | Hint_float -> p = Shape.Float
+      | Hint_string -> p = Shape.String
+      | Hint_date -> p = Shape.Date
+      | Hint_bool -> false
+    in
+    let dates = p = Shape.Date in
+    fun st ->
+      match Raw.next_value st with
+      | '"' | '-' | '0' .. '9' | 't' | 'f' | 'n' ->
+          if not (accepts (Raw.literal st ~classify:true ~dates)) then raise Mismatch
+      | _ -> raise Mismatch
+  in
+  let decoded s =
+    let dec = run (compile_shape s) in
+    fun st -> ignore (dec st)
+  in
+  match s with
+  | Shape.Primitive ((Shape.Int | Shape.Float | Shape.String | Shape.Date) as p) ->
+      Some (literal ~null_ok:false p)
+  | Shape.Nullable (Shape.Primitive ((Shape.Int | Shape.Float | Shape.String | Shape.Date) as p)) ->
+      Some (literal ~null_ok:true p)
+  | Shape.Primitive _ | Shape.Nullable (Shape.Primitive _) -> Some (decoded s)
+  | _ -> None
+
+(* A root record whose deferred slots are [deferred] *)
+type root = { slots : record_slots; name : string; deferred : int array }
+
+type compiled = { cshape : Shape.t; dec : decoder; root : root option }
+
+let shape c = c.cshape
+
+let compile ?(defer = []) (s : Shape.t) : compiled =
   Fsdata_obs.Trace.with_span "compile.build" @@ fun () ->
   Fsdata_obs.Metrics.incr m_parsers;
   Fsdata_obs.Metrics.time m_build_ns @@ fun () ->
-  { cshape = s; dec = run (compile_shape s) }
+  let root =
+    match s with
+    | Shape.Record { name; fields }
+      when defer <> [] && String.equal name Data_value.json_record_name ->
+        let slots =
+          record_slots fields ~check:(fun key fs ->
+              if List.mem key defer then checker fs else None)
+        in
+        let deferred =
+          List.filter (fun i -> Option.is_some slots.checks.(i))
+            (List.init (Array.length slots.keys) Fun.id)
+        in
+        if deferred = [] then None
+        else Some { slots; name; deferred = Array.of_list deferred }
+    | _ -> None
+  in
+  let dec =
+    match root with
+    | None -> run (compile_shape s)
+    | Some { slots; name; _ } ->
+        let eager = { slots with checks = Array.map (fun _ -> None) slots.checks } in
+        run { reject with on_record = decode_record eager name [||] }
+  in
+  { cshape = s; dec; root }
+
+let decoder c = c.dec
+
+(* Where a fold's latest row has its deferred slots, and a state over
+   the fold's text to build them from *)
+type deferred = { c : compiled; offs : int array; mutable src : Raw.state }
+
+let deferred c =
+  let n = match c.root with Some r -> Array.length r.slots.keys | None -> 0 in
+  { c; offs = Array.make n 0; src = Raw.make "" }
+
+(* Each deferred slot still pending in the row, decoded from its offset
+   by the slot's own decoder *)
+let build d v =
+  match (d.c.root, v) with
+  | Some { slots; deferred; _ }, Vrecord (_, out) ->
+      for k = 0 to Array.length deferred - 1 do
+        let i = deferred.(k) in
+        if out.(i) == slots.pending.(i) then begin
+          Raw.seek d.src d.offs.(i);
+          out.(i) <- (slots.keys.(i), slots.decs.(i) d.src)
+        end
+      done
+  | _ -> ()
 
 (* ----- Decoding drivers ----- *)
 
@@ -620,10 +738,18 @@ let parse (c : compiled) (src : string) : outcome =
    whitespace, polls [cancel], counts documents, rewinds a declined
    document to parse it, and resyncs and reports a fault, as in
    [Json.fold_many]. *)
-let fold_corpus ?cancel ?on_error (c : compiled)
+let fold_corpus ?cancel ?on_error ?deferred (c : compiled)
     (f : 'acc -> outcome -> [ `Continue of 'acc | `Stop of 'acc ])
     (acc : 'acc) (src : string) : 'acc * stats =
   Fsdata_obs.Trace.with_span "compile.parse" @@ fun () ->
+  let dec =
+    match (deferred, c.root) with
+    | Some d, Some { slots; name; _ } ->
+        if d.c != c then invalid_arg "Shape_compile.fold_corpus: deferred of another parser";
+        d.src <- Raw.make src;
+        run { reject with on_record = decode_record slots name d.offs }
+    | _ -> c.dec
+  in
   let direct_n = ref 0 and fallback_n = ref 0 and skipped = ref 0 in
   let on_error =
     Option.map
@@ -635,7 +761,7 @@ let fold_corpus ?cancel ?on_error (c : compiled)
   let r = Json.Reader.create ?cancel ?on_error src in
   let decoded = ref Vnull in
   let absorb st =
-    match c.dec st with
+    match dec st with
     | v ->
         decoded := v;
         true

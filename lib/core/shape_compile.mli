@@ -95,11 +95,33 @@ type compiled
     allocates only per-document state, so one compiled parser may be used
     from several domains concurrently. *)
 
-val compile : Shape.t -> compiled
-(** Build the direct decoder tree for [σ]: per-record key-slot tables with
-    an expected-order fast path, per-collection element dispatchers,
-    primitive token readers. Cost is proportional to [Shape.size σ] and
-    paid once; counted by [compile.parsers] / [compile.build_ns]. *)
+val compile : ?defer:string list -> Shape.t -> compiled
+(** Build the direct decoder tree for [σ]: per-record key tables (a key
+    is matched in place against the slot expected next, else scanned
+    once and looked up by its hash), per-collection element
+    dispatchers, primitive token readers that read a string literal
+    where it lies. Cost is proportional to [Shape.size σ] and paid once;
+    counted by [compile.parsers] / [compile.build_ns].
+
+    [defer] names fields of a JSON record [σ] whose values a caller may
+    never read: each such field of primitive or nullable-primitive
+    shape is {e deferred} in a fold given {!deferred} state. Its value
+    is checked where it lies ({!checker}) and its offset noted, and it
+    is built only by {!build}. Every other decoding ({!parse}, a fold
+    without that state) builds every field. *)
+
+val checker : Shape.t -> (Json.Raw.state -> unit) option
+(** The check a deferred slot of a primitive or nullable-primitive shape
+    runs in place of its decoder ([None] for any other shape). It
+    succeeds iff the decoder does, stopping at the same offset, and
+    faults where the decoder faults; it raises {!Mismatch} where the
+    decoder does (property-tested). A literal is classified where it
+    lies ([Json.Raw.literal]); a boolean or bit shape, whose verdict on
+    an integer depends on its value, is checked by its decoder. *)
+
+val decoder : compiled -> Json.Raw.state -> tvalue
+(** The compiled decoder of one value at the cursor, building every
+    field. @raise Mismatch where the value does not conform. *)
 
 val shape : compiled -> Shape.t
 (** The shape the parser was compiled from (as given, not interned). *)
@@ -122,9 +144,24 @@ type stats = { direct : int; fallback : int; skipped : int }
     documents that fell back to the generic path, and malformed documents
     skipped under [on_error]. *)
 
+type deferred
+(** One fold's record of where its latest row's deferred slots lie. *)
+
+val deferred : compiled -> deferred
+(** Fresh state for one {!fold_corpus} with the parser: a [deferred]
+    is used by one fold at a time. *)
+
+val build : deferred -> tvalue -> unit
+(** [build d v] builds, in place, the deferred slots of [v], the row
+    the fold with [d] has just handed to its function: each is decoded
+    from its offset by the slot's own decoder, so its value is the one
+    an eager decoding gives. A row with none pending is left as it is.
+    Call it before the fold reads the next document. *)
+
 val fold_corpus :
   ?cancel:Cancel.t ->
   ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
+  ?deferred:deferred ->
   compiled ->
   ('acc -> outcome -> [ `Continue of 'acc | `Stop of 'acc ]) ->
   'acc ->
@@ -140,7 +177,13 @@ val fold_corpus :
     never reach [f]: without [on_error] the first one raises
     [Json.Parse_error]; with it they are skipped, reported and counted
     ([stats.skipped]) exactly like [Json.fold_many]'s recovering mode.
-    [cancel] is polled between documents, by the reader. *)
+    [cancel] is polled between documents, by the reader.
+
+    With [deferred], a [Direct] row that the compiled decoder read
+    holds each deferred slot (see {!compile}) as a placeholder until
+    {!build}; its verdict is the same as without, since the slot was
+    checked. A row the generic path read has every field built.
+    @raise Invalid_argument when [deferred] is another parser's. *)
 
 val parse_corpus :
   ?cancel:Cancel.t ->

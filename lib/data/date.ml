@@ -291,8 +291,9 @@ let find_trimmed s i stop =
   let i = Slice.trim_start s i stop in
   find s i (Slice.trim_stop s i stop)
 
-let of_string s =
-  match find_trimmed s 0 (String.length s) with
+let of_sub s off len =
+  Slice.check "Date.of_sub" s off len;
+  match find_trimmed s off (off + len) with
   | -1 -> None
   | p ->
       Some
@@ -305,6 +306,8 @@ let of_string s =
           second = p land 63;
         }
 
+let of_string s = of_sub s 0 (String.length s)
+
 let is_date s = find_trimmed s 0 (String.length s) >= 0
 
 let is_date_sub s off len =
@@ -315,9 +318,35 @@ let is_date_trimmed s off len =
   Slice.check "Date.is_date_trimmed" s off len;
   find s off (off + len) >= 0
 
+(* The two digits of [v], 0 to 99, at [i] *)
+let put2 b i v =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (v / 10)));
+  Bytes.unsafe_set b (i + 1) (Char.unsafe_chr (48 + (v mod 10)))
+
 let to_iso8601 t =
-  if t.hour = 0 && t.minute = 0 && t.second = 0 then
-    Printf.sprintf "%04d-%02d-%02d" t.year t.month t.day
+  let midnight = t.hour = 0 && t.minute = 0 && t.second = 0 in
+  let two v = v >= 0 && v <= 99 in
+  if t.year >= 0 && t.year <= 9999 && two t.month && two t.day && two t.hour
+     && two t.minute && two t.second
+  then begin
+    let b = Bytes.create (if midnight then 10 else 19) in
+    put2 b 0 (t.year / 100);
+    put2 b 2 (t.year mod 100);
+    Bytes.unsafe_set b 4 '-';
+    put2 b 5 t.month;
+    Bytes.unsafe_set b 7 '-';
+    put2 b 8 t.day;
+    if not midnight then begin
+      Bytes.unsafe_set b 10 'T';
+      put2 b 11 t.hour;
+      Bytes.unsafe_set b 13 ':';
+      put2 b 14 t.minute;
+      Bytes.unsafe_set b 16 ':';
+      put2 b 17 t.second
+    end;
+    Bytes.unsafe_to_string b
+  end
+  else if midnight then Printf.sprintf "%04d-%02d-%02d" t.year t.month t.day
   else
     Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" t.year t.month t.day t.hour
       t.minute t.second

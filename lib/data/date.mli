@@ -44,6 +44,12 @@ val of_string : string -> t option
     digits, words, separators) in place, left to right, with no token
     list and no substring: only the answer is allocated. *)
 
+val of_sub : string -> int -> int -> t option
+(** [of_sub s off len] is [of_string (String.sub s off len)], read in
+    place.
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
+
 val is_date : string -> bool
 (** [is_date s] iff [of_string s <> None], decided without allocating. *)
 
@@ -64,6 +70,8 @@ val is_date_trimmed : string -> int -> int -> bool
 
 val to_iso8601 : t -> string
 (** Canonical printing: ["YYYY-MM-DD"] when the time is midnight, otherwise
-    ["YYYY-MM-DDTHH:MM:SS"]. *)
+    ["YYYY-MM-DDTHH:MM:SS"], each number zero-padded as by [%04d] and
+    [%02d]. The digits are written directly; a field outside what
+    {!make} admits goes through [Printf]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -980,36 +980,96 @@ module Raw = struct
     end
     else -1
 
-  (* [member] against every name, from [from] and then from the first,
-     reading past each member whose key needs no decoding and matches
-     no name: the key where it lies, the value by [skip_value]. *)
-  let rec wanted st names ~from =
+  (* A key table: the names, and each name's index plus one at the first
+     free place from its hash's, in a power-of-two array with at least
+     four places per name (0 marks a free place) *)
+  type keys = { names : string array; places : int array }
+
+  let[@inline] mix h c = (h * 31) + Char.code c
+
+  (* The place a hash starts probing at: its high bits after a
+     multiplication, which spreads keys that differ in a last digit *)
+  let[@inline] place places h =
+    ((h * 0x2545F4914F6CDD1D) lsr 20) land (Array.length places - 1)
+
+  let keys names =
+    let size = ref 16 in
+    while !size < 4 * Array.length names do size := 2 * !size done;
+    let places = Array.make !size 0 in
+    Array.iteri
+      (fun i name ->
+        let j = ref (place places (String.fold_left mix 0 name)) in
+        while places.(!j) <> 0 do j := (!j + 1) land (!size - 1) done;
+        places.(!j) <- i + 1)
+      names;
+    { names; places }
+
+  let rec same_bytes src i name l =
+    l = String.length name
+    || (Bytes.unsafe_get src (i + l) = String.unsafe_get name l && same_bytes src i name (l + 1))
+
+  (* The index of the name that is the source bytes [i] to [stop], or
+     -1, probing the table from its place [j] *)
+  let rec probe k src i stop j =
+    match Array.unsafe_get k.places j with
+    | 0 -> -1
+    | p ->
+        let name = Array.unsafe_get k.names (p - 1) in
+        if String.length name = stop - i && same_bytes src i name 0 then p - 1
+        else probe k src i stop ((j + 1) land (Array.length k.places - 1))
+
+  (* The key at the cursor against the name at [from], then scanned once
+     to its closing quote, hashed on the way, and probed in the table;
+     a member whose key is no name is read past, its value by
+     [skip_value] *)
+  let rec wanted st k ~from =
     skip_ws st;
-    let n = Array.length names in
-    let i =
-      match key_among st names from n with
-      | -1 -> key_among st names 0 (min from n)
-      | i -> i
-    in
-    if i >= 0 then matched st i
+    if from < Array.length k.names && key st (Array.unsafe_get k.names from) then
+      matched st from
     else begin
       let start = st.pos in
       expect st '"';
-      if plain_literal st < 0 then begin
+      let src = st.src and len = st.len in
+      let i = ref st.pos and h = ref 0 in
+      while
+        !i < len
+        &&
+        let c = Bytes.unsafe_get src !i in
+        c <> '"' && c <> '\\' && Char.code c >= 0x20
+      do
+        h := mix !h (Bytes.unsafe_get src !i);
+        incr i
+      done;
+      if !i >= len || Bytes.unsafe_get src !i <> '"' then begin
         st.pos <- start;
         -1
       end
       else begin
-        skip_ws st;
-        expect st ':';
-        skip_value st;
-        next_wanted st names ~from
+        let slot = probe k src st.pos !i (place k.places !h) in
+        st.pos <- !i + 1;
+        if slot >= 0 then matched st slot
+        else begin
+          skip_ws st;
+          expect st ':';
+          skip_value st;
+          next_wanted st k ~from
+        end
       end
     end
 
-  and next_wanted st names ~from =
-    match after st '}' with 1 -> wanted st names ~from | 0 -> -2 | _ -> -3
+  and next_wanted st k ~from =
+    match after st '}' with 1 -> wanted st k ~from | 0 -> -2 | _ -> -3
 
+  let read_string st f =
+    expect st '"';
+    let start = st.pos in
+    match plain_literal st with
+    | -1 ->
+        let s = parse_string_slow st in
+        f s 0 (String.length s)
+    | stop -> f (Bytes.unsafe_to_string st.src) start (stop - start)
+
+  let seek st i = st.pos <- i
   let skip_value st = skip_value st
   let enter = enter
   let leave = leave
@@ -1061,9 +1121,8 @@ let float_to_json f =
     else Printf.sprintf "%.1f" f
   else if Float.is_integer f then Printf.sprintf "%.0f" f
   else
-    let s = Printf.sprintf "%.17g" f in
     let shorter = Printf.sprintf "%.12g" f in
-    if float_of_string shorter = f then shorter else s
+    if float_of_string shorter = f then shorter else Printf.sprintf "%.17g" f
 
 let to_string ?indent ?escaped d =
   let buf = Buffer.create 256 in

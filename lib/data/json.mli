@@ -143,21 +143,42 @@ module Raw : sig
       @raise Diagnostic.Parse_error on faults, and at a ['{'], a ['\[']
       or any other character that starts no literal. *)
 
-  val wanted : state -> string array -> from:int -> int
-  (** [wanted st names ~from], at an object member: {!member} against
-      every name, from [from] and then from the first, reading past
-      each member whose key needs no decoding and matches no name (the
-      key where it lies, the value by {!skip_value}, building nothing).
-      Answers as {!member} for a matched key; [-1] at a key with an
-      escape, left unread; [-2] at the object's closing ['}'], consumed
-      with the object's level; [-3] at anything else after a member,
-      consuming nothing.
+  type keys
+  (** The names of a record's slots and a hash table over them, built
+      once per compiled record. *)
+
+  val keys : string array -> keys
+
+  val wanted : state -> keys -> from:int -> int
+  (** [wanted st k ~from], at an object member: match its key against
+      the name at [from] in place, and otherwise scan the key once to
+      its closing quote, hashing it on the way, and look it up in [k]'s
+      table, so a key that is no name costs one scan however many names
+      [k] has. A member whose key needs no decoding and is no name is
+      read past (the key where it lies, the value by {!skip_value},
+      building nothing) and the next member is tried. Answers as
+      {!member} for a matched key; [-1] at a key with an escape or a
+      control character, left unread, for the caller to decode; [-2] at
+      the object's closing ['}'], consumed with the object's level;
+      [-3] at anything else after a member, consuming nothing.
       @raise Diagnostic.Parse_error where the parser faults. *)
 
-  val next_wanted : state -> string array -> from:int -> int
+  val next_wanted : state -> keys -> from:int -> int
   (** After an object member: skip whitespace and, at a [','], consume
       it and go on as {!wanted}; otherwise answer as {!wanted} does
       after a member it reads past. *)
+
+  val read_string : state -> (string -> int -> int -> 'a) -> 'a
+  (** [read_string st f] scans the string literal at the cursor and
+      answers [f s off len], [s] from [off] for [len] bytes being its
+      content: the source itself when the literal has no escape, else
+      its decoded copy. [f] must copy what it keeps of [s].
+      @raise Diagnostic.Parse_error on faults. *)
+
+  val seek : state -> int -> unit
+  (** [seek st i] moves the cursor to the offset [i], to read again a
+      value read before without fault. Line bookkeeping does not
+      follow, so a fault from there reports a wrong position. *)
 
   val skip_value : state -> unit
   (** {!parse_value} that builds nothing: it reads the same syntax

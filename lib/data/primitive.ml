@@ -32,10 +32,10 @@ let[@inline] missing_in s i stop =
       && String.unsafe_get s (i + 3) = 'A'
   | _ -> false
 
-let is_missing s =
-  let stop = String.length s in
-  let i = Slice.trim_start s 0 stop in
-  missing_in s i (Slice.trim_stop s i stop)
+let is_missing s off len =
+  Slice.check "Primitive.is_missing" s off len;
+  let i = Slice.trim_start s off (off + len) in
+  missing_in s i (Slice.trim_stop s i (off + len))
 
 let rec zeros_from s j stop =
   if j < stop && String.unsafe_get s j = '0' then zeros_from s (j + 1) stop else j
@@ -123,10 +123,10 @@ let rec int_value s i stop acc =
   if i = stop then acc
   else int_value s (i + 1) stop ((acc * 10) - (Char.code (String.unsafe_get s i) - 48))
 
-let parse_int s =
-  let stop = String.length s in
-  let i = Slice.trim_start s 0 stop in
-  let stop = Slice.trim_stop s i stop in
+let int_sub s off len =
+  Slice.check "Primitive.int_sub" s off len;
+  let i = Slice.trim_start s off (off + len) in
+  let stop = Slice.trim_stop s i (off + len) in
   match number s i stop with
   | Fits ->
       let c = String.unsafe_get s i in
@@ -135,13 +135,32 @@ let parse_int s =
       Some (if c = '-' then v else -v)
   | Not_number | Overflows | Fraction -> None
 
+let parse_int s = int_sub s 0 (String.length s)
+
+(* [parse_float] of the trimmed slice from [i] to [stop], whose reading
+   as a number is [n] *)
+let float_of n s i stop =
+  match n with
+  | Not_number -> None
+  | Fits | Overflows | Fraction -> float_of_string_opt (String.sub s i (stop - i))
+
 let parse_float s =
   let stop = String.length s in
   let i = Slice.trim_start s 0 stop in
   let stop = Slice.trim_stop s i stop in
+  float_of (number s i stop) s i stop
+
+let float_sub s off len =
+  Slice.check "Primitive.float_sub" s off len;
+  let i = Slice.trim_start s off (off + len) in
+  let stop = Slice.trim_stop s i (off + len) in
   match number s i stop with
-  | Not_number -> None
-  | Fits | Overflows | Fraction -> float_of_string_opt (String.sub s i (stop - i))
+  | Fits ->
+      let c = String.unsafe_get s i in
+      let start = if c = '-' || c = '+' then i + 1 else i in
+      let v = int_value s start stop 0 in
+      Some (float_of_int (if c = '-' then v else -v))
+  | n -> float_of n s i stop
 
 let parse_bool s =
   let stop = String.length s in
@@ -189,8 +208,8 @@ let classify_sub ~dates s off len =
 
 let classify s = classify_sub ~dates:true s 0 (String.length s)
 
-let is_text s =
-  match classify_sub ~dates:false s 0 (String.length s) with
+let is_text s off len =
+  match classify_sub ~dates:false s off len with
   | Hint_string -> true
   | Hint_null | Hint_bit0 | Hint_bit1 | Hint_int | Hint_float | Hint_bool | Hint_date -> false
 

@@ -32,8 +32,11 @@ val missing_markers : string list
 (** Literals treated as missing values: [""], ["#N/A"], ["NA"], ["N/A"],
     [":"], ["-"] are the markers F# Data's CsvInference recognizes. *)
 
-val is_missing : string -> bool
-(** [is_missing s]: [s], trimmed, is one of {!missing_markers}. *)
+val is_missing : string -> int -> int -> bool
+(** [is_missing s off len]: [String.sub s off len], trimmed, is one of
+    {!missing_markers}, read in place.
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
 
 val classify : string -> hint
 (** [classify s] returns the most specific reading of the literal [s]. The
@@ -60,10 +63,13 @@ val classify_sub : dates:bool -> string -> int -> int -> hint
     @raise Invalid_argument when [off] and [len] are not a valid slice
     of [s]. *)
 
-val is_text : string -> bool
-(** [is_text s] iff [classify s] is [Hint_date] or [Hint_string]: the
-    literals a [string] shape absorbs, since [date ⊔ string = string].
-    It decides that without running the date recognizer. *)
+val is_text : string -> int -> int -> bool
+(** [is_text s off len] iff [classify (String.sub s off len)] is
+    [Hint_date] or [Hint_string]: the literals a [string] shape absorbs,
+    since [date ⊔ string = string]. It decides that in place, without
+    running the date recognizer.
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
 
 val to_value : string -> Data_value.t * hint
 (** [to_value s] converts the literal to a data value together with its
@@ -79,6 +85,20 @@ val parse_float : string -> float option
 (** Strict decimal float syntax including scientific notation; rejects
     ["nan"]/["inf"] spellings (those read as strings, matching F# Data's
     invariant-culture parsing of data files). *)
+
+val int_sub : string -> int -> int -> int option
+(** [int_sub s off len] is [parse_int (String.sub s off len)], read in
+    place. @raise Invalid_argument when [off] and [len] are not a valid
+    slice of [s]. *)
+
+val float_sub : string -> int -> int -> float option
+(** [float_sub s off len] is what a [float] reads of the literal
+    [String.sub s off len]: the integer {!parse_int} reads, as a float,
+    or else {!parse_float}'s number. One scan of the slice in place; an
+    integer is accumulated where it lies, any other number is copied
+    once for [float_of_string].
+    @raise Invalid_argument when [off] and [len] are not a valid slice
+    of [s]. *)
 
 val parse_bool : string -> bool option
 (** ["true"]/["false"] (any case), ["yes"]/["no"]. *)

@@ -57,6 +57,7 @@ type cstage =
   | CMap of (Shape_compile.tvalue -> Shape_compile.tvalue)
   | CTake of int
   | CCount
+  | CBuild  (* the row's deferred slots are built here *)
 
 type plan = {
   checked : Check.checked;
@@ -84,6 +85,44 @@ let rec compile_pred shape (p : pred) : Shape_compile.tvalue -> bool =
       let fa = compile_pred shape a in
       fun v -> not (fa v)
 
+(* ----- Deferred slots ----- *)
+
+let rec pred_paths = function
+  | Compare (p, _, _) | Exists p -> [ p ]
+  | And (a, b) | Or (a, b) -> pred_paths a @ pred_paths b
+  | Not a -> pred_paths a
+
+(* How many stages run through the last [where] *)
+let through_last_where query =
+  fst
+    (List.fold_left
+       (fun (k, i) stage -> ((match stage with Where _ -> i + 1 | _ -> k), i + 1))
+       (0, 0) query)
+
+(* The root fields the decoder may defer: those that no stage of [upto],
+   the stages through the last [where], reads. Such a stage reads the
+   root up to the first [select] or [map], which reads it too; later
+   stages read what that projection made of it. With no [where], every
+   row is kept, and nothing is deferred. *)
+let deferrable (shape : Shape.t) upto =
+  match shape with
+  | Shape.Record { fields; _ } when upto <> [] ->
+      let rec reads = function
+        | [] -> []
+        | Where p :: rest -> pred_paths p @ reads rest
+        | Select ps :: _ -> ps
+        | Map p :: _ -> [ p ]
+        | (Take _ | Count) :: rest -> reads rest
+      in
+      let read = reads upto in
+      if List.mem [] read then []
+      else
+        List.filter_map
+          (fun (f, _) ->
+            if List.exists (fun p -> String.equal (List.hd p) f) read then None else Some f)
+          fields
+  | _ -> []
+
 let compile (c : Check.checked) : plan =
   Fsdata_obs.Trace.with_span "query.plan" @@ fun () ->
   Fsdata_obs.Metrics.incr m_plans;
@@ -110,11 +149,14 @@ let compile (c : Check.checked) : plan =
     | Take n :: rest -> CTake n :: stages shape rest
     | Count :: rest -> CCount :: stages shape rest
   in
-  {
-    checked = c;
-    dec = Shape_compile.compile c.pruned;
-    prog = stages c.pruned c.query;
-  }
+  let k = through_last_where c.query in
+  let defer = deferrable c.pruned (List.filteri (fun i _ -> i < k) c.query) in
+  let prog = stages c.pruned c.query in
+  let prog =
+    if defer = [] then prog
+    else List.filteri (fun i _ -> i < k) prog @ (CBuild :: List.filteri (fun i _ -> i >= k) prog)
+  in
+  { checked = c; dec = Shape_compile.compile ~defer c.pruned; prog }
 
 (* ----- Evaluation ----- *)
 
@@ -126,6 +168,7 @@ type rstage =
   | RMap of (Shape_compile.tvalue -> Shape_compile.tvalue)
   | RTake of int ref
   | RCount
+  | RBuild
 
 let eval ?cancel (p : plan) (src : string) : Value.result =
   Fsdata_obs.Trace.with_span "query.eval_fast" @@ fun () ->
@@ -142,9 +185,11 @@ let eval ?cancel (p : plan) (src : string) : Value.result =
         | CSelect fs -> RSelect fs
         | CMap f -> RMap f
         | CTake n -> RTake (ref n)
-        | CCount -> RCount)
+        | CCount -> RCount
+        | CBuild -> RBuild)
       p.prog
   in
+  let deferred = Shape_compile.deferred p.dec in
   let counting = List.exists (function RCount -> true | _ -> false) stages in
   let rec run stages v =
     match stages with
@@ -166,10 +211,13 @@ let eval ?cancel (p : plan) (src : string) : Value.result =
           if !r = 0 then raise Stop
         end
     | RCount :: _ -> incr matched
+    | RBuild :: rest ->
+        Shape_compile.build deferred v;
+        run rest v
   in
   let () =
     let (), _dstats =
-      Shape_compile.fold_corpus ?cancel
+      Shape_compile.fold_corpus ?cancel ~deferred
         ~on_error:(fun _ ~skipped:_ -> incr malformed)
         p.dec
         (fun () outcome ->

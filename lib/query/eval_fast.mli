@@ -3,11 +3,16 @@
     [compile] pairs the checked query with a
     {!Fsdata_core.Shape_compile} parser for the {e pruned} σ — so a
     conforming document is decoded straight into the query's projected
-    slots: each key is matched in place against the slots (only a key
-    written with an escape is decoded), and an untouched member is read
-    on its tokens by [Json.Raw.skip_value], which builds nothing but
-    faults where the parser does, so a malformed untouched member still
-    makes its document malformed — and precompiles every stage: paths
+    slots: each key is matched in place against the slot expected next
+    and otherwise scanned once and looked up in the record's key table
+    (only a key written with an escape is decoded), and an untouched
+    member is read on its tokens by [Json.Raw.skip_value], which builds
+    nothing but faults where the parser does, so a malformed untouched
+    member still makes its document malformed. A primitive root field
+    that no stage up to the last [where] reads is checked where it lies
+    and built only for a row that passes every [where], from its source
+    offset, by its own decoder; a document whose such field fails its
+    check is still [skipped]. The plan precompiles every stage: paths
     become integer slot indices into the pruned records (the decoder
     emits fields in shape order), predicates become closures over
     {!Value.test_compare}. A plan is immutable and reusable: the serve

@@ -37,6 +37,35 @@ let test_compare () =
   check Alcotest.bool "ordering" true (Date.compare d1 d2 < 0);
   check Alcotest.bool "equal" true (Date.equal d1 d1)
 
+(* The printer writes its digits directly; its bytes are the [Printf]
+   form's, for every date [make] admits, with and without a time. *)
+let printf_iso8601 (t : Date.t) =
+  if t.hour = 0 && t.minute = 0 && t.second = 0 then
+    Printf.sprintf "%04d-%02d-%02d" t.year t.month t.day
+  else
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" t.year t.month t.day t.hour
+      t.minute t.second
+
+let gen_date =
+  let open QCheck2.Gen in
+  let* year = oneof [ int_range 1 9999; oneofl [ 1; 9; 10; 99; 100; 999; 1000; 9999 ] ] in
+  let* month = int_range 1 12 in
+  let* day = int_range 1 31 in
+  let* time =
+    oneof
+      [ return (0, 0, 0);
+        triple (int_range 0 23) (int_range 0 59) (int_range 0 59);
+        oneofl [ (0, 0, 1); (0, 1, 0); (1, 0, 0); (23, 59, 59) ] ]
+  in
+  let hour, minute, second = time in
+  let make day = Date.make ~hour ~minute ~second year month day in
+  return (match make day with Some d -> d | None -> Option.get (make 28))
+
+let prop_iso8601_is_printf =
+  QCheck2.Test.make ~count:1000 ~name:"to_iso8601 prints what Printf printed"
+    ~print:printf_iso8601 gen_date (fun d ->
+      String.equal (Date.to_iso8601 d) (printf_iso8601 d))
+
 let suite =
   [
     tc "ISO date" `Quick (parses "2012-05-01" "2012-05-01");
@@ -64,4 +93,5 @@ let suite =
     tc "rejects: bad time" `Quick (rejects "2012-05-01T25:99");
     tc "make validation" `Quick test_make_validation;
     tc "compare/equal" `Quick test_compare;
+    QCheck_alcotest.to_alcotest prop_iso8601_is_printf;
   ]

@@ -357,6 +357,36 @@ let prop_escape_matches_oracle =
            (Json.to_string (Dv.Record (Dv.json_record_name, [ (s, Dv.String s) ])))
            ("{" ^ oracle_escape s ^ ":" ^ oracle_escape s ^ "}"))
 
+(* Floats print as they did through [Printf] alone: [%.1f] for an
+   integer below 1e16 in magnitude, [%.0f] for a larger one, else the
+   shorter of [%.12g] and [%.17g] that reads back. *)
+let printf_float f =
+  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else if Float.is_integer f then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.17g" f in
+    let shorter = Printf.sprintf "%.12g" f in
+    if float_of_string shorter = f then shorter else s
+
+let gen_printed_float =
+  let open QCheck2.Gen in
+  let digits n = map (fun m -> float_of_string (Printf.sprintf "%.*g" n m)) float in
+  oneof
+    [
+      map float_of_int int;
+      oneofl [ 0.; -0.; 1e16; -1e16; Float.pred 1e16; Float.succ 1e16; -.Float.pred 1e16;
+               -.Float.succ 1e16; 9007199254740993.; Float.max_float; -.Float.max_float ];
+      map (fun m -> Float.ldexp (float_of_int (m land 0xFFFFFFFFFFFFF)) (-1074)) int;
+      oneofl [ Float.min_float; Float.pred Float.min_float; 5e-324; -5e-324 ];
+      (let* n = int_range 12 17 in digits n);
+      float;
+    ]
+
+let prop_float_is_printf =
+  QCheck2.Test.make ~count:2000 ~name:"floats print what Printf printed"
+    ~print:(Printf.sprintf "%h") gen_printed_float (fun f ->
+      Float.is_nan f || String.equal (Json.to_string (Fsdata_data.Data_value.Float f)) (printf_float f))
+
 let suite =
   [
     tc "literals" `Quick test_literals;
@@ -393,6 +423,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
     QCheck_alcotest.to_alcotest prop_fold_many_matches_oracle;
     QCheck_alcotest.to_alcotest prop_escape_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_float_is_printf;
   ]
 
 (* ----- Differential: the validating skip against the parser ----- *)

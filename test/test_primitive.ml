@@ -273,7 +273,7 @@ let prop_classify_matches_oracle =
       && Fsdata_data.Date.of_string s = Oracle.Date.of_string s
       && P.parse_bool s = Oracle.parse_bool s
       && P.parse_float s = Oracle.parse_float s
-      && P.is_missing s = Oracle.is_missing s)
+      && P.is_missing s 0 (String.length s) = Oracle.is_missing s)
 
 (* The readings of a literal wherever it lies and however it reaches a
    reader: as a slice of a larger buffer (bytes that would read
@@ -364,7 +364,7 @@ let prop_is_text_matches_classify =
   QCheck2.Test.make ~count:3000
     ~name:"is_text s iff classify s is date or string"
     ~print:(Printf.sprintf "%S") gen_literal (fun s ->
-      P.is_text s
+      P.is_text s 0 (String.length s)
       = match P.classify s with
         | P.Hint_date | P.Hint_string -> true
         | P.Hint_null | P.Hint_bit0 | P.Hint_bit1 | P.Hint_int | P.Hint_float

@@ -519,6 +519,168 @@ let test_skip_cases () =
         queries)
     skip_cases
 
+(* Both engines on [corpus] under each query: the same rows and stats;
+   the compiled engine's are returned *)
+let engines_agree ~label sigma corpus q =
+  match Check.check sigma (parse_exn q) with
+  | Error e -> Alcotest.failf "%s: rejected: %s" q (Fmt.str "%a" Check.pp_error e)
+  | Ok checked ->
+      let r1 = Eval.eval checked corpus in
+      let r2 = Eval_fast.eval (Eval_fast.compile checked) corpus in
+      let label what = Printf.sprintf "%s, %s: %s" label q what in
+      check Alcotest.string (label "rows") (render_rows r1) (render_rows r2);
+      check Alcotest.bool (label "stats") true (r1.Value.stats = r2.Value.stats);
+      r2
+
+(* ----- eval ≡ eval_fast on wide records: the key table ----- *)
+
+(* 200 keys of one length, so that length tells no key from another:
+   slots first, in the middle and last. Each document is put between two
+   clean ones. *)
+let wide_key i = Printf.sprintf "k%03d" i
+
+let wide_doc ?(value = fun i -> string_of_int i) ?(extra = []) ?(skip = -1) () =
+  "{"
+  ^ String.concat ","
+      (List.filter_map
+         (fun i -> if i = skip then None else Some (Printf.sprintf "%S:%s" (wide_key i) (value i)))
+         (List.init 200 Fun.id)
+      @ extra)
+  ^ "}"
+
+let test_wide_keys () =
+  let clean = wide_doc () ^ "\n" ^ wide_doc ~value:(fun i -> string_of_int (i + 1)) () in
+  let sigma = infer_exn clean in
+  let queries =
+    [ "where .k000 >= 0 | select .k100, .k199"; "where .k199 > 199 | select .k000";
+      "select .k000, .k100, .k199"; "where .k100 == 100 | count" ]
+  in
+  let cases =
+    [
+      ("clean", wide_doc ());
+      ("a slot name written with an escape",
+        wide_doc ~skip:100 ~extra:[ {|"k100":7|} ] ());
+      ("an untouched name written with an escape", wide_doc ~extra:[ {|"k200":7|} ] ());
+      ("a slot key repeated after 150 untouched members",
+        wide_doc ~extra:(List.init 150 (fun i -> Printf.sprintf {|"u%03d":%d|} i i) @ [ {|"k100":-5|} ]) ());
+      ("a repeated slot key that does not conform",
+        wide_doc ~extra:(List.init 150 (fun i -> Printf.sprintf {|"u%03d":%d|} i i) @ [ {|"k199":"x"|} ]) ());
+      ("keys that are prefixes of slot names",
+        wide_doc ~extra:[ {|"k":1|}; {|"k1":2|}; {|"k10":3|}; {|"k19":"x"|}; {|"k00":null|} ] ());
+      ("keys that extend slot names", wide_doc ~extra:[ {|"k1000":"x"|}; {|"k0000":[1]|} ] ());
+      ("a slot missing", wide_doc ~skip:199 ());
+    ]
+  in
+  List.iter
+    (fun (name, doc) ->
+      let corpus = clean ^ "\n" ^ doc ^ "\n" ^ clean ^ "\n" in
+      List.iter (fun q -> ignore (engines_agree ~label:name sigma corpus q)) queries)
+    cases;
+  let corpus = clean ^ "\n" ^ snd (List.nth cases 3) ^ "\n" in
+  let r = engines_agree ~label:"repeated" sigma corpus "select .k100" in
+  check Alcotest.string "the last binding of a repeated slot key wins"
+    "{\"k100\":100}\n{\"k100\":101}\n{\"k100\":-5}" (render_rows r)
+
+(* ----- eval ≡ eval_fast on deferred slots ----- *)
+
+(* A slot that no [where] reads is checked where it lies and built only
+   for a kept row. A dropped row whose slot fails its check is still
+   skipped; a kept row's built value is the conversion's, not the
+   source text. *)
+let test_deferred_slots () =
+  let clean =
+    {|{"kind":"a","id":1,"at":"2015-01-02","x":1.5,"b":true}
+{"kind":"b","id":2,"at":"2016-03-04T05:06:07","x":2,"b":false}|}
+  in
+  let sigma = infer_exn clean in
+  let q = {|where .kind == "a" | select .id, .at, .x, .b|} in
+  let cases =
+    [
+      ("a select-only slot failing its check in a dropped row",
+        {|{"kind":"b","id":3,"at":"not a date","x":1.0,"b":true}|}, 1, []);
+      ("a select-only number slot failing its check in a dropped row",
+        {|{"kind":"b","id":"three","at":"2015-01-02","x":1.0,"b":true}|}, 1, []);
+      ("a select-only slot failing its check in a kept row",
+        {|{"kind":"a","id":3,"at":"2015-01-02","x":"abc","b":true}|}, 1, []);
+      ("built forms that differ from the source",
+        {|{"kind":"a","id":3,"at":"2015-03-01T00:00:00","x":"12.3400","b":"1"}|}, 0,
+        [ {|{"id":3,"at":"2015-03-01","x":12.34,"b":true}|} ]);
+      ("numeric strings in number slots, a repeated deferred key",
+        {|{"kind":"a","id":" 7 ","at":"2015-01-02","x":"-3","at":"May 3, 2012","b":"0","x":" 1e2 "}|}, 0,
+        [ {|{"id":7,"at":"2012-05-03","x":100.0,"b":false}|} ]);
+      ("a missing marker in a number slot", {|{"kind":"a","id":3,"at":"2015-01-02","x":"NA","b":true}|}, 1, []);
+      ("escaped deferred literals",
+        {|{"kind":"a","id":"4","at":"2015-01-02","x":"1.5","b":"true"}|}, 0,
+        [ {|{"id":4,"at":"2015-01-02","x":1.5,"b":true}|} ]);
+    ]
+  in
+  List.iter
+    (fun (name, doc, skipped, rows) ->
+      let corpus = clean ^ "\n" ^ doc ^ "\n" ^ clean ^ "\n" in
+      List.iter
+        (fun q' ->
+          let r = engines_agree ~label:name sigma corpus q' in
+          if q' == q then begin
+            check Alcotest.int (name ^ ": skipped") skipped r.Value.stats.Value.skipped;
+            List.iter
+              (fun row ->
+                check Alcotest.bool (name ^ ": row " ^ row) true
+                  (List.mem row (List.map Value.render r.Value.rows)))
+              rows
+          end)
+        [ q; {|where .kind == "b" | count|}; {|where .kind != "x" | map .at|};
+          {|where .id > 0 | select .x|} ])
+    cases
+
+(* A deferred slot's check against its decoder, on one literal: both
+   succeed and stop at the same offset, or both fail alike. *)
+let gen_slot_shape =
+  let open QCheck2.Gen in
+  let* p =
+    oneofl Shape.[ Int; Float; Bool; Bit; Bit0; Bit1; Date; String ]
+  in
+  oneofl [ Shape.Primitive p; Shape.Nullable (Shape.Primitive p) ]
+
+let gen_slot_literal =
+  let open QCheck2.Gen in
+  let contents =
+    [ ""; " "; "0"; "1"; "00"; "-0"; "+1"; "12"; " 12 "; "-7"; "1.5"; "12.3400"; "1e5"; ".5"; "1.";
+      "99999999999999999999"; "yes"; "no"; "TRUE"; "False"; "NA"; "N/A"; "#N/A"; "-"; ":";
+      "2015-03-01"; "2015-03-01T00:00:00"; "2015/13/01"; "May 3"; "3 kveten"; "abc"; "1a";
+      {|1|}; {|12|}; {|true|}; {|2015-01-02|}; {|a\"b|} ]
+  in
+  let tokens =
+    [ "0"; "1"; "-0"; "2"; "-12"; "1.5"; "1e3"; "0.0"; "99999999999999999999"; "true"; "false";
+      "null"; "{}"; "[1]"; "tru"; "nul"; "-"; "01"; "1."; "\"abc"; "\"a\\qb\""; "\"\001\""; "x"; "" ]
+  in
+  let* lit =
+    oneof [ map (fun c -> "\"" ^ c ^ "\"") (oneofl contents); oneofl tokens;
+            map (fun i -> string_of_int i) int; map (fun f -> Printf.sprintf "%.17g" f) float ]
+  in
+  let* ws = oneofl [ ""; " "; "\n " ] in
+  let* rest = oneofl [ ""; ","; "}"; " ]" ] in
+  return (ws ^ lit ^ rest)
+
+let prop_check_matches_decoder =
+  QCheck2.Test.make ~count:800
+    ~name:"a deferred slot's check succeeds iff its decoder does, at the same offset"
+    ~print:(fun (s, lit) -> Printf.sprintf "%s on %S" (print_shape s) lit)
+    QCheck2.Gen.(pair gen_slot_shape gen_slot_literal)
+    (fun (s, lit) ->
+      let module Sc = Fsdata_core.Shape_compile in
+      let outcome read =
+        let st = Json.Raw.make lit in
+        match read st with
+        | () -> `Stop (Json.Raw.offset st)
+        | exception Sc.Mismatch -> `Mismatch
+        | exception Fsdata_data.Diagnostic.Parse_error d -> `Fault d
+      in
+      match Sc.checker s with
+      | None -> QCheck2.Test.fail_reportf "no check for a primitive slot"
+      | Some check ->
+          let decode st = ignore (Sc.decoder (Sc.compile s) st) in
+          outcome check = outcome decode)
+
 let suite =
   [
     tc "parser: pinned syntax" `Quick test_parser_pins;
@@ -530,4 +692,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engines_agree;
     QCheck_alcotest.to_alcotest prop_unknown_field_rejected;
     tc "eval ≡ eval_fast: untouched members and in-place keys" `Quick test_skip_cases;
+    tc "eval ≡ eval_fast: wide records and the key table" `Quick test_wide_keys;
+    tc "eval ≡ eval_fast: deferred slots" `Quick test_deferred_slots;
+    QCheck_alcotest.to_alcotest prop_check_matches_decoder;
   ]
