@@ -715,6 +715,57 @@ let prop_list_walk_sound =
     ~name:"the token walk accepts only what absorbs_value accepts, lists"
     ~count:1000 ~print:print_walk_case gen_list_walk_case walk_sound
 
+(* Keys the walk finds, reads past or declines, by hand: σ is inferred
+   from [samples], and each document is asked of the walk and, parsed,
+   of [absorbs_value], in both JSON modes. The two answers agree but
+   for a repeated key, which the walk declines and the parser resolves
+   to its last binding. *)
+let walk_key_cases =
+  let fields names value =
+    "{" ^ String.concat "," (List.map (fun n -> Printf.sprintf {|"%s":%s|} n value) names) ^ "}"
+  in
+  let twenty = List.init 20 (Printf.sprintf "f%02d") in
+  let wide = [ fields twenty "1" ] in
+  let sparse = [ fields twenty "1"; fields [ "f00"; "f19" ] "1" ] in
+  let person = [ {|{"name":"a","age":1,"city":"b"}|} ] in
+  let opt = [ {|{"name":"a","age":1,"city":"b"}|}; {|{"name":"c","age":2}|} ] in
+  let near = [ {|{"a":1,"ab":2,"abc":3,"":4}|} ] in
+  [
+    ("20 fields in σ order", wide, fields twenty "2", true, true);
+    ("20 fields in reverse σ order", wide, fields (List.rev twenty) "2", true, true);
+    ("a key 12 places after the one met last", sparse, fields [ "f00"; "f13"; "f19" ] "3", true, true);
+    ("a key 18 places after the one met last", sparse, fields [ "f00"; "f19" ] "3", true, true);
+    ("back 19 places", sparse, fields [ "f19"; "f00" ] "3", true, true);
+    ("an escaped key for a σ name", person, {|{"n\u0061me":"x","age":3,"city":"y"}|}, true, true);
+    ("an escaped key last", person, {|{"name":"x","age":3,"cit\u0079":"y"}|}, true, true);
+    ("an escaped key for no σ name", person, {|{"name":"x","age":3,"city":"y","\u0078":1}|}, false, false);
+    ("an unknown key first", person, {|{"zip":1,"name":"x","age":3,"city":"y"}|}, false, false);
+    ("an unknown key in the middle", person, {|{"name":"x","zip":1,"age":3,"city":"y"}|}, false, false);
+    ("an unknown key last", person, {|{"name":"x","age":3,"city":"y","zip":1}|}, false, false);
+    ("a repeated key", person, {|{"name":"x","age":3,"age":4,"city":"y"}|}, false, true);
+    ("a repeated escaped key", person, {|{"name":"x","age":3,"\u0061ge":4,"city":"y"}|}, false, true);
+    ("a missing optional field", opt, {|{"name":"x","age":3}|}, true, true);
+    ("a present optional field", opt, {|{"city":"y","name":"x","age":3}|}, true, true);
+    ("a missing required field", opt, {|{"name":"x","city":"y"}|}, false, false);
+    ("a prefix of a σ name", person, {|{"nam":"x","age":3,"city":"y"}|}, false, false);
+    ("an extension of a σ name", person, {|{"names":"x","age":3,"city":"y"}|}, false, false);
+    ("names that extend each other, reversed", near, {|{"":1,"abc":2,"ab":3,"a":4}|}, true, true);
+    ("a prefix among extensions", near, {|{"a":1,"ab":2,"abcd":3,"":4}|}, false, false);
+    ("the empty name missing", near, {|{"a":1,"ab":2,"abc":3}|}, false, false);
+  ]
+
+let test_walk_key_cases () =
+  List.iter
+    (fun (name, samples, text, walk, parsed) ->
+      List.iter
+        (fun mode ->
+          let label = Printf.sprintf "%s (%s)" name (string_of_mode mode) in
+          let walked, reparsed = walk_answers ~mode (List.map Json.parse samples, text) in
+          check Alcotest.bool (label ^ ": the walk") walk walked;
+          check Alcotest.(option bool) (label ^ ": the parsed text") (Some parsed) reparsed)
+        json_modes)
+    walk_key_cases
+
 (* the generator keeps both answers of the walk common *)
 let test_walk_cases_balanced () =
   let rand = Random.State.make [| 23 |] in
@@ -904,6 +955,7 @@ let suite =
     tc "absorbs_json: lists are walked" `Quick test_walk_lists_accepted;
     tc "the walk: both answers are common" `Quick test_walk_cases_balanced;
     tc "the walk: nesting bound" `Quick test_walk_depth;
+    tc "the walk: keys by hand" `Quick test_walk_key_cases;
     QCheck_alcotest.to_alcotest prop_run_matches_oracle;
     tc "the walk: within the first batch" `Quick test_walk_within_batch;
     tc "the walk: batches and counters are the reader's" `Quick test_walk_batches;
