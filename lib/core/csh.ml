@@ -14,6 +14,10 @@ let m_merges = Fsdata_obs.Metrics.counter "csh.merges"
 let m_saturations =
   Fsdata_obs.Metrics.counter "csh.top_label_saturations"
 
+(* The primitive join underlying rule (num) and the Section 6.2 lattice:
+   int ⊔ float = float, bit ⊔ int = int, bit ⊔ bool = bool,
+   bit ⊔ float = float, date ⊔ string = string; [None] when the only
+   upper bound is a top (e.g. int ⊔ bool). *)
 let join_primitives (a : primitive) (b : primitive) =
   if a = b then Some a
   else
@@ -278,6 +282,8 @@ let absent_ok = function
 let same_representation (a : Shape.t) b =
   a == b || (Shape.equal a b && Stdlib.compare a b = 0)
 
+module Raw = Fsdata_data.Json.Raw
+
 (* The index of a shape for repeated absorption queries: every record
    of σ gets its own field table, so a query walks δ through the tables
    and builds none. Any other subtree is [Whole], with a memo of the
@@ -306,7 +312,7 @@ and parts = {
   mutable keyed : bool;
 }
 
-(* A record's fields in σ's order, their indices and slots by name, and
+(* A record's fields in σ's order, their indices and key table, and
    the walk in progress: [met.(i)] is the number of the last walk that
    met field [i], and [hits] counts the required fields it met. *)
 and table = {
@@ -314,7 +320,7 @@ and table = {
   name : string;
   names : string array;
   subs : index array;
-  slots : (string, int) Hashtbl.t;
+  keys : Raw.keys;  (* stops at a key that is no name *)
   needed : bool array;  (* fields that an absence would change *)
   required : int;
   met : int array;
@@ -358,12 +364,11 @@ let rec index sigma =
 and make_table record r =
   let names = Array.of_list (List.map fst r.fields) in
   let subs = Array.of_list (List.map (fun (_, f) -> index f) r.fields) in
-  let slots = Hashtbl.create (Array.length names) in
-  Array.iteri (fun i name -> Hashtbl.replace slots name i) names;
+  let keys = Raw.keys ~skip:false names in
   let needed = Array.of_list (List.map (fun (_, f) -> not (absent_ok f)) r.fields) in
   let required = Array.fold_left (fun n b -> if b then n + 1 else n) 0 needed in
   let met = Array.make (Array.length names) 0 in
-  { record; name = r.name; names; subs; slots; needed; required; met; walks = 0; hits = 0 }
+  { record; name = r.name; names; subs; keys; needed; required; met; walks = 0; hits = 0 }
 
 let indexed = function
   | Fields_of t -> t.record
@@ -397,8 +402,6 @@ let rec table idx name =
   | Parts w -> Option.bind (label w (Tag.Record name)) (fun l -> table l name)
   | Fields_of _ | Payload_of _ | Whole _ -> None
 
-let slot t name = match Hashtbl.find t.slots name with i -> i | exception Not_found -> -1
-
 let meet t i =
   t.met.(i) <> t.walks
   && begin
@@ -420,7 +423,7 @@ let absorbs_record idx name fields absorbs_field =
         | (name, x) :: rest ->
             let i =
               if next < Array.length t.names && String.equal t.names.(next) name then next
-              else slot t name
+              else Raw.find t.keys name
             in
             i >= 0 && meet t i && absorbs_field t.subs.(i) x && go (i + 1) rest
       in
@@ -547,18 +550,12 @@ let elements_complete w =
 
 (* --- the token walk: a JSON document against σ, on its tokens --- *)
 
-module Raw = Fsdata_data.Json.Raw
-
 (* The shape S gives the literal at the cursor, which it consumes:
    outside the paper's mode a string is classified where it lies in the
    source, its date read only when [dates]. *)
 let literal ~mode ~dates st = Shape.of_hint (Raw.literal st ~classify:(mode <> `Core) ~dates)
 
 let record_tag = Tag.Record Fsdata_data.Data_value.json_record_name
-
-(* How many of σ's names after the field met last a key is matched
-   against in place *)
-let window = 8
 
 (* The value at the cursor, which starts with [c]. A record is walked
    through its table, a list through its collection's element walk,
@@ -569,7 +566,7 @@ let rec absorbs_tokens_at ~mode idx st c =
       match table idx Fsdata_data.Data_value.json_record_name with
       | Some t ->
           if Raw.open_ st '}' then complete t
-          else absorbs_member ~mode t st (Raw.member st t.names ~from:0 ~upto:window)
+          else absorbs_member ~mode t st (Raw.wanted st t.keys ~from:0)
       | None -> false)
   | '[' -> (
       match elements ~mode idx with
@@ -586,18 +583,18 @@ let rec absorbs_tokens_at ~mode idx st c =
       in
       absorbs_literal ~mode idx (literal ~mode ~dates st)
 
-(* A member, as [Raw.member] read it: its key matched in place against
-   the few names of σ's order after the field met last, which covers a
-   record that skips a few optional fields, or ([-1]) to be decoded and
-   looked up *)
+(* A member, as [Raw.wanted] read it: its key found in σ's table (tried
+   in place against the field after the one met last first), or ([-1])
+   to be decoded and looked up, which finds no field but for a key
+   written with an escape *)
 and absorbs_member ~mode t st m =
-  let i = if m >= 0 then m lsr 8 else slot t (Raw.parse_string st) in
+  let i = if m >= 0 then m lsr 8 else Raw.find t.keys (Raw.parse_string st) in
   i >= 0
   && meet t i
   && absorbs_tokens_at ~mode t.subs.(i) st
        (if m >= 0 then Char.unsafe_chr (m land 255) else Raw.colon st)
   &&
-  match Raw.next_member st t.names ~from:(i + 1) ~upto:(i + 1 + window) with
+  match Raw.next_wanted st t.keys ~from:(i + 1) with
   | -2 -> complete t
   | -3 -> false
   | m -> absorbs_member ~mode t st m

@@ -41,7 +41,7 @@
       Section 6.3).
 
     Labelled tops built by [csh] are kept in a canonical form: primitive
-    labels are saturated under {!join_primitives} across tag families
+    labels are saturated under the primitive join across tag families
     (so a top never holds both [bit] and [bool], or [date] and
     [string]), and collection labels have exactly-one entries weakened
     to zero-or-one (a top implicitly permits null, and a null sample
@@ -65,12 +65,6 @@ val csh_tree : ?mode:mode -> Shape.t list -> Shape.t
     on the same list (Lemma 1), in logarithmically many rounds; the
     parallel inference engine joins its per-domain batches with it.
     [csh_tree []] is [Shape.Bottom]. *)
-
-val join_primitives : Shape.primitive -> Shape.primitive -> Shape.primitive option
-(** The primitive join underlying rule (num) and the Section 6.2 lattice:
-    [int ⊔ float = float], [bit ⊔ int = int], [bit ⊔ bool = bool],
-    [bit ⊔ float = float], [date ⊔ string = string]; [None] when the only
-    upper bound is a top (e.g. [int ⊔ bool]). *)
 
 (** {1 Absorption}
 
@@ -139,8 +133,10 @@ val absorbs_tokens : mode:mode -> index -> Fsdata_data.Json.Raw.state -> bool
 
     - A record is walked against its table, a field at a time: σ's
       fields are numbered in σ's order, a key is matched in place
-      against the names after the field met last and looked up off that
-      order, and the record is absorbed when every field named one of
+      against the field after the one met last and otherwise found in
+      the record's key table ([Json.Raw.wanted], the same step compiled
+      decoders read members with), and the record is absorbed when
+      every field named one of
       σ's, was met once and absorbed there, and every field that an
       absent value would change was met. A record under a top is
       absorbed iff its label absorbs it.

@@ -357,9 +357,8 @@ let field_missing = ("", slot_missing)
    field until the row is built. *)
 type record_slots = {
   keys : string array;
-  table : Raw.keys;  (** the keys' table, for [Raw.wanted] *)
+  table : Raw.keys;  (** the keys' table, read past keys that are none *)
   decs : decoder array;
-  index : (string, int) Hashtbl.t;  (** key -> slot, for escaped keys *)
   defaults : (string * tvalue) option array;  (** for an absent field *)
   checks : (Raw.state -> unit) option array;  (** a deferred slot's check *)
   pending : (string * tvalue) array;  (** a deferred slot's field until built *)
@@ -372,10 +371,10 @@ type record_slots = {
    table; a member whose key matches no slot was read past on its
    tokens, its value by [Raw.skip_value], which builds nothing and
    faults where the parser does, so a malformed document stays
-   malformed. Only a key written with an escape is decoded, and looked
-   up in [index]. A deferred slot's value is checked and its offset
-   noted in [offs]. A repeated key overwrites its slot, or its offset:
-   the last binding wins, as in the generic parser. *)
+   malformed. Only a key written with an escape is decoded, and found
+   in the same table. A deferred slot's value is checked and its
+   offset noted in [offs]. A repeated key overwrites its slot, or its
+   offset: the last binding wins, as in the generic parser. *)
 let rec decode_members r st out offs expected = function
   | -2 -> ()
   | -3 -> raise Mismatch
@@ -385,7 +384,7 @@ let rec decode_members r st out offs expected = function
         else begin
           let key = Raw.parse_string st in
           ignore (Raw.colon st);
-          Option.value (Hashtbl.find_opt r.index key) ~default:(-1)
+          Raw.find r.table key
         end
       in
       if slot < 0 then Raw.skip_value st
@@ -459,13 +458,10 @@ let rec compile_shape (s : Shape.t) : compiled_shape =
 and record_slots ~check fields : record_slots =
   let fields = Array.of_list fields in
   let keys = Array.map fst fields in
-  let index = Hashtbl.create (max 4 (2 * Array.length fields)) in
-  Array.iteri (fun i key -> Hashtbl.replace index key i) keys;
   {
     keys;
-    table = Raw.keys keys;
+    table = Raw.keys ~skip:true keys;
     decs = Array.map (fun (_, fs) -> run (compile_shape fs)) fields;
-    index;
     defaults =
       Array.map
         (fun (key, fs) -> Option.map (fun t -> (key, t)) (missing_field_default fs))

@@ -114,6 +114,7 @@ let infer tree =
   collect table tree;
   of_table tree.Xml.name table
 
+(* Several samples; their roots must agree. An empty list is an error. *)
 let infer_many trees =
   match trees with
   | [] -> Error "global XML inference: no samples"

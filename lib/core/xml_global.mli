@@ -39,12 +39,9 @@ type t = {
 
 val infer : Fsdata_data.Xml.tree -> t
 
-val infer_many : Fsdata_data.Xml.tree list -> (t, string) result
-(** Several samples; their roots must agree.
-    An empty list is an error. *)
-
 val of_strings : string list -> (t, string) result
-(** Parse and infer. *)
+(** Parse and infer several samples; their roots must agree. An empty
+    list is an error. *)
 
 val find : t -> string -> element_signature option
 

@@ -3,5 +3,4 @@ type t = unit -> bool
 exception Cancelled
 
 let never : t = fun () -> false
-let of_flag flag : t = fun () -> Atomic.get flag
 let check (c : t) = if c () then raise Cancelled

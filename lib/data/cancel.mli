@@ -24,8 +24,5 @@ val never : t
 (** The token that never trips: the default everywhere, costing one
     indirect call per poll. *)
 
-val of_flag : bool Atomic.t -> t
-(** Trips once the flag is set. *)
-
 val check : t -> unit
 (** [check c] raises {!Cancelled} iff [c ()]. *)

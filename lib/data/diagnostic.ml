@@ -24,6 +24,7 @@ let error ~format ~line ~column fmt =
 let with_index index d = { d with index = Some index }
 
 let format_name = function Json -> "json" | Xml -> "xml" | Csv -> "csv"
+(* The spelling the legacy error messages use *)
 let format_label = function Json -> "JSON" | Xml -> "XML" | Csv -> "CSV"
 let severity_name = function Error -> "error" | Warning -> "warning"
 

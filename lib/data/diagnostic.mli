@@ -50,10 +50,6 @@ val with_index : int -> t -> t
 val format_name : format -> string
 (** ["json"], ["xml"] or ["csv"]. *)
 
-val format_label : format -> string
-(** ["JSON"], ["XML"] or ["CSV"] — the spelling the legacy error
-    messages use. *)
-
 val severity_name : severity -> string
 
 val to_string : t -> string

@@ -899,11 +899,6 @@ module Raw = struct
          !i = n && (st.pos <- p + n + 2; true)
        end
 
-  let rec key_among st names i upto =
-    if i >= upto then -1
-    else if key st (Array.unsafe_get names i) then i
-    else key_among st names (i + 1) upto
-
   (* A key matched, then its colon: the key's number and the first
      character of its value *)
   let matched st i =
@@ -911,24 +906,6 @@ module Raw = struct
     expect st ':';
     skip_ws st;
     (i lsl 8) lor Char.code (peek_char st)
-
-  let member st names ~from ~upto =
-    skip_ws st;
-    match key_among st names from (min upto (Array.length names)) with
-    | -1 -> -1
-    | i -> matched st i
-
-  let next_member st names ~from ~upto =
-    skip_ws st;
-    match peek_char st with
-    | ',' ->
-        st.pos <- st.pos + 1;
-        member st names ~from ~upto
-    | '}' ->
-        st.pos <- st.pos + 1;
-        leave st;
-        -2
-    | _ -> -3
 
   let next_value st =
     skip_ws st;
@@ -982,8 +959,9 @@ module Raw = struct
 
   (* A key table: the names, and each name's index plus one at the first
      free place from its hash's, in a power-of-two array with at least
-     four places per name (0 marks a free place) *)
-  type keys = { names : string array; places : int array }
+     four places per name (0 marks a free place); [skip] says whether
+     [wanted] reads past a member whose key is no name *)
+  type keys = { names : string array; places : int array; skip : bool }
 
   let[@inline] mix h c = (h * 31) + Char.code c
 
@@ -992,7 +970,7 @@ module Raw = struct
   let[@inline] place places h =
     ((h * 0x2545F4914F6CDD1D) lsr 20) land (Array.length places - 1)
 
-  let keys names =
+  let keys ~skip names =
     let size = ref 16 in
     while !size < 4 * Array.length names do size := 2 * !size done;
     let places = Array.make !size 0 in
@@ -1002,7 +980,7 @@ module Raw = struct
         while places.(!j) <> 0 do j := (!j + 1) land (!size - 1) done;
         places.(!j) <- i + 1)
       names;
-    { names; places }
+    { names; places; skip }
 
   let rec same_bytes src i name l =
     l = String.length name
@@ -1018,10 +996,14 @@ module Raw = struct
         if String.length name = stop - i && same_bytes src i name 0 then p - 1
         else probe k src i stop ((j + 1) land (Array.length k.places - 1))
 
+  let find k name =
+    probe k (Bytes.unsafe_of_string name) 0 (String.length name)
+      (place k.places (String.fold_left mix 0 name))
+
   (* The key at the cursor against the name at [from], then scanned once
      to its closing quote, hashed on the way, and probed in the table;
      a member whose key is no name is read past, its value by
-     [skip_value] *)
+     [skip_value], when the table says so *)
   let rec wanted st k ~from =
     skip_ws st;
     if from < Array.length k.names && key st (Array.unsafe_get k.names from) then
@@ -1040,20 +1022,22 @@ module Raw = struct
         h := mix !h (Bytes.unsafe_get src !i);
         incr i
       done;
-      if !i >= len || Bytes.unsafe_get src !i <> '"' then begin
-        st.pos <- start;
-        -1
+      let plain = !i < len && Bytes.unsafe_get src !i = '"' in
+      let slot = if plain then probe k src st.pos !i (place k.places !h) else -1 in
+      if slot >= 0 then begin
+        st.pos <- !i + 1;
+        matched st slot
+      end
+      else if plain && k.skip then begin
+        st.pos <- !i + 1;
+        skip_ws st;
+        expect st ':';
+        skip_value st;
+        next_wanted st k ~from
       end
       else begin
-        let slot = probe k src st.pos !i (place k.places !h) in
-        st.pos <- !i + 1;
-        if slot >= 0 then matched st slot
-        else begin
-          skip_ws st;
-          expect st ':';
-          skip_value st;
-          next_wanted st k ~from
-        end
+        st.pos <- start;
+        -1
       end
     end
 
@@ -1071,9 +1055,6 @@ module Raw = struct
 
   let seek st i = st.pos <- i
   let skip_value st = skip_value st
-  let enter = enter
-  let leave = leave
-  let number_is_int = number_is_int
   let advance = advance
   let skip_ws = skip_ws
   let expect = expect

@@ -76,8 +76,15 @@ val fold_many :
     generic parser, so their error positions (via
     [Diagnostic.Parse_error]) are the parser's. A walker the reader
     offers a document to neither rewinds nor resynchronizes: the reader
-    rewinds a document its hook declines and resyncs a fault. Not a
-    stable public API: intended for in-tree consumers. *)
+    rewinds a document its hook declines and resyncs a fault.
+
+    Both walkers find a record's members the same way: {!wanted} over
+    one {!keys} table per record, and {!find} in that table for a key
+    they had to decode. The two differ only at a key that is no name of
+    the record, which the table says how to treat: the decoder's table
+    reads past the member, and the check's table stops there.
+
+    Not a stable public API: intended for in-tree consumers. *)
 module Raw : sig
   type state
   (** Mutable scan state over one source string: position, line
@@ -106,23 +113,6 @@ module Raw : sig
       per step, and fewer, coarser steps keep its cost per byte near the
       lexer's. *)
 
-  val member : state -> string array -> from:int -> upto:int -> int
-  (** [member st names ~from ~upto], at an object member: skip
-      whitespace, and when the key is [names.(i)] for the first such [i]
-      from [from] below [upto] (and the length of [names]), matched in
-      place (the source bytes are exactly [names.(i)] between quotes,
-      and it needs no escape), consume it and its [':'] and answer
-      [(i lsl 8) lor Char.code c], [c] the first character of the value
-      after whitespace. Answer [-1] when no such name matches, having
-      consumed nothing but whitespace.
-      @raise Diagnostic.Parse_error when the key has no [':']. *)
-
-  val next_member : state -> string array -> from:int -> upto:int -> int
-  (** After an object member: skip whitespace and, at a [','], consume
-      it and go on as {!member}; at the closing ['}'], consume it, leave
-      the object's level and answer [-2]; answer [-3] at anything else,
-      consuming nothing. *)
-
   val next_value : state -> char
   (** Skip whitespace and {!peek_char} the first character of the next
       value. *)
@@ -138,29 +128,44 @@ module Raw : sig
       reads its content, which for a literal without escapes is read
       where it lies in the source, with no copy; with [~classify:false]
       it reads as [Hint_string]. A number reads as [Hint_int] or
-      [Hint_float] as {!number_is_int} tells, [true] and [false] as
-      [Hint_bool], and [null] as [Hint_null].
+      [Hint_float] as {!parse_number} would read it, without building
+      it, [true] and [false] as [Hint_bool], and [null] as [Hint_null].
       @raise Diagnostic.Parse_error on faults, and at a ['{'], a ['\[']
       or any other character that starts no literal. *)
 
   type keys
   (** The names of a record's slots and a hash table over them, built
-      once per compiled record. *)
+      once per record. A table is one of two kinds, fixed when it is
+      built: a decoder's table reads past a member whose key is no name,
+      and a check's table stops at it, since the check then fails. *)
 
-  val keys : string array -> keys
+  val keys : skip:bool -> string array -> keys
+  (** [keys ~skip names]: with [~skip:true], {!wanted} reads past a
+      member whose key is no name; with [~skip:false] it answers [-1]
+      there, as at a key it cannot match in place. *)
+
+  val find : keys -> string -> int
+  (** [find k name] probes [k]'s table with a decoded key: the index of
+      [name] among the names, or [-1] when it is none of them. *)
 
   val wanted : state -> keys -> from:int -> int
   (** [wanted st k ~from], at an object member: match its key against
       the name at [from] in place, and otherwise scan the key once to
       its closing quote, hashing it on the way, and look it up in [k]'s
       table, so a key that is no name costs one scan however many names
-      [k] has. A member whose key needs no decoding and is no name is
-      read past (the key where it lies, the value by {!skip_value},
-      building nothing) and the next member is tried. Answers as
-      {!member} for a matched key; [-1] at a key with an escape or a
-      control character, left unread, for the caller to decode; [-2] at
-      the object's closing ['}'], consumed with the object's level;
-      [-3] at anything else after a member, consuming nothing.
+      [k] has. A matched key is consumed with its [':'], and the answer
+      is [(i lsl 8) lor Char.code c], [i] the name's index and [c] the
+      first character of the value after whitespace. A key that needs
+      no decoding and is no name is read past with its member (the key
+      where it lies, the value by {!skip_value}, building nothing) when
+      [k] was built with [~skip:true], and the next member is tried.
+      Answers [-1] at a key that is left for the caller to decode, after
+      whitespace and before its opening quote: a key with an escape or
+      a control character, and with [~skip:false] a key that is no name;
+      the caller reads it with {!parse_string} and {!colon} and looks
+      it up with {!find}. Answers [-2] at the object's closing ['}'],
+      consumed with the object's level, and [-3] at anything else after
+      a member, consuming nothing.
       @raise Diagnostic.Parse_error where the parser faults. *)
 
   val next_wanted : state -> keys -> from:int -> int
@@ -188,26 +193,16 @@ module Raw : sig
 
   val open_ : state -> char -> bool
   (** [open_ st closing], at an object's ['{'] or an array's ['\[']:
-      {!enter} a level and consume the opener, and when the next
-      character after whitespace is [closing], consume it too, {!leave}
-      the level and answer [true] (an empty object or array).
+      count one more level of nesting, as the parser does, and consume
+      the opener, and when the next character after whitespace is
+      [closing], consume it too, leave the level and answer [true] (an
+      empty object or array).
       @raise Diagnostic.Parse_error past the nesting bound. *)
 
   val after : state -> char -> int
   (** [after st closing], after a member or an element: skip whitespace
       and consume a [','] (answer [1]), or [closing], leaving its level
       (answer [0]); answer [-1] at anything else, consuming nothing. *)
-
-  val enter : state -> unit
-  (** Count one more level of nesting, as the parser does at ['{'] and
-      ['[']. @raise Diagnostic.Parse_error past the parser's bound. *)
-
-  val leave : state -> unit
-
-  val number_is_int : state -> bool
-  (** Scan a JSON number and answer whether {!parse_number} reads it as
-      an [Int], without building it.
-      @raise Diagnostic.Parse_error on faults. *)
 
   val advance : state -> unit
   val skip_ws : state -> unit

@@ -20,8 +20,6 @@ type io = {
     [Unix.read] / [Unix.write_substring]; tests substitute fault-shimmed
     versions. *)
 
-val default_io : io
-
 val parse_url : string -> (string * int * string, string) result
 (** [parse_url "http://host:port/path"] is [Ok (host, port, path)];
     the port defaults to 80 and the path to ["/"]. Only [http://] is

@@ -34,12 +34,9 @@ val check :
   Syntax.ty ->
   (unit, error) result
 
-val check_class : Syntax.class_env -> Syntax.class_def -> (unit, error) result
-(** Verify that every member body of a class has its declared type, with
-    the constructor parameters in scope. The paper omits this check
-    ("classes generated by our type providers ... are well-typed by
-    construction"); we implement it and test that provided classes indeed
-    pass it. *)
-
 val check_classes : Syntax.class_env -> (unit, error) result
-(** [check_class] on every class of the environment. *)
+(** Verify that every member body of every class of the environment has
+    its declared type, with the class's constructor parameters in scope.
+    The paper omits this check ("classes generated by our type providers
+    ... are well-typed by construction"); we implement it and test that
+    provided classes indeed pass it. *)

@@ -100,7 +100,6 @@ let rec gauge_add g d =
   let v = Atomic.get g.g_cell in
   if not (Atomic.compare_and_set g.g_cell v (v +. d)) then gauge_add g d
 
-let gauge_value g = Atomic.get g.g_cell
 let set_gauge name v = gauge_set (gauge name) v
 
 let gc_snapshot phase =

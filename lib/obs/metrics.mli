@@ -67,9 +67,6 @@ val gauge_add : gauge -> float -> unit
 (** [gauge_add g d] moves [g] by [d] (negative to decrease); atomic, so
     balanced add/subtract pairs from concurrent domains cancel exactly. *)
 
-val gauge_value : gauge -> float
-(** The current level (regardless of the enabled flag). *)
-
 val gc_snapshot : string -> unit
 (** [gc_snapshot phase] captures [Gc.quick_stat] into gauges
     [gc.<phase>.minor_words], [gc.<phase>.major_words],

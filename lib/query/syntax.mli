@@ -64,11 +64,7 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val has_terminal_take : int -> t -> bool
-(** [has_terminal_take n q] is true when [q] already bounds its result
-    rows at [n] or fewer — it ends in a [count], or contains a
-    [take m] with [m <= n]. *)
-
 val ensure_limit : int -> t -> t
-(** [ensure_limit n q] appends [take n] unless {!has_terminal_take}
-    already holds — the serving layer caps response sizes with it. *)
+(** [ensure_limit n q] appends [take n] unless [q] already bounds its
+    result rows at [n] or fewer — it contains a [count], or a [take m]
+    with [m <= n]. The serving layer caps response sizes with it. *)

@@ -24,10 +24,6 @@ type result = { rows : Shape_compile.tvalue list; stats : stats }
 (** Result rows in corpus order; for a [count] query, the single row
     [Vint n]. *)
 
-val is_null : Shape_compile.tvalue -> bool
-(** Null as the queries see it: [Vnull], or a generic null carried
-    under [Vany]. *)
-
 val get : Shape_compile.tvalue -> Syntax.path -> Shape_compile.tvalue
 (** Name-based path access with null propagation: projecting a field
     out of null is null, as is a field the row does not carry (the
@@ -41,7 +37,8 @@ val test_compare :
     [int]/[float], strings lexicographically, dates chronologically. *)
 
 val exists : Shape_compile.tvalue -> bool
-(** [not (is_null v)]. *)
+(** Not null as the queries see it: neither [Vnull] nor a generic null
+    carried under [Vany]. *)
 
 val render : Shape_compile.tvalue -> string
 (** One row as a single line of compact JSON (dates as ISO 8601) — the

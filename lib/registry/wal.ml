@@ -214,7 +214,6 @@ let append t payload =
   Metrics.add m_bytes (String.length framed)
 
 let records (t : t) = t.records
-let size_bytes (t : t) = t.size
 let sync t = sync_fd t
 
 let reset t =

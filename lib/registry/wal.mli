@@ -71,9 +71,6 @@ val records : t -> int
 (** Records in the current segment: recovered at {!open_} plus appended
     since, minus none — {!reset} starts the count over. *)
 
-val size_bytes : t -> int
-(** Bytes in the current segment. *)
-
 val sync : t -> unit
 (** fsync the log fd regardless of policy. *)
 

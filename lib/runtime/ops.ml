@@ -102,17 +102,3 @@ let select_optional shape k d =
   match matches shape d with m :: _ -> Some (k m) | [] -> None
 
 let select_multiple shape k d = List.map k (matches shape d)
-
-(* ----- Lenient variants ----- *)
-
-let try_conv k d = match k d with v -> Some v | exception Conversion_error _ -> None
-
-let conv_int_opt d = try_conv conv_int d
-let conv_string_opt d = try_conv conv_string d
-let conv_bool_opt d = try_conv conv_bool d
-let conv_float_opt d = try_conv conv_float d
-let conv_bit_bool_opt d = try_conv conv_bit_bool d
-let conv_date_opt d = try_conv conv_date d
-let conv_field_opt ~record ~field d = try_conv (conv_field ~record ~field) d
-let conv_elements_opt k d = try_conv (conv_elements k) d
-let select_single_opt shape k d = try_conv (select_single shape k) d

@@ -103,40 +103,3 @@ val select_multiple :
   Fsdata_data.Data_value.t ->
   'a list
 (** Multiplicity *. *)
-
-(** {1 Lenient variants}
-
-    Option-returning counterparts for graceful degradation: where the
-    strict operation raises {!Conversion_error}, these return [None], so
-    callers scrubbing partially-convertible corpora can keep the samples
-    (and fields) that do convert. *)
-
-val try_conv : (Fsdata_data.Data_value.t -> 'a) -> Fsdata_data.Data_value.t -> 'a option
-(** [try_conv k d] is [Some (k d)], or [None] if [k] raises
-    {!Conversion_error}. *)
-
-val conv_int_opt : Fsdata_data.Data_value.t -> int option
-val conv_string_opt : Fsdata_data.Data_value.t -> string option
-val conv_bool_opt : Fsdata_data.Data_value.t -> bool option
-val conv_float_opt : Fsdata_data.Data_value.t -> float option
-val conv_bit_bool_opt : Fsdata_data.Data_value.t -> bool option
-val conv_date_opt : Fsdata_data.Data_value.t -> Fsdata_data.Date.t option
-
-val conv_field_opt :
-  record:string ->
-  field:string ->
-  Fsdata_data.Data_value.t ->
-  Fsdata_data.Data_value.t option
-
-val conv_elements_opt :
-  (Fsdata_data.Data_value.t -> 'a) -> Fsdata_data.Data_value.t -> 'a list option
-
-val select_single_opt :
-  Fsdata_core.Shape.t ->
-  (Fsdata_data.Data_value.t -> 'a) ->
-  Fsdata_data.Data_value.t ->
-  'a option
-(** Like {!select_single} but [None] when no element matches — unlike
-    {!select_optional}, which is the multiplicity-1? accessor with the
-    same behaviour; this one exists as the lenient form of the
-    multiplicity-1 accessor. *)

@@ -92,8 +92,6 @@ let get_list v =
   in
   go [] v.expr
 
-let to_expr v = v.expr
-
 let underlying v =
   match v.expr with ENew (_, [ EData d ]) -> Some d | _ -> None
 

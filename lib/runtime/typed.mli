@@ -58,9 +58,6 @@ val get_option : value -> value option
 
 val get_list : value -> value list
 
-val to_expr : value -> Fsdata_foo.Syntax.expr
-(** The underlying Foo value (a value expression). *)
-
 val underlying : value -> Fsdata_data.Data_value.t option
 (** For opaque provided objects, the raw data value they wrap — the
     analogue of Section 6.3's [JsonValue]/[XElement] escape-hatch members.

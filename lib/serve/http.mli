@@ -144,9 +144,6 @@ val response :
   response
 (** Default content type is [application/json]. *)
 
-val status_reason : int -> string
-(** The standard reason phrase, e.g. [status_reason 404 = "Not Found"]. *)
-
 val serialize_response : ?head:bool -> keep_alive:bool -> response -> string
 (** The response as wire bytes: status line, [content-type],
     [content-length], [connection], the extra headers, and the body.

@@ -626,42 +626,6 @@ let test_ops_with_path () =
       Alcotest.(check bool) "message renders the expectation" true
         (contains ~affix:"expected int" (Ops.error_message e))
 
-let test_ops_lenient () =
-  Alcotest.(check (option int)) "int passes" (Some 3)
-    (Ops.conv_int_opt (Dv.Int 3));
-  Alcotest.(check (option int)) "mismatch is None" None
-    (Ops.conv_int_opt (Dv.String "x"));
-  Alcotest.(check (option string)) "string passes" (Some "hi")
-    (Ops.conv_string_opt (Dv.String "hi"));
-  Alcotest.(check (option bool)) "bit converts" (Some true)
-    (Ops.conv_bit_bool_opt (Dv.Int 1));
-  Alcotest.(check (option bool)) "non-bit is None" None
-    (Ops.conv_bit_bool_opt (Dv.Int 2));
-  Alcotest.(check bool) "date parses" true
-    (Option.is_some (Ops.conv_date_opt (Dv.String "2012-05-01")));
-  Alcotest.(check bool) "non-date is None" true
-    (Option.is_none (Ops.conv_date_opt (Dv.Int 3)));
-  let record = Dv.Record ("row", [ ("a", Dv.Int 1) ]) in
-  Alcotest.(check (option data_testable))
-    "field of a matching record" (Some (Dv.Int 1))
-    (Ops.conv_field_opt ~record:"row" ~field:"a" record);
-  Alcotest.(check (option data_testable))
-    "missing field reads null" (Some Dv.Null)
-    (Ops.conv_field_opt ~record:"row" ~field:"b" record);
-  Alcotest.(check (option data_testable))
-    "wrong record name is None" None
-    (Ops.conv_field_opt ~record:"other" ~field:"a" record);
-  Alcotest.(check (option (list int))) "elements map" (Some [ 1; 2 ])
-    (Ops.conv_elements_opt Ops.conv_int (Dv.List [ Dv.Int 1; Dv.Int 2 ]));
-  Alcotest.(check (option (list int))) "non-collection is None" None
-    (Ops.conv_elements_opt Ops.conv_int (Dv.Int 1));
-  let shape = Shape.Primitive Shape.Int in
-  Alcotest.(check (option int)) "matching element selected" (Some 1)
-    (Ops.select_single_opt shape Ops.conv_int
-       (Dv.List [ Dv.String "no"; Dv.Int 1 ]));
-  Alcotest.(check (option int)) "no match is None" None
-    (Ops.select_single_opt shape Ops.conv_int (Dv.List [ Dv.String "no" ]))
-
 (* An inference fault has no position in the text: it reads as the
    failed inference of its sample, not as a parse error, in the strict
    line and in the report. *)
@@ -824,7 +788,6 @@ let suite =
     Alcotest.test_case "diagnostic to_json" `Quick test_diagnostic_to_json;
     Alcotest.test_case "ops: structured error" `Quick test_ops_structured_error;
     Alcotest.test_case "ops: with_path attribution" `Quick test_ops_with_path;
-    Alcotest.test_case "ops: lenient variants" `Quick test_ops_lenient;
     QCheck_alcotest.to_alcotest prop_samples_tolerant;
     QCheck_alcotest.to_alcotest prop_stream_tolerant;
     QCheck_alcotest.to_alcotest prop_xml_tolerant;

@@ -464,6 +464,65 @@ let prop_skip_matches_parse =
       read_all (fun st -> ignore (Json.Raw.parse_value st)) text
       = read_all Json.Raw.skip_value text)
 
+(* ----- The key table ----- *)
+
+(* Short strings over a few bytes, so that names share prefixes *)
+let gen_key = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '0'; '\xc3' ]) (int_range 0 5))
+
+(* Distinct names in random order; at times with the empty name, ten
+   that differ only in the last byte, or 200 of one length *)
+let gen_names =
+  let open QCheck2.Gen in
+  let* base = list_size (int_range 0 30) gen_key in
+  let* extra =
+    oneof
+      [
+        return [];
+        return [ "" ];
+        map (fun stem -> List.init 10 (fun i -> stem ^ String.make 1 (Char.chr (48 + i)))) gen_key;
+        return (List.init 200 (Printf.sprintf "k%03d"));
+      ]
+  in
+  let* names = shuffle_l (base @ extra) in
+  let seen = Hashtbl.create 16 in
+  return
+    (List.filter
+       (fun n -> (not (Hashtbl.mem seen n)) && (Hashtbl.add seen n (); true))
+       names)
+
+(* Strings next to a name: cut short, extended, its last byte changed *)
+let near n =
+  let l = String.length n in
+  [ n ^ "a"; n ^ "\000" ]
+  @
+  if l = 0 then []
+  else
+    [
+      String.sub n 0 (l - 1);
+      String.mapi (fun i c -> if i = l - 1 then Char.chr ((Char.code c + 1) land 255) else c) n;
+    ]
+
+(* [find] answers each name's index and -1 for any other string, and
+   [wanted], scanning a key in the source and hashing it there, agrees
+   with it *)
+let prop_find_keys =
+  QCheck2.Test.make ~count:300
+    ~name:"Raw.find answers a name's index, and -1 for any other string"
+    ~print:QCheck2.Print.(pair (list string) (list string))
+    QCheck2.Gen.(pair gen_names (list_size (int_range 0 20) gen_key))
+    (fun (names, others) ->
+      let k = Json.Raw.keys ~skip:false (Array.of_list names) in
+      let upto = List.length names in
+      let wanted key =
+        Json.Raw.wanted (Json.Raw.make ("\"" ^ key ^ "\":1}")) k ~from:upto
+      in
+      List.for_all
+        (fun (i, n) -> Json.Raw.find k n = i && wanted n = (i lsl 8) lor Char.code '1')
+        (List.mapi (fun i n -> (i, n)) names)
+      && List.for_all
+           (fun s -> List.mem s names || (Json.Raw.find k s = -1 && wanted s = -1))
+           (others @ List.concat_map near names))
+
 let test_depth_guard () =
   (* 10_001 nested arrays must raise a parse error, not overflow *)
   let deep = String.make 10_001 '[' ^ String.make 10_001 ']' in
@@ -483,4 +542,5 @@ let suite =
   @ [
       tc "nesting depth guard" `Quick test_depth_guard;
       QCheck_alcotest.to_alcotest prop_skip_matches_parse;
+      QCheck_alcotest.to_alcotest prop_find_keys;
     ]
