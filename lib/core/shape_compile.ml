@@ -56,8 +56,6 @@ let rec to_data = function
         (name, Array.to_list (Array.map (fun (k, v) -> (k, to_data v)) fields))
   | Vany d -> d
 
-let pp_tvalue ppf v = Json.pp ppf (to_data v)
-
 (* ----- The interpreted reference conversion ----- *)
 
 exception Mismatch

@@ -63,9 +63,6 @@ val to_data : tvalue -> Data_value.t
     strings); [to_data (convert s d)] is observationally the conforming
     part of [d]. *)
 
-val pp_tvalue : Format.formatter -> tvalue -> unit
-(** JSON rendering of {!to_data}. *)
-
 (** {1 The interpreted reference} *)
 
 exception Mismatch

@@ -238,7 +238,11 @@ let json_ok ?headers fields = Http.response ?headers ~status:200 (json_body fiel
    response. *)
 let ( let* ) r f = match r with Ok v -> f v | Error resp -> resp
 
-let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+(* A cache key: the digest of the parts' digests, so that a request body
+   is read once and never copied, and no part's bytes can stand for a
+   boundary between parts *)
+let digest parts =
+  Digest.to_hex (Digest.string (String.concat "" (List.map Digest.string parts)))
 
 (* The response cache in front of [compute]: a hit answers the stored
    body; on a miss, [compute ()] renders a body, which is stored (with

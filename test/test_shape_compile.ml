@@ -33,7 +33,7 @@ open Generators
 open Fault_inject
 
 let render tv = Json.to_string (Sc.to_data tv)
-let tvalue = Alcotest.testable Sc.pp_tvalue Sc.equal_tvalue
+let tvalue = Alcotest.testable (fun ppf tv -> Json.pp ppf (Sc.to_data tv)) Sc.equal_tvalue
 
 (* [Sc.parse] on a malformed document must raise the interpreted
    parser's legacy exception with identical position and message. *)
