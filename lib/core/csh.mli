@@ -136,9 +136,8 @@ val absorbs_tokens : mode:mode -> index -> Fsdata_data.Json.Raw.state -> bool
       against the field after the one met last and otherwise found in
       the record's key table ([Json.Raw.wanted], the same step compiled
       decoders read members with), and the record is absorbed when
-      every field named one of
-      σ's, was met once and absorbed there, and every field that an
-      absent value would change was met. A record under a top is
+      every field named one of σ's, was met once and absorbed there,
+      and every field that an absent value would change was met. A record under a top is
       absorbed iff its label absorbs it.
     - A literal answers from its node's memo ({!absorbs_literal}). A
       string is classified where it lies in the source, and its date

@@ -355,7 +355,7 @@ let field_missing = ("", slot_missing)
    field until the row is built. *)
 type record_slots = {
   keys : string array;
-  table : Raw.keys;  (** the keys' table, read past keys that are none *)
+  table : Raw.keys;  (** the keys' table; reads past a key no slot has *)
   decs : decoder array;
   defaults : (string * tvalue) option array;  (** for an absent field *)
   checks : (Raw.state -> unit) option array;  (** a deferred slot's check *)
