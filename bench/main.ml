@@ -382,6 +382,10 @@ let smoke = ref false
 (* Wall-clock timing (best of [repeats]) rather than bechamel: a single
    10k-100k-sample inference run is far above bechamel's per-run
    granularity, and the quantity of interest is the seq/par ratio. *)
+(* Shapes agree when they render the same bytes: csh keeps its left
+   operand's field order, so no shape depends on how work was divided *)
+let same_bytes a b = String.equal (Shape.to_string a) (Shape.to_string b)
+
 let time_best ~repeats f =
   let best = ref infinity in
   let result = ref None in
@@ -477,7 +481,7 @@ let par_bench () =
             (Some
                ( t_seq,
                  match (seq_shape, par_shape) with
-                 | Ok a, Ok b -> Shape.equal a b
+                 | Ok a, Ok b -> same_bytes a b
                  | _ -> false )))
         jobs_list;
       (* streaming: batched parse, batches inferred in worker domains.
@@ -496,7 +500,7 @@ let par_bench () =
           (Some
              ( t_seq_stream,
                match (seq_stream, result) with
-               | Ok a, Ok b -> Shape.equal a b
+               | Ok a, Ok b -> same_bytes a b
                | _ -> false ))
       in
       List.iter
@@ -517,7 +521,7 @@ let par_bench () =
           if !smoke then begin
             let agree =
               match (seq_stream, fixed, adaptive) with
-              | Ok a, Ok b, Ok c -> Shape.equal a b && Shape.equal a c
+              | Ok a, Ok b, Ok c -> same_bytes a b && same_bytes a c
               | _ -> false
             in
             if not agree then begin
@@ -583,7 +587,7 @@ let faults_bench () =
     ((t_tol -. t_strict) /. t_strict *. 100.);
   let clean_agree =
     match (strict_shape, tol_report) with
-    | Ok s, Ok r -> Shape.equal s r.Fsdata_core.Infer.shape && r.quarantined = []
+    | Ok s, Ok r -> same_bytes s r.Fsdata_core.Infer.shape && r.quarantined = []
     | _ -> false
   in
   Printf.printf "                clean-path agreement: %b\n%!" clean_agree;
@@ -616,7 +620,7 @@ let faults_bench () =
       let agree =
         match (rep_seq, rep_par) with
         | Ok a, Ok b ->
-            Shape.equal a.Fsdata_core.Infer.shape b.Fsdata_core.Infer.shape
+            same_bytes a.Fsdata_core.Infer.shape b.Fsdata_core.Infer.shape
             && List.map (fun q -> q.Fsdata_core.Infer.q_index) a.quarantined
                = List.map (fun q -> q.Fsdata_core.Infer.q_index) b.quarantined
         | _ -> false
@@ -797,7 +801,7 @@ let obs_bench () =
   let agree =
     match (shapes.(0), shapes.(1), shapes.(2)) with
     | Some (Ok a), Some (Ok b), Some (Ok c) ->
-        Shape.equal a b && Shape.equal b c
+        same_bytes a b && same_bytes b c
     | _ -> false
   in
   Printf.printf "                shapes unchanged by observability: %b\n%!" agree;
@@ -886,7 +890,7 @@ let hetero_bench () =
     time_best ~repeats (fun () -> infer_json ~jobs:2 (String text))
   in
   let agree =
-    match (seq, par) with Ok a, Ok b -> Shape.equal a b | _ -> false
+    match (seq, par) with Ok a, Ok b -> same_bytes a b | _ -> false
   in
   Printf.printf
     "  %6d worldbank docs: parse+infer -j 2       %8.1f ms  agree=%b\n%!"

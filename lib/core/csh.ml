@@ -33,8 +33,7 @@ let join_primitives (a : primitive) (b : primitive) =
 
 (* Canonical form for top labels. Both adjustments exist to make csh
    associative at the representation level (not merely up to
-   ⊑-equivalence), which the parallel tree reduction of {!csh_tree} relies
-   on:
+   ⊑-equivalence), which a parallel run's join of its batches relies on:
 
    (a) a collection label's exactly-one entries weaken to zero-or-one.
        A top implicitly permits null and a null sample reads as an
@@ -104,15 +103,19 @@ let rec csh ?(mode : mode = `Hetero) s1 s2 =
     | Null, s | s, Null -> Shape.nullable s
     (* (top-merge) *)
     | Top l1, Top l2 -> top_merge ~mode l1 l2
-    (* (top-incl) / (top-add) *)
-    | Top labels, s | s, Top labels -> top_include ~mode labels s
+    (* (top-incl) / (top-add); like every rule here, the join keeps its
+       left operand's field order *)
+    | Top labels, s -> top_include labels s (fun l0 label -> csh ~mode l0 label)
+    | s, Top labels -> top_include labels s (fun l0 label -> csh ~mode label l0)
     (* (num), extended with the Section 6.2 primitive lattice *)
     | Primitive p1, Primitive p2 -> (
         match join_primitives p1 p2 with
         | Some p -> Primitive p
         | None -> top_any s1 s2)
     (* (opt) *)
-    | Nullable a, s | s, Nullable a -> Shape.nullable (csh ~mode a s)
+    | Nullable a, Nullable b -> Shape.nullable (csh ~mode a b)
+    | Nullable a, s -> Shape.nullable (csh ~mode a s)
+    | s, Nullable a -> Shape.nullable (csh ~mode s a)
     (* (recd) with the row-variable treatment of one-sided fields *)
     | Record r1, Record r2 when String.equal r1.name r2.name ->
         Record (merge_records ~mode r1 r2)
@@ -219,9 +222,11 @@ and top_merge ~mode l1 l2 =
   in
   canonical_top labels
 
-and top_include ~mode labels s =
+and top_include labels s join =
   (* s is neither bottom, null nor a top here. Labels are non-nullable, so
-     strip a nullable wrapper first (Figure 4 applies ⌊−⌋). *)
+     strip a nullable wrapper first (Figure 4 applies ⌊−⌋). [join l0
+     label] joins the top's label of that tag with s's, in the order of
+     the operands. *)
   let label = Shape.strip_nullable s in
   let t = Shape.tagof label in
   match List.partition (fun l -> Tag.equal (Shape.tagof l) t) labels with
@@ -229,7 +234,7 @@ and top_include ~mode labels s =
   | [], _ -> canonical_top (label :: labels)
   (* (top-incl) *)
   | [ l0 ], rest ->
-      canonical_top (Shape.strip_nullable (csh ~mode l0 label) :: rest)
+      canonical_top (Shape.strip_nullable (join l0 label) :: rest)
   | _ -> assert false
 
 and top_any s1 s2 =
@@ -238,19 +243,6 @@ and top_any s1 s2 =
 
 and csh_all ?(mode : mode = `Hetero) shapes =
   List.fold_left (fun acc s -> csh ~mode acc s) Bottom shapes
-
-let csh_tree ?(mode : mode = `Hetero) shapes =
-  let rec round = function
-    | [] -> []
-    | [ s ] -> [ s ]
-    | a :: b :: rest -> csh ~mode a b :: round rest
-  in
-  let rec reduce = function
-    | [] -> Shape.Bottom
-    | [ s ] -> s
-    | ss -> reduce (round ss)
-  in
-  reduce shapes
 
 (* --- absorption: deciding csh σ δ = σ without building the join ---
 
@@ -275,13 +267,6 @@ let absent_ok = function
         entries
   | Bottom | Primitive _ | Record _ -> false
 
-(* Field order included, unlike [Shape.equal]; shapes hold no floats or
-   closures, and [Stdlib.compare] skips physically shared subtrees.
-   [Shape.equal] goes first because it tells records of different widths
-   apart at once, and most merges that change σ add a field. *)
-let same_representation (a : Shape.t) b =
-  a == b || (Shape.equal a b && Stdlib.compare a b = 0)
-
 module Raw = Fsdata_data.Json.Raw
 
 (* The index of a shape for repeated absorption queries: every record
@@ -296,18 +281,17 @@ type index =
   | Parts of parts
 
 (* A collection or a top with its memo: [tags] and [inner] are its
-   entries or labels, by tag, and their indices; [mults] and [flat] are a collection's entry
-   multiplicities and whether each entry holds no nullable record. The
-   element walk in progress counts its elements per entry in [counts];
-   [keyed] says whether it finds entries by tag (Section 6.4) or takes
-   the one entry whatever the tag. *)
+   entries or labels, by tag, and their indices; [mults] are a
+   collection's entry multiplicities. The element walk in progress
+   counts its elements per entry in [counts]; [keyed] says whether it
+   finds entries by tag (Section 6.4) or takes the one entry whatever
+   the tag. *)
 and parts = {
   sigma : Shape.t;
   memo : Bytes.t;
   tags : Tag.t array;
   inner : index array;
   mults : Multiplicity.t array;
-  flat : bool array;
   counts : int array;
   mutable keyed : bool;
 }
@@ -328,14 +312,6 @@ and table = {
   mutable hits : int;
 }
 
-(* Whether a shape holds no nullable record at any depth *)
-let rec is_flat = function
-  | Nullable (Record _) -> false
-  | Bottom | Null | Primitive _ | Nullable _ -> true
-  | Record r -> List.for_all (fun (_, f) -> is_flat f) r.fields
-  | Collection entries -> List.for_all (fun (e : entry) -> is_flat e.shape) entries
-  | Top labels -> List.for_all is_flat labels
-
 let rec index sigma =
   match sigma with
   | Record r -> Fields_of (make_table sigma r)
@@ -355,7 +331,6 @@ let rec index sigma =
           tags = Array.map (fun (s, _) -> Shape.tagof s) parts;
           inner = Array.map (fun (s, _) -> index s) parts;
           mults = Array.map snd parts;
-          flat = Array.map (fun (s, _) -> is_flat s) parts;
           counts = Array.make (Array.length parts) 0;
           keyed = true;
         }
@@ -489,7 +464,7 @@ let absorbs_literal ~(mode : mode) idx k =
       | _ ->
           let absorbed =
             match sigma with
-            | Top _ | Collection _ -> same_representation (csh ~mode sigma k) sigma
+            | Top _ | Collection _ -> Shape.equal (csh ~mode sigma k) sigma
             | _ -> absorbs_at ~mode idx k
           in
           if i >= 0 then Bytes.set memo i (if absorbed then '\001' else '\002');
@@ -501,16 +476,11 @@ let absorbs_literal ~(mode : mode) idx k =
    csh σ S([d1; ...; dn]) joins each entry of σ with the fold of the
    elements of its tag, and its multiplicity with theirs (Section 6.4):
    one element is [Single], more are [Multiple], and an entry no element
-   has widens to [Optional_single]. The join is σ, representation
-   included, when every element's tag is one of σ's entries and σ's
-   entry absorbs the element, and each entry's multiplicity already
-   covers its count. An entry meets the fold of two or more elements
-   only when it holds no nullable record: the (opt) rule joins two
-   nullable records right operand first, so a fold of several elements
-   may come back with a record's fields in another order even when each
-   element alone is absorbed. In the paper's mode the collection has one
-   entry, always [Multiple], which every element joins; in the XML mode
-   one entry whatever the tags. *)
+   has widens to [Optional_single]. The join is σ when every element's
+   tag is one of σ's entries and σ's entry absorbs the element, and each
+   entry's multiplicity already covers its count. In the paper's mode
+   the collection has one entry, always [Multiple], which every element
+   joins; in the XML mode one entry whatever the tags. *)
 let elements ~(mode : mode) idx =
   let start w =
     match (mode, w.sigma) with
@@ -537,8 +507,7 @@ let element w tag =
   else begin
     let c = w.counts.(k) + 1 in
     w.counts.(k) <- c;
-    if c >= 2 && not (Multiplicity.equal w.mults.(k) Multiple && w.flat.(k)) then -1
-    else k
+    if c >= 2 && not (Multiplicity.equal w.mults.(k) Multiple) then -1 else k
   end
 
 let elements_complete w =

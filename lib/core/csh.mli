@@ -45,10 +45,15 @@
     (so a top never holds both [bit] and [bool], or [date] and
     [string]), and collection labels have exactly-one entries weakened
     to zero-or-one (a top implicitly permits null, and a null sample
-    reads as an empty collection). This makes [csh] associative and
-    commutative at the representation level (up to record field order),
-    not merely up to ⊑-equivalence — which is what lets
-    {!csh_tree} re-associate the fold freely. *)
+    reads as an empty collection). Every rule keeps its left operand's
+    record field order, one-sided fields of the right operand following.
+    This makes [csh] associative at the representation level, not merely
+    up to ⊑-equivalence, so a fold may be bracketed freely: a parallel
+    run's join of its batches and a registry's join of its pushes render
+    the bytes of one left fold. It is commutative only up to
+    {!Shape.equal}: swapping the operands can reorder fields. A join
+    that is {!Shape.equal} to its left operand is that operand's
+    representation. *)
 
 type mode = [ `Core | `Hetero | `Xml ]
 
@@ -58,13 +63,6 @@ val csh : ?mode:mode -> Shape.t -> Shape.t -> Shape.t
 val csh_all : ?mode:mode -> Shape.t list -> Shape.t
 (** Fold [csh] over a list starting from bottom, as in Figure 3's
     [S(d1, ..., dn)]. [csh_all []] is [Shape.Bottom]. *)
-
-val csh_tree : ?mode:mode -> Shape.t list -> Shape.t
-(** Balanced tree reduction of {!csh} over a list of shapes: adjacent
-    shapes are merged pairwise until one remains. Equal to {!csh_all}
-    on the same list (Lemma 1), in logarithmically many rounds; the
-    parallel inference engine joins its per-domain batches with it.
-    [csh_tree []] is [Shape.Bottom]. *)
 
 (** {1 Absorption}
 
@@ -107,10 +105,6 @@ val absorbs_indexed : ?mode:mode -> index -> Shape.t -> bool
     checks, however wide its counterpart in [sigma] is. Collections and
     tops fall back to {!absorbs} on that subtree. *)
 
-val same_representation : Shape.t -> Shape.t -> bool
-(** Equal shapes with their record fields in the same order: the
-    representation a fold keeps, which {!Shape.equal} does not fix. *)
-
 val absorbs_literal : mode:mode -> index -> Shape.t -> bool
 (** [absorbs_literal ~mode idx k], for [k] the shape S gives a literal
     ([null] or a primitive), is whether [csh ~mode sigma k] is [sigma]
@@ -148,10 +142,7 @@ val absorbs_tokens : mode:mode -> index -> Fsdata_data.Json.Raw.state -> bool
       tag, which walks it, and is counted there. The list is absorbed
       when every entry's multiplicity (Section 6.4) covers its count:
       one element is [Single], more are [Multiple], none widens
-      [Single] away. An entry that holds a nullable record declines a
-      second element, since csh joins two nullable records right
-      operand first and the fold of several elements may reorder fields
-      that each element alone would not. In [`Core] the collection's
+      [Single] away. In [`Core] the collection's
       one entry, always [Multiple], takes every element, and in [`Xml]
       its one entry whatever the tag.
 

@@ -116,14 +116,9 @@ and absorbs_string ~mode idx s =
   absorbs_constant ~mode idx
     (if is_paper mode then Primitive String else classify_string s)
 
-(* The fallback for a collection or top on σ's side: the join itself.
-   It is compared by representation, not by [Shape.equal]: csh joins two
-   nullable records right operand first, so a collection can come back
-   equal to σ but with a record's fields reordered, and the fold must
-   then take that order as the S(d)-then-csh fold does. *)
+(* The fallback for a collection or top on σ's side: the join itself *)
 and joins_to_itself ~mode sigma d =
-  let joined = Csh.csh ~mode:(csh_mode mode) sigma (shape_of_value ~mode d) in
-  Csh.same_representation joined sigma
+  Shape.equal (Csh.csh ~mode:(csh_mode mode) sigma (shape_of_value ~mode d)) sigma
 
 (* One step of the fold: skip [d] when the index says σ absorbs it,
    otherwise merge S(d). *)
@@ -133,12 +128,13 @@ and fold_value ~mode acc d =
   | _ -> merge ~mode acc (shape_of_value ~mode d)
 
 (* csh is the least upper bound (Lemma 1), so a merge either grows σ or
-   leaves it equal. When it leaves σ as it was σ is kept physically and
-   indexed; otherwise the merge is the new σ and the index goes with
-   the old one. *)
+   leaves it equal, and then with σ's representation, as csh keeps its
+   left operand's field order. When it leaves σ as it was σ is kept
+   physically and indexed; otherwise the merge is the new σ and the
+   index goes with the old one. *)
 and merge ~mode acc s =
   let merged = Csh.csh ~mode:(csh_mode mode) acc.shape s in
-  if not (Csh.same_representation merged acc.shape) then begin
+  if not (Shape.equal merged acc.shape) then begin
     acc.shape <- merged;
     acc.index <- None
   end
@@ -660,7 +656,7 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
       | [ b ] -> b.b_shape
       | bs ->
           Obs_trace.with_span "infer.merge" @@ fun () ->
-          Csh.csh_tree ~mode:(csh_mode mode) (List.map (fun b -> b.b_shape) bs)
+          Csh.csh_all ~mode:(csh_mode mode) (List.map (fun b -> b.b_shape) bs)
     in
     match stream with Some st -> st.shape ~clean s | None -> s
   in

@@ -64,11 +64,10 @@ val absorbs_value : ?mode:mode -> Csh.index -> Fsdata_data.Data_value.t -> bool
     - a collection or top on [sigma]'s side falls back to the join of
       [sigma] with [S] of that subtree, which merges.
 
-    Whenever it holds, [Csh.absorbs ~mode:(csh_mode mode) sigma
-    (shape_of_value ~mode d)] holds. The converse fails only where that
-    join is equal to [sigma] up to field order: [csh] joins two nullable
-    records right operand first, which the joins below a collection can
-    meet, and the fold must then take the join's order. *)
+    It holds exactly when [Csh.absorbs ~mode:(csh_mode mode) sigma
+    (shape_of_value ~mode d)] holds: [csh] keeps its left operand's
+    field order, so a join equal to [sigma] is [sigma]'s
+    representation. *)
 
 val absorbs_json : ?mode:mode -> Csh.index -> string -> bool
 (** [absorbs_json ~mode idx text] asks {!absorbs_value} of the JSON
@@ -164,15 +163,17 @@ val run :
     byte cap below, 64KiB, as its length is unknown.
 
     {b Parallel runs.} At [jobs > 1] batches are folded in worker
-    domains and joined with {!Csh.csh_tree}; [jobs <= 0] stands for the
-    machine's recommended domain count, and at most 64 are used. A
-    sample list is split into [jobs] contiguous runs, each parsed in its
-    domain, the last on the calling one. A JSON text is parsed on the calling domain and cut into
-    batches of [chunk_size] documents (default 65536) or of [bytes /
-    (jobs * 8)] consumed source bytes, clamped to [64KiB..8MiB],
-    whichever fills first; at most [jobs] batches are in flight. The
-    result is {!Shape.equal} to the sequential one (Lemma 1), with the
-    same quarantine.
+    domains and joined in corpus order with {!Csh.csh_all}; [jobs <= 0]
+    stands for the machine's recommended domain count, and at most 64
+    are used. A sample list is split into [jobs] contiguous runs, each
+    parsed in its domain, the last on the calling one. A JSON text is
+    parsed on the calling domain and cut into batches of [chunk_size]
+    documents (default 65536) or of [bytes / (jobs * 8)] consumed source
+    bytes, clamped to [64KiB..8MiB], whichever fills first; at most
+    [jobs] batches are in flight. The result is the sequential one,
+    field order included, with the same quarantine: [csh] is the least
+    upper bound (Lemma 1) and keeps its left operand's field order, so
+    it is associative on representations.
 
     {b Faults.} Each sample is isolated: a parse fault, or an exception
     escaping parsing or inference, is quarantined with a diagnostic

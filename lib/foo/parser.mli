@@ -33,7 +33,6 @@ val parse_expr : string -> Syntax.expr
 
 val parse_expr_result : string -> (Syntax.expr, string) result
 
-val parse_ty : string -> Syntax.ty
 val parse_ty_result : string -> (Syntax.ty, string) result
 
 val parse_classes : string -> Syntax.class_env

@@ -100,8 +100,6 @@ val subst : string -> expr -> expr -> expr
 (** [subst x v e] is e[x <- v], capture-avoiding (binders are renamed when
     they would capture a free variable of [v]). *)
 
-val free_vars : expr -> string list
-
 (** Convenience constructors used by the provider and tests. *)
 
 val int_ : int -> expr

@@ -43,9 +43,6 @@ val summarize : ?limit:int -> string -> string
 (** Truncate a rendering to [limit] bytes (default 120) with an
     ellipsis. *)
 
-val summarize_value : Fsdata_data.Data_value.t -> string
-(** Bounded rendering of a data value for diagnostics. *)
-
 val conv_int : Fsdata_data.Data_value.t -> int
 (** [convPrim(int, d)]. *)
 

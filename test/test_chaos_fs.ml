@@ -299,6 +299,50 @@ let test_enospc_during_snapshot_fails_softly () =
   check_state "WAL alone carries the state" acked (find_exn t2 "s");
   Registry.close t2
 
+(* The snapshot's commit point fails: renaming snapshot.tmp over
+   snapshot.bin raises EIO. The push that tripped compaction was durable
+   in the WAL before compaction began, so it is acknowledged; the
+   failure is counted and the WAL kept whole, the next compaction
+   commits, and a reopen replays every acknowledged push. *)
+let test_eio_on_snapshot_rename () =
+  with_dir @@ fun dir ->
+  let module Metrics = Fsdata_obs.Metrics in
+  let failures = Metrics.counter "registry.snapshot_failures" in
+  let enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled enabled) @@ fun () ->
+  let before = Metrics.value failures in
+  let full st =
+    ( observe st,
+      List.map
+        (fun (v, seq, s) -> Printf.sprintf "%d@%d %s" v seq (Shape.to_string s))
+        st.Registry.history )
+  in
+  let snapshot = Filename.concat dir "snapshot.bin" in
+  let fault = Fault_fs.create () in
+  let t = Registry.open_ ~fault ~snapshot_every:2 ~dir:(Some dir) () in
+  let _ = Registry.push t ~stream:"s" (sh "{a: int}") in
+  Fault_fs.inject_rename fault [ Fault_fs.Error Unix.EIO ];
+  let st = Registry.push t ~stream:"s" (sh "{a: int, b: string}") in
+  check Alcotest.int "push acknowledged despite the failed rename" 2
+    st.Registry.version;
+  check Alcotest.int "the failure is counted" 1 (Metrics.value failures - before);
+  check Alcotest.int "the WAL is not reset" 2 (Registry.wal_records t);
+  check Alcotest.bool "no snapshot committed" false (Sys.file_exists snapshot);
+  let st = Registry.push t ~stream:"s" (sh "{a: int, b: string, c: bool}") in
+  check Alcotest.int "the next compaction resets the WAL" 0 (Registry.wal_records t);
+  check Alcotest.bool "and commits the snapshot" true (Sys.file_exists snapshot);
+  check Alcotest.int "no second failure" 1 (Metrics.value failures - before);
+  check Alcotest.int "one fault fired" 1 (Fault_fs.injected fault);
+  let acked = full st in
+  Registry.close t;
+  let t2 = Registry.open_ ~dir:(Some dir) () in
+  check
+    Alcotest.(pair (triple int string int) (list string))
+    "reopened: every acknowledged push, with its history" acked
+    (full (find_exn t2 "s"));
+  Registry.close t2
+
 (* ----- the sweep: kill -9 at every injection point in turn ----- *)
 
 (* One deterministic workload, killed at faultable operation k for
@@ -419,6 +463,8 @@ let suite =
       test_kill_between_rename_and_truncate;
     tc "ENOSPC during compaction: push still acknowledged" `Quick
       test_enospc_during_snapshot_fails_softly;
+    tc "EIO on the snapshot rename: push acknowledged, WAL kept" `Quick
+      test_eio_on_snapshot_rename;
     tc "sweep: kill -9 at every injected point recovers to last ack" `Quick
       test_kill_sweep;
   ]

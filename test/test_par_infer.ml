@@ -1,16 +1,19 @@
 (* Parallel chunked shape inference ([Infer.run ~jobs]).
 
-   A parallel run is a balanced csh tree reduction over per-domain
-   folds, so it computes the same shape as the sequential left fold of
-   {!Infer.shape_of_samples} only because csh is an associative,
-   commutative least upper bound (Lemma 1). The properties here pin that
-   down over shapes that actually arise from data — where the
-   labelled-top (Figure 4) and multiplicity (Section 6.4) extensions
+   A parallel run folds contiguous batches in worker domains and joins
+   their shapes in corpus order, so it renders the bytes of the
+   sequential left fold of {!Infer.shape_of_samples} only because csh
+   is associative on representations: every rule keeps its left
+   operand's field order. The properties here pin that down, comparing
+   rendered shapes, over shapes that actually arise from data — where
+   the labelled-top (Figure 4) and multiplicity (Section 6.4) extensions
    live, and where a merge-order bug would hide — and check the
    sequential ≡ parallel agreement directly for several job counts in
-   all three inference modes. Each corpus reaches the engine twice: as
-   the generated values themselves, which keep every record name, and
-   as their JSON texts, parsed where they are folded. *)
+   all three inference modes. Commutativity holds only up to
+   [Shape.equal], as swapping operands can reorder fields. Each corpus
+   reaches the engine twice: as the generated values themselves, which
+   keep every record name, and as their JSON texts, parsed where they
+   are folded. *)
 
 module Shape = Fsdata_core.Shape
 module Csh = Fsdata_core.Csh
@@ -43,7 +46,9 @@ let prop_associative (name, mode) =
       and sb = shape_of mode b
       and sc = shape_of mode c in
       let csh = Csh.csh ~mode:cmode in
-      Shape.equal (csh (csh sa sb) sc) (csh sa (csh sb sc)))
+      String.equal
+        (Shape.to_string (csh (csh sa sb) sc))
+        (Shape.to_string (csh sa (csh sb sc))))
 
 let prop_commutative (name, mode) =
   let cmode = Infer.csh_mode mode in
@@ -89,7 +94,7 @@ let prop_seq_eq_par (name, mode) =
       let texts = texts_of ds in
       let agrees source seq k =
         match infer_strict ~mode ~jobs:k Json source with
-        | Ok s -> Shape.equal s seq
+        | Ok s -> String.equal (Shape.to_string s) (Shape.to_string seq)
         | Error e -> QCheck2.Test.fail_reportf "jobs %d: %s" k e
       in
       List.for_all
@@ -167,6 +172,20 @@ let prop_batching_invariant =
    collections, so feeding it `Practical-inferred shapes (which carry
    [Single]) breaks representation-level associativity through the (eq)
    short-circuit — a mix that never occurs in the pipeline. *)
+(* A balanced bracketing of the fold: adjacent shapes joined pairwise,
+   left before right, until one remains *)
+let csh_tree ~mode shapes =
+  let rec round = function
+    | a :: b :: rest -> Csh.csh ~mode a b :: round rest
+    | short -> short
+  in
+  let rec reduce = function
+    | [] -> Shape.Bottom
+    | [ s ] -> s
+    | ss -> reduce (round ss)
+  in
+  reduce shapes
+
 let prop_csh_tree_eq_fold (name, imode, cmode) =
   QCheck2.Test.make
     ~name:(Printf.sprintf "csh_tree ≡ left csh fold (%s)" name)
@@ -175,9 +194,9 @@ let prop_csh_tree_eq_fold (name, imode, cmode) =
     QCheck2.Gen.(list_size (int_range 0 10) gen_data)
     (fun ds ->
       let shapes = List.map (Infer.shape_of_value ~mode:imode) ds in
-      Shape.equal
-        (Csh.csh_tree ~mode:cmode shapes)
-        (Csh.csh_all ~mode:cmode shapes))
+      String.equal
+        (Shape.to_string (csh_tree ~mode:cmode shapes))
+        (Shape.to_string (Csh.csh_all ~mode:cmode shapes)))
 
 (* ----- regressions ----- *)
 
@@ -219,8 +238,8 @@ let test_more_jobs_than_samples () =
         (infer_strict ~mode ~jobs:64 Json (Samples (texts_of ds))))
     modes
 
-(* Every chunk infers a different labelled-top arm, so the tree merge
-   exercises (top-merge) on every interior node rather than (eq). *)
+(* Every chunk infers a different labelled-top arm, so joining the
+   chunks adds a label at every step rather than meeting (eq). *)
 let test_chunks_hit_distinct_top_arms () =
   let ds =
     [
@@ -284,11 +303,6 @@ let test_chunk () =
     (layout (min recommended 4) 4)
     (layout 0 4)
 
-let test_csh_tree_edges () =
-  check shape_testable "empty tree is bottom" Shape.Bottom (Csh.csh_tree []);
-  let s = Shape.collection (Shape.Primitive Shape.Int) in
-  check shape_testable "singleton tree is its shape" s (Csh.csh_tree [ s ])
-
 (* Parallel parsing reports the same (earliest) error as the sequential
    run, even when a later chunk also fails. *)
 let test_error_semantics () =
@@ -343,7 +357,6 @@ let suite =
     tc "more jobs than samples" `Quick test_more_jobs_than_samples;
     tc "distinct top arms per chunk" `Quick test_chunks_hit_distinct_top_arms;
     tc "chunking" `Quick test_chunk;
-    tc "csh_tree edge cases" `Quick test_csh_tree_edges;
     tc "parse error semantics" `Quick test_error_semantics;
     tc "streaming of_json" `Quick test_streaming_of_json;
     QCheck_alcotest.to_alcotest prop_batching_invariant;

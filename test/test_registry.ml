@@ -8,6 +8,7 @@ module Registry = Fsdata_registry.Registry
 module Wal = Fsdata_registry.Wal
 module Shape = Fsdata_core.Shape
 module Csh = Fsdata_core.Csh
+module Infer = Fsdata_core.Infer
 module Shape_parser = Fsdata_core.Shape_parser
 module Preference = Fsdata_core.Preference
 module Gen = QCheck2.Gen
@@ -328,6 +329,49 @@ let replay_equals_fold =
         QCheck2.Test.fail_report "push tally not recovered";
       true)
 
+(* A corpus pushed in random batches, each as the shape of its
+   documents, then closed and reopened, renders the bytes of one fold
+   over the whole corpus: csh keeps its left operand's field order, so
+   joining a batch's fold into the stream's is the fold of the two
+   runs. [sizes] cut the corpus (each taken modulo what is left, plus
+   one); the last batch takes the rest. *)
+let batchings_render_one_fold =
+  QCheck2.Test.make ~count:500
+    ~name:"pushes in any batching, reopened, render one fold"
+    ~print:(fun (ds, sizes) ->
+      String.concat " | " (List.map Generators.print_data ds)
+      ^ " / sizes " ^ String.concat "," (List.map string_of_int sizes))
+    Gen.(
+      pair
+        (list_size (int_range 1 12) Generators.gen_data)
+        (list_size (int_range 0 12) (int_bound 12)))
+    (fun (ds, sizes) ->
+      let rec batches ds sizes =
+        match (ds, sizes) with
+        | [], _ -> []
+        | _, [] -> [ ds ]
+        | _, n :: sizes ->
+            let n = 1 + (n mod List.length ds) in
+            List.filteri (fun i _ -> i < n) ds
+            :: batches (List.filteri (fun i _ -> i >= n) ds) sizes
+      in
+      with_dir @@ fun dir ->
+      let t = Registry.open_ ~fsync:`Never ~dir:(Some dir) () in
+      List.iter
+        (fun b ->
+          ignore
+            (Registry.push t ~stream:"s" ~count:(List.length b)
+               (Infer.shape_of_samples b)))
+        (batches ds sizes);
+      Registry.close t;
+      let t2 = Registry.open_ ~fsync:`Never ~dir:(Some dir) () in
+      let recovered = find_exn t2 "s" in
+      Registry.close t2;
+      let want = Shape.to_string (Infer.shape_of_samples ds) in
+      let got = Shape.to_string recovered.Registry.shape in
+      String.equal want got
+      || QCheck2.Test.fail_reportf "want %s\ngot  %s" want got)
+
 let growth_is_monotone =
   QCheck2.Test.make ~count:300 ~name:"version bumps only on strict ⊑ growth"
     ~print:(fun ds -> String.concat " ; " (List.map Shape.to_string ds))
@@ -506,6 +550,7 @@ let suite =
     tc "stream history is a bounded window" `Quick test_history_is_bounded;
     QCheck_alcotest.to_alcotest replay_equals_fold;
     QCheck_alcotest.to_alcotest growth_is_monotone;
+    QCheck_alcotest.to_alcotest batchings_render_one_fold;
     tc "an absorbed push skips the merge" `Quick test_absorbed_push_skips_merge;
     QCheck_alcotest.to_alcotest absorbed_pushes_match_fold;
   ]
