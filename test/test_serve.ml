@@ -290,7 +290,78 @@ let test_check () =
       (request ~query:[ ("shape", shape_expr) ] ~body:"{\"name\": 42}" "/check")
   in
   check Alcotest.int "still 200" 200 mismatch.Http.status;
-  check Alcotest.bool "not preferred" false (field_bool "preferred" mismatch)
+  check Alcotest.bool "not preferred" false (field_bool "preferred" mismatch);
+  (* the verdict is read on the value the provider sees: in the
+     practical mode the literal "36" is the int 36 (Section 6.2) *)
+  let literal =
+    Server.handle t
+      (request ~query:[ ("shape", "{age: int}") ] ~body:"{\"age\": \"36\"}"
+         "/check")
+  in
+  check Alcotest.bool "a literal that reads as an int has {age: int}" true
+    (field_bool "has_shape" literal)
+
+(* /check's verdict is the compiled parser's: a JSON document has σ iff
+   [Shape_compile.parse] decodes it directly, which holds iff its
+   normalized value has σ. Shapes and documents are drawn as the
+   compiled-parser differential draws them (an arbitrary document or a
+   witness of σ), then some primitives are rewritten as string literals
+   that classify as numbers, dates, bits, booleans or missing values. *)
+let classifying_literals = [ "0"; "1"; "36"; "35.14"; "true"; "2012-05-01"; "#N/A"; "" ]
+
+let rec gen_quoted (d : Dv.t) : Dv.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let quoted =
+    match d with
+    | Dv.Int i -> Some (string_of_int i)
+    | Dv.Float f -> Some (Printf.sprintf "%g" f)
+    | Dv.Bool b -> Some (string_of_bool b)
+    | Dv.Null -> Some "#N/A"
+    | _ -> None
+  in
+  match d with
+  | Dv.List items -> map (fun l -> Dv.List l) (flatten_l (List.map gen_quoted items))
+  | Dv.Record (name, fields) ->
+      map
+        (fun vs -> Dv.Record (name, List.map2 (fun (k, _) v -> (k, v)) fields vs))
+        (flatten_l (List.map (fun (_, v) -> gen_quoted v) fields))
+  | Dv.String _ ->
+      frequency [ (1, return d); (1, map (fun s -> Dv.String s) (oneofl classifying_literals)) ]
+  | _ -> (
+      match quoted with
+      | Some s -> frequency [ (1, return d); (1, return (Dv.String s)) ]
+      | None -> return d)
+
+let gen_check_case =
+  let open QCheck2.Gen in
+  let* s = Generators.gen_core_shape in
+  let* seed = int_range 0 7 in
+  let* d =
+    match Fsdata_core.Shape_gen.sample ~seed s with
+    | exception Invalid_argument _ -> Generators.gen_data
+    | witness -> oneof [ Generators.gen_data; return witness ]
+  in
+  let* d = gen_quoted d in
+  return (s, Json.to_string d)
+
+let prop_check_is_direct_decode =
+  let t = lazy (server ()) in
+  QCheck2.Test.make ~count:1000
+    ~name:"/check has_shape ⟺ the compiled parser decodes directly"
+    ~print:(fun (s, text) -> Shape.to_string s ^ "  ⊢?  " ^ text)
+    gen_check_case
+    (fun (s, text) ->
+      let sigma = Shape.hcons s in
+      let resp =
+        Server.handle (Lazy.force t)
+          (request ~query:[ ("shape", Shape.to_string sigma) ] ~body:text "/check")
+      in
+      let direct =
+        match Fsdata_core.Shape_compile.(parse (compile sigma) text) with
+        | Fsdata_core.Shape_compile.Direct _ -> true
+        | Fsdata_core.Shape_compile.Fallback _ -> false
+      in
+      resp.Http.status = 200 && field_bool "has_shape" resp = direct)
 
 let test_check_errors () =
   let t = server () in
@@ -908,6 +979,7 @@ let suite =
     tc "infer xml and csv formats" `Quick test_infer_formats;
     tc "infer parameter validation" `Quick test_infer_bad_params;
     tc "check" `Quick test_check;
+    QCheck_alcotest.to_alcotest prop_check_is_direct_decode;
     tc "check parameter validation" `Quick test_check_errors;
     tc "explain mismatches" `Quick test_explain;
     tc "explain on a conforming document" `Quick test_explain_clean;
