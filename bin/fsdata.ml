@@ -993,16 +993,14 @@ let query_cmd =
              $(b,--shape), an ill-typed query is rejected before any
              corpus file is opened.")
   in
-  let fast_arg =
+  let compiled_arg =
     Arg.(
       value & flag
       & info [ "compiled" ]
           ~doc:
-            "Evaluate with the compiled engine: documents are decoded by
-             a parser compiled from the pruned shape straight into the
-             query's projected slots, untouched fields skipped at the
-             lexer level. Output is byte-identical to the reference
-             evaluator (the default engine).")
+            "Accepted and ignored. Queries always run the compiled
+             engine: documents are decoded by a parser compiled from the
+             pruned shape straight into the query's projected slots.")
   in
   let stats_arg =
     Arg.(
@@ -1021,7 +1019,7 @@ let query_cmd =
             "JSON corpus file(s): whitespace-separated top-level
              documents, each one row.")
   in
-  let run () qtext shape compiled stats_flag paths =
+  let run () qtext shape (_ : bool) stats_flag paths =
     match Fsdata_query.Parser.parse_result qtext with
     | Error m -> `Error (false, m)
     | Ok query -> (
@@ -1066,11 +1064,9 @@ let query_cmd =
                 | Error m -> `Error (false, m)
                 | Ok src ->
                     let result =
-                      if compiled then
-                        Fsdata_query.Eval_fast.eval
-                          (Fsdata_query.Eval_fast.compile checked)
-                          src
-                      else Fsdata_query.Eval.eval checked src
+                      Fsdata_query.Eval_fast.eval
+                        (Fsdata_query.Eval_fast.compile checked)
+                        src
                     in
                     (* one flush for all rows, before the stats line *)
                     List.iter
@@ -1099,7 +1095,7 @@ let query_cmd =
           expected shape (exit code 2).")
     Term.(
       ret
-        (const run $ obs_term $ query_arg $ shape_arg $ fast_arg $ stats_arg
+        (const run $ obs_term $ query_arg $ shape_arg $ compiled_arg $ stats_arg
        $ corpus_arg))
 
 let main =

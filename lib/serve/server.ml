@@ -16,7 +16,7 @@ module Notify = Fsdata_evolve.Notify
 module Evolve = Fsdata_evolve.Service
 module Delivery = Fsdata_evolve.Delivery
 
-(* --- instruments (docs/OBSERVABILITY.md, "serve.*" and "compile.*");
+(* --- instruments (docs/OBSERVABILITY.md, "serve.*");
    the serve.requests.* counters are made with the route table --- *)
 
 let plan_cache_hits = Metrics.counter "serve.plan_cache.hits"
@@ -28,9 +28,6 @@ let cache_hits = Metrics.counter "serve.cache.hits"
 let cache_misses = Metrics.counter "serve.cache.misses"
 let cache_evictions = Metrics.counter "serve.cache.evictions"
 let cache_invalidations = Metrics.counter "serve.cache.invalidations"
-let compile_hits = Metrics.counter "compile.cache.hits"
-let compile_misses = Metrics.counter "compile.cache.misses"
-let compile_evictions = Metrics.counter "compile.cache.evictions"
 let http_errors = Metrics.counter "serve.http_errors"
 let connections = Metrics.counter "serve.connections"
 let latency_ms = Metrics.histogram "serve.latency_ms"
@@ -91,45 +88,25 @@ let default_config =
     hook_retry_ms = 50;
   }
 
-(* A checked (and possibly plan-compiled) stream query, cached per
-   (stream, version, query, engine): the version rides in the cache key,
-   so a version bump makes every cached plan unreachable and the next
-   query re-checks against the stream's current σ — a stale plan can
-   never decode against an outgrown contract. Pushes additionally evict
-   the stream's entries (bounding memory, not just reachability). *)
-type plan_entry = {
-  pe_checked : Fsdata_query.Check.checked;
-  pe_fast : Fsdata_query.Eval_fast.plan option;  (* Some iff compiled=1 *)
-}
-
-(* Compiled parsers keyed by the identity of an interned shape
-   (Shape.hcons): a hit costs a bounded hash and a pointer comparison,
-   never a walk of two shape trees. *)
-module Parsers = Cache.Make (struct
-  type t = Shape.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 type t = {
   cfg : config;
   cache : string Cache.t;
-  parsers : Shape_compile.compiled Parsers.t;
-  plans : plan_entry Cache.t;
+  (* Query plans of stream queries, cached per (stream, version, limit,
+     query): the version rides in the cache key, so a version bump makes
+     every cached plan unreachable and the next query re-checks against
+     the stream's current σ — a stale plan can never decode against an
+     outgrown contract. Pushes additionally evict the stream's entries
+     (bounding memory, not just reachability). *)
+  plans : Fsdata_query.Eval_fast.plan Cache.t;
   registry : Fsdata_registry.Registry.t;
   watch : Notify.t;
   draining : bool Atomic.t;
   inflight_bytes : int Atomic.t;
 }
 
-(* Compiled parsers are small (proportional to the shape) and hot shapes
-   are few; a fixed capacity decoupled from the response cache is
-   enough. *)
-let compiled_cache_capacity = 32
-
-(* Checked stream queries are small too (a shape plus closures); one
-   slot per distinct (stream, version, query) in recent use. *)
+(* Query plans are small (a decoder for the pruned shape plus
+   closures); one slot per distinct (stream, version, query) in recent
+   use. *)
 let plan_cache_capacity = 128
 
 let create ?(draining = Atomic.make false) cfg =
@@ -146,7 +123,6 @@ let create ?(draining = Atomic.make false) cfg =
   {
     cfg;
     cache = Cache.create ~capacity:cfg.cache_entries;
-    parsers = Parsers.create ~capacity:compiled_cache_capacity;
     plans = Cache.create ~capacity:plan_cache_capacity;
     registry;
     watch;
@@ -295,14 +271,6 @@ let budget_param req =
   | None -> Ok Diagnostic.Strict
   | Some s -> Result.map_error (json_error 400) (Diagnostic.budget_of_string s)
 
-(* compiled=0|1 on /check, /query and /streams/:name/query; "true" is
-   read as 1. *)
-let compiled_param req =
-  match Http.query_param req "compiled" with
-  | None | Some "0" -> Ok false
-  | Some ("1" | "true") -> Ok true
-  | Some v -> Error (json_error 400 (bad_value "compiled" v ^ " (use 0 or 1)"))
-
 let unsupported_format f choices =
   let rec words = function
     | [] -> ""
@@ -334,20 +302,6 @@ let intern s =
   let s = Shape.hcons s in
   if Shape.hcons_size () > 200_000 then Shape.hcons_clear ();
   s
-
-(* The compiled parser of an interned shape. Compiling runs outside the
-   cache lock: concurrent misses on one shape may compile twice, which
-   is only wasted work, never wrong. *)
-let compiled_parser t shape =
-  match Parsers.find t.parsers shape with
-  | Some parser ->
-      Metrics.incr compile_hits;
-      parser
-  | None ->
-      Metrics.incr compile_misses;
-      let parser = Shape_compile.compile shape in
-      Metrics.add compile_evictions (Parsers.add t.parsers shape parser);
-      parser
 
 let quarantine_entry (q : Infer.quarantined) =
   let d = q.Infer.q_diagnostic in
@@ -407,12 +361,8 @@ let accept_content_type = function
   | `Schema -> "application/schema+json"
   | `Paper -> "text/plain; charset=utf-8"
 
-let render_report t ~format ~accept (report : Infer.report) =
+let render_report ~format ~accept (report : Infer.report) =
   let shape = intern report.Infer.shape in
-  (* warm the compiled-parser cache: a client that infers a shape and
-     then re-parses documents against it (POST /check?compiled=1) hits
-     compiled code immediately *)
-  if format = "json" then ignore (compiled_parser t shape);
   match accept with
   | `Report ->
       json_body
@@ -445,7 +395,7 @@ let handle_infer t c req =
   let content_type = accept_content_type accept in
   let infer ?jobs source =
     Infer.run ~cancel:c.cancel ?jobs budget (infer_format format) source
-    |> Result.map (render_report t ~format ~accept)
+    |> Result.map (render_report ~format ~accept)
     |> Result.map_error (json_error 422)
   in
   match c.rest with
@@ -494,48 +444,39 @@ let mismatch_entry (m : Explain.mismatch) =
         ("reason", Dv.String m.Explain.reason);
       ] )
 
-let handle_checkish ~explain t _ req =
-  let* compiled = compiled_param req in
+let handle_checkish ~explain _ _ req =
   let* text = required req "shape" in
   let* shape = Result.map_error (json_error 400) (Shape_parser.parse_result text) in
   let format = Option.value ~default:"json" (Http.query_param req "format") in
-  if compiled && (explain || format <> "json") then
-    json_error 400 "compiled=1 applies to /check with format json"
-  else
-    let* doc =
-      Result.map_error (json_error 422)
-        (match format with
-        | "json" -> Json.parse_result req.Http.body
-        | "xml" -> Result.map Xml.to_data (Xml.parse_result req.Http.body)
-        | f -> Error (unsupported_format f [ "json"; "xml" ]))
-    in
-    let mode = if format = "xml" then `Xml else `Practical in
-    let input_shape = Infer.shape_of_value ~mode doc in
-    let conforms () =
-      if compiled then
-        (* the shape-compiled engine: hot shapes hit a cached parser;
-           conformance is judged on the normalized document
-           (docs/COMPILED_PARSERS.md) *)
-        match Shape_compile.parse (compiled_parser t (intern shape)) req.Http.body with
-        | Shape_compile.Direct _ -> true
-        | Shape_compile.Fallback _ -> false
-      else Shape_check.has_shape shape doc
-    in
-    json_ok
-      (if explain then
-         [
-           ("input_shape", Dv.String (shape_string input_shape));
-           ("shape", Dv.String (shape_string shape));
-           ( "mismatches",
-             Dv.List (List.map mismatch_entry (Explain.explain input_shape shape)) );
-         ]
-       else
-         [
-           ("has_shape", Dv.Bool (conforms ()));
-           ("preferred", Dv.Bool (Preference.is_preferred input_shape shape));
-           ("input_shape", Dv.String (shape_string input_shape));
-           ("shape", Dv.String (shape_string shape));
-         ])
+  let* doc =
+    Result.map_error (json_error 422)
+      (match format with
+      | "json" -> Json.parse_result req.Http.body
+      | "xml" -> Result.map Xml.to_data (Xml.parse_result req.Http.body)
+      | f -> Error (unsupported_format f [ "json"; "xml" ]))
+  in
+  let mode = if format = "xml" then `Xml else `Practical in
+  let input_shape = Infer.shape_of_value ~mode doc in
+  json_ok
+    (if explain then
+       [
+         ("input_shape", Dv.String (shape_string input_shape));
+         ("shape", Dv.String (shape_string shape));
+         ( "mismatches",
+           Dv.List (List.map mismatch_entry (Explain.explain input_shape shape)) );
+       ]
+     else
+       (* Fig. 6's hasShape on the value the provider reads: a JSON
+          literal is normalized first, so "36" has the shape int
+          (Section 6.2) — exactly when a parser compiled from the shape
+          decodes the document directly (docs/COMPILED_PARSERS.md) *)
+       let value = if format = "xml" then doc else Fsdata_data.Primitive.normalize doc in
+       [
+         ("has_shape", Dv.Bool (Shape_check.has_shape shape value));
+         ("preferred", Dv.Bool (Preference.is_preferred input_shape shape));
+         ("input_shape", Dv.String (shape_string input_shape));
+         ("shape", Dv.String (shape_string shape));
+       ])
 
 (* --- /streams/:name/* — the durable live shape registry --- *)
 
@@ -833,17 +774,15 @@ let handle_stream_hooks t c req =
 
 let default_query_limit = 1000
 
-(* The q, compiled and limit parameters of both query routes, handed on
-   as the query text, the parsed query bounded by the limit, the engine
-   flag and the limit. *)
+(* The q and limit parameters of both query routes, handed on as the
+   query text, the parsed query bounded by the limit, and the limit. *)
 let with_query req k =
   let* qtext = required req "q" in
-  let* compiled = compiled_param req in
   let* limit = int_param req "limit" ~min:1 ~default:(Ok default_query_limit) in
   let* query =
     Result.map_error (json_error 400) (Fsdata_query.Parser.parse_result qtext)
   in
-  k qtext (Fsdata_query.Syntax.ensure_limit limit query) compiled limit
+  k qtext (Fsdata_query.Syntax.ensure_limit limit query) limit
 
 (* An ill-typed query is a client error: 400 with the Explain-style
    diagnostic split into fields the client can act on. *)
@@ -862,11 +801,10 @@ let query_rejection (e : Fsdata_query.Check.error) =
 let check_query sigma query =
   Result.map_error query_rejection (Fsdata_query.Check.check (intern sigma) query)
 
-let query_fields ~compiled (checked : Fsdata_query.Check.checked)
+let query_fields (checked : Fsdata_query.Check.checked)
     (r : Fsdata_query.Value.result) =
   let st = r.Fsdata_query.Value.stats in
   [
-    ("engine", Dv.String (if compiled then "eval_fast" else "eval"));
     ("output_shape", Dv.String (shape_string checked.Fsdata_query.Check.output));
     ( "rows",
       Dv.List
@@ -877,14 +815,14 @@ let query_fields ~compiled (checked : Fsdata_query.Check.checked)
     ("malformed", Dv.Int st.Fsdata_query.Value.malformed);
   ]
 
-(* POST /query?q=Q[&shape=S][&compiled=0|1][&limit=N] — run Q over the
+(* POST /query?q=Q[&shape=S][&limit=N] — run Q over the
    whitespace-separated JSON documents of the body. With [shape=] the
    query is checked against that σ and an ill-typed query is rejected
    before the corpus is even parsed; without it σ is first inferred
    from the body. Responses are digest-keyed in the same LRU as
    /infer. *)
 let handle_query t c req =
-  with_query req @@ fun qtext query compiled limit ->
+  with_query req @@ fun qtext query limit ->
   let shape_param = Http.query_param req "shape" in
   (* the explicit-σ path typechecks before touching the body *)
   let* pre_checked =
@@ -900,7 +838,6 @@ let handle_query t c req =
       [
         "query";
         qtext;
-        string_of_bool compiled;
         string_of_int limit;
         Option.value ~default:"" shape_param;
         req.Http.body;
@@ -918,40 +855,30 @@ let handle_query t c req =
       Result.map
         (fun checked ->
           let result =
-            if compiled then
-              Fsdata_query.Eval_fast.eval ~cancel:c.cancel
-                (Fsdata_query.Eval_fast.compile checked)
-                req.Http.body
-            else Fsdata_query.Eval.eval ~cancel:c.cancel checked req.Http.body
+            Fsdata_query.Eval_fast.eval ~cancel:c.cancel
+              (Fsdata_query.Eval_fast.compile checked)
+              req.Http.body
           in
-          json_body (query_fields ~compiled checked result))
+          json_body (query_fields checked result))
         checked)
 
-(* The checked (and for compiled=1, plan-compiled) stream query: the
-   second-level lookup under a stream query's response-cache miss.
-   Rejections are not kept. *)
-let stream_plan t key ~compiled (st : Registry.stream) query =
+(* The plan of a stream query: the second-level lookup under a stream
+   query's response-cache miss. Rejections are not kept. *)
+let stream_plan t key (st : Registry.stream) query =
   match Cache.find t.plans key with
-  | Some entry ->
+  | Some plan ->
       Metrics.incr plan_cache_hits;
-      Ok entry
+      Ok plan
   | None ->
       Metrics.incr plan_cache_misses;
       Result.map
         (fun checked ->
-          let entry =
-            {
-              pe_checked = checked;
-              pe_fast =
-                (if compiled then Some (Fsdata_query.Eval_fast.compile checked)
-                 else None);
-            }
-          in
-          ignore (Cache.add t.plans key entry);
-          entry)
+          let plan = Fsdata_query.Eval_fast.compile checked in
+          ignore (Cache.add t.plans key plan);
+          plan)
         (check_query st.Registry.shape query)
 
-(* POST /streams/:name/query?q=Q[&compiled=0|1][&limit=N] — run Q over
+(* POST /streams/:name/query?q=Q[&limit=N] — run Q over
    the body, checked against the stream's CURRENT shape. Both caches
    carry the stream version in their key, so a version bump re-checks
    the query against the new σ automatically — a plan compiled against
@@ -959,28 +886,21 @@ let stream_plan t key ~compiled (st : Registry.stream) query =
    evicts the stream's plans and responses outright. *)
 let handle_stream_query t c req =
   let* st = find_stream t c.name in
-  with_query req @@ fun qtext query compiled limit ->
+  with_query req @@ fun qtext query limit ->
   let version = st.Registry.version in
-  let vtag =
-    Printf.sprintf "v%d:%s:%d:" version (if compiled then "fast" else "eval") limit
-  in
+  let vtag = Printf.sprintf "v%d:%d:" version limit in
   let prefix = stream_cache_prefix c.name in
   cached t
     (prefix ^ "query:" ^ vtag ^ digest [ qtext; req.Http.body ])
     (fun () ->
       Result.map
-        (fun entry ->
-          let result =
-            match entry.pe_fast with
-            | Some plan -> Fsdata_query.Eval_fast.eval ~cancel:c.cancel plan req.Http.body
-            | None ->
-                Fsdata_query.Eval.eval ~cancel:c.cancel entry.pe_checked req.Http.body
-          in
+        (fun plan ->
+          let result = Fsdata_query.Eval_fast.eval ~cancel:c.cancel plan req.Http.body in
           json_body
             (("stream", Dv.String st.Registry.name)
             :: ("version", Dv.Int version)
-            :: query_fields ~compiled entry.pe_checked result))
-        (stream_plan t (prefix ^ "plan:" ^ vtag ^ qtext) ~compiled st query))
+            :: query_fields (Fsdata_query.Eval_fast.checked plan) result))
+        (stream_plan t (prefix ^ "plan:" ^ vtag ^ qtext) st query))
 
 (* POST /cache/invalidate[?key=K|stream=NAME] — drop cached responses:
    one exact key, one stream's entries, or (with no parameter)

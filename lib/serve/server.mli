@@ -12,16 +12,18 @@
       {!Fsdata_core.Infer.run}; without [max-errors] the budget is
       [Strict], exactly as on the command line. [jobs=0] is the
       machine's recommended domain count.
-    - [POST /check?shape=EXPR&format=json|xml&compiled=0|1] — body is
-      one document; responds with the Figure 6 runtime shape test and
-      the preference check against [EXPR] ([compiled=1]: the test runs
-      a cached shape-compiled parser).
+    - [POST /check?shape=EXPR&format=json|xml] — body is one document;
+      responds with the Figure 6 runtime shape test and the preference
+      check against [EXPR]. A JSON document is tested as the provider
+      reads it, normalized ({!Fsdata_data.Primitive.normalize}), so it
+      has [EXPR] exactly when a parser compiled from [EXPR] decodes it
+      directly.
     - [POST /explain?shape=EXPR&format=json|xml] — body is one document;
       responds with the list of preference violations ({!Fsdata_core.Explain}).
-    - [POST /query?q=Q&shape=EXPR&compiled=0|1&limit=N] — runs the
-      typed query [Q] ({!Fsdata_query}) over the body's documents,
-      checked against [EXPR] or, without it, the shape inferred from
-      the body; an ill-typed query is [400] with its diagnostic.
+    - [POST /query?q=Q&shape=EXPR&limit=N] — runs the typed query [Q]
+      ({!Fsdata_query.Eval_fast}) over the body's documents, checked
+      against [EXPR] or, without it, the shape inferred from the body;
+      an ill-typed query is [400] with its diagnostic.
     - [GET /metrics] — the {!Fsdata_obs.Metrics} registry as flat JSON,
       including the [serve.*] instruments below.
     - [GET /healthz] — liveness.
@@ -46,9 +48,9 @@
     - [GET /streams/:name/history] — one entry per version bump.
     - [GET /streams/:name/diff?from=A&to=B] — the growth between two
       versions, rendered as {!Fsdata_core.Explain} mismatches.
-    - [POST /streams/:name/query?q=Q&compiled=0|1&limit=N] — [Q] checked
-      against the stream's current shape; the checked query (plan) and
-      the response are cached per stream version.
+    - [POST /streams/:name/query?q=Q&limit=N] — [Q] checked against the
+      stream's current shape; the query plan and the response are
+      cached per stream version.
     - [POST /cache/invalidate[?key=K|stream=NAME]] — drop one cached
       response, one stream's, or all of them.
 
@@ -81,7 +83,7 @@
     [text/x-fsdata-shape] / [text/plain] (the bare paper notation);
     unsatisfiable headers answer [406].
 
-    [compiled=true] reads as [compiled=1]. Results of [/infer] are
+    Results of [/infer] are
     cached in an LRU keyed by the digest of (format, negotiated
     representation, jobs, budget, body); the inferred shape is interned with
     {!Fsdata_core.Shape.hcons} so hot shapes share one heap

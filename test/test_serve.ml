@@ -505,31 +505,22 @@ let test_query_endpoint () =
   in
   let r = run "where .age >= 30 | select .name" in
   check Alcotest.int "200" 200 r.Http.status;
-  check Alcotest.string "reference engine by default" "eval"
-    (field_string "engine" r);
   check Alcotest.int "scanned all documents" 3 (field_int "scanned" r);
   check Alcotest.int "one row matched" 1 (field_int "matched" r);
-  let rf = run ~query:[ ("compiled", "1") ] "where .age >= 30 | select .name" in
-  check Alcotest.string "compiled engine on request" "eval_fast"
-    (field_string "engine" rf);
-  (* same rows either way: everything but the engine label agrees *)
-  check Alcotest.bool "rows agree across engines" true
-    (List.assoc "rows" (body_fields r) = List.assoc "rows" (body_fields rf));
   (* repeat is a response-cache hit with an identical body *)
   let again = run "where .age >= 30 | select .name" in
   check (Alcotest.option Alcotest.string) "repeat hits" (Some "hit")
     (cache_header again);
   check Alcotest.string "hit body identical" r.Http.resp_body
     again.Http.resp_body;
+  (* compiled= is not read: any value answers as if it were absent *)
+  check Alcotest.string "compiled= is ignored" r.Http.resp_body
+    (run ~query:[ ("compiled", "yes") ] "where .age >= 30 | select .name")
+      .Http.resp_body;
   (* parameter validation *)
   check Alcotest.int "missing q is 400" 400
     (Server.handle t (request ~body:query_corpus "/query")).Http.status;
   check Alcotest.int "unparseable q is 400" 400 (run "where ==").Http.status;
-  check Alcotest.int "bad compiled is 400" 400
-    (run ~query:[ ("compiled", "yes") ] "count").Http.status;
-  check Alcotest.string "compiled=true reads as compiled=1, as on /check"
-    "eval_fast"
-    (field_string "engine" (run ~query:[ ("compiled", "true") ] "count"));
   check Alcotest.int "bad limit is 400" 400
     (run ~query:[ ("limit", "0") ] "count").Http.status;
   check Alcotest.int "GET is 405" 405
@@ -579,7 +570,7 @@ let test_stream_query_recheck_on_growth () =
   let r = run "where .age >= 30 | count" in
   check Alcotest.int "rejected against v1" 400 r.Http.status;
   check Alcotest.string "offending path" ".age" (field_string "at" r);
-  let ok = run ~query:[ ("compiled", "1") ] "select .name" in
+  let ok = run "select .name" in
   check Alcotest.int "well-typed against v1" 200 ok.Http.status;
   check Alcotest.int "response carries the version" 1 (field_int "version" ok);
   (* growth: v2 gains .age, and the same query now typechecks — the
@@ -874,48 +865,6 @@ let test_route_table_405 () =
   check Alcotest.int "and its body was left unread" (String.length corpus)
     (Http.body_remaining rest)
 
-(* ----- the compiled-parser cache, through /check?compiled=1 ----- *)
-
-let compile_counters =
-  List.map (fun n -> "compile.cache." ^ n) [ "hits"; "misses"; "evictions" ]
-
-let test_compiled_parser_cache () =
-  let t = server () in
-  let check_compiled shape =
-    let resp =
-      Server.handle t
-        (request
-           ~query:[ ("shape", shape); ("compiled", "1") ]
-           ~body:"{\"name\": \"ada\", \"age\": 36}" "/check")
-    in
-    check Alcotest.int ("check against " ^ shape) 200 resp.Http.status
-  in
-  let _, moved = counting compile_counters (fun () -> check_compiled shape_expr) in
-  check moved_pp "first use compiles" [ ("compile.cache.misses", 1) ] moved;
-  let _, moved = counting compile_counters (fun () -> check_compiled shape_expr) in
-  check moved_pp "second use hits" [ ("compile.cache.hits", 1) ] moved;
-  (* capacity 32: the 33rd distinct shape evicts one parser *)
-  let t = server () in
-  let _, moved =
-    counting compile_counters (fun () ->
-        for i = 1 to 33 do
-          let resp =
-            Server.handle t
-              (request
-                 ~query:
-                   [
-                     ("shape", Printf.sprintf "{name: string, f%d: nullable int}" i);
-                     ("compiled", "1");
-                   ]
-                 ~body:"{\"name\": \"ada\"}" "/check")
-          in
-          check Alcotest.int "200" 200 resp.Http.status
-        done)
-  in
-  check moved_pp "33 distinct shapes"
-    [ ("compile.cache.misses", 33); ("compile.cache.evictions", 1) ]
-    moved
-
 (* ----- /streams/:name/shape never outlives an acknowledged push ----- *)
 
 (* A /shape read racing a push: the read may miss before the push and
@@ -1007,8 +956,6 @@ let suite =
       test_strict_budget_legacy_line;
     tc "route table: wrong methods, 404s and counters" `Quick
       test_route_table_405;
-    tc "compiled-parser cache: hits, misses, evictions" `Quick
-      test_compiled_parser_cache;
     tc "stream shape: a racing read never outlives a push" `Quick
       test_stream_shape_races_push;
   ]
