@@ -1,9 +1,7 @@
-(** A mutex-protected LRU map, the one cache implementation of the
-    serving layer. The top-level instance, keyed by strings, keeps
-    rendered responses (keyed by request digest or by a stream prefix —
-    see [docs/SERVING.md] for the cache semantics) and checked stream
-    queries; {!Make} builds other instances, such as the server's
-    compiled-parser cache keyed by the identity of interned shapes.
+(** A mutex-protected LRU map with string keys, the one cache
+    implementation of the serving layer. The server keeps two: rendered
+    responses (keyed by request digest or by a stream prefix — see
+    [docs/SERVING.md] for the cache semantics) and stream query plans.
 
     Entries may carry a time-to-live: an expired entry behaves exactly
     like a miss (and is dropped on the way out), so a stale response is
@@ -12,38 +10,31 @@
     [POST /cache/invalidate] endpoint and the registry's
     push-supersedes-cache rule. *)
 
-module type S = sig
-  type key
-  type 'a t
+type 'a t
 
-  val create : capacity:int -> 'a t
-  (** [capacity <= 0] creates a disabled cache: {!find} always misses
-      and {!add} is a no-op. *)
+val create : capacity:int -> 'a t
+(** [capacity <= 0] creates a disabled cache: {!find} always misses
+    and {!add} is a no-op. *)
 
-  val length : 'a t -> int
+val length : 'a t -> int
 
-  val find : 'a t -> key -> 'a option
-  (** A hit marks the entry most-recently used. An entry past its TTL
-      is removed and reported as a miss. *)
+val find : 'a t -> string -> 'a option
+(** A hit marks the entry most-recently used. An entry past its TTL
+    is removed and reported as a miss. *)
 
-  val add : 'a t -> ?ttl_ns:int64 -> key -> 'a -> int
-  (** Insert (or refresh) a binding, evicting least-recently-used
-      entries when over capacity; returns how many entries were evicted
-      (0 or 1). [ttl_ns], when given, bounds the entry's life from now;
-      without it the entry lives until evicted or invalidated. *)
+val add : 'a t -> ?ttl_ns:int64 -> string -> 'a -> int
+(** Insert (or refresh) a binding, evicting least-recently-used
+    entries when over capacity; returns how many entries were evicted
+    (0 or 1). [ttl_ns], when given, bounds the entry's life from now;
+    without it the entry lives until evicted or invalidated. *)
 
-  val remove : 'a t -> key -> bool
-  (** Drop one binding; [true] if it was present (expired or not). *)
+val remove : 'a t -> string -> bool
+(** Drop one binding; [true] if it was present (expired or not). *)
 
-  val remove_where : 'a t -> (key -> bool) -> int
-  (** Drop every binding whose key satisfies the predicate; returns how
-      many were dropped. The predicate runs under the cache lock — keep
-      it pure and fast (the server uses prefix tests). *)
+val remove_where : 'a t -> (string -> bool) -> int
+(** Drop every binding whose key satisfies the predicate; returns how
+    many were dropped. The predicate runs under the cache lock — keep
+    it pure and fast (the server uses prefix tests). *)
 
-  val clear : 'a t -> int
-  (** Drop everything; returns how many entries were dropped. *)
-end
-
-module Make (K : Hashtbl.HashedType) : S with type key = K.t
-
-include S with type key = string
+val clear : 'a t -> int
+(** Drop everything; returns how many entries were dropped. *)
