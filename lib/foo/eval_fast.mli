@@ -3,14 +3,15 @@
     {!Eval} implements Figure 6 literally — substitution-based small-step
     reduction — which is the right artifact for the metatheory (traces,
     preservation checks) but pays a heavy cost per member access. This
-    module is the production evaluator: closures and environments, no
-    substitution, big-step. It is observationally equivalent to {!Eval}
-    on well-typed programs (property-tested in [test/test_eval_fast.ml]):
-    both produce the same value, both raise/propagate [exn] the same way,
-    and both get stuck on the same inputs.
-
-    The benchmark group [access] compares the two (and the generated
-    code), quantifying the cost of running the formal semantics directly. *)
+    module is the big-step alternative: closures and environments, no
+    substitution. No library or binary runs it; the provided-type
+    runtime ([Fsdata_runtime.Typed]) runs {!Eval}. It is the big-step
+    row that bench B4 (group [access]) measures against {!Eval} and the
+    generated code, quantifying the cost of running the formal semantics
+    directly, and [test/test_eval_fast.ml] holds it to {!Eval} on
+    well-typed programs: both produce the same value, both
+    raise/propagate [exn] the same way, and both get stuck on the same
+    inputs. *)
 
 type value =
   | VData of Fsdata_data.Data_value.t

@@ -9,9 +9,14 @@
     the first satisfied bound, so a [take 10] over a gigabyte corpus
     reads only as far as its tenth row.
 
-    This is the specification {!Eval_fast} is differentially tested
-    against: byte-identical rows and identical stats on every corpus
-    (the ≥1000-case QCheck property in [test/test_query.ml]). *)
+    No route runs it: [fsdata query], [/query] and
+    [/streams/:name/query] evaluate with {!Eval_fast}. This is the
+    specification {!Eval_fast} is differentially tested against:
+    byte-identical rows and identical stats on every corpus, by the
+    ≥1000-case [prop_engines_agree] and the [engines_agree] cases in
+    [test/test_query.ml]; bench B14 ([bench/main.ml], group [query])
+    and [perfbench] compare the two engines' rows and timings as
+    well. *)
 
 val eval :
   ?cancel:Fsdata_data.Cancel.t ->

@@ -1,4 +1,5 @@
-(** The fast evaluator: shape-compiled decoding, precompiled stages.
+(** The query evaluator every route runs: shape-compiled decoding,
+    precompiled stages.
 
     [compile] pairs the checked query with a
     {!Fsdata_core.Shape_compile} parser for the {e pruned} σ — so a
@@ -41,5 +42,5 @@ val eval :
 (** [eval p src] streams the corpus through the compiled decoder
     ([Shape_compile.fold_corpus]) and the precompiled stages; [take]
     stops the scan early. Skipped/malformed accounting, cancellation
-    and instrumentation mirror {!Eval.eval}; traced as
+    and instrumentation mirror the reference evaluator {!Eval}'s; traced as
     [query.eval_fast]. *)

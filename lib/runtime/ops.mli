@@ -24,14 +24,10 @@ val error_message : conversion_error -> string
 (** Human-readable rendering:
     ["op at a.b: expected int but found \"x\""]. *)
 
-val conversion_error :
-  ?path:string list -> ?expected:string -> op:string -> string -> conversion_error
-(** [conversion_error ~op actual] builds an error value; [path] defaults
-    to empty and [expected] to unknown. *)
-
 val conversion_failure :
   ?path:string list -> ?expected:string -> op:string -> string -> 'a
-(** Build and raise in one step. *)
+(** [conversion_failure ~op actual] raises {!Conversion_error}; [path]
+    defaults to empty and [expected] to unknown. *)
 
 val with_path : string -> (unit -> 'a) -> 'a
 (** [with_path segment f] runs [f], prepending [segment] to the access
