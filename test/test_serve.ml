@@ -311,26 +311,18 @@ let classifying_literals = [ "0"; "1"; "36"; "35.14"; "true"; "2012-05-01"; "#N/
 
 let rec gen_quoted (d : Dv.t) : Dv.t QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let quoted =
-    match d with
-    | Dv.Int i -> Some (string_of_int i)
-    | Dv.Float f -> Some (Printf.sprintf "%g" f)
-    | Dv.Bool b -> Some (string_of_bool b)
-    | Dv.Null -> Some "#N/A"
-    | _ -> None
-  in
+  let or_literal literal = oneof [ return d; map (fun s -> Dv.String s) literal ] in
   match d with
   | Dv.List items -> map (fun l -> Dv.List l) (flatten_l (List.map gen_quoted items))
   | Dv.Record (name, fields) ->
       map
         (fun vs -> Dv.Record (name, List.map2 (fun (k, _) v -> (k, v)) fields vs))
         (flatten_l (List.map (fun (_, v) -> gen_quoted v) fields))
-  | Dv.String _ ->
-      frequency [ (1, return d); (1, map (fun s -> Dv.String s) (oneofl classifying_literals)) ]
-  | _ -> (
-      match quoted with
-      | Some s -> frequency [ (1, return d); (1, return (Dv.String s)) ]
-      | None -> return d)
+  | Dv.Int i -> or_literal (return (string_of_int i))
+  | Dv.Float f -> or_literal (return (Printf.sprintf "%g" f))
+  | Dv.Bool b -> or_literal (return (string_of_bool b))
+  | Dv.Null -> or_literal (return "#N/A")
+  | Dv.String _ -> or_literal (oneofl classifying_literals)
 
 let gen_check_case =
   let open QCheck2.Gen in
