@@ -920,7 +920,6 @@ let suite =
     tc "infer xml and csv formats" `Quick test_infer_formats;
     tc "infer parameter validation" `Quick test_infer_bad_params;
     tc "check" `Quick test_check;
-    QCheck_alcotest.to_alcotest prop_check_is_direct_decode;
     tc "check parameter validation" `Quick test_check_errors;
     tc "explain mismatches" `Quick test_explain;
     tc "explain on a conforming document" `Quick test_explain_clean;
@@ -950,4 +949,5 @@ let suite =
       test_route_table_405;
     tc "stream shape: a racing read never outlives a push" `Quick
       test_stream_shape_races_push;
+    QCheck_alcotest.to_alcotest prop_check_is_direct_decode;
   ]
