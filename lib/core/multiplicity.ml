@@ -15,7 +15,5 @@ let of_count = function
   | 1 -> Single
   | _ -> Multiple
 
-let pp ppf = function
-  | Single -> Fmt.string ppf "1"
-  | Optional_single -> Fmt.string ppf "1?"
-  | Multiple -> Fmt.string ppf "*"
+let to_string = function Single -> "1" | Optional_single -> "1?" | Multiple -> "*"
+let pp ppf m = Fmt.string ppf (to_string m)

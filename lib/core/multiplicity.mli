@@ -33,5 +33,8 @@ val of_count : int -> t
 (** Multiplicity observed in a single sample: 1 occurrence is [Single],
     more is [Multiple]. [of_count 0] is invalid. *)
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Paper notation: [1], [1?], [*]. *)
+
+val pp : Format.formatter -> t -> unit
+(** [to_string]'s text. *)

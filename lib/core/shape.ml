@@ -294,17 +294,17 @@ let hcons s = Mutex.protect hcons_lock (fun () -> hcons_rec s)
 let hcons_size () = Mutex.protect hcons_lock (fun () -> Htbl.length hcons_tbl)
 let hcons_clear () = Mutex.protect hcons_lock (fun () -> Htbl.reset hcons_tbl)
 
-let pp_primitive ppf p =
-  Fmt.string ppf
-    (match p with
-    | Bit0 -> "bit0"
-    | Bit1 -> "bit1"
-    | Bit -> "bit"
-    | Bool -> "bool"
-    | Int -> "int"
-    | Float -> "float"
-    | String -> "string"
-    | Date -> "date")
+let primitive_name = function
+  | Bit0 -> "bit0"
+  | Bit1 -> "bit1"
+  | Bit -> "bit"
+  | Bool -> "bool"
+  | Int -> "int"
+  | Float -> "float"
+  | String -> "string"
+  | Date -> "date"
+
+let pp_primitive ppf p = Fmt.string ppf (primitive_name p)
 
 let rec pp ppf = function
   | Bottom -> Fmt.string ppf "\xe2\x8a\xa5"
@@ -330,4 +330,190 @@ and pp_field ppf (name, s) = Fmt.pf ppf "%s: %a" name pp s
 
 and pp_entry ppf { shape; mult } = Fmt.pf ppf "%a, %a" pp shape Multiplicity.pp mult
 
-let to_string s = Fmt.str "%a" pp s
+(* [to_string] prints the bytes [Fmt.str "%a" pp] prints, without the
+   Format engine. Format queues each break and box opening until it
+   knows its size: the flat bytes up to the next break of the same box
+   (that break's space included), or up to the box's end. A break starts
+   a new line when its size exceeds the space left on the line, and a
+   box whose contents fit prints flat. One pass measures every node's
+   flat width (in preorder), and a second prints, deciding each token
+   from the widths of what follows it.
+
+   One quirk of the queue is kept. Format also stops waiting for the
+   size of the token at the queue's head once the text queued from it
+   fills the space left, and then decides as if the token were
+   infinitely wide. That changes a decision only where the size equals
+   the space left and becomes known with no break added to it: a box
+   whose contents exactly fill the line opens as a hov box, not flat,
+   and the last break of a box whose last item exactly fills the line
+   starts a new line. (A token queued behind others whose sizes are not
+   known yet reaches the head in time: a line break never moves the end
+   of the line, counted in flat bytes, backwards, so Format has stopped
+   waiting for those tokens by then.) *)
+
+let margin = 78 (* Format's defaults *)
+let max_indent = 68
+
+(* An open box: its width (the space left when it opened) if it is a
+   hov box, [fits] if its contents print flat. *)
+let fits = min_int
+
+type widths = { mutable a : int array; mutable n : int }
+
+(* Flat widths in preorder. A list of items is measured from one
+   separator below zero: every item adds its separator ("," or " |",
+   then a one-byte break) and its width. *)
+let rec measure m s =
+  let i = m.n in
+  if i = Array.length m.a then begin
+    let a = Array.make (2 * i) 0 in
+    Array.blit m.a 0 a 0 i;
+    m.a <- a
+  end;
+  m.n <- i + 1;
+  let w =
+    match s with
+    | Bottom -> 3
+    | Null -> 4
+    | Primitive p -> String.length (primitive_name p)
+    | Record { name; fields = [] } -> String.length name + 3
+    | Record { name; fields } -> String.length name + 3 + measure_fields m (-2) fields
+    | Nullable s -> 9 + measure m s
+    | Collection [] -> 5
+    | Collection [ { shape; mult = Multiplicity.Multiple } ] -> 2 + measure m shape
+    | Collection entries -> 2 + measure_entries m (-3) entries
+    | Top [] -> 3
+    | Top labels -> 9 + measure_labels m (-2) labels
+  in
+  m.a.(i) <- w;
+  w
+
+and measure_fields m acc = function
+  | [] -> acc
+  | (name, s) :: rest ->
+      measure_fields m (acc + 2 + String.length name + 2 + measure m s) rest
+
+and measure_entries m acc = function
+  | [] -> acc
+  | { shape; mult } :: rest ->
+      measure_entries m
+        (acc + 3 + measure m shape + 2 + String.length (Multiplicity.to_string mult))
+        rest
+
+and measure_labels m acc = function
+  | [] -> acc
+  | s :: rest -> measure_labels m (acc + 2 + measure m s) rest
+
+type printer = {
+  out : Buffer.t;
+  widths : int array;
+  mutable next : int;  (** preorder index of the next node *)
+  mutable space : int;  (** space left on the line *)
+}
+
+let text p s =
+  Buffer.add_string p.out s;
+  p.space <- p.space - String.length s
+
+(* A new line indented to the column where [box] opened, at most
+   [max_indent]. *)
+let new_line p box =
+  let indent = Int.min max_indent (margin - box) in
+  Buffer.add_char p.out '\n';
+  for _ = 1 to indent do
+    Buffer.add_char p.out ' '
+  done;
+  p.space <- margin - indent
+
+(* Opens a hov box of [content] flat bytes inside [box]. A box cannot
+   open past [max_indent]: the enclosing hov box breaks its line
+   first. *)
+let open_box p ~box ~content =
+  let hov = content >= p.space in
+  if margin - p.space > max_indent && box <> fits && box > p.space then
+    new_line p box;
+  if hov then p.space else fits
+
+(* The separator [sep] and the break after it, before an item of [item]
+   flat bytes. *)
+let separate p ~box ~sep ~item ~last =
+  text p sep;
+  let size = if last then 1 + item else 1 + item + String.length sep + 1 in
+  if box <> fits && (size > p.space || (last && size = p.space)) then new_line p box
+  else text p " "
+
+let is_last = function [] -> true | _ :: _ -> false
+
+let rec print p ~box s =
+  let w = p.widths.(p.next) in
+  p.next <- p.next + 1;
+  match s with
+  | Bottom -> text p "\xe2\x8a\xa5"
+  | Null -> text p "null"
+  | Primitive q -> text p (primitive_name q)
+  | Record { name; fields } ->
+      text p name;
+      text p " {";
+      let box = open_box p ~box ~content:(w - String.length name - 3) in
+      print_fields p ~box true fields;
+      text p "}"
+  | Nullable s ->
+      text p "nullable ";
+      print p ~box s
+  | Collection [] -> text p "[\xe2\x8a\xa5]"
+  | Collection [ { shape; mult = Multiplicity.Multiple } ] ->
+      text p "[";
+      print p ~box shape;
+      text p "]"
+  | Collection entries ->
+      text p "[";
+      let box = open_box p ~box ~content:(w - 2) in
+      print_entries p ~box true entries;
+      text p "]"
+  | Top [] -> text p "any"
+  | Top labels ->
+      text p "any\xe2\x9f\xa8";
+      let box = open_box p ~box ~content:(w - 9) in
+      print_labels p ~box true labels;
+      text p "\xe2\x9f\xa9"
+
+and print_fields p ~box first = function
+  | [] -> ()
+  | (name, s) :: rest ->
+      if not first then
+        separate p ~box ~sep:","
+          ~item:(String.length name + 2 + p.widths.(p.next))
+          ~last:(is_last rest);
+      text p name;
+      text p ": ";
+      print p ~box s;
+      print_fields p ~box false rest
+
+and print_entries p ~box first = function
+  | [] -> ()
+  | { shape; mult } :: rest ->
+      let mult = Multiplicity.to_string mult in
+      if not first then
+        separate p ~box ~sep:" |"
+          ~item:(p.widths.(p.next) + 2 + String.length mult)
+          ~last:(is_last rest);
+      print p ~box shape;
+      text p ", ";
+      text p mult;
+      print_entries p ~box false rest
+
+and print_labels p ~box first = function
+  | [] -> ()
+  | s :: rest ->
+      if not first then
+        separate p ~box ~sep:"," ~item:p.widths.(p.next) ~last:(is_last rest);
+      print p ~box s;
+      print_labels p ~box false rest
+
+(* The outermost box is Format's own hov box, opened at column 0. *)
+let to_string s =
+  let m = { a = Array.make 64 0; n = 0 } in
+  let width = measure m s in
+  let p = { out = Buffer.create (width + 16); widths = m.a; next = 0; space = margin } in
+  print p ~box:margin s;
+  Buffer.contents p.out

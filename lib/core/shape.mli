@@ -148,6 +148,18 @@ val size : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Paper-style notation: [nu {a: int, b: nullable string}],
-    [\[int\]], [any<float, bool>], [\[• {..}, 1 | \[..\], 1\]]. *)
+    [\[int\]], [any<float, bool>], [\[• {..}, 1 | \[..\], 1\]].
+    Record fields, collection entries and top labels sit in [hov] boxes,
+    so a wide shape wraps at the formatter's margin. [pp] composes with
+    the enclosing boxes of other printers ({!Explain}, indented CLI
+    lines), and it is the oracle that {!to_string} is tested against. *)
 
 val to_string : t -> string
+(** The bytes of [Fmt.str "%a" pp s], printed without the Format engine:
+    the same line breaks at margin 78 (a break starts a new line when
+    the text up to the box's next break does not fit, a box whose
+    contents fit prints flat, a box is not opened past column 68),
+    widths counted in bytes as Format counts them. It allocates little
+    beyond its result, so the registry's WAL records and snapshots and
+    the server's responses print shapes with it. The bytes are pinned:
+    the WAL and snapshot formats store this text. *)

@@ -531,3 +531,90 @@ let gen_faulty_text =
   in
   let+ seps = list_repeat (List.length docs) (oneofl [ "\n"; " "; "\n\n"; "" ]) in
   String.concat "" (List.concat (List.map2 (fun d sep -> [ d; sep ]) docs seps))
+
+(* Shapes that exercise the line breaking of the paper notation:
+   records up to 300 fields wide, field and record names of 0 to 90
+   bytes (multi-byte UTF-8 included, counted in bytes as the printer
+   counts them), nesting deep enough to open boxes past column 68,
+   heterogeneous collections with every multiplicity and labelled tops,
+   plus the shapes inferred from [gen_data]. *)
+
+let gen_layout_name : string Gen.t =
+  let open Gen in
+  let* k = frequency [ (4, int_bound 6); (2, int_range 7 20); (1, int_range 21 30) ] in
+  let piece =
+    frequency
+      [
+        (8, oneofl [ "a"; "b"; "x"; "_"; "1" ]);
+        (1, oneofl [ "\xc3\xa9"; "\xc3\x9f" ]);
+        (1, oneofl [ "\xe2\x80\xa2"; "\xe2\x8a\xa5"; "\xe5\x90\x8d" ]);
+      ]
+  in
+  map (String.concat "") (list_repeat k piece)
+
+(* distinct names, so the record is valid *)
+let gen_layout_fields n gen_value =
+  let open Gen in
+  let* names = list_repeat n gen_layout_name in
+  let names = List.mapi (fun i n -> if i mod 7 = 6 then n else n ^ string_of_int i) names in
+  let names = List.sort_uniq String.compare names in
+  let* names = shuffle_l names in
+  flatten_l (List.map (fun n -> map (fun v -> (n, v)) gen_value) names)
+
+(* the first item of each tag, so entries and labels stay canonical *)
+let distinct_tags shape_of items =
+  List.fold_left
+    (fun kept x ->
+      let tag = Shape.tagof (shape_of x) in
+      if List.exists (fun k -> Fsdata_core.Tag.equal (Shape.tagof (shape_of k)) tag) kept
+      then kept
+      else x :: kept)
+    [] items
+
+let gen_layout_shape_sized : Shape.t Gen.sized =
+  let open Gen in
+  fix (fun self size ->
+      let leaf = gen_absorb_leaf in
+      if size <= 1 then leaf
+      else
+        let record ~width =
+          let* n = width in
+          let* name = gen_layout_name in
+          let* fields = gen_layout_fields n (self (size / (n + 1))) in
+          return (Shape.record name fields)
+        in
+        let label =
+          let* s = self (size / 3) in
+          return
+            (match Shape.strip_nullable s with
+            | Shape.Bottom | Shape.Null | Shape.Top _ -> prim Shape.Int
+            | s -> s)
+        in
+        frequency
+          [
+            (2, leaf);
+            (* narrow and deep: the first field opens its box on the
+               line of its parent's *)
+            (3, record ~width:(int_range 1 3));
+            (2, record ~width:(int_range 0 12));
+            (1, record ~width:(int_range 13 300));
+            (1, map Shape.nullable (record ~width:(int_range 1 4)));
+            (1, map Shape.collection (self (size / 2)));
+            ( 2,
+              let* shapes = list_size (int_range 1 4) label in
+              let* mults =
+                list_repeat (List.length shapes)
+                  (oneofl Multiplicity.[ Single; Optional_single; Multiple ])
+              in
+              return (Shape.hetero (distinct_tags fst (List.combine shapes mults))) );
+            ( 1,
+              let* labels = list_size (int_range 1 4) label in
+              return (Shape.top (distinct_tags Fun.id labels)) );
+          ])
+
+let gen_layout_shape : Shape.t Gen.t =
+  Gen.frequency
+    [
+      (4, Gen.sized_size (Gen.int_range 1 400) gen_layout_shape_sized);
+      (1, Gen.map (Fsdata_core.Infer.shape_of_value ~mode:`Practical) gen_data);
+    ]

@@ -105,6 +105,12 @@ let prop_roundtrip_inferred =
       | Ok s' -> Shape.equal s s'
       | Error _ -> false)
 
+(* [to_string] is a direct printer; [pp] through Format is its oracle. *)
+let prop_to_string_is_pp =
+  QCheck2.Test.make ~name:"to_string s = Fmt.str \"%a\" pp s" ~count:2000
+    ~print:print_shape gen_layout_shape (fun s ->
+      String.equal (Shape.to_string s) (Fmt.str "%a" Shape.pp s))
+
 let suite =
   [
     tc "golden cases" `Quick test_golden;
@@ -112,4 +118,5 @@ let suite =
     tc "nested worldbank-style shape" `Quick test_nested_example;
     QCheck_alcotest.to_alcotest prop_roundtrip_core;
     QCheck_alcotest.to_alcotest prop_roundtrip_inferred;
+    QCheck_alcotest.to_alcotest prop_to_string_is_pp;
   ]
