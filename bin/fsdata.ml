@@ -367,7 +367,7 @@ let infer_cmd =
               with
               | Error (`Msg m) -> `Error (false, m)
               | Ok (f, report) ->
-                  Format.printf "%a@." Shape.pp report.Infer.shape;
+                  print_endline (Shape.to_string report.Infer.shape);
                   finish_tolerant ~quarantine ~format:f ~paths ~budget report))
       | None -> (
           if paper then
@@ -379,14 +379,14 @@ let infer_cmd =
                     (Samples (List.map read_file paths))
                 with
                 | Ok report ->
-                    Format.printf "%a@." Shape.pp report.Infer.shape;
+                    print_endline (Shape.to_string report.Infer.shape);
                     `Ok ()
                 | Error m -> `Error (false, m))
             | Ok _ -> `Error (false, "--paper applies to JSON samples")
           else
             match infer_shape ~csv_schema ~jobs format paths with
             | Ok (_, shape) ->
-                Format.printf "%a@." Shape.pp shape;
+                print_endline (Shape.to_string shape);
                 `Ok ()
             | Error (`Msg m) -> `Error (false, m))
   in

@@ -175,7 +175,7 @@ let generate ?module_comment (p : Fsdata_provider.Provide.t) : string =
         "(* Generated by fsdata codegen — do not edit.\n\
         \   Typed access to documents matching the inferred shape:\n\
         \   %s *)\n"
-        (Fmt.str "%a" Shape.pp p.shape));
+        (Shape.to_string p.shape));
   pr "\n[@@@warning \"-39\"] (* converter blocks are emitted with let rec *)\n";
   pr "\nmodule Ops = Fsdata_runtime.Ops\nmodule Shape = Fsdata_core.Shape\n";
   pr "\nlet _ = Shape.Bottom (* silence unused-module warnings in tiny schemas *)\n\n";

@@ -31,7 +31,7 @@ let payload ~stream ~version ~shape =
            ("version", Dv.Int version);
            ( "shape",
              match shape with
-             | Some s -> Dv.String (Fmt.str "%a" Shape.pp s)
+             | Some s -> Dv.String (Shape.to_string s)
              | None -> Dv.Null );
          ] ))
   ^ "\n"
