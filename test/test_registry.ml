@@ -528,6 +528,90 @@ let absorbed_pushes_match_fold =
       Registry.close t;
       true)
 
+(* ----- the bytes on disk ----- *)
+
+(* A wide record whose nested boxes open past column 68, so its paper
+   notation spans many lines. *)
+let wide_nested_shape extra =
+  let open Shape in
+  let inner i =
+    record "a_nested_record_with_a_rather_long_name"
+      [
+        ("deeply_nested_field_" ^ string_of_int i, collection (Primitive Int));
+        ( "mixed",
+          hetero
+            [ (Primitive String, Fsdata_core.Multiplicity.Single);
+              (record "item" [ ("v", Nullable (Primitive Float)) ],
+               Fsdata_core.Multiplicity.Multiple) ] );
+        ("labels", top [ Primitive Bool; Primitive Date ]);
+      ]
+  in
+  record "row"
+    (List.init 120 (fun i ->
+         ( Printf.sprintf "field_%03d" i,
+           if i mod 5 = 0 then inner i else Primitive Int ))
+    @ extra)
+
+(* The registry's codec spelled out, with shapes printed by Format (the
+   oracle of [Shape.to_string]): the WAL and snapshot keep their bytes. *)
+let str16 b s =
+  Buffer.add_int16_le b (String.length s);
+  Buffer.add_string b s
+
+let shape32 b s =
+  let text = Fmt.str "%a" Shape.pp s in
+  Buffer.add_int32_le b (Int32.of_int (String.length text));
+  Buffer.add_string b text
+
+let int64 b n = Buffer.add_int64_le b (Int64.of_int n)
+
+let test_wal_and_snapshot_bytes () =
+  with_dir @@ fun dir ->
+  let d1 = wide_nested_shape [] in
+  let d2 = wide_nested_shape [ ("added_late", Shape.Primitive Shape.String) ] in
+  check Alcotest.bool "the shape spans many lines" true
+    (List.length (String.split_on_char '\n' (Shape.to_string d1)) > 20);
+  let t = Registry.open_ ~dir:(Some dir) () in
+  let _ = Registry.push t ~stream:"wide" d1 in
+  let _ = Registry.push t ~stream:"wide" ~count:2 d2 in
+  Registry.close t;
+  let record seq count delta =
+    let b = Buffer.create 256 in
+    Buffer.add_char b '\001';
+    str16 b "wide";
+    int64 b seq;
+    int64 b count;
+    shape32 b delta;
+    Buffer.contents b
+  in
+  let w, r = Wal.open_ ~fsync:`Never (Filename.concat dir "wal.log") in
+  Wal.close w;
+  check (Alcotest.list Alcotest.string) "push records"
+    [ record 1 1 d1; record 2 2 d2 ] r.Wal.records;
+  let t = Registry.open_ ~dir:(Some dir) () in
+  Registry.snapshot t;
+  let st = find_exn t "wide" in
+  Registry.close t;
+  check Alcotest.int "two versions" 2 (List.length st.Registry.history);
+  let b = Buffer.create 256 in
+  Buffer.add_char b '\002';
+  int64 b 1;
+  str16 b "wide";
+  int64 b st.Registry.seq;
+  int64 b st.Registry.version;
+  int64 b st.Registry.pushes;
+  int64 b (List.length st.Registry.history);
+  List.iter
+    (fun (version, seq, shape) ->
+      int64 b version;
+      int64 b seq;
+      shape32 b shape)
+    st.Registry.history;
+  int64 b 0;
+  let text = In_channel.with_open_bin (Filename.concat dir "snapshot.bin") In_channel.input_all in
+  check (Alcotest.option Alcotest.string) "snapshot payload"
+    (Some (Buffer.contents b)) (Wal.scan_one text)
+
 let suite =
   [
     tc "fresh stream: first push is version 1" `Quick test_fresh_stream;
@@ -553,4 +637,6 @@ let suite =
     QCheck_alcotest.to_alcotest batchings_render_one_fold;
     tc "an absorbed push skips the merge" `Quick test_absorbed_push_skips_merge;
     QCheck_alcotest.to_alcotest absorbed_pushes_match_fold;
+    tc "wal and snapshot bytes are the paper notation" `Quick
+      test_wal_and_snapshot_bytes;
   ]
