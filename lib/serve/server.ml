@@ -172,23 +172,55 @@ let overloaded t =
    shape after every push that did not grow it (it stays the physically
    same hash-consed value) and the /shape reads that follow. Shapes are
    immutable, so a shape that is physically the one rendered before has
-   the same text, and that text the same JSON literal; the most recent
-   renderings are kept, keyed by identity. A race between workers can
-   only lose an entry. *)
-let rendered : (Shape.t * string * string) list Atomic.t = Atomic.make []
+   the same text, JSON literal and JSON Schema; the most recently used
+   renderings are kept, keyed by identity, the last used first. The
+   schema is rendered on its first request. Entries are never mutated:
+   a hit or a filled schema puts a new list in place, so a race between
+   workers can only lose an entry. *)
+type rendering = {
+  shape : Shape.t;
+  text : string;
+  literal : string;
+  schema : string option;
+}
+
+let rendered : rendering list Atomic.t = Atomic.make []
 let rendered_slots = 32
 
-let shape_string s =
-  match List.find_opt (fun (s', _, _) -> s' == s) (Atomic.get rendered) with
-  | Some (_, text, _) -> text
+let remember r =
+  let others =
+    List.filteri
+      (fun i r' -> i < rendered_slots - 1 && r'.shape != r.shape)
+      (Atomic.get rendered)
+  in
+  Atomic.set rendered (r :: others)
+
+let rendering s =
+  match Atomic.get rendered with
+  | r :: _ when r.shape == s -> r
+  | entries -> (
+      match List.find_opt (fun r -> r.shape == s) entries with
+      | Some r ->
+          remember r;
+          r
+      | None ->
+          let text = Shape.to_string s in
+          let r =
+            { shape = s; text; literal = Json.to_string (Dv.String text); schema = None }
+          in
+          remember r;
+          r)
+
+let shape_string s = (rendering s).text
+
+let shape_schema s =
+  let r = rendering s in
+  match r.schema with
+  | Some schema -> schema
   | None ->
-      let text = Fmt.str "%a" Shape.pp s in
-      let literal = Json.to_string (Dv.String text) in
-      let kept =
-        List.filteri (fun i _ -> i < rendered_slots - 1) (Atomic.get rendered)
-      in
-      Atomic.set rendered ((s, text, literal) :: kept);
-      text
+      let schema = Fsdata_codegen.Json_schema.to_string s ^ "\n" in
+      remember { r with schema = Some schema };
+      schema
 
 (* The JSON literal of a rendering still in the memo, found by the
    identity of its text. A short string escapes faster than the memo is
@@ -197,7 +229,7 @@ let shape_literal text =
   if String.length text < 256 then None
   else
     List.find_map
-      (fun (_, t, literal) -> if t == text then Some literal else None)
+      (fun r -> if r.text == text then Some r.literal else None)
       (Atomic.get rendered)
 
 let json_body fields =
@@ -373,7 +405,7 @@ let render_report ~format ~accept (report : Infer.report) =
           ("quarantined", Dv.Int (List.length report.Infer.quarantined));
           ("samples", Dv.List (List.map quarantine_entry report.Infer.quarantined));
         ]
-  | `Schema -> Fsdata_codegen.Json_schema.to_string shape ^ "\n"
+  | `Schema -> shape_schema shape
   | `Paper -> shape_string shape ^ "\n"
 
 (* What a handler gets beside the request: the request's cancellation
@@ -560,8 +592,7 @@ let handle_stream_shape t c req =
   in
   cached t key (fun () ->
       Ok
-        (if format = "schema" then
-           Fsdata_codegen.Json_schema.to_string st.Registry.shape ^ "\n"
+        (if format = "schema" then shape_schema st.Registry.shape
          else json_body (stream_fields st)))
 
 (* GET /streams/:name/history — one entry per version bump. *)

@@ -195,11 +195,15 @@ val registry : t -> Fsdata_registry.Registry.t
 
 val shape_string : Fsdata_core.Shape.t -> string
 (** The paper notation of a shape, as every response renders it:
-    byte-identical to [Fmt.str "%a" Shape.pp], and rendered once for a
-    shape that is physically one of the few most recently rendered (a
-    stream's hash-consed shape across pushes that do not grow it). The
-    memo also keeps the text's escaped JSON literal, which response
-    bodies copy instead of escaping the text again. *)
+    {!Fsdata_core.Shape.to_string}, byte-identical to
+    [Fmt.str "%a" Shape.pp], and rendered once for a shape that is
+    physically one of the few most recently used (a stream's hash-consed
+    shape across pushes that do not grow it). The memo also keeps the
+    text's escaped JSON literal, which response bodies copy instead of
+    escaping the text again, and a slot for the shape's JSON Schema,
+    filled on the first [?format=schema] request: a read after a push
+    that did not grow the stream misses the response cache but not the
+    memo. *)
 
 val handle :
   ?cancel:Fsdata_data.Cancel.t ->

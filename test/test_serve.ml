@@ -899,6 +899,47 @@ let test_stream_shape_races_push () =
   done;
   check Alcotest.int "reads after an acknowledged push see its version" 0 !stale
 
+(* The JSON Schema of a stream's shape is rendered once per shape, but
+   the response cache still answers per version: every push invalidates
+   the stream's entries, and the next read is a miss whose body follows
+   the shape. *)
+let test_stream_schema_follows_pushes () =
+  let t = server () in
+  let push body ~version =
+    let r, moved =
+      counting [ "serve.cache.invalidations" ] (fun () ->
+          Server.handle t (request ~body "/streams/s/push"))
+    in
+    check Alcotest.int "push applied" 200 r.Http.status;
+    check Alcotest.int "stream version" version (field_int "version" r);
+    check moved_pp "the cached schema was invalidated"
+      [ ("serve.cache.invalidations", 1) ] moved
+  in
+  let schema () =
+    let r =
+      Server.handle t
+        (request ~meth:"GET" ~query:[ ("format", "schema") ] "/streams/s/shape")
+    in
+    check Alcotest.int "schema 200" 200 r.Http.status;
+    (cache_header r, r.Http.resp_body)
+  in
+  let _ = Server.handle t (request ~body:"{\"a\": 5}" "/streams/s/push") in
+  let tag, v1 = schema () in
+  check (Alcotest.option Alcotest.string) "first read misses" (Some "miss") tag;
+  check (Alcotest.option Alcotest.string) "second read hits" (Some "hit")
+    (fst (schema ()));
+  push "{\"a\": 7}" ~version:1;
+  let tag, same = schema () in
+  check (Alcotest.option Alcotest.string) "a push that did not grow: miss"
+    (Some "miss") tag;
+  check Alcotest.string "same schema" v1 same;
+  push "{\"a\": 2, \"b\": \"x\"}" ~version:2;
+  let tag, grown = schema () in
+  check (Alcotest.option Alcotest.string) "a push that grew: miss" (Some "miss") tag;
+  check Alcotest.bool "the schema grew" true (v1 <> grown);
+  check Alcotest.bool "with the new field" true
+    (Astring.String.is_infix ~affix:"\"b\"" grown)
+
 let suite =
   [
     tc "cache: LRU eviction order" `Quick test_cache_lru;
@@ -950,4 +991,6 @@ let suite =
     tc "stream shape: a racing read never outlives a push" `Quick
       test_stream_shape_races_push;
     QCheck_alcotest.to_alcotest prop_check_is_direct_decode;
+    tc "stream schema: rendered per shape, cached per version" `Quick
+      test_stream_schema_follows_pushes;
   ]
