@@ -386,6 +386,13 @@ let smoke = ref false
    operand's field order, so no shape depends on how work was divided *)
 let same_bytes a b = String.equal (Shape.to_string a) (Shape.to_string b)
 
+(* minor-heap words [f ()] allocates: a count, so a gate on it cannot
+   flake *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 let time_best ~repeats f =
   let best = ref infinity in
   let result = ref None in
@@ -1547,6 +1554,53 @@ let registry_bench () =
          "a fixed batch into a 10x wider stream costs %.1fx (bar: 3x); \
           absorbed pushes are no longer O(batch)"
          ratio);
+  (* rendering a 1000-field stream shape, as every WAL record, snapshot
+     and /shape response renders one: Shape.to_string prints Format's
+     bytes without the Format engine. Smoke asserts the bytes are
+     Format's and that it allocates at most 1/20 of Format's minor
+     words (a count, so the gate cannot flake). *)
+  let kinds =
+    Shape.
+      [| Nullable int; Nullable (Primitive String); Primitive Float; Nullable (Primitive Date) |]
+  in
+  let stream =
+    Shape.record "row" (List.init 1_000 (fun i -> (name i, kinds.(i mod 4))))
+  in
+  let direct () = Shape.to_string stream in
+  let format () = Fmt.str "%a" Shape.pp stream in
+  let text = direct () in
+  let w_direct = minor_words direct in
+  let w_format = minor_words format in
+  let renders = 200 in
+  let timed f () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to renders do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int renders
+  in
+  (* best of five, interleaved, rotating which printer goes first *)
+  let runs = [| timed direct; timed format |] in
+  let best = [| infinity; infinity |] in
+  for rep = 0 to 4 do
+    for j = 0 to 1 do
+      let i = (j + rep) mod 2 in
+      best.(i) <- Float.min best.(i) (runs.(i) ())
+    done
+  done;
+  Printf.printf
+    "  1000-field shape (%d bytes, %d lines): to_string %7.1f us (%.0f minor \
+     words), Format %7.1f us (%.0f)\n%!"
+    (String.length text)
+    (List.length (String.split_on_char '\n' text))
+    (best.(0) *. 1e6) w_direct (best.(1) *. 1e6) w_format;
+  if !smoke && not (String.equal text (format ())) then
+    fail "Shape.to_string differs from Format's rendering";
+  if !smoke && w_direct *. 20. > w_format then
+    fail
+      (Printf.sprintf
+         "Shape.to_string allocates %.0f minor words, over 1/20 of Format's %.0f"
+         w_direct w_format);
   print_newline ()
 
 (* ----- query: typed pushdown, reference vs compiled (B14) ----- *)
@@ -1604,11 +1658,6 @@ let query_bench () =
   in
   let identical =
     render ref_r = render fast_r && ref_r.Q.Value.stats = fast_r.Q.Value.stats
-  in
-  let minor_words f =
-    let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor_words () -. before
   in
   let w_fast = minor_words (fun () -> Q.Eval_fast.eval plan text) in
   let w_parse = minor_words (fun () -> Fsdata_data.Json.parse_many text) in
