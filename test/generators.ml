@@ -552,7 +552,9 @@ let gen_layout_name : string Gen.t =
   in
   map (String.concat "") (list_repeat k piece)
 
-(* distinct names, so the record is valid *)
+(* Up to [n] fields. Most names take their index as a suffix; every
+   seventh keeps the drawn name, so empty and short names occur too.
+   Duplicates are dropped, so the record is valid. *)
 let gen_layout_fields n gen_value =
   let open Gen in
   let* names = list_repeat n gen_layout_name in
