@@ -208,115 +208,11 @@ let count ~clean ~quarantined =
     Obs_metrics.add m_samples clean
   end
 
-
-(* How a format reads a whole text as a stream of documents, resuming
-   after a malformed one: [read] hands the documents to its callback
-   batch by batch, in order, and a malformed one to [on_error] with its
-   index instead; it raises [Diagnostic.Parse_error] for a fault no
-   boundary follows. [shape] is the shape of such a text given the fold
-   of its clean documents, and [empty] the error for a text that holds
-   none. *)
-type stream = {
-  read :
-    cancel:Cancel.t ->
-    chunk_size:int ->
-    chunk_bytes:int ->
-    on_error:(Diagnostic.t -> skipped:string -> unit) ->
-    (Data_value.t list -> unit) ->
-    string ->
-    unit;
-  shape : clean:int -> Shape.t -> Shape.t;
-  empty : string option;
-}
-
-(* What the engine needs of a format, after Parsifal's
-   ParsingParameters: the mode it folds in, how to parse one sample,
-   and how to read a text as a stream of documents, unless a text is
-   one document, read as the sample list of that text. *)
-module type FORMAT = sig
-  val format : Diagnostic.format
-
-  val mode : mode option -> mode
-  (** the mode a run folds in, given the one the caller names *)
-
-  val parse : string -> (Data_value.t, Diagnostic.t) result
-  val stream : stream option
-end
-
+(* A whole feed, for a format whose text is read at once *)
 let buffer pull =
   let b = Buffer.create 4096 in
   let rec go () = match pull () with "" -> Buffer.contents b | s -> Buffer.add_string b s; go () in
   go ()
-
-(* A JSON text is a whitespace-separated document stream. JSON is the
-   one format whose mode is the caller's. *)
-module Json_format = struct
-  let format = Diagnostic.Json
-  let mode = Option.value ~default:`Practical
-  let parse = Json.parse_diag
-
-  let read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text =
-    Json.fold_many ~cancel ~chunk_size ~chunk_bytes ~on_error
-      (fun () -> emit) () text
-
-  let stream =
-    Some
-      {
-        read;
-        shape = (fun ~clean:_ s -> s);
-        empty = Some "no JSON sample documents found";
-      }
-end
-
-(* An XML text is one document. Inference classifies the raw attribute
-   and body strings itself, so they stay unconverted. *)
-module Xml_format = struct
-  let format = Diagnostic.Xml
-  let mode _ = `Xml
-
-  let parse t =
-    Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
-
-  let stream = None
-end
-
-(* A CSV text is a table whose rows are the documents, and its shape
-   the collection of their records (Section 6.2). A CSV sample is one
-   whole table. An unterminated quoted cell leaves no row boundary to
-   resume from, so it fails the text whatever the budget. *)
-module Csv_format = struct
-  let format = Diagnostic.Csv
-  let mode _ = `Practical
-
-  let parse t =
-    Result.map (Csv.to_data ~convert_primitives:false) (Csv.parse_diag t)
-
-  let read ~cancel ~chunk_size:_ ~chunk_bytes:_ ~on_error emit text =
-    Cancel.check cancel;
-    match Csv.parse_tolerant ~on_error text with
-    | Error d -> raise (Diagnostic.Parse_error d)
-    | Ok table ->
-        emit
-          (List.map
-             (Csv.row_to_data ~convert_primitives:false table)
-             table.Csv.rows)
-
-  let stream =
-    Some
-      {
-        read;
-        shape =
-          (fun ~clean s ->
-            if clean = 0 then Shape.collection Shape.Bottom
-            else Shape.hetero [ (s, Multiplicity.of_count clean) ]);
-        empty = None;
-      }
-end
-
-let format_module : format -> (module FORMAT) = function
-  | Json -> (module Json_format)
-  | Xml -> (module Xml_format)
-  | Csv -> (module Csv_format)
 
 let sort_quarantined qs =
   List.stable_sort (fun a b -> Int.compare a.q_index b.q_index) qs
@@ -345,8 +241,7 @@ let normalize_jobs j =
   else min max_jobs j
 
 (* [k >= 1] contiguous runs of near-equal length, in order, none empty;
-   the first [n mod k] runs get one extra element. Each run is paired
-   with the index of its first element. *)
+   the first [n mod k] runs get one extra element. *)
 let chunk k xs =
   let n = List.length xs in
   let k = min k n in
@@ -357,14 +252,13 @@ let chunk k xs =
       | [] -> (List.rev acc, [])
       | x :: rest -> take (i - 1) (x :: acc) rest
   in
-  let rec go i offset xs =
+  let rec go i xs =
     if i >= k then []
     else
-      let size = (n / k) + if i < n mod k then 1 else 0 in
-      let c, rest = take size [] xs in
-      (offset, c) :: go (i + 1) (offset + size) rest
+      let c, rest = take ((n / k) + if i < n mod k then 1 else 0) [] xs in
+      c :: go (i + 1) rest
   in
-  go 0 0 xs
+  go 0 xs
 
 (* Adaptive granularity for a JSON stream (EXPERIMENTS.md B7): with a
    fixed 256-document batch, each hand-off to a domain carried only a
@@ -376,15 +270,6 @@ let chunk k xs =
 let stream_caps ~jobs ~bytes chunk_size =
   let chunk_bytes = max (64 * 1024) (min (8 * 1024 * 1024) (bytes / (jobs * 8))) in
   (Option.value chunk_size ~default:65536, chunk_bytes)
-
-(* The position after [k] documents read from [index] on, stepping over
-   the indices of the faults in [gaps] (ascending), and the faults
-   beyond it. *)
-let rec after index k gaps =
-  match gaps with
-  | g :: gaps when g = index -> after (index + 1) k gaps
-  | _ when k = 0 -> (index, gaps)
-  | _ -> after (index + 1) (k - 1) gaps
 
 let spawn f =
   Obs_metrics.incr m_spawned;
@@ -428,51 +313,33 @@ let fold_item ~mode ~format (fold : fold) ~text read i item =
       in
       Some { q_index = i; q_diagnostic = Diagnostic.with_index i d; q_text = text item }
 
-(* Fold a batch's items into [fold] in order, under its own
-   [infer.chunk] span. The [i]th item sits at the next global index from
-   [index] on that is not in [gaps], the indices of the faults the
-   reader reported itself. A strict run stops at the first fault, its
-   own or a gap. The walk is the span's tail call, so the items it has
-   passed are garbage at once. *)
-let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~index
-    ~gaps items =
-  let rec go i gaps clean faults = function
-    | [] -> { b_shape = fold.shape; b_clean = clean; b_faults = List.rev faults }
-    | item :: rest as items -> (
-        match gaps with
-        | g :: gaps when g = i ->
-            go (i + 1) gaps clean faults (if strict then [] else items)
-        | _ -> (
-            Cancel.check cancel;
-            match fold_item ~mode ~format fold ~text read i item with
-            | None -> go (i + 1) gaps (clean + 1) faults rest
-            | Some q -> go (i + 1) gaps clean (q :: faults) (if strict then [] else rest)))
+(* Fold a batch's items, each paired with its global index, into [fold]
+   in order, under its own [infer.chunk] span at [offset]. No item from
+   [stop] on is folded, and a strict run stops at its own first fault.
+   The walk is the span's tail call, so the items it has passed are
+   garbage at once. *)
+let fold_batch ~mode ~format ~strict ~cancel ~read ~text (fold : fold) ~offset
+    ~stop items =
+  let rec go clean faults = function
+    | (i, item) :: rest when i < stop -> (
+        Cancel.check cancel;
+        match fold_item ~mode ~format fold ~text read i item with
+        | None -> go (clean + 1) faults rest
+        | Some q -> go clean (q :: faults) (if strict then [] else rest))
+    | _ -> { b_shape = fold.shape; b_clean = clean; b_faults = List.rev faults }
   in
   let size = List.length items in
-  traced_chunk ~offset:index ~size:(fun () -> size) @@ fun () ->
-  go index gaps 0 [] items
+  traced_chunk ~offset ~size:(fun () -> size) @@ fun () -> go 0 [] items
 
-(* A JSON text or feed at one job, folded as it is read: each document
-   is first walked against the index of σ as the previous document left
-   it ([absorbs_tokens]), and only a document the walk declines is
-   parsed and folded. The batches are the reader's, each an
-   [infer.chunk] span opened once its first document is read; the
-   reader's faults are reported to its [on_error] as they are met. A
-   strict run stops folding at its first fault, reads the rest of that
-   batch, and stops. *)
-let fold_read ~mode ~strict ~cancel ~(faults : quarantined list ref) ~on_batch r
-    ~refill (fold : fold) =
-  let absorb st =
-    match fold.index with
-    | Some idx -> absorbs_tokens ~mode idx st
-    | None -> false
-  in
-  let rec next () =
-    match Json.Reader.next ~absorb r with
-    | Json.Reader.Await -> refill r; next ()
-    | item -> item
-  in
-  let size = ref 0 in
+(* One batch of a JSON reader at one job, folded as it is read from its
+   first item [item] on: [next] first walks each document against the
+   index of σ as the previous document left it ([absorbs_tokens]), and
+   only a document the walk declines is parsed and folded. A strict run
+   stops folding at its first fault, its own or one the reader reported
+   into [faults], and reads the rest of the batch. [size] counts the
+   items read. *)
+let fold_read ~mode ~strict ~cancel ~(faults : quarantined list ref) ~size ~next
+    r (fold : fold) item =
   let rec go item clean batch_faults =
     incr size;
     let clean, batch_faults =
@@ -497,32 +364,31 @@ let fold_read ~mode ~strict ~cancel ~(faults : quarantined list ref) ~on_batch r
         { b_shape = fold.shape; b_clean = clean; b_faults = List.rev batch_faults }
     | item -> go item clean batch_faults
   in
-  (* a batch starts after the previous one's last document: at its
-     first document, or at a fault the reader met before it *)
-  let rec batches offset =
-    match next () with
-    | Json.Reader.End -> ()
-    | first ->
-        size := 0;
-        on_batch
-          (traced_chunk ~offset ~size:(fun () -> !size) (fun () ->
-               go first 0 []));
-        batches (Json.Reader.index r + 1)
-  in
-  batches 0
+  go item 0 []
 
 let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
     source =
-  let (module F : FORMAT) = format_module format in
-  let mode = F.mode mode in
-  let jobs = normalize_jobs jobs in
-  (* only a JSON feed at one job is read as it arrives; any other is
-     read as its text, so a parallel run's batches are a text's *)
-  let source =
-    match source with
-    | Feed pull when F.format <> Json || jobs > 1 -> String (buffer pull)
-    | source -> source
+  (* JSON is the one format whose mode is the caller's *)
+  let mode =
+    match format with
+    | Json -> Option.value mode ~default:`Practical
+    | Xml -> `Xml
+    | Csv -> `Practical
   in
+  (* One sample: a JSON or XML document, or a whole CSV table. Inference
+     classifies XML's and CSV's raw strings itself, so they stay
+     unconverted. *)
+  let parse t =
+    match
+      match format with
+      | Json -> Json.parse_diag t
+      | Xml -> Result.map (Xml.to_data ~convert_primitives:false) (Xml.parse_diag t)
+      | Csv -> Result.map (Csv.to_data ~convert_primitives:false) (Csv.parse_diag t)
+    with
+    | Ok d -> d
+    | Error d -> raise (Diagnostic.Parse_error d)
+  in
+  let jobs = normalize_jobs jobs in
   let strict = budget = Diagnostic.Strict in
   let fresh () = { shape = Shape.Bottom; index = None } in
   (* the fold of a sequential run, and of a parallel run's last batch *)
@@ -542,16 +408,20 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
       join_one ()
     done
   in
-  (* A stream's reader quarantines its faults here, with the text it
-     skipped (see [on_error] below). A strict run stops after the batch
-     that holds or follows the first fault. *)
+  (* A text's reader quarantines its faults here, with the text it
+     skipped. A strict run stops after the batch that holds or follows
+     the first fault, its own at one job or the reader's. *)
   let faults = ref [] in
-  let on_batch b =
-    results := b :: !results;
-    if strict && (b.b_faults <> [] || !faults <> []) then raise Stop
+  let on_error (d : Diagnostic.t) ~skipped =
+    let i = Option.value d.Diagnostic.index ~default:0 in
+    faults := { q_index = i; q_diagnostic = d; q_text = Some skipped } :: !faults
   in
   let submit job =
-    if jobs = 1 then on_batch (job cancel acc)
+    if jobs = 1 then begin
+      let b = job cancel acc in
+      results := b :: !results;
+      if strict && b.b_faults <> [] then raise Stop
+    end
     else begin
       Option.iter
         (fun job ->
@@ -559,50 +429,93 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
           Queue.add (spawn (fun () -> job Cancel.never (fresh ()))) inflight)
         !held;
       held := Some job
-    end
+    end;
+    if strict && !faults <> [] then raise Stop
   in
-  let fold_batch ~cancel ~read ~text fold ~index ~gaps items =
-    fold_batch ~mode ~format:F.format ~strict ~cancel ~read ~text fold ~index
-      ~gaps items
+  (* A batch of indexed items as a job. A strict batch folds none from
+     the reader's first fault on. *)
+  let batch ~read ~text ~offset items =
+    let stop =
+      if strict then List.fold_left (fun s q -> min s q.q_index) max_int !faults
+      else max_int
+    in
+    fun cancel fold ->
+      fold_batch ~mode ~format ~strict ~cancel ~read ~text fold ~offset ~stop
+        items
   in
   (* A sample list is cut into [jobs] contiguous runs, each parsed where
      it is folded. *)
   let samples ~read ~text items =
     List.iter
-      (fun (index, items) ->
-        submit (fun cancel fold ->
-            fold_batch ~cancel ~read ~text fold ~index ~gaps:[] items))
-      (chunk jobs items)
+      (fun items -> submit (batch ~read ~text ~offset:(fst (List.hd items)) items))
+      (chunk jobs (List.mapi (fun i item -> (i, item)) items))
   in
-  let parse t =
-    match F.parse t with Ok d -> d | Error d -> raise (Diagnostic.Parse_error d)
+  (* A JSON text or feed is read through one [Json.Reader] on this
+     domain, batch by batch; a batch starts after the previous one's
+     last document, at its first document or at a fault the reader met
+     before it. At one job each batch is folded as it is read
+     ([fold_read]). Otherwise its documents are collected with their
+     indices and submitted. *)
+  let read_json r ~refill =
+    let absorb st =
+      match acc.index with Some idx -> absorbs_tokens ~mode idx st | None -> false
+    in
+    let absorb = if jobs = 1 then Some absorb else None in
+    let rec next () =
+      match Json.Reader.next ?absorb r with
+      | Json.Reader.Await -> refill r; next ()
+      | item -> item
+    in
+    let rec collect items = function
+      | Json.Reader.Doc v -> (
+          let items = (Json.Reader.index r, v) :: items in
+          match if Json.Reader.cut r then Json.Reader.End else next () with
+          | Json.Reader.End -> List.rev items
+          | item -> collect items item)
+      | _ -> (* nothing is absorbed without [absorb] *) assert false
+    in
+    let size = ref 0 in
+    let rec batches offset =
+      match next () with
+      | Json.Reader.End -> ()
+      | first ->
+          if jobs = 1 then
+            submit (fun cancel fold ->
+                size := 0;
+                traced_chunk ~offset ~size:(fun () -> !size) (fun () ->
+                    fold_read ~mode ~strict ~cancel ~faults ~size ~next r fold first))
+          else
+            submit
+              (batch ~read:Fun.id ~text:(fun _ -> None) ~offset (collect [] first));
+          batches (Json.Reader.index r + 1)
+    in
+    batches 0
   in
-  (* A stream is parsed on this domain, batch by batch. A strict run
-     stops reading at the end of the batch that holds the first fault,
-     and still folds that batch, so every document before the fault is.
-     At one job JSON is read and folded together ([fold_read]). [next]
-     is where the next batch starts, [pending] the reader's faults
-     since. *)
-  let next = ref 0 and pending = ref [] in
-  let on_error (d : Diagnostic.t) ~skipped =
-    let i = Option.value d.Diagnostic.index ~default:!next in
-    faults := { q_index = i; q_diagnostic = d; q_text = Some skipped } :: !faults;
-    pending := i :: !pending
-  in
-  let emit docs =
-    if docs <> [] then begin
-      let index = !next and gaps = List.rev !pending in
-      let index', gaps' = after index (List.length docs) gaps in
-      next := index';
-      pending := List.rev gaps';
-      submit (fun cancel fold ->
-          fold_batch ~cancel ~read:Fun.id ~text:(fun _ -> None) fold ~index
-            ~gaps docs)
-    end;
-    if strict && !faults <> [] then raise Stop
-  in
-  let stream =
-    match source with String _ | Feed _ -> F.stream | Samples _ | Values _ -> None
+  (* A CSV text is a table whose rows are the samples (Section 6.2),
+     numbered once, stepping over the ragged rows the parser
+     quarantined, and folded as one batch. An unterminated quoted cell
+     leaves no row boundary to resume from, so it fails the text
+     whatever the budget. *)
+  let rows text =
+    Cancel.check cancel;
+    match Csv.parse_tolerant ~on_error text with
+    | Error d -> raise (Diagnostic.Parse_error d)
+    | Ok table ->
+        let[@tail_mod_cons] rec number i ragged = function
+          | [] -> []
+          | row :: rest as rows -> (
+              match ragged with
+              | r :: ragged when r = i -> number (i + 1) ragged rows
+              | _ -> (i, row) :: number (i + 1) ragged rest)
+        in
+        let items =
+          number 0 (List.rev_map (fun q -> q.q_index) !faults) table.Csv.rows
+        in
+        if items <> [] then
+          submit
+            (batch
+               ~read:(Csv.row_to_data ~convert_primitives:false table)
+               ~text:(fun _ -> None) ~offset:0 items)
   in
   (* a feed's length is unknown, so its batches take the least byte cap *)
   let chunk_size, chunk_bytes =
@@ -610,25 +523,26 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
       ~bytes:(match source with String text -> String.length text | _ -> 0)
       chunk_size
   in
-  let fold_read r ~refill =
-    fold_read ~mode ~strict ~cancel ~faults ~on_batch r ~refill acc
+  let rec ingest = function
+    | Samples texts -> samples ~read:parse ~text:Option.some texts
+    | Values ds -> samples ~read:Fun.id ~text:(fun _ -> None) ds
+    | String text -> (
+        match format with
+        | Json ->
+            read_json ~refill:ignore
+              (Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text)
+        | Xml -> samples ~read:parse ~text:Option.some [ text ]
+        | Csv -> rows text)
+    | Feed pull when format = Json ->
+        let refill r =
+          match pull () with "" -> Json.Reader.finish r | s -> Json.Reader.feed r s
+        in
+        read_json ~refill
+          (Json.Reader.incremental ~cancel ~chunk_size ~chunk_bytes ~on_error ())
+    | Feed pull -> ingest (String (buffer pull))
   in
   let fatal =
-    match
-      match (source, stream) with
-      | Samples texts, _ -> samples ~read:parse ~text:Option.some texts
-      | Values ds, _ -> samples ~read:Fun.id ~text:(fun _ -> None) ds
-      | String text, None -> samples ~read:parse ~text:Option.some [ text ]
-      | String text, Some _ when jobs = 1 && F.format = Json ->
-          fold_read ~refill:ignore
-            (Json.Reader.create ~cancel ~chunk_size ~chunk_bytes ~on_error text)
-      | String text, Some st ->
-          st.read ~cancel ~chunk_size ~chunk_bytes ~on_error emit text
-      | Feed pull, _ ->
-          let refill r = match pull () with "" -> Json.Reader.finish r | s -> Json.Reader.feed r s in
-          fold_read ~refill
-            (Json.Reader.incremental ~cancel ~chunk_size ~chunk_bytes ~on_error ())
-    with
+    match ingest source with
     | () | (exception Stop) -> None
     | exception Diagnostic.Parse_error d -> Some d
     | exception exn ->
@@ -649,6 +563,7 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
   in
   count ~clean ~quarantined:(List.length qs);
   let total = clean + List.length qs in
+  let is_text = match source with String _ | Feed _ -> true | Samples _ | Values _ -> false in
   let shape () =
     let s =
       match batches with
@@ -658,13 +573,19 @@ let run ?(cancel = Cancel.never) ?mode ?(jobs = 1) ?chunk_size budget format
           Obs_trace.with_span "infer.merge" @@ fun () ->
           Csh.csh_all ~mode:(csh_mode mode) (List.map (fun b -> b.b_shape) bs)
     in
-    match stream with Some st -> st.shape ~clean s | None -> s
+    (* a CSV text's shape is the collection of its rows' records *)
+    match format with
+    | Csv when is_text ->
+        if clean = 0 then Shape.collection Shape.Bottom
+        else Shape.hetero [ (s, Multiplicity.of_count clean) ]
+    | _ -> s
   in
-  match (qs, fatal, Option.bind stream (fun st -> st.empty)) with
-  | q :: _, _, _ when strict -> Error (Diagnostic.message_of q.q_diagnostic)
-  | _, Some d, _ -> Error (Diagnostic.message_of d)
-  | [], None, Some m when total = 0 -> Error m
-  | _, None, _ -> (
+  match (qs, fatal) with
+  | q :: _, _ when strict -> Error (Diagnostic.message_of q.q_diagnostic)
+  | _, Some d -> Error (Diagnostic.message_of d)
+  | [], None when is_text && format = Json && total = 0 ->
+      Error "no JSON sample documents found"
+  | _, None -> (
       match budget_error ~budget ~total qs with
       | Some m -> Error m
       | None -> Ok { shape = shape (); total; quarantined = qs })

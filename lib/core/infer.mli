@@ -131,9 +131,8 @@ type source =
       (** samples already parsed, one per value; read like [Samples] *)
   | Feed of (unit -> string)
       (** [Feed pull] reads like [String] over the fragments [pull]
-          answers until [""], however they are cut: JSON at one job as
-          they arrive, holding about a document and a fragment, and
-          otherwise as one text. *)
+          answers until [""], however they are cut: JSON as they
+          arrive, at any job count, and XML or CSV as one text. *)
 
 val run :
   ?cancel:Fsdata_data.Cancel.t ->
@@ -166,10 +165,13 @@ val run :
     domains and joined in corpus order with {!Csh.csh_all}; [jobs <= 0]
     stands for the machine's recommended domain count, and at most 64
     are used. A sample list is split into [jobs] contiguous runs, each
-    parsed in its domain, the last on the calling one. A JSON text is
-    parsed on the calling domain and cut into batches of [chunk_size]
-    documents (default 65536) or of [bytes / (jobs * 8)] consumed source
-    bytes, clamped to [64KiB..8MiB], whichever fills first; at most
+    parsed in its domain, the last on the calling one. A JSON text or
+    feed is read on the calling domain through the same
+    {!Fsdata_data.Json.Reader} as at one job, without the token walk,
+    and each of the reader's batches is handed to a worker with its
+    documents' global indices: [chunk_size] documents (default 65536)
+    or [bytes / (jobs * 8)] consumed source bytes, clamped to
+    [64KiB..8MiB], whichever fills first, a feed taking 64KiB. At most
     [jobs] batches are in flight. The result is the sequential one,
     field order included, with the same quarantine: [csh] is the least
     upper bound (Lemma 1) and keeps its left operand's field order, so
@@ -179,13 +181,15 @@ val run :
     escaping parsing or inference, is quarantined with a diagnostic
     carrying the sample's global index. A malformed JSON document is
     skipped by resynchronizing at the next top-level document boundary
-    ({!Fsdata_data.Json.fold_many}); a ragged CSV row is quarantined;
+    ({!Fsdata_data.Json.Reader}), at any job count; a ragged CSV row is
+    quarantined;
     an unterminated quoted CSV cell fails the run whatever the budget.
     With budget {!Fsdata_data.Diagnostic.Strict} the run stops at the
     lowest-index fault and answers its
     {!Fsdata_data.Diagnostic.message_of}, the strict pipeline's line: a
-    stream stops once the batch holding the first fault its reader
-    reports is folded, so an inference fault before it is not missed.
+    text stops once the batch holding the first fault its reader
+    reports is folded up to that fault, so an inference fault before it
+    is not missed.
     Any other budget reads the whole source and fails, naming the first
     fault, when the quarantine exceeds it. A JSON [String] or [Feed]
     holding no document at all is an error; an empty sample list infers

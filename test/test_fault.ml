@@ -472,14 +472,19 @@ let test_csv_tolerant_inference () =
     | Ok s -> s
     | Error e -> Alcotest.failf "clean CSV failed: %s" e
   in
-  (match Infer.run (Diagnostic.Count 1) Csv (String faulty) with
-  | Error e -> Alcotest.failf "tolerant CSV failed: %s" e
-  | Ok r ->
-      Alcotest.check shape_testable "clean-subset shape" expect r.Infer.shape;
-      Alcotest.(check int) "total counts the ragged row" 3 r.Infer.total;
-      Alcotest.(check (list int))
-        "quarantined data-row indices" [ 1 ]
-        (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined));
+  List.iter
+    (fun jobs ->
+      match Infer.run ~jobs (Diagnostic.Count 1) Csv (String faulty) with
+      | Error e -> Alcotest.failf "tolerant CSV failed at jobs %d: %s" jobs e
+      | Ok r ->
+          let label what = Printf.sprintf "%s (jobs %d)" what jobs in
+          Alcotest.check shape_testable (label "clean-subset shape") expect
+            r.Infer.shape;
+          Alcotest.(check int) (label "total counts the ragged row") 3 r.Infer.total;
+          Alcotest.(check (list int))
+            (label "quarantined data-row indices") [ 1 ]
+            (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined))
+    [ 1; 2; 7 ];
   (* a structural fault stays fatal whatever the budget *)
   match Infer.run (Diagnostic.Count 99) Csv (String "a,b\n\"x\n") with
   | Ok _ -> Alcotest.fail "unterminated quote must stay fatal"

@@ -20,6 +20,7 @@ module Csh = Fsdata_core.Csh
 module Infer = Fsdata_core.Infer
 module Json = Fsdata_data.Json
 module Trace = Fsdata_obs.Trace
+module Metrics = Fsdata_obs.Metrics
 module Dv = Fsdata_data.Data_value
 open Generators
 
@@ -120,9 +121,13 @@ let feed_at text cuts =
    order, so its output is byte-identical however the corpus arrives:
    one stream cut into batches of any size, fragments split anywhere,
    or separate samples. A strict run compares shapes over well-formed
-   texts; a tolerant one whole reports over faulty texts, fed in random
-   fragments and byte by byte, so that cuts fall inside numbers,
-   escapes and the span a fault's resynchronization skips. *)
+   texts; a faulty text is run at every budget, fed in random fragments
+   and byte by byte, so that cuts fall inside numbers, escapes and the
+   span a fault's resynchronization skips, and compared whole: the
+   report, or the error, and the [ingest.*] counters, which count what
+   a strict run folded before it stopped. A feed read at jobs 2 and 7
+   goes through the same reader, so it agrees with the text at one job
+   too. *)
 let prop_batching_invariant =
   QCheck2.Test.make ~name:"sequential output does not depend on batching"
     ~count:300
@@ -147,21 +152,37 @@ let prop_batching_invariant =
               (fun chunk_size ->
                 render (infer_strict ~mode ?chunk_size Json (String s)) = expect)
               [ Some 1; Some 2; Some 3; None ]
-            && render (infer_strict ~mode Json (Feed (feed_at s cuts))) = expect
+            && List.for_all
+                 (fun jobs ->
+                   render (infer_strict ~mode ~jobs Json (Feed (feed_at s cuts)))
+                   = expect)
+                 [ 1; 2; 7 ]
             && render (infer_strict ~mode Json (Samples texts)) = expect)
           modes
       in
       let bytes () = pull (List.init (String.length faulty) (fun i -> String.sub faulty i 1)) in
+      let counter name = Metrics.value (Metrics.counter ("ingest.samples_" ^ name)) in
       let tolerant =
         List.for_all
           (fun (_, mode) ->
             List.for_all
               (fun budget ->
-                let run source = report_text (Infer.run ~mode budget Json source) in
+                let run ?jobs source =
+                  Metrics.reset ();
+                  Metrics.set_enabled true;
+                  let r = Infer.run ~mode ?jobs budget Json source in
+                  Metrics.set_enabled false;
+                  let counts = List.map counter [ "total"; "clean"; "quarantined" ] in
+                  Metrics.reset ();
+                  (report_text r, counts)
+                in
                 let expect = run (String faulty) in
-                run (Feed (feed_at faulty cuts)) = expect
-                && run (Feed (bytes ())) = expect)
-              [ Fsdata_data.Diagnostic.Count 3; Percent 100. ])
+                List.for_all
+                  (fun jobs -> run ~jobs (Feed (feed_at faulty cuts)) = expect)
+                  [ 1; 2; 7 ]
+                && run (Feed (bytes ())) = expect
+                && run ~jobs:2 (Feed (bytes ())) = expect)
+              [ Fsdata_data.Diagnostic.Strict; Count 3; Percent 100. ])
           modes
       in
       strict && tolerant)
