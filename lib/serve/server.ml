@@ -563,11 +563,13 @@ let handle_stream_push t c req =
       (Infer.run ~cancel:c.cancel budget (infer_format format)
          (String req.Http.body))
   in
-  let delta = intern report.Infer.shape in
   let clean = report.Infer.total - List.length report.Infer.quarantined in
+  (* δ is not interned: the registry interns the merged shape when it
+     grows, and the merge is no slower on a fresh δ *)
   let* st =
     durably "push not applied" (fun () ->
-        Registry.push t.registry ~stream:c.name ~count:(max 1 clean) delta)
+        Registry.push t.registry ~stream:c.name ~count:(max 1 clean)
+          report.Infer.shape)
   in
   Metrics.add cache_invalidations (invalidate_stream t c.name);
   json_ok
