@@ -954,16 +954,28 @@ let serve_bench () =
   let cache_header resp =
     List.assoc_opt "x-fsdata-cache" resp.Http.resp_headers
   in
+  (* how far [f ()] moves the document and sample counters: a count,
+     so a gate on it cannot flake *)
+  let moved f =
+    let docs = M.counter "parse.json.documents"
+    and samples = M.counter "ingest.samples_total" in
+    let d0 = M.value docs and s0 = M.value samples in
+    let r = f () in
+    (r, (M.value docs - d0, M.value samples - s0))
+  in
   (* cold: a fresh server per repeat, so every run is a miss *)
-  let miss_resp, t_miss =
-    time_best ~repeats (fun () ->
-        let t = Server.create Server.default_config in
-        Server.handle t req)
+  let (miss_resp, t_miss), miss_moved =
+    moved (fun () ->
+        time_best ~repeats (fun () ->
+            let t = Server.create Server.default_config in
+            Server.handle t req))
   in
   (* warm: one server, first request populates, the rest hit *)
   let t = Server.create Server.default_config in
   let first = Server.handle t req in
-  let hit_resp, t_hit = time_best ~repeats (fun () -> Server.handle t req) in
+  let (hit_resp, t_hit), hit_moved =
+    moved (fun () -> time_best ~repeats (fun () -> Server.handle t req))
+  in
   let identical = miss_resp.Http.resp_body = hit_resp.Http.resp_body in
   let speedup = t_miss /. t_hit in
   Printf.printf
@@ -976,6 +988,11 @@ let serve_bench () =
     (Option.value ~default:"?" (cache_header first))
     (Option.value ~default:"?" (cache_header hit_resp))
     identical;
+  Printf.printf
+    "                parse.json.documents, ingest.samples_total moved by \
+     %d misses: %d, %d; by %d hits: %d, %d\n%!"
+    repeats (fst miss_moved) (snd miss_moved) repeats (fst hit_moved)
+    (snd hit_moved);
   M.set_enabled was;
   let fail msg =
     Printf.eprintf "serve: smoke assertion failed: %s\n" msg;
@@ -987,6 +1004,13 @@ let serve_bench () =
     if cache_header hit_resp <> Some "hit" then fail "expected a hit header";
     if miss_resp.Http.status <> 200 || hit_resp.Http.status <> 200 then
       fail "expected 200s";
+    (* a hit answers from the cache: it parses and infers nothing *)
+    if hit_moved <> (0, 0) then
+      fail
+        (Printf.sprintf
+           "cached hits moved parse.json.documents by %d and \
+            ingest.samples_total by %d, not 0"
+           (fst hit_moved) (snd hit_moved));
     (* the acceptance bar is 10x; assert half of it so CI noise on the
        shared container can't flake the build *)
     if speedup < 5. then
@@ -1117,6 +1141,16 @@ let compile_bench () =
      %!"
     stats.Sc.direct stats.Sc.fallback stats.Sc.skipped docs_read identical
     bytes_identical;
+  (* the compiled fold builds typed values straight from the tokens; the
+     generic parse builds a [Data_value] tree for the same documents *)
+  let w_compiled = minor_words direct
+  and w_parse = minor_words (fun () -> Json.parse_many text) in
+  let per_byte w = w /. float_of_int (String.length text) in
+  Printf.printf
+    "                minor words: compiled %.0f (%.3f/B), Json.parse_many %.0f \
+     (%.3f/B)\n\
+     %!"
+    w_compiled (per_byte w_compiled) w_parse (per_byte w_parse);
   let fail msg =
     Printf.eprintf "compile: smoke assertion failed: %s\n" msg;
     exit 1
@@ -1124,10 +1158,16 @@ let compile_bench () =
   if !smoke then begin
     if not identical then fail "compiled values differ from generic convert";
     if not bytes_identical then fail "rendered bodies differ";
-    if stats.Sc.direct <> n then
+    if stats.Sc.direct <> n || stats.Sc.fallback <> 0 then
       fail
         (Printf.sprintf "expected %d direct decodes, got %d (fallback %d)" n
            stats.Sc.direct stats.Sc.fallback);
+    if w_compiled > w_parse then
+      fail
+        (Printf.sprintf
+           "the compiled fold allocates %.0f minor words, above the generic \
+            parse's %.0f"
+           w_compiled w_parse);
     if stats.Sc.skipped <> 0 then fail "clean corpus reported skipped docs";
     if docs_read <> stats.Sc.direct + stats.Sc.fallback then
       fail
