@@ -564,8 +564,8 @@ let handle_stream_push t c req =
          (String req.Http.body))
   in
   let clean = report.Infer.total - List.length report.Infer.quarantined in
-  (* δ is not interned: the registry interns the merged shape when it
-     grows, and the merge is no slower on a fresh δ *)
+  (* δ goes to the registry as inferred: the registry interns the
+     merged shape when it grows, and interning δ too slows the push *)
   let* st =
     durably "push not applied" (fun () ->
         Registry.push t.registry ~stream:c.name ~count:(max 1 clean)
