@@ -309,32 +309,12 @@ let access () =
         | None -> acc)
       0. (Typed.get_list root)
   in
-  (* the big-step evaluator over the same provided classes *)
-  let module Fast = Fsdata_foo.Eval_fast in
-  let fast_root = Fast.eval p.Provide.classes [] (Provide.apply p data) in
-  let fast_sum root =
-    let rec go acc = function
-      | Fast.VNil -> acc
-      | Fast.VCons (item, rest) ->
-          let acc =
-            match Fast.member p.Provide.classes item "Age" with
-            | Fast.VSome (Fast.VData (Dv.Float a)) -> acc +. a
-            | Fast.VSome (Fast.VData (Dv.Int a)) -> acc +. float_of_int a
-            | _ -> acc
-          in
-          go acc rest
-      | _ -> acc
-    in
-    go 0. root
-  in
   run_group "access"
     [
       Test.make ~name:(Printf.sprintf "raw pattern match, %d rows" n)
         (stage (fun () -> raw_sum data));
       Test.make ~name:(Printf.sprintf "generated code (Ops), %d rows" n)
         (stage (fun () -> ops_sum data));
-      Test.make ~name:(Printf.sprintf "big-step Foo evaluator, %d rows" n)
-        (stage (fun () -> fast_sum fast_root));
       Test.make ~name:(Printf.sprintf "small-step Foo interpreter, %d rows" n)
         (stage (fun () -> typed_sum v));
     ];
@@ -976,6 +956,8 @@ let serve_bench () =
   let (hit_resp, t_hit), hit_moved =
     moved (fun () -> time_best ~repeats (fun () -> Server.handle t req))
   in
+  let hit_words = minor_words (fun () -> Server.handle t req) in
+  let hit_bytes = String.length hit_resp.Http.resp_body in
   let identical = miss_resp.Http.resp_body = hit_resp.Http.resp_body in
   let speedup = t_miss /. t_hit in
   Printf.printf
@@ -993,6 +975,8 @@ let serve_bench () =
      %d misses: %d, %d; by %d hits: %d, %d\n%!"
     repeats (fst miss_moved) (snd miss_moved) repeats (fst hit_moved)
     (snd hit_moved);
+  Printf.printf "                one hit: %.0f minor words for a %d-byte body\n%!"
+    hit_words hit_bytes;
   M.set_enabled was;
   let fail msg =
     Printf.eprintf "serve: smoke assertion failed: %s\n" msg;
@@ -1011,6 +995,14 @@ let serve_bench () =
            "cached hits moved parse.json.documents by %d and \
             ingest.samples_total by %d, not 0"
            (fst hit_moved) (snd hit_moved));
+    (* nor does it rebuild the body: recomputing the answer costs far
+       more than a few words per byte it sends *)
+    if hit_words > 4. *. float_of_int hit_bytes then
+      fail
+        (Printf.sprintf
+           "a cached hit allocated %.0f minor words, above 4 per byte of \
+            its %d-byte body"
+           hit_words hit_bytes);
     (* the acceptance bar is 10x; assert half of it so CI noise on the
        shared container can't flake the build *)
     if speedup < 5. then

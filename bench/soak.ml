@@ -12,7 +12,7 @@ module Dv = Fsdata_data.Data_value
 module Infer = Fsdata_core.Infer
 module Provide = Fsdata_provider.Provide
 open Fsdata_foo.Syntax
-module Fast = Fsdata_foo.Eval_fast
+module Eval = Fsdata_foo.Eval
 open QCheck2
 
 (* a compact copy of the test-suite data generator *)
@@ -64,18 +64,20 @@ let gen_data : Dv.t Gen.t =
                  return (Dv.Record (name, fields)) );
              ])
 
-let rec walk classes (v : Fast.value) (t : ty) : (unit, string) result =
+(* evaluate every member of every provided object reachable from [v]
+   on the Fig. 6 machine; an error names the first non-value outcome *)
+let rec walk classes (v : expr) (t : ty) : (unit, string) result =
   match t with
   | TInt | TFloat | TBool | TString | TDate | TData | TArrow _ -> Ok ()
   | TOption t' -> (
       match v with
-      | Fast.VNone -> Ok ()
-      | Fast.VSome v' -> walk classes v' t'
+      | ENone _ -> Ok ()
+      | ESome v' -> walk classes v' t'
       | _ -> Error "option expected")
   | TList t' ->
       let rec go = function
-        | Fast.VNil -> Ok ()
-        | Fast.VCons (x, rest) -> (
+        | ENil _ -> Ok ()
+        | ECons (x, rest) -> (
             match walk classes x t' with Ok () -> go rest | e -> e)
         | _ -> Error "list expected"
       in
@@ -89,12 +91,11 @@ let rec walk classes (v : Fast.value) (t : ty) : (unit, string) result =
               match acc with
               | Error _ -> acc
               | Ok () -> (
-                  match Fast.member classes v m.member_name with
-                  | mv -> walk classes mv m.member_ty
-                  | exception Fast.Stuck reason ->
-                      Error (Printf.sprintf "%s.%s stuck: %s" c m.member_name reason)
-                  | exception Fast.Foo_exn ->
-                      Error (Printf.sprintf "%s.%s raised" c m.member_name)))
+                  match Eval.eval classes (EMember (v, m.member_name)) with
+                  | Eval.Value mv -> walk classes mv m.member_ty
+                  | o ->
+                      Error
+                        (Fmt.str "%s.%s: %a" c m.member_name Eval.pp_outcome o)))
             (Ok ()) cls.members)
 
 let check_samples samples =
@@ -103,13 +104,12 @@ let check_samples samples =
   List.find_map
     (fun input ->
       let input = Fsdata_data.Primitive.normalize input in
-      match Fast.eval p.Provide.classes [] (Provide.apply p input) with
-      | v -> (
+      match Eval.eval p.Provide.classes (Provide.apply p input) with
+      | Eval.Value v -> (
           match walk p.Provide.classes v p.Provide.root_ty with
           | Ok () -> None
           | Error e -> Some (input, e))
-      | exception Fast.Stuck reason -> Some (input, "conversion stuck: " ^ reason)
-      | exception Fast.Foo_exn -> Some (input, "conversion raised"))
+      | o -> Some (input, Fmt.str "conversion: %a" Eval.pp_outcome o))
     samples
 
 let () =

@@ -8,14 +8,13 @@ type hint =
   | Hint_string
   | Hint_null
 
-let missing_markers = [ ""; "#N/A"; "NA"; "N/A"; ":"; "-" ]
-
 (* Every reading below is decided on a slice of a string, [s] from [i]
    to [stop], in one left-to-right pass that copies nothing, so that a
    literal is classified where it lies: in a CSV cell's text or in a
    JSON source buffer. *)
 
-(* [List.mem] over the missing markers, for a trimmed slice *)
+(* whether a trimmed slice is one of the missing markers [""], [#N/A],
+   [NA], [N/A], [:], [-] *)
 let[@inline] missing_in s i stop =
   match stop - i with
   | 0 -> true

@@ -28,13 +28,10 @@ type hint =
   | Hint_string
   | Hint_null  (** empty cell or a missing-value marker such as "#N/A" *)
 
-val missing_markers : string list
-(** Literals treated as missing values: [""], ["#N/A"], ["NA"], ["N/A"],
-    [":"], ["-"] are the markers F# Data's CsvInference recognizes. *)
-
 val is_missing : string -> int -> int -> bool
 (** [is_missing s off len]: [String.sub s off len], trimmed, is one of
-    {!missing_markers}, read in place.
+    the markers of missing values F# Data's CsvInference recognizes:
+    [""], ["#N/A"], ["NA"], ["N/A"], [":"], ["-"]. Read in place.
     @raise Invalid_argument when [off] and [len] are not a valid slice
     of [s]. *)
 

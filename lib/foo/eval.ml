@@ -250,14 +250,6 @@ let eval ?(fuel = 1_000_000) classes e =
   in
   loop fuel e
 
-let eval_value ?fuel classes e =
-  match eval ?fuel classes e with
-  | Value v -> Ok v
-  | Exn -> Error "the program raised exn"
-  | Stuck { reason; redex } ->
-      Error (Fmt.str "stuck: %s at %a" reason pp_expr redex)
-  | Timeout -> Error "evaluation ran out of fuel"
-
 let trace ?(fuel = 10_000) classes e =
   let rec loop fuel acc e =
     if fuel <= 0 then (List.rev acc, Timeout)

@@ -46,10 +46,6 @@ val step : Syntax.class_env -> Syntax.expr -> [ `Step of Syntax.expr | `Done of 
 val eval : ?fuel:int -> Syntax.class_env -> Syntax.expr -> outcome
 (** Iterate {!step}; default fuel is 1_000_000 steps. *)
 
-val eval_value : ?fuel:int -> Syntax.class_env -> Syntax.expr -> (Syntax.expr, string) result
-(** Like {!eval} but flattening non-value outcomes into an error message;
-    convenient in examples and tests. *)
-
 val trace : ?fuel:int -> Syntax.class_env -> Syntax.expr -> Syntax.expr list * outcome
 (** The full reduction sequence (for documentation and the predictability
     tests); the list contains the successive expressions, starting with

@@ -156,7 +156,6 @@ and subst_op x v op =
 let int_ i = EData (Fsdata_data.Data_value.Int i)
 let float_ f = EData (Fsdata_data.Data_value.Float f)
 let bool_ b = EData (Fsdata_data.Data_value.Bool b)
-let string_ s = EData (Fsdata_data.Data_value.String s)
 let null = EData Fsdata_data.Data_value.Null
 let lam x ty e = ELam (x, ty, e)
 let ( @@@ ) f x = EApp (f, x)

@@ -105,7 +105,6 @@ val subst : string -> expr -> expr -> expr
 val int_ : int -> expr
 val float_ : float -> expr
 val bool_ : bool -> expr
-val string_ : string -> expr
 val null : expr
 val lam : string -> ty -> expr -> expr
 val ( @@@ ) : expr -> expr -> expr

@@ -131,6 +131,9 @@ let rec realign ~new_classes ~old_classes e (ot : ty) (nt : ty) :
     | _ ->
         err "no rule realigns %s to %s" (ty_to_string nt) (ty_to_string ot)
 
+(* [coerce ~new_classes ~old_classes new_ty old_ty] builds the adapter
+   taking a value of the new type to the old type's interface, when the
+   three rules suffice *)
 let rec coerce ~new_classes ~old_classes (nt : ty) (ot : ty) :
     (expr -> expr, error) result =
   if ty_equal nt ot then Ok (fun e -> e)

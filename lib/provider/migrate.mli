@@ -54,13 +54,3 @@ val migrate :
     only on the input — migrating [v1 -> v3] directly produces the
     same bytes as composing [v1 -> v2; v2 -> v3], and re-computed
     service responses are reproducible. *)
-
-val coerce :
-  new_classes:Fsdata_foo.Syntax.class_env ->
-  old_classes:Fsdata_foo.Syntax.class_env ->
-  Fsdata_foo.Syntax.ty ->
-  Fsdata_foo.Syntax.ty ->
-  (Fsdata_foo.Syntax.expr -> Fsdata_foo.Syntax.expr, error) result
-(** [coerce ~new_classes ~old_classes new_ty old_ty] builds the adapter
-    taking a value of the new type to the old type's interface, when the
-    three rules suffice; used by {!migrate} and exposed for testing. *)

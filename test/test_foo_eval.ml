@@ -10,6 +10,7 @@ module Eval = Fsdata_foo.Eval
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+let string_ s = EData (Dv.String s)
 
 let int_sh = Shape.Primitive Shape.Int
 let float_sh = Shape.Primitive Shape.Float
@@ -245,6 +246,33 @@ let test_eval_order_left_to_right () =
   | Eval.Stuck _ -> ()
   | o -> Alcotest.failf "expected stuck first, got %a" Eval.pp_outcome o
 
+(* one program per construct, each with its outcome stated *)
+let test_outcome_table () =
+  List.iter
+    (fun (name, e, expected) ->
+      match expected with
+      | `Value v -> value name v e
+      | `Exn -> exn_ name e
+      | `Stuck -> stuck name e)
+    [
+      ("beta", EApp (lam "x" TInt (EVar "x"), int_ 5), `Value (int_ 5));
+      ("if", EIf (bool_ true, int_ 1, int_ 2), `Value (int_ 1));
+      ("option equality", EEq (ESome (int_ 1), ESome (int_ 1)), `Value (bool_ true));
+      ( "list match",
+        EMatchList (ECons (int_ 1, ENil TInt), "h", "t", EVar "h", int_ 0),
+        `Value (int_ 1) );
+      ("convFloat", EOp (ConvFloat (float_sh, int_ 42)), `Value (float_ 42.));
+      ("ill-shaped convPrim", EOp (ConvPrim (bool_sh, int_ 42)), `Stuck);
+      ("exn", EExn, `Exn);
+      ("convBool 1", EOp (ConvBool (int_ 1)), `Value (bool_ true));
+      ("int(3.7)", EOp (IntOfFloat (float_ 3.7)), `Value (int_ 3));
+      (* the inner λ is closed over x by substitution *)
+      ( "curried capture",
+        EApp
+          (EApp (lam "x" TInt (lam "y" TInt (EEq (EVar "x", EVar "y"))), int_ 1), int_ 2),
+        `Value (bool_ false) );
+    ]
+
 let suite =
   [
     tc "beta reduction and substitution" `Quick test_beta;
@@ -265,4 +293,5 @@ let suite =
     tc "convSelect (Section 6.4)" `Quick test_conv_select;
     tc "trace and fuel" `Quick test_trace_and_fuel;
     tc "left-to-right evaluation" `Quick test_eval_order_left_to_right;
+    tc "outcomes of hand-written programs" `Quick test_outcome_table;
   ]

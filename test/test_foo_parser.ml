@@ -14,6 +14,7 @@ module Provide = Fsdata_provider.Provide
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+let string_ s = EData (Dv.String s)
 
 (* equality up to None/nil annotations *)
 let rec eq_expr a b =

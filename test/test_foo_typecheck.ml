@@ -9,6 +9,7 @@ module TC = Fsdata_foo.Typecheck
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+let string_ s = EData (Dv.String s)
 
 let int_sh = Shape.Primitive Shape.Int
 let float_sh = Shape.Primitive Shape.Float

@@ -61,12 +61,15 @@ let rec walk classes (v : expr) (t : ty) : (unit, string) result =
                            Eval.pp_outcome o)))
             (Ok ()) cls.members)
 
-let provide_and_walk ~mode ~format samples input =
-  let shape = Infer.shape_of_samples ~mode samples in
-  let p = Provide.provide ~format shape in
+(* the conversion of [input] reduces to a value, and the deep walk from
+   it succeeds *)
+let walk_provided (p : Provide.t) input =
   match Eval.eval p.Provide.classes (Provide.apply p input) with
   | Eval.Value v -> walk p.Provide.classes v p.Provide.root_ty
   | o -> Error (Fmt.str "conversion: %a" Eval.pp_outcome o)
+
+let provide_and_walk ~mode ~format samples input =
+  walk_provided (Provide.provide ~format (Infer.shape_of_samples ~mode samples)) input
 
 (* ----- Lemma 2 ----- *)
 

@@ -8,51 +8,9 @@ module Infer = Fsdata_core.Infer
 module Provide = Fsdata_provider.Provide
 open Fsdata_foo.Syntax
 module Eval = Fsdata_foo.Eval
-module Fast = Fsdata_foo.Eval_fast
 open Generators
 
 let tc = Alcotest.test_case
-
-(* Deep walk using the big-step evaluator (faster; equivalence with the
-   small-step machine is established in test_eval_fast.ml). *)
-let rec walk classes (v : Fast.value) (t : ty) : (unit, string) result =
-  match t with
-  | TInt | TFloat | TBool | TString | TDate | TData | TArrow _ -> Ok ()
-  | TOption t' -> (
-      match v with
-      | Fast.VNone -> Ok ()
-      | Fast.VSome v' -> walk classes v' t'
-      | _ -> Error "option expected")
-  | TList t' ->
-      let rec go = function
-        | Fast.VNil -> Ok ()
-        | Fast.VCons (x, rest) -> (
-            match walk classes x t' with Ok () -> go rest | e -> e)
-        | _ -> Error "list expected"
-      in
-      go v
-  | TClass c -> (
-      match find_class classes c with
-      | None -> Error ("unknown class " ^ c)
-      | Some cls ->
-          List.fold_left
-            (fun acc (m : member_def) ->
-              match acc with
-              | Error _ -> acc
-              | Ok () -> (
-                  match Fast.member classes v m.member_name with
-                  | mv -> walk classes mv m.member_ty
-                  | exception Fast.Stuck reason ->
-                      Error (Printf.sprintf "%s.%s stuck: %s" c m.member_name reason)
-                  | exception Fast.Foo_exn ->
-                      Error (Printf.sprintf "%s.%s raised" c m.member_name)))
-            (Ok ()) cls.members)
-
-let walk_provided (p : Provide.t) data =
-  match Fast.eval p.Provide.classes [] (Provide.apply p data) with
-  | v -> walk p.Provide.classes v p.Provide.root_ty
-  | exception Fast.Stuck reason -> Error ("conversion stuck: " ^ reason)
-  | exception Fast.Foo_exn -> Error "conversion raised"
 
 let prop_xml_local_safety =
   QCheck2.Test.make
@@ -63,7 +21,7 @@ let prop_xml_local_safety =
       | Error _ -> false
       | Ok p ->
           let runtime = Xml.to_data ~convert_primitives:true tree in
-          walk_provided p runtime = Ok ())
+          Test_safety.walk_provided p runtime = Ok ())
 
 let prop_xml_global_safety =
   QCheck2.Test.make
@@ -74,7 +32,7 @@ let prop_xml_global_safety =
       | Error _ -> false
       | Ok p ->
           let runtime = Xml.to_data ~convert_primitives:true tree in
-          walk_provided p runtime = Ok ())
+          Test_safety.walk_provided p runtime = Ok ())
 
 let prop_xml_multi_sample =
   QCheck2.Test.make
@@ -93,7 +51,7 @@ let prop_xml_multi_sample =
           let p = Provide.provide ~format:`Xml shape in
           List.for_all
             (fun tree ->
-              walk_provided p (Xml.to_data ~convert_primitives:true tree) = Ok ())
+              Test_safety.walk_provided p (Xml.to_data ~convert_primitives:true tree) = Ok ())
             trees)
 
 (* CSV pipeline safety: every row of the sample is readable. *)
@@ -120,7 +78,7 @@ let prop_csv_safety =
           match Fsdata_data.Csv.parse_result text with
           | Error _ -> false
           | Ok table ->
-              walk_provided p (Fsdata_data.Csv.to_data ~convert_primitives:true table)
+              Test_safety.walk_provided p (Fsdata_data.Csv.to_data ~convert_primitives:true table)
               = Ok ()))
 
 (* Theorem 3 in practical mode: the user-program generator from
@@ -159,7 +117,7 @@ let test_xml_unknown_inputs_safe () =
   (* an input with unknown elements and missing attributes still walks *)
   let input = {|<doc><mystery deep="true"/><item id="2">y</item></doc>|} in
   let data = Xml.to_data ~convert_primitives:true (Xml.parse input) in
-  match walk_provided p data with
+  match Test_safety.walk_provided p data with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
