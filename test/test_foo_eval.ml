@@ -247,13 +247,15 @@ let test_eval_order_left_to_right () =
   | o -> Alcotest.failf "expected stuck first, got %a" Eval.pp_outcome o
 
 (* one program per construct, each with its outcome stated *)
+let outcomes =
+  List.iter (fun (name, e, expected) ->
+    match expected with
+    | `Value v -> value name v e
+    | `Exn -> exn_ name e
+    | `Stuck -> stuck name e)
+
 let test_outcome_table () =
-  List.iter
-    (fun (name, e, expected) ->
-      match expected with
-      | `Value v -> value name v e
-      | `Exn -> exn_ name e
-      | `Stuck -> stuck name e)
+  outcomes
     [
       ("beta", EApp (lam "x" TInt (EVar "x"), int_ 5), `Value (int_ 5));
       ("if", EIf (bool_ true, int_ 1, int_ 2), `Value (int_ 1));
@@ -266,7 +268,12 @@ let test_outcome_table () =
       ("exn", EExn, `Exn);
       ("convBool 1", EOp (ConvBool (int_ 1)), `Value (bool_ true));
       ("int(3.7)", EOp (IntOfFloat (float_ 3.7)), `Value (int_ 3));
-      (* the inner λ is closed over x by substitution *)
+    ]
+
+(* the inner λ is closed over x by substitution *)
+let test_curried_capture () =
+  outcomes
+    [
       ( "curried capture",
         EApp
           (EApp (lam "x" TInt (lam "y" TInt (EEq (EVar "x", EVar "y"))), int_ 1), int_ 2),
@@ -294,4 +301,5 @@ let suite =
     tc "trace and fuel" `Quick test_trace_and_fuel;
     tc "left-to-right evaluation" `Quick test_eval_order_left_to_right;
     tc "outcomes of hand-written programs" `Quick test_outcome_table;
+    tc "curried capture by substitution" `Quick test_curried_capture;
   ]
